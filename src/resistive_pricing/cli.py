@@ -39,7 +39,6 @@ from .ingest import (
 )
 from .network import NetworkValidationError
 from .pricing import NoConvergence, NotApplicable, solve_closed_form, solve_general
-from .qp import QPNoConvergence
 from .selection import strategy_compare
 
 USAGE_ERROR = 2
@@ -318,8 +317,13 @@ def _read_table(path):
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]
             if ln and not ln.startswith("#")]
-    footer = {ln[2:].split("=", 1)[0]: ln[2:].split("=", 1)[1]
-              for ln in lines[1:] if ln.startswith("# ") or ln.startswith("#")}
+    footer = {}
+    for ln in lines[1:]:
+        if ln.startswith("#"):
+            key, sep, value = ln[1:].lstrip().partition("=")
+            if not sep:
+                raise MalformedInput(f"{path}: footer line {ln!r} has no '='")
+            footer[key] = value
     return header, rows, footer
 
 
@@ -481,7 +485,7 @@ def main(argv=None) -> int:
             EmptyAfterAggregation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (NoConvergence, QPNoConvergence, Infeasible) as exc:
+    except (NoConvergence, Infeasible) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return SOLVER_ERROR
 

@@ -295,7 +295,7 @@ class _PolytopeProjector:
         """Project lifted columns; returns (X, NU) with NU reusable."""
         m1, cols = self.m1, V.shape[1]
         NU = np.zeros((m1, cols)) if nu0 is None else nu0.copy()
-        scale = 1.0 + float(np.abs(self.b).max()) + float(np.abs(V).max())
+        scale = self.scale(V)
         eye = np.eye(m1)
         for _ in range(max_iter):
             raw = V - self.At.T @ NU
@@ -327,6 +327,10 @@ class _PolytopeProjector:
             NU[:, idx] = best_nu
         X = np.clip(V - self.At.T @ NU, self.lo, self.hi)
         return X, NU
+
+    def scale(self, V):
+        """Magnitude that the projection tolerances of ``V`` are relative to."""
+        return 1.0 + float(np.abs(self.b).max()) + float(np.abs(V).max())
 
     def lift(self, U):
         slack = self.b[-1] - self.At[-1, :self.n] @ U
@@ -590,13 +594,16 @@ def _solve_exponential(net, a_mat, params, seed, pairs, pair_time,
         U0[:na, s] = np.clip(z_base * scale, z_lo, z_hi)
         if nw:
             U0[na:, s] = rng.uniform(0.0, psi / (4.0 * nw), size=nw) / pair_time
-    X0, nu0 = project.project_lifted(project.lift(U0))
+    V0 = project.lift(U0)
+    X0, nu0 = project.project_lifted(V0)
 
     feas_err = max(float(np.abs(A @ X0[:n]).max()),
                    float(np.maximum(g @ X0[:n] - psi, 0.0).max()),
                    float(np.maximum(lo[:, None] - X0[:n], 0.0).max()),
                    float(np.maximum(X0[:n] - hi[:, None], 0.0).max()))
-    if feas_err > 1e-6:
+    # the projector converges to a tolerance relative to its scale, which
+    # grows with psi and the demand; an absolute threshold rejects good points
+    if feas_err > 1e-6 * project.scale(V0):
         raise Infeasible(
             "no balanced flow exists within the price box; residual "
             f"{feas_err:.3e} (network not strongly connected for empty routing?)")

@@ -254,8 +254,7 @@ def solve_general(net: TrafficNetwork, a=None,
     enters (price pinned to 1, demand masked) or the most negative cap
     multiplier leaves.  An arc that just left may not immediately
     re-enter, and vice versa.  Terminates at a KKT point with residual
-    below 1e-8 or raises :class:`NoConvergence` after 4*|arcs| iterations
-    (callers then fall back to a generic QP solve).
+    below 1e-8 or raises :class:`NoConvergence` after 4*|arcs| iterations.
     """
     a_mat = ad_matrix(net, a)
     n = net.n_locations

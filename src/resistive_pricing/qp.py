@@ -2,10 +2,18 @@
 
 Solves min 0.5 x'Qx + c'x subject to Ax = b and Gx <= h, with Q positive
 semidefinite (curvature may vanish along some directions, e.g. variables
-entering the objective linearly).  Steps are computed in the null space of
-the working constraints; when the reduced Hessian is singular along the
-reduced gradient the subproblem is a descent ray, followed until a
-constraint blocks.  The caller must supply a feasible start.
+entering the objective linearly).  The caller must supply a feasible start.
+
+A row of G with exactly one nonzero is a simple bound.  A bound in the
+working set fixes its variable rather than adding a row to the working
+matrix (Gill, Murray & Wright, *Practical Optimization*, §5.5), so steps
+are computed in the null space, over the free columns only, of the
+general working rows: the equalities plus any working inequality that is
+not a bound.  When the reduced Hessian is singular along the reduced
+gradient the subproblem is a descent ray, followed until a constraint
+blocks.  At a stationary point the multipliers of the general rows are a
+least-squares solve on the free columns, and each working bound's
+multiplier is read off its fixed column.
 """
 
 from dataclasses import dataclass
@@ -43,27 +51,41 @@ def solve_convex_qp(Q, c, A, b, G, h, x0, max_iter=None,
     G = np.asarray(G, dtype=float).reshape(-1, len(c))
     b = np.asarray(b, dtype=float).reshape(-1)
     h = np.asarray(h, dtype=float).reshape(-1)
-    n = len(c)
+    n, m_eq, m = len(c), A.shape[0], G.shape[0]
     x = np.array(x0, dtype=float)
-    if A.shape[0] and np.max(np.abs(A @ x - b)) > feas_tol:
+    if m_eq and np.max(np.abs(A @ x - b)) > feas_tol:
         raise ValueError("x0 violates equality constraints")
     slack = h - G @ x
-    if G.shape[0] and slack.min() < -feas_tol:
+    if m and slack.min() < -feas_tol:
         raise ValueError("x0 violates inequality constraints")
-    working = sorted(np.flatnonzero(slack <= feas_tol).tolist())
-    cap = max_iter if max_iter is not None else 60 * (n + G.shape[0] + 1)
+
+    is_bound = np.count_nonzero(G, axis=1) == 1
+    bound_var = np.argmax(G != 0, axis=1)
+    bound_coef = G[np.arange(m), bound_var]
+    general = np.flatnonzero(~is_bound)
+
+    # a variable is fixed by at most one working bound at a time
+    working = slack <= feas_tol
+    fixed = np.zeros(n, dtype=bool)
+    for i in np.flatnonzero(working & is_bound):
+        if fixed[bound_var[i]]:
+            working[i] = False
+        fixed[bound_var[i]] = True
+    cap = max_iter if max_iter is not None else 60 * (n + m + 1)
 
     for it in range(1, cap + 1):
         g = Q @ x + c
-        C = np.vstack([A, G[working]]) if working else A
-        Z = _null_space(C, n)
+        gen_work = general[working[general]]
+        C = np.vstack([A, G[gen_work]])
+        free = np.flatnonzero(~fixed)
+        Cf = C[:, free]
+        Z = _null_space(Cf, len(free))
         ray = False
-        if Z.shape[1] == 0:
-            d = np.zeros(n)
-        else:
-            Hr = Z.T @ Q @ Z
+        d = np.zeros(n)
+        if Z.shape[1]:
+            Hr = Z.T @ Q[np.ix_(free, free)] @ Z
             Hr = 0.5 * (Hr + Hr.T)
-            gr = Z.T @ g
+            gr = Z.T @ g[free]
             w, V = np.linalg.eigh(Hr)
             wmax = max(float(w[-1]), 0.0)
             thresh = max(wmax, 1.0) * 1e-12
@@ -72,36 +94,35 @@ def solve_convex_qp(Q, c, A, b, G, h, x0, max_iter=None,
             y = V[:, pos] @ (coeff[pos] / w[pos]) if pos.any() else np.zeros(Z.shape[1])
             u = (-gr) - (V[:, pos] @ coeff[pos] if pos.any() else 0.0)
             if np.linalg.norm(u) > 1e-9 * (1.0 + np.linalg.norm(gr)):
-                d = Z @ u
+                d[free] = Z @ u
                 ray = True
             else:
-                d = Z @ y
+                d[free] = Z @ y
 
         step_scale = 1.0 + float(np.abs(x).max())
         if not ray and np.abs(d).max() <= 1e-11 * step_scale:
-            stacked = np.hstack([A.T, G[working].T]) if working else A.T
-            if stacked.shape[1] == 0:
-                return QPResult(x, np.zeros(0), np.zeros(G.shape[0]),
-                                tuple(working), it)
-            duals, *_ = np.linalg.lstsq(stacked, -g, rcond=None)
-            lam = duals[:A.shape[0]]
-            mu_w = duals[A.shape[0]:]
-            if len(mu_w) == 0 or mu_w.min() >= -mult_tol:
-                mu = np.zeros(G.shape[0])
-                for idx, val in zip(working, mu_w):
-                    mu[idx] = max(val, 0.0)
-                return QPResult(x, lam, mu, tuple(working), it)
-            working.pop(int(np.argmin(mu_w)))
+            nu, *_ = np.linalg.lstsq(Cf.T, -g[free], rcond=None)
+            mu = np.zeros(m)
+            mu[gen_work] = nu[m_eq:]
+            bound_work = np.flatnonzero(working & is_bound)
+            cols = bound_var[bound_work]
+            mu[bound_work] = -(g[cols] + C[:, cols].T @ nu) / bound_coef[bound_work]
+            work_idx = np.flatnonzero(working)
+            if len(work_idx) == 0 or mu[work_idx].min() >= -mult_tol:
+                return QPResult(x, nu[:m_eq], np.maximum(mu, 0.0),
+                                tuple(work_idx.tolist()), it)
+            drop = work_idx[int(np.argmin(mu[work_idx]))]
+            working[drop] = False
+            if is_bound[drop]:
+                fixed[bound_var[drop]] = False
             continue
 
         Gd = G @ d
-        blocked = [i for i in range(G.shape[0])
-                   if i not in working and Gd[i] > 1e-12 * step_scale]
-        if blocked:
-            ratios = np.array([(h[i] - G[i] @ x) / Gd[i] for i in blocked])
-            ratios = np.maximum(ratios, 0.0)
+        blocked = np.flatnonzero(~working & (Gd > 1e-12 * step_scale))
+        if len(blocked):
+            ratios = np.maximum((h[blocked] - G[blocked] @ x) / Gd[blocked], 0.0)
             kmin = int(np.argmin(ratios))
-            alpha_block, iblock = float(ratios[kmin]), blocked[kmin]
+            alpha_block, iblock = float(ratios[kmin]), int(blocked[kmin])
         else:
             alpha_block, iblock = np.inf, None
         alpha = alpha_block if ray else min(1.0, alpha_block)
@@ -109,6 +130,8 @@ def solve_convex_qp(Q, c, A, b, G, h, x0, max_iter=None,
             raise QPNoConvergence("unbounded descent ray; problem malformed")
         x = x + alpha * d
         if iblock is not None and alpha_block <= alpha:
-            working = sorted(working + [iblock])
+            working[iblock] = True
+            if is_bound[iblock]:
+                fixed[bound_var[iblock]] = True
 
     raise QPNoConvergence(f"active-set QP exceeded {cap} iterations")

@@ -256,6 +256,12 @@ class TestSynthIngestReport:
     def test_report_missing_file(self, workdir):
         assert main(["report", "nope.csv"]) == 2
 
+    def test_report_malformed_footer_exit_2(self, workdir, capsys):
+        Path("ext.csv").write_text("row_type,from,to,price,flow\n"
+                                   "arc,0,1,0.5,0.2\n#oops\n")
+        assert main(["report", "ext.csv"]) == 2
+        assert "has no '='" in capsys.readouterr().err
+
     def test_price_extended_footer(self, workdir):
         write_instance("net.json", "ads.json", n=5)
         code = main(["price-extended", "--network", "net.json", "--psi",

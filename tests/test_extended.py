@@ -235,3 +235,16 @@ class TestExponentialSolver:
             payoffs.append(solve_extended(net, None, params, seed=1).payoff)
         for lo, hi in zip(payoffs, payoffs[1:]):
             assert hi >= lo - 1e-4  # local solver slack
+
+    def test_large_psi_not_reported_infeasible(self):
+        """The warm-start check is relative to the projector's own scale."""
+        net, _ = synth_instance(6, 0.5, seed=4, profile="commuter")
+        payoffs = []
+        for k in (1.0, 1e3):
+            scaled = validate_network(net.demand * k, net.travel_time,
+                                      net.unit_cost)
+            total = float((scaled.arc_demand * scaled.arc_time).sum())
+            params = ExtendedParams(eta=0.8, psi=2.0 * total,
+                                    demand=DemandModel.exponential(2.0))
+            payoffs.append(solve_extended(scaled, None, params, seed=0).payoff)
+        assert payoffs[1] == pytest.approx(1e3 * payoffs[0], rel=1e-6)
