@@ -8,6 +8,10 @@ extended model adds general demand curves, empty-vehicle routing, and a
 fleet capacity bound.
 """
 
+# the one version string: fileio records it in manifests, and
+# pyproject.toml reads it for the package metadata
+__version__ = "0.1.0"
+
 from .electrical import (
     DifferentComponents,
     ElectricalModel,
@@ -70,7 +74,5 @@ from .selection import (
     select_location_advertiser,
     strategy_compare,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

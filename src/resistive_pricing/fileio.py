@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__ as VERSION
 from .network import AdRevenueVector, TrafficNetwork, validate_network
 from .selection import AdvertiserCatalog
-
-VERSION = "0.1.0"
 
 
 class MalformedInput(ValueError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import TrafficNetwork, validate_network
+from .network import TrafficNetwork, connected_components, validate_network
 from .selection import AdvertiserCatalog
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -215,31 +215,15 @@ def aggregate_network(records, clustering: ClusteringResult,
 
     # largest weakly connected component over clusters with any traffic
     sym = counts + counts.T
-    comp = np.full(k, -1, dtype=int)
-    n_comp = 0
-    for start in range(k):
-        if comp[start] != -1:
-            continue
-        stack = [start]
-        comp[start] = n_comp
-        while stack:
-            u = stack.pop()
-            for w in np.flatnonzero(sym[u] > 0):
-                if comp[w] == -1:
-                    comp[w] = n_comp
-                    stack.append(int(w))
-        n_comp += 1
-    sizes = np.bincount(comp, minlength=n_comp)
+    comps = connected_components(sym)
     isolated = (sym.sum(axis=1) == 0)
-    for ci in range(n_comp):
-        members = np.flatnonzero(comp == ci)
-        if isolated[members].all():
-            sizes[ci] = 0  # traffic-free clusters never qualify
-    best = int(np.argmax(sizes))
-    kept = np.flatnonzero(comp == best)
+    # traffic-free clusters never qualify
+    sizes = [0 if isolated[members].all() else len(members)
+             for members in comps]
+    kept = comps[int(np.argmax(sizes))]
     if len(kept) < 2:
         raise EmptyAfterAggregation("largest component has fewer than 2 locations")
-    dropped = tuple(int(i) for i in range(k) if comp[i] != best)
+    dropped = tuple(int(i) for i in np.setdiff1d(np.arange(k), kept))
 
     net = validate_network(counts[np.ix_(kept, kept)],
                            mean_time[np.ix_(kept, kept)], cost)

@@ -60,6 +60,7 @@ class TrafficNetwork:
     travel_time: np.ndarray
     unit_cost: float
     arcs: tuple[tuple[int, int], ...] = field(init=False)
+    arc_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_locations
@@ -98,7 +99,7 @@ class TrafficNetwork:
                 f"travel_time{bad} must be positive and finite on arc {bad}")
 
         weights = projection_weights(demand, travel_time)
-        if not _is_connected(weights):
+        if len(connected_components(weights)) != 1:
             raise Disconnected(
                 "induced graph is not weakly connected; "
                 "split into components and solve each separately")
@@ -106,13 +107,12 @@ class TrafficNetwork:
         object.__setattr__(self, "demand", demand)
         object.__setattr__(self, "travel_time", travel_time)
         object.__setattr__(self, "unit_cost", cost)
-        arcs = tuple((int(i), int(j)) for i, j in np.argwhere(arc_mask))
-        object.__setattr__(self, "arcs", arcs)
-
-    @property
-    def arc_array(self) -> np.ndarray:
-        """(M, 2) int array of arcs in lexicographic order."""
-        return np.array(self.arcs, dtype=int)
+        # (M, 2) read-only int array of the arcs, in lexicographic order
+        arc_array = np.argwhere(arc_mask)
+        arc_array.setflags(write=False)
+        object.__setattr__(self, "arc_array", arc_array)
+        object.__setattr__(
+            self, "arcs", tuple(map(tuple, arc_array.tolist())))
 
     @property
     def arc_demand(self) -> np.ndarray:
@@ -182,41 +182,25 @@ def _adjacency_lists(weights: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(weights[i] > 0) for i in range(weights.shape[0])]
 
 
-def _is_connected(weights: np.ndarray) -> bool:
-    n = weights.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    adj = _adjacency_lists(weights)
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
-    return bool(seen.all())
-
-
 def connected_components(weights: np.ndarray) -> list[np.ndarray]:
-    """Connected components (sorted node arrays) of a weight matrix."""
-    n = weights.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    adj = _adjacency_lists(weights)
+    """Connected components of a symmetric weight matrix.
+
+    Nodes i and j are adjacent when weights[i, j] > 0.  Returns one sorted
+    node array per component, in order of each component's smallest node.
+    """
+    adj = np.asarray(weights) > 0
+    unseen = np.ones(adj.shape[0], dtype=bool)
     comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(int(w))
-                    stack.append(int(w))
-        comps.append(np.array(sorted(comp), dtype=int))
+    while unseen.any():
+        member = np.zeros_like(unseen)
+        member[np.argmax(unseen)] = True
+        frontier = member
+        # breadth-first: each pass adds the frontier's new neighbours
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~member
+            member |= frontier
+        unseen &= ~member
+        comps.append(np.flatnonzero(member))
     return comps
 
 

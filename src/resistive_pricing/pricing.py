@@ -112,12 +112,10 @@ def check_mu_zero_sufficient(net: TrafficNetwork, a) -> bool:
     ratio = np.zeros_like(net.demand)
     live = net.demand > 0
     ratio[live] = net.demand[live] / net.travel_time[live]
-    rhs = np.inf
-    for i, j in net.arcs:
-        bound = 2.0 * (net.demand[i, j] + ratio[j, i] * net.travel_time[i, j]) \
-            * (1.0 + a_mat[i, j] - net.unit_cost)
-        rhs = min(rhs, bound)
-    return lhs <= rhs + 1e-12
+    ai, aj = net.arc_array.T
+    bounds = 2.0 * (net.arc_demand + ratio[aj, ai] * net.arc_time) \
+        * (1.0 + a_mat[ai, aj] - net.unit_cost)
+    return bool(lhs <= bounds.min() + 1e-12)
 
 
 def _kkt_candidate(net, a_mat, active):
@@ -147,35 +145,32 @@ def _kkt_candidate(net, a_mat, active):
         s_node[model.nodes] = model.effective_resistance @ v_loc
         lam[model.nodes] = model.pseudoinverse @ v_loc
 
-    prices = np.full((n, n), np.nan)
+    ai, aj = net.arc_array.T
+    capped = active[ai, aj]
+    xi = net.arc_time
+    a_arc = a_mat[ai, aj]
     c = net.unit_cost
-    for i, j in net.arcs:
-        if active[i, j]:
-            prices[i, j] = 1.0
-        else:
-            prices[i, j] = (1.0 - a_mat[i, j] + c) / 2.0 \
-                + (s_node[j] - s_node[i]) / (4.0 * net.travel_time[i, j])
+    prices = np.full((n, n), np.nan)
+    prices[ai, aj] = np.where(
+        capped, 1.0,
+        (1.0 - a_arc + c) / 2.0 + (s_node[aj] - s_node[ai]) / (4.0 * xi))
 
     if len(models) > 1:
-        crossing = [(i, j) for i, j in net.arcs
-                    if active[i, j] and comp[i] != comp[j]]
-        if crossing:
-            constraints = []
-            for i, j in crossing:
-                # need lam_i - lam_j >= xi (1 + a - c) for mu >= 0
-                ub = lam[i] - lam[j] \
-                    - net.travel_time[i, j] * (1.0 + a_mat[i, j] - c)
-                constraints.append((comp[i], comp[j], ub))
+        crossing = np.flatnonzero(capped & (comp[ai] != comp[aj]))
+        if crossing.size:
+            ci, cj = ai[crossing], aj[crossing]
+            # need lam_i - lam_j >= xi (1 + a - c) for mu >= 0
+            ub = lam[ci] - lam[cj] - xi[crossing] * (1.0 + a_arc[crossing] - c)
+            constraints = list(zip(comp[ci], comp[cj], ub))
             shifts, feasible = _resolve_shifts(len(models), constraints)
             if feasible:
                 lam = lam + shifts[comp]
 
     mu = np.zeros((n, n))
-    for i, j in net.arcs:
-        if active[i, j]:
-            mu[i, j] = net.demand[i, j] * (
-                (lam[i] - lam[j])
-                - net.travel_time[i, j] * (1.0 + a_mat[i, j] - c))
+    mu[ai, aj] = np.where(
+        capped,
+        net.arc_demand * ((lam[ai] - lam[aj]) - xi * (1.0 + a_arc - c)),
+        0.0)
     return prices, lam, mu, models
 
 
@@ -194,25 +189,23 @@ def _resolve_shifts(n_comp, constraints):
 
 
 def _kkt_residual(net, a_mat, prices, lam, mu):
-    res = 0.0
+    ai, aj = net.arc_array.T
+    th, xi = net.arc_demand, net.arc_time
+    p, m = prices[ai, aj], mu[ai, aj]
     flows = np.zeros_like(net.demand)
-    c = net.unit_cost
-    for i, j in net.arcs:
-        th, xi, p = net.demand[i, j], net.travel_time[i, j], prices[i, j]
-        flows[i, j] = th * max(1.0 - p, 0.0)
-        stat = th * xi * (2.0 * p - 1.0 - c + a_mat[i, j]) \
-            - th * (lam[i] - lam[j]) + mu[i, j]
-        res = max(res, abs(stat))
-        res = max(res, p - 1.0, -mu[i, j], abs(mu[i, j] * (p - 1.0)))
+    flows[ai, aj] = th * np.maximum(1.0 - p, 0.0)
+    stat = th * xi * (2.0 * p - 1.0 - net.unit_cost + a_mat[ai, aj]) \
+        - th * (lam[ai] - lam[aj]) + m
     imbalance = flows.sum(axis=1) - flows.sum(axis=0)
-    res = max(res, float(np.abs(imbalance).max()))
-    return res, flows
+    res = max(0.0, np.abs(stat).max(), (p - 1.0).max(), (-m).max(),
+              np.abs(m * (p - 1.0)).max(), np.abs(imbalance).max())
+    return float(res), flows
 
 
 def _assemble(net, a_mat, prices, lam, mu, active):
     lam = lam - lam[-1]
     residual, flows = _kkt_residual(net, a_mat, prices, lam, mu)
-    active_set = frozenset((i, j) for i, j in net.arcs if active[i, j])
+    active_set = frozenset(map(tuple, np.argwhere(active).tolist()))
     breakdown = payoff_and_surplus(net, a_mat, np.where(net.demand > 0, prices, 0.0))
     return PricingSolution(
         prices=prices,
@@ -238,7 +231,7 @@ def solve_closed_form(net: TrafficNetwork, a=None) -> PricingSolution:
     n = net.n_locations
     active = np.zeros((n, n), dtype=bool)
     prices, lam, mu, _ = _kkt_candidate(net, a_mat, active)
-    worst = max(prices[i, j] for i, j in net.arcs)
+    worst = net.on_arcs(prices).max()
     if worst > 1.0 + FEAS_TOL:
         raise NotApplicable(
             f"unconstrained price {worst:.6g} exceeds the cap; "
@@ -252,44 +245,45 @@ def solve_general(net: TrafficNetwork, a=None,
 
     Starts from an empty active set; per iteration the most violated cap
     enters (price pinned to 1, demand masked) or the most negative cap
-    multiplier leaves.  An arc that just left may not immediately
-    re-enter, and vice versa.  Terminates at a KKT point with residual
-    below 1e-8 or raises :class:`NoConvergence` after 4*|arcs| iterations.
+    multiplier leaves.  Ties go to the lower arc index, i.e. the
+    lexicographically smaller arc.  An arc that just left may not
+    immediately re-enter, and vice versa.  Terminates at a KKT point with
+    residual below 1e-8 or raises :class:`NoConvergence` after 4*|arcs|
+    iterations.
     """
     a_mat = ad_matrix(net, a)
     n = net.n_locations
-    arcs = net.arcs
-    cap = max_iter if max_iter is not None else max(8, 4 * len(arcs))
+    ai, aj = net.arc_array.T
+    cap = max_iter if max_iter is not None else max(8, 4 * len(ai))
     active = np.zeros((n, n), dtype=bool)
     barred_entry = None
     barred_exit = None
 
     for _ in range(cap):
         prices, lam, mu, _ = _kkt_candidate(net, a_mat, active)
-        violations = sorted(
-            ((prices[i, j] - 1.0, (i, j)) for i, j in arcs
-             if not active[i, j] and prices[i, j] > 1.0 + FEAS_TOL),
-            key=lambda t: (-t[0], t[1]))
-        negatives = sorted(
-            ((mu[i, j], (i, j)) for i, j in arcs
-             if active[i, j] and mu[i, j] < -FEAS_TOL),
-            key=lambda t: (t[0], t[1]))
-        if not violations and not negatives:
+        capped = active[ai, aj]
+        p_arc, mu_arc = prices[ai, aj], mu[ai, aj]
+        violations = np.flatnonzero(~capped & (p_arc > 1.0 + FEAS_TOL))
+        negatives = np.flatnonzero(capped & (mu_arc < -FEAS_TOL))
+        if not violations.size and not negatives.size:
             sol = _assemble(net, a_mat, prices, lam, mu, active)
             if sol.kkt_residual >= KKT_TOL:
                 raise NoConvergence(
                     f"KKT residual {sol.kkt_residual:.3e} above tolerance")
             return sol
-        if violations:
-            arc = next((t[1] for t in violations if t[1] != barred_entry),
-                       violations[0][1])
-            active[arc] = True
-            barred_exit, barred_entry = arc, None
+        # candidates in order: largest violation (most negative multiplier)
+        # first, ties to the lower arc index
+        if violations.size:
+            order = violations[
+                np.lexsort((violations, 1.0 - p_arc[violations]))]
+            k = next((k for k in order if k != barred_entry), order[0])
+            active[ai[k], aj[k]] = True
+            barred_exit, barred_entry = k, None
         else:
-            arc = next((t[1] for t in negatives if t[1] != barred_exit),
-                       negatives[0][1])
-            active[arc] = False
-            barred_entry, barred_exit = arc, None
+            order = negatives[np.lexsort((negatives, mu_arc[negatives]))]
+            k = next((k for k in order if k != barred_exit), order[0])
+            active[ai[k], aj[k]] = False
+            barred_entry, barred_exit = k, None
     raise NoConvergence(f"no KKT point after {cap} active-set iterations")
 
 
@@ -326,28 +320,26 @@ def price_sensitivity(net: TrafficNetwork, a, arc: tuple[int, int],
             f"active set changes across a_{x}{y} +- {boundary_eps:g}")
 
     n = net.n_locations
+    ai, aj = net.arc_array.T
     deriv = np.full((n, n), np.nan)
-    for i, j in net.arcs:
-        deriv[i, j] = 0.0
+    deriv[ai, aj] = 0.0
     if (x, y) in base.active_set:
         return deriv
 
-    keep = (net.demand > 0) & ~np.array(
-        [[(i, j) in base.active_set for j in range(n)] for i in range(n)])
-    models = build_electrical(net, keep)
+    capped = np.array(sorted(base.active_set), dtype=int).reshape(-1, 2)
+    active = np.zeros((n, n), dtype=bool)
+    active[capped[:, 0], capped[:, 1]] = True
+    models = build_electrical(net, (net.demand > 0) & ~active)
     comp = component_of(models, n)
     model = models[comp[x]]
-    loc = model.local_index
+    loc = np.zeros(n, dtype=int)
+    loc[model.nodes] = np.arange(model.size)
     eff = model.effective_resistance
     lx, ly = loc[x], loc[y]
-    th_xy = net.demand[x, y]
-    for i, j in net.arcs:
-        if (i, j) in base.active_set or comp[i] != comp[x]:
-            continue
-        li, lj = loc[i], loc[j]
-        val = th_xy / (4.0 * net.travel_time[i, j]) * (
-            eff[lj, lx] - eff[li, lx] - eff[lj, ly] + eff[li, ly])
-        if (i, j) == (x, y):
-            val -= 0.5
-        deriv[i, j] = val
+    live = ~active[ai, aj] & (comp[ai] == comp[x])
+    i, j = ai[live], aj[live]
+    li, lj = loc[i], loc[j]
+    deriv[i, j] = net.demand[x, y] / (4.0 * net.travel_time[i, j]) * (
+        eff[lj, lx] - eff[li, lx] - eff[lj, ly] + eff[li, ly])
+    deriv[x, y] -= 0.5
     return deriv

@@ -113,14 +113,11 @@ def delta(net: TrafficNetwork, a) -> float:
     model = build_electrical(net)[0]
     v = value_vector(net, a_mat)
     s = model.effective_resistance @ v
-    c = net.unit_cost
-    total = 0.0
-    for i, j in net.arcs:
-        th, xi = net.demand[i, j], net.travel_time[i, j]
-        gain = 1.0 + a_mat[i, j] - c
-        total += th * xi * (gain / 2.0) ** 2
-        total -= th * gain * (s[j] - s[i]) / 8.0
-    return float(total)
+    ai, aj = net.arc_array.T
+    th = net.arc_demand
+    gain = 1.0 + a_mat[ai, aj] - net.unit_cost
+    return float(np.sum(th * net.arc_time * (gain / 2.0) ** 2
+                        - th * gain * (s[aj] - s[ai]) / 8.0))
 
 
 def _demand_symmetric(net: TrafficNetwork) -> bool:

@@ -71,7 +71,8 @@ class TestPriceCommand:
         assert code == 0
         lines = Path("p.csv").read_text().splitlines()
         assert lines[0] == "from,to,price,flow,mu,payoff_contrib,cs_contrib"
-        assert Path("p.csv.manifest.json").exists()
+        manifest = json.loads(Path("p.csv.manifest.json").read_text())
+        assert manifest["version"] == "0.1.0"
         out = capsys.readouterr().out
         assert "payoff=" in out
 

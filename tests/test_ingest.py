@@ -9,7 +9,11 @@ from resistive_pricing import (
     cluster_endpoints,
     synth_instance,
 )
-from resistive_pricing.ingest import filter_rides, read_rides_csv
+from resistive_pricing.ingest import (
+    ClusteringResult,
+    filter_rides,
+    read_rides_csv,
+)
 
 BBOX = (30.65, 30.69, 104.03, 104.08)
 
@@ -166,6 +170,20 @@ class TestAggregation:
         result = aggregate_network(rides, clustering, 600.0, 0.6)
         assert result.network.n_locations == 3
         assert len(result.dropped_clusters) == 1
+
+    def test_drops_smaller_component_and_unused_clusters(self):
+        # clusters {0, 1} and {2, 3, 4} carry rides; 5 is never an endpoint
+        pairs = [(1, 0), (0, 1), (4, 3), (2, 3), (3, 2)]
+        clustering = ClusteringResult(
+            centroids=np.zeros((6, 2)),
+            origin_labels=np.array([o for o, _ in pairs]),
+            dest_labels=np.array([d for _, d in pairs]),
+            inertia=0.0)
+        rides = [ride(*BBOX[::2], *BBOX[1::2])] * len(pairs)
+        result = aggregate_network(rides, clustering, 600.0, 0.6)
+        assert result.kept_clusters == (2, 3, 4)
+        assert result.dropped_clusters == (0, 1, 5)
+        assert result.network.demand[2, 1] == 1.0
 
 
 class TestFilterAndCsv:

@@ -13,6 +13,7 @@ from resistive_pricing import (
     undirected_projection,
     validate_network,
 )
+from resistive_pricing.network import connected_components
 
 from gen import random_connected_network
 
@@ -66,6 +67,12 @@ class TestValidation:
         net = three_cycle()
         with pytest.raises(ValueError):
             net.demand[0, 1] = 5.0
+
+    def test_arc_array_read_only(self):
+        net = three_cycle()
+        assert net.arc_array.tolist() == [list(arc) for arc in net.arcs]
+        with pytest.raises(ValueError):
+            net.arc_array[0, 0] = 2
 
 
 class TestProjection:
@@ -129,6 +136,52 @@ class TestProjection:
         flipped = validate_network(demand, travel, net.unit_cost)
         assert np.allclose(undirected_projection(base),
                            undirected_projection(flipped))
+
+
+def weights_from_edges(n, edges):
+    w = np.zeros((n, n))
+    for i, j in edges:
+        w[i, j] = w[j, i] = 1.0
+    return w
+
+
+class TestConnectedComponents:
+    def test_isolated_vertices(self):
+        comps = connected_components(weights_from_edges(4, [(1, 2)]))
+        assert [c.tolist() for c in comps] == [[0], [1, 2], [3]]
+
+    def test_three_components_sorted_by_smallest_node(self):
+        # components {0, 3, 6}, {1, 4, 7}, {2, 5}, reached out of order
+        edges = [(6, 0), (3, 6), (7, 4), (4, 1), (5, 2)]
+        comps = connected_components(weights_from_edges(8, edges))
+        assert [c.tolist() for c in comps] == [[0, 3, 6], [1, 4, 7], [2, 5]]
+        for comp in comps:
+            assert comp.dtype.kind == "i"
+
+    def test_path_needs_several_passes(self):
+        order = [4, 0, 5, 2, 3, 1]
+        w = weights_from_edges(6, list(zip(order, order[1:])))
+        comps = connected_components(w)
+        assert [c.tolist() for c in comps] == [list(range(6))]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def test_partition_matches_reachability(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        w = np.triu(rng.random((n, n)) < 0.25, 1).astype(float)
+        w = w + w.T
+        comps = connected_components(w)
+        assert sorted(np.concatenate(comps).tolist()) == list(range(n))
+        assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+        reach = np.eye(n, dtype=bool) | (w > 0)
+        for _ in range(n):
+            reach = (reach.astype(int) @ reach.astype(int)) > 0
+        for comp in comps:
+            assert np.all(np.diff(comp) > 0)
+            assert reach[np.ix_(comp, comp)].all()
+            outside = np.setdiff1d(np.arange(n), comp)
+            assert not reach[np.ix_(comp, outside)].any()
 
 
 class TestCutVertices:

@@ -14,6 +14,8 @@ from resistive_pricing import (
     solve_general,
     validate_network,
 )
+from resistive_pricing import pricing
+from resistive_pricing.electrical import value_vector
 
 from gen import quiet_instance, random_ads, random_instance
 from oracles import (
@@ -145,6 +147,37 @@ class TestGeneralSolver:
         assert sol.payoff == pytest.approx(2.0 * sol.consumer_surplus,
                                            rel=1e-8, abs=1e-12)
 
+    def test_tie_enters_lower_arc_first(self, monkeypatch):
+        """Two mirror-image arcs share the largest violation exactly; the
+        lower arc index, (2, 1) before (4, 3), enters first."""
+        demand = np.zeros((5, 5))
+        a = np.zeros((5, 5))
+        for x, y in ((1, 2), (3, 4)):
+            demand[0, x], demand[0, y] = 5.0, 0.1
+            demand[x, 0], demand[x, y] = 0.2, 0.05
+            demand[y, 0], demand[y, x] = 4.0, 0.3
+            a[0, x] = 3.0
+        net = validate_network(demand, np.ones((5, 5)), 0.6)
+        with pytest.raises(NotApplicable):
+            solve_closed_form(net, a)
+        prices = pricing._kkt_candidate(net, a, np.zeros((5, 5), bool))[0]
+        on_arcs = net.on_arcs(prices)
+        top = [net.arcs[k] for k in np.flatnonzero(on_arcs == on_arcs.max())]
+        assert top == [(2, 1), (4, 3)]
+
+        seen = []
+        candidate = pricing._kkt_candidate
+
+        def recording(net_, a_mat, active):
+            seen.append(frozenset(map(tuple, np.argwhere(active).tolist())))
+            return candidate(net_, a_mat, active)
+
+        monkeypatch.setattr(pricing, "_kkt_candidate", recording)
+        sol = solve_general(net, a)
+        assert seen[:3] == [frozenset(), {(2, 1)}, {(2, 1), (4, 3)}]
+        assert sol.active_set == {(2, 1), (4, 3)}
+        assert sol.kkt_residual < 1e-8
+
     def test_payoff_monotone_in_ad_revenue(self):
         rng = np.random.default_rng(23)
         for _ in range(15):
@@ -154,6 +187,102 @@ class TestGeneralSolver:
             bumped = a.copy()
             bumped[arc] += 0.05
             assert solve_general(net, bumped).payoff >= base - 1e-10
+
+
+def loop_next_active(net, active, prices, mu, barred):
+    """Per-arc loop form of the solver's entry/exit rule: the most violated
+    cap enters, else the most negative multiplier leaves, ties to the
+    lexicographically smaller arc, skipping the arc barred from that move.
+    Returns the next active set and the new (barred_entry, barred_exit)."""
+    barred_entry, barred_exit = barred
+    violations = sorted(
+        ((prices[i, j] - 1.0, (i, j)) for i, j in net.arcs
+         if not active[i, j] and prices[i, j] > 1.0 + pricing.FEAS_TOL),
+        key=lambda t: (-t[0], t[1]))
+    negatives = sorted(
+        ((mu[i, j], (i, j)) for i, j in net.arcs
+         if active[i, j] and mu[i, j] < -pricing.FEAS_TOL),
+        key=lambda t: (t[0], t[1]))
+    nxt = active.copy()
+    if violations:
+        arc = next((t[1] for t in violations if t[1] != barred_entry),
+                   violations[0][1])
+        nxt[arc] = True
+        return nxt, (None, arc)
+    arc = next((t[1] for t in negatives if t[1] != barred_exit),
+               negatives[0][1])
+    nxt[arc] = False
+    return nxt, (arc, None)
+
+
+class TestLoopReference:
+    """The vectorized pricing passes against their per-arc loop forms, with
+    exact equality: the arithmetic per arc is unchanged."""
+
+    def test_candidates_and_active_set_path(self, monkeypatch):
+        steps = []
+        candidate = pricing._kkt_candidate
+
+        def recording(net_, a_mat, active):
+            out = candidate(net_, a_mat, active)
+            steps.append((active.copy(),) + out)
+            return out
+
+        monkeypatch.setattr(pricing, "_kkt_candidate", recording)
+        rng = np.random.default_rng(0)
+        moves = exits = 0
+        # draw 48 exits the active set and re-enters it
+        for _ in range(60):
+            net, a = random_instance(rng, aggressive=True, n_min=5, n_max=8)
+            steps.clear()
+            sol = solve_general(net, a)
+            c = net.unit_cost
+            barred = (None, None)
+            for t, (active, prices, lam, mu, models) in enumerate(steps):
+                keep = (net.demand > 0) & ~active
+                v = value_vector(net, a, keep)
+                s_node = np.zeros(net.n_locations)
+                for model in models:
+                    if model.size > 1:
+                        s_node[model.nodes] = \
+                            model.effective_resistance @ v[model.nodes]
+                for i, j in net.arcs:
+                    xi = net.travel_time[i, j]
+                    if active[i, j]:
+                        assert prices[i, j] == 1.0
+                        assert mu[i, j] == net.demand[i, j] * (
+                            (lam[i] - lam[j]) - xi * (1.0 + a[i, j] - c))
+                    else:
+                        assert prices[i, j] == (1.0 - a[i, j] + c) / 2.0 \
+                            + (s_node[j] - s_node[i]) / (4.0 * xi)
+                        assert mu[i, j] == 0.0
+                if t + 1 < len(steps):
+                    expected, barred = loop_next_active(
+                        net, active, prices, mu, barred)
+                    assert np.array_equal(steps[t + 1][0], expected)
+                    moves += 1
+                    exits += expected.sum() < active.sum()
+            assert sol.active_set == {
+                arc for arc in net.arcs if steps[-1][0][arc]}
+        assert moves >= 100 and exits >= 1
+
+    def test_kkt_residual(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            net, a = random_instance(rng, aggressive=True)
+            sol = solve_general(net, a)
+            p, lam, mu, c = sol.prices, sol.duals_lambda, sol.duals_mu, \
+                net.unit_cost
+            res = 0.0
+            for i, j in net.arcs:
+                th, xi = net.demand[i, j], net.travel_time[i, j]
+                stat = th * xi * (2.0 * p[i, j] - 1.0 - c + a[i, j]) \
+                    - th * (lam[i] - lam[j]) + mu[i, j]
+                res = max(res, abs(stat), p[i, j] - 1.0, -mu[i, j],
+                          abs(mu[i, j] * (p[i, j] - 1.0)))
+            imbalance = sol.flows.sum(axis=1) - sol.flows.sum(axis=0)
+            res = max(res, np.abs(imbalance).max())
+            assert sol.kkt_residual == res
 
 
 class TestMuZeroSufficient:

@@ -15,6 +15,8 @@ from resistive_pricing import (
     validate_network,
 )
 
+from resistive_pricing.electrical import build_electrical, value_vector
+
 from gen import quiet_instance, random_connected_network, random_instance
 
 
@@ -69,6 +71,22 @@ class TestDelta:
         sol = solve_general(net, a)
         assert sol.active_set
         assert delta(net, a) > sol.payoff + 1e-6
+
+    def test_matches_per_arc_loop(self):
+        """The summation order differs from the per-arc loop, so agreement
+        is to rounding: 1e-12 relative."""
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            net, a = random_instance(rng, aggressive=True, n_max=9)
+            model = build_electrical(net)[0]
+            s = model.effective_resistance @ value_vector(net, a)
+            total = 0.0
+            for i, j in net.arcs:
+                th, xi = net.demand[i, j], net.travel_time[i, j]
+                gain = 1.0 + a[i, j] - net.unit_cost
+                total += th * xi * (gain / 2.0) ** 2
+                total -= th * gain * (s[j] - s[i]) / 8.0
+            assert delta(net, a) == pytest.approx(total, rel=1e-12)
 
 
 class TestArcSelection:
