@@ -10,6 +10,10 @@ Moore-Penrose pseudoinverse of the graph Laplacian:
 The pseudoinverse is computed per connected component by solving the
 bordered system (L + J/m) X = I and subtracting J/m, which is exact for a
 connected component and avoids an eigendecomposition.
+
+Pricing needs only the node potentials lambda = L+ v of a value vector v
+that sums to zero on every component, and :func:`potentials` gets them
+from one bordered solve without forming L+ at all.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import (
+    FrozenArrays,
     TrafficNetwork,
     ad_matrix,
     connected_components,
@@ -29,7 +34,7 @@ class DifferentComponents(ValueError):
 
 
 @dataclass(frozen=True)
-class ElectricalModel:
+class ElectricalModel(FrozenArrays):
     """Electrical network of one connected component of the projection.
 
     Attributes:
@@ -97,6 +102,31 @@ def build_electrical(net: TrafficNetwork,
     weights = projection_weights(net.demand, net.travel_time, mask)
     return [_component_model(weights, comp)
             for comp in connected_components(weights)]
+
+
+def component_border(labels: np.ndarray) -> np.ndarray:
+    """Border P = sum_c 1_c 1_c^T / m_c from per-node component labels.
+
+    Entry (i, j) is 1/m when i and j share a component of m nodes, else 0.
+    """
+    labels = np.asarray(labels)
+    sizes = np.bincount(labels)
+    return np.equal.outer(labels, labels) / sizes[labels]
+
+
+def potentials(weights: np.ndarray, v: np.ndarray,
+               border: np.ndarray) -> np.ndarray:
+    """Node potentials lambda = L+ v by one bordered solve (L + P) lambda = v.
+
+    ``weights`` is a symmetric (N, N) projection, ``border`` the matrix
+    :func:`component_border` builds from its components.  (L + P) is
+    nonsingular and maps 1_c to 1_c, so when v sums to zero on every
+    component the solve returns L+ v exactly; an isolated node gets
+    lambda_i = v_i = 0.  Within a component, (R v)_i = const - 2 lambda_i.
+    """
+    system = border - weights
+    system.flat[::len(system) + 1] += weights.sum(axis=1)
+    return np.linalg.solve(system, v)
 
 
 def component_of(models: list[ElectricalModel], n_locations: int) -> np.ndarray:

@@ -42,8 +42,23 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+class FrozenArrays:
+    """Base of the frozen records whose array fields are read-only.
+
+    Unpickling restores the instance dict directly, and numpy arrays come
+    back writable; ``__setstate__`` makes them read-only again, so a record
+    sent to another process stays as immutable as the original.
+    """
+
+    def __setstate__(self, state):
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
+
+
 @dataclass(frozen=True)
-class TrafficNetwork:
+class TrafficNetwork(FrozenArrays):
     """Directed traffic network over ``n_locations`` locations.
 
     Attributes:
@@ -252,7 +267,7 @@ def find_cut_vertices(net: TrafficNetwork) -> set[int]:
 
 
 @dataclass(frozen=True)
-class AdRevenueVector:
+class AdRevenueVector(FrozenArrays):
     """Per-arc unit ad revenue (dollars per user per slot).
 
     Values live in an (N, N) matrix that must be zero off the arc set of

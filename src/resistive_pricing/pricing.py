@@ -7,14 +7,33 @@ form in the effective resistances of the electrical analogue; the general
 case runs an active-set loop in which capped arcs are removed from the
 electrical network (their demand masked to zero) and re-enter pricing only
 through their cap multiplier.
+
+Prices need the resistances only through s = R v, and within a component,
+where v sums to zero, s_j - s_i = 2 (lambda_i - lambda_j) for the node
+potentials lambda = L+ v.  Every candidate therefore costs one bordered
+linear solve (:func:`electrical.potentials`), never a pseudoinverse.  The
+loop keeps the masked pair weights and the components across iterations
+and recomputes the components only when a move kills or revives a pair.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .electrical import build_electrical, component_of, value_vector
-from .network import TrafficNetwork, ad_matrix
+from .electrical import (
+    build_electrical,
+    component_border,
+    component_of,
+    potentials,
+    value_vector,
+)
+from .network import (
+    FrozenArrays,
+    TrafficNetwork,
+    ad_matrix,
+    connected_components,
+    projection_weights,
+)
 
 FEAS_TOL = 1e-9
 KKT_TOL = 1e-8
@@ -37,7 +56,7 @@ class RegimeBoundary(Exception):
 
 
 @dataclass(frozen=True)
-class PricingSolution:
+class PricingSolution(FrozenArrays):
     """KKT point of the pricing problem.
 
     Matrices are (N, N): prices are NaN off the arc set, flows and cap
@@ -118,60 +137,95 @@ def check_mu_zero_sufficient(net: TrafficNetwork, a) -> bool:
     return bool(lhs <= bounds.min() + 1e-12)
 
 
-def _kkt_candidate(net, a_mat, active):
-    """Closed-form KKT candidate for a fixed active set.
+class _LoopState:
+    """Electrical state of the active-set loop, kept across iterations.
 
-    Returns (prices, lam, mu, models).  Capped arcs are masked out of the
-    electrical network; prices on the rest follow the per-component
-    resistance formula.  Lambda is assembled per component; when capped
-    arcs bridge components, per-component shifts are chosen (difference
-    constraints, Bellman-Ford) so bridging multipliers come out
-    non-negative whenever that is possible.
+    Besides the per-arc constants of the problem it holds the ``capped``
+    mask (arcs pinned at the cap), the pair weights of the masked
+    projection, and the components of that projection as per-node
+    ``labels`` with their border matrix.  Moving one arc rewrites one pair
+    weight; the components are recomputed only when that weight goes to or
+    from zero, i.e. when the pair dies or comes back.
     """
-    n = net.n_locations
-    arc_mask = net.demand > 0
-    keep = arc_mask & ~active
-    models = build_electrical(net, keep)
-    v = value_vector(net, a_mat, keep)
-    comp = component_of(models, n)
 
-    # s_node[i] = sum_k R_ik v_k within i's component
-    s_node = np.zeros(n)
-    lam = np.zeros(n)
-    for model in models:
-        if model.size == 1:
-            continue
-        v_loc = v[model.nodes]
-        s_node[model.nodes] = model.effective_resistance @ v_loc
-        lam[model.nodes] = model.pseudoinverse @ v_loc
+    def __init__(self, net, a_mat):
+        self.n = n = net.n_locations
+        self.ai, self.aj = ai, aj = net.arc_array.T
+        th, xi = net.arc_demand, net.arc_time
+        c = net.unit_cost
+        a_arc = a_mat[ai, aj]
+        self.demand = th
+        self.ratio = th / xi
+        self.two_xi = 2.0 * xi
+        self.base = (1.0 - a_arc + c) / 2.0
+        self.gain = th * (1.0 + a_arc - c)
+        self.margin = xi * (1.0 + a_arc - c)
+        index = np.full((n, n), -1)
+        index[ai, aj] = np.arange(len(ai))
+        self.reverse = index[aj, ai]
+        self.capped = np.zeros(len(ai), dtype=bool)
+        self.weights = projection_weights(net.demand, net.travel_time)
+        self._find_components()
 
-    ai, aj = net.arc_array.T
-    capped = active[ai, aj]
-    xi = net.arc_time
-    a_arc = a_mat[ai, aj]
-    c = net.unit_cost
-    prices = np.full((n, n), np.nan)
-    prices[ai, aj] = np.where(
-        capped, 1.0,
-        (1.0 - a_arc + c) / 2.0 + (s_node[aj] - s_node[ai]) / (4.0 * xi))
+    def _find_components(self):
+        self.labels = np.empty(self.n, dtype=int)
+        comps = connected_components(self.weights)
+        for ci, nodes in enumerate(comps):
+            self.labels[nodes] = ci
+        self.n_comp = len(comps)
+        self.border = component_border(self.labels)
 
-    if len(models) > 1:
+    def set_capped(self, k, flag):
+        """Pin arc k at the cap (flag True) or release it."""
+        self.capped[k] = flag
+        x, y, r = self.ai[k], self.aj[k], self.reverse[k]
+        # rebuilt from both live flags, never by subtraction, so a dead
+        # pair reads exactly 0
+        weight = 0.0 if flag else self.ratio[k]
+        if r >= 0 and not self.capped[r]:
+            weight = weight + self.ratio[r]
+        was_live = self.weights[x, y] > 0
+        self.weights[x, y] = self.weights[y, x] = weight
+        if (weight > 0) != was_live:
+            self._find_components()
+
+
+def _kkt_candidate(state):
+    """Closed-form KKT candidate for the loop's current capped set.
+
+    Returns per-arc (prices, lam, mu).  Capped arcs are masked out of the
+    electrical network and priced at the cap.  The rest follow the paper's
+    resistance formula p_ij = (1-a+c)/2 + sum_k (R_jk - R_ik) v_k / (4 xi),
+    where within a component sum_k v_k = 0 gives (R v)_i = const - 2
+    lambda_i with lambda = L+ v, so s_j - s_i = 2 (lambda_i - lambda_j) and
+    one bordered solve for the potentials suffices.  When capped arcs
+    bridge components, per-component shifts of lambda are chosen
+    (difference constraints, Bellman-Ford) so bridging multipliers come
+    out non-negative whenever that is possible.
+    """
+    ai, aj, capped = state.ai, state.aj, state.capped
+    live = ~capped
+    v = np.bincount(ai[live], state.gain[live], state.n) \
+        - np.bincount(aj[live], state.gain[live], state.n)
+    lam = potentials(state.weights, v, state.border)
+    prices = np.where(capped, 1.0,
+                      state.base + (lam[ai] - lam[aj]) / state.two_xi)
+
+    if state.n_comp > 1:
+        comp = state.labels
         crossing = np.flatnonzero(capped & (comp[ai] != comp[aj]))
         if crossing.size:
             ci, cj = ai[crossing], aj[crossing]
             # need lam_i - lam_j >= xi (1 + a - c) for mu >= 0
-            ub = lam[ci] - lam[cj] - xi[crossing] * (1.0 + a_arc[crossing] - c)
+            ub = lam[ci] - lam[cj] - state.margin[crossing]
             constraints = list(zip(comp[ci], comp[cj], ub))
-            shifts, feasible = _resolve_shifts(len(models), constraints)
+            shifts, feasible = _resolve_shifts(state.n_comp, constraints)
             if feasible:
                 lam = lam + shifts[comp]
 
-    mu = np.zeros((n, n))
-    mu[ai, aj] = np.where(
-        capped,
-        net.arc_demand * ((lam[ai] - lam[aj]) - xi * (1.0 + a_arc - c)),
-        0.0)
-    return prices, lam, mu, models
+    mu = np.where(capped,
+                  state.demand * ((lam[ai] - lam[aj]) - state.margin), 0.0)
+    return prices, lam, mu
 
 
 def _resolve_shifts(n_comp, constraints):
@@ -191,28 +245,34 @@ def _resolve_shifts(n_comp, constraints):
 def _kkt_residual(net, a_mat, prices, lam, mu):
     ai, aj = net.arc_array.T
     th, xi = net.arc_demand, net.arc_time
-    p, m = prices[ai, aj], mu[ai, aj]
     flows = np.zeros_like(net.demand)
-    flows[ai, aj] = th * np.maximum(1.0 - p, 0.0)
-    stat = th * xi * (2.0 * p - 1.0 - net.unit_cost + a_mat[ai, aj]) \
-        - th * (lam[ai] - lam[aj]) + m
+    flows[ai, aj] = th * np.maximum(1.0 - prices, 0.0)
+    stat = th * xi * (2.0 * prices - 1.0 - net.unit_cost + a_mat[ai, aj]) \
+        - th * (lam[ai] - lam[aj]) + mu
     imbalance = flows.sum(axis=1) - flows.sum(axis=0)
-    res = max(0.0, np.abs(stat).max(), (p - 1.0).max(), (-m).max(),
-              np.abs(m * (p - 1.0)).max(), np.abs(imbalance).max())
+    res = max(0.0, np.abs(stat).max(), (prices - 1.0).max(), (-mu).max(),
+              np.abs(mu * (prices - 1.0)).max(), np.abs(imbalance).max())
     return float(res), flows
 
 
-def _assemble(net, a_mat, prices, lam, mu, active):
+def _assemble(net, a_mat, prices, lam, mu, capped):
+    """Solution record from the per-arc candidate of the final capped set."""
     lam = lam - lam[-1]
     residual, flows = _kkt_residual(net, a_mat, prices, lam, mu)
-    active_set = frozenset(map(tuple, np.argwhere(active).tolist()))
-    breakdown = payoff_and_surplus(net, a_mat, np.where(net.demand > 0, prices, 0.0))
+    n = net.n_locations
+    ai, aj = net.arc_array.T
+    price_mat = np.full((n, n), np.nan)
+    price_mat[ai, aj] = prices
+    mu_mat = np.zeros((n, n))
+    mu_mat[ai, aj] = mu
+    breakdown = payoff_and_surplus(net, a_mat, np.where(net.demand > 0,
+                                                        price_mat, 0.0))
     return PricingSolution(
-        prices=prices,
+        prices=price_mat,
         flows=flows,
         duals_lambda=lam,
-        duals_mu=mu,
-        active_set=active_set,
+        duals_mu=mu_mat,
+        active_set=frozenset(map(tuple, net.arc_array[capped].tolist())),
         payoff=breakdown.payoff,
         consumer_surplus=breakdown.consumer_surplus,
         kkt_residual=residual,
@@ -222,21 +282,21 @@ def _assemble(net, a_mat, prices, lam, mu, active):
 def solve_closed_form(net: TrafficNetwork, a=None) -> PricingSolution:
     """Closed-form optimum when no price cap binds.
 
-    p_ij = (1 - a_ij + c)/2 + (1/(4 xi_ij)) sum_k (R_jk - R_ik) v_k.
-    Raises :class:`NotApplicable` when any computed price exceeds 1, in
-    which case the cap-multiplier assumption fails and
-    :func:`solve_general` must be used.
+    p_ij = (1 - a_ij + c)/2 + (1/(4 xi_ij)) sum_k (R_jk - R_ik) v_k,
+    evaluated as (1 - a_ij + c)/2 + (lambda_i - lambda_j)/(2 xi_ij) from
+    the node potentials lambda = L+ v.  Raises :class:`NotApplicable` when
+    any computed price exceeds 1, in which case the cap-multiplier
+    assumption fails and :func:`solve_general` must be used.
     """
     a_mat = ad_matrix(net, a)
-    n = net.n_locations
-    active = np.zeros((n, n), dtype=bool)
-    prices, lam, mu, _ = _kkt_candidate(net, a_mat, active)
-    worst = net.on_arcs(prices).max()
+    state = _LoopState(net, a_mat)
+    prices, lam, mu = _kkt_candidate(state)
+    worst = prices.max()
     if worst > 1.0 + FEAS_TOL:
         raise NotApplicable(
             f"unconstrained price {worst:.6g} exceeds the cap; "
             "run solve_general")
-    return _assemble(net, a_mat, prices, lam, mu, active)
+    return _assemble(net, a_mat, prices, lam, mu, state.capped)
 
 
 def solve_general(net: TrafficNetwork, a=None,
@@ -244,46 +304,37 @@ def solve_general(net: TrafficNetwork, a=None,
     """Active-set solve of the pricing problem, any regime.
 
     Starts from an empty active set; per iteration the most violated cap
-    enters (price pinned to 1, demand masked) or the most negative cap
-    multiplier leaves.  Ties go to the lower arc index, i.e. the
-    lexicographically smaller arc.  An arc that just left may not
-    immediately re-enter, and vice versa.  Terminates at a KKT point with
-    residual below 1e-8 or raises :class:`NoConvergence` after 4*|arcs|
-    iterations.
+    enters (price pinned to 1, demand masked) or, when no cap is violated,
+    the most negative cap multiplier leaves.  Ties go to the lower arc
+    index, i.e. the lexicographically smaller arc.  Each iteration is one
+    bordered solve for the node potentials of the masked network (see
+    :func:`_kkt_candidate`); the pair weights and components carry over
+    between iterations, and the components are recomputed only when a move
+    kills or revives a pair.  Terminates at a KKT point with residual below
+    1e-8 or raises :class:`NoConvergence` after 4*|arcs| iterations.
     """
     a_mat = ad_matrix(net, a)
-    n = net.n_locations
-    ai, aj = net.arc_array.T
-    cap = max_iter if max_iter is not None else max(8, 4 * len(ai))
-    active = np.zeros((n, n), dtype=bool)
-    barred_entry = None
-    barred_exit = None
+    state = _LoopState(net, a_mat)
+    cap = max_iter if max_iter is not None else max(8, 4 * len(state.ai))
 
     for _ in range(cap):
-        prices, lam, mu, _ = _kkt_candidate(net, a_mat, active)
-        capped = active[ai, aj]
-        p_arc, mu_arc = prices[ai, aj], mu[ai, aj]
-        violations = np.flatnonzero(~capped & (p_arc > 1.0 + FEAS_TOL))
-        negatives = np.flatnonzero(capped & (mu_arc < -FEAS_TOL))
-        if not violations.size and not negatives.size:
-            sol = _assemble(net, a_mat, prices, lam, mu, active)
-            if sol.kkt_residual >= KKT_TOL:
-                raise NoConvergence(
-                    f"KKT residual {sol.kkt_residual:.3e} above tolerance")
-            return sol
-        # candidates in order: largest violation (most negative multiplier)
-        # first, ties to the lower arc index
+        prices, lam, mu = _kkt_candidate(state)
+        capped = state.capped
+        violations = np.flatnonzero(~capped & (prices > 1.0 + FEAS_TOL))
         if violations.size:
-            order = violations[
-                np.lexsort((violations, 1.0 - p_arc[violations]))]
-            k = next((k for k in order if k != barred_entry), order[0])
-            active[ai[k], aj[k]] = True
-            barred_exit, barred_entry = k, None
-        else:
-            order = negatives[np.lexsort((negatives, mu_arc[negatives]))]
-            k = next((k for k in order if k != barred_exit), order[0])
-            active[ai[k], aj[k]] = False
-            barred_entry, barred_exit = k, None
+            # argmin keeps the first of equal keys: the lower arc index
+            k = violations[np.argmin(1.0 - prices[violations])]
+            state.set_capped(k, True)
+            continue
+        negatives = np.flatnonzero(capped & (mu < -FEAS_TOL))
+        if negatives.size:
+            state.set_capped(negatives[np.argmin(mu[negatives])], False)
+            continue
+        sol = _assemble(net, a_mat, prices, lam, mu, capped)
+        if sol.kkt_residual >= KKT_TOL:
+            raise NoConvergence(
+                f"KKT residual {sol.kkt_residual:.3e} above tolerance")
+        return sol
     raise NoConvergence(f"no KKT point after {cap} active-set iterations")
 
 

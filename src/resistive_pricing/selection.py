@@ -27,8 +27,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .electrical import build_electrical, value_vector
-from .network import AdRevenueVector, TrafficNetwork, ad_matrix
+from .electrical import (
+    build_electrical,
+    component_border,
+    potentials,
+    value_vector,
+)
+from .network import (
+    AdRevenueVector,
+    TrafficNetwork,
+    ad_matrix,
+    undirected_projection,
+)
 from .pricing import solve_general
 
 
@@ -106,18 +116,20 @@ def delta(net: TrafficNetwork, a) -> float:
 
     Delta(a) = sum theta xi ((1+a-c)/2)^2
              - sum (1/8) theta (1+a-c) sum_k (R_jk - R_ik) v_k,
-    evaluated on the unmasked electrical network.  Always an upper bound
-    on the optimal payoff, with equality when every cap multiplier is 0.
+    evaluated on the unmasked electrical network.  The inner sum equals
+    2 (lambda_i - lambda_j) for the node potentials lambda = L+ v, which
+    one bordered solve gives.  Always an upper bound on the optimal
+    payoff, with equality when every cap multiplier is 0.
     """
     a_mat = ad_matrix(net, a)
-    model = build_electrical(net)[0]
-    v = value_vector(net, a_mat)
-    s = model.effective_resistance @ v
+    n = net.n_locations
+    lam = potentials(undirected_projection(net), value_vector(net, a_mat),
+                     component_border(np.zeros(n, dtype=int)))
     ai, aj = net.arc_array.T
     th = net.arc_demand
     gain = 1.0 + a_mat[ai, aj] - net.unit_cost
     return float(np.sum(th * net.arc_time * (gain / 2.0) ** 2
-                        - th * gain * (s[aj] - s[ai]) / 8.0))
+                        - th * gain * (lam[ai] - lam[aj]) / 4.0))
 
 
 def _demand_symmetric(net: TrafficNetwork) -> bool:

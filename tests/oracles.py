@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the library's electrical/active-set
 code paths: pricing optima come from enumerating cap-pinned subsets and
-solving dense equality-KKT systems with lstsq; resistances come from
-current injection into the raw Laplacian; sensitivities from central
-finite differences; extended-model optima from face enumeration and
-feasible random sampling.
+solving dense equality-KKT systems with lstsq; the active-set loop's
+candidates come from the paper's resistance form with an SVD
+pseudoinverse; resistances come from current injection into the raw
+Laplacian; sensitivities from central finite differences; extended-model
+optima from face enumeration and feasible random sampling.
 """
 
 import itertools
@@ -78,6 +79,133 @@ def enumerate_optimal_prices(net, a_mat, tol=1e-9):
             if val > best_val:
                 best_val, best_prices = val, prices
     return best_prices, best_val
+
+
+def _components(weights):
+    """Connected components of weights > 0 by depth-first search, as
+    sorted node lists in order of their smallest node."""
+    n = weights.shape[0]
+    seen = [False] * n
+    comps = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack, comp = [root], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in range(n):
+                if weights[u, w] > 0 and not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def resistance_candidate(net, a_mat, active):
+    """The active-set loop's KKT candidate in the paper's resistance form.
+
+    Arcs where the (N, N) boolean ``active`` is True are pinned at the cap
+    and masked out of the projection.  Per component of the masked
+    projection: L+ by an SVD pseudoinverse, R_ij = L+_ii + L+_jj - 2 L+_ij,
+    s = R v, and p_ij = (1 - a + c)/2 + (s_j - s_i)/(4 xi) on live arcs;
+    lambda = L+ v.  Capped arcs that bridge components get per-component
+    shifts of lambda by Bellman-Ford relaxation of lambda_i - lambda_j >=
+    xi (1 + a - c), applied only when those constraints are consistent.
+    Returns (N, N) prices, lambda, and (N, N) cap multipliers.
+    """
+    n, c = net.n_locations, net.unit_cost
+    weights = np.zeros((n, n))
+    v = np.zeros(n)
+    for i, j in net.arcs:
+        if active[i, j]:
+            continue
+        th = net.demand[i, j]
+        weights[i, j] += th / net.travel_time[i, j]
+        weights[j, i] += th / net.travel_time[i, j]
+        v[i] += th * (1.0 + a_mat[i, j] - c)
+        v[j] -= th * (1.0 + a_mat[i, j] - c)
+    comps = _components(weights)
+    comp = np.zeros(n, dtype=int)
+    s = np.zeros(n)
+    lam = np.zeros(n)
+    for ci, nodes in enumerate(comps):
+        comp[nodes] = ci
+        w = weights[np.ix_(nodes, nodes)]
+        pinv = np.linalg.pinv(np.diag(w.sum(axis=1)) - w)
+        d = np.diag(pinv)
+        eff = d[:, None] + d[None, :] - 2.0 * pinv
+        s[nodes] = eff @ v[nodes]
+        lam[nodes] = pinv @ v[nodes]
+
+    constraints = [(comp[i], comp[j], lam[i] - lam[j] - net.travel_time[i, j]
+                    * (1.0 + a_mat[i, j] - c))
+                   for i, j in net.arcs
+                   if active[i, j] and comp[i] != comp[j]]
+    shift = np.zeros(len(comps))
+    for _ in range(len(comps) + 1):
+        changed = False
+        for cu, cv, ub in constraints:
+            if shift[cv] > shift[cu] + ub + 1e-12:
+                shift[cv] = shift[cu] + ub
+                changed = True
+        if not changed:
+            lam = lam + shift[comp]
+            break
+
+    prices = np.full((n, n), np.nan)
+    mu = np.zeros((n, n))
+    for i, j in net.arcs:
+        xi = net.travel_time[i, j]
+        if active[i, j]:
+            prices[i, j] = 1.0
+            mu[i, j] = net.demand[i, j] * (
+                lam[i] - lam[j] - xi * (1.0 + a_mat[i, j] - c))
+        else:
+            prices[i, j] = (1.0 - a_mat[i, j] + c) / 2.0 \
+                + (s[j] - s[i]) / (4.0 * xi)
+    return prices, lam, mu
+
+
+def next_active(net, active, prices, mu, feas_tol=1e-9):
+    """Per-arc loop form of the active-set rule: the most violated cap
+    enters, else the most negative cap multiplier leaves, ties to the
+    lexicographically smaller arc.  Returns the next (N, N) active set, or
+    None at a KKT point."""
+    violations = sorted(
+        ((prices[i, j] - 1.0, (i, j)) for i, j in net.arcs
+         if not active[i, j] and prices[i, j] > 1.0 + feas_tol),
+        key=lambda t: (-t[0], t[1]))
+    negatives = sorted(
+        ((mu[i, j], (i, j)) for i, j in net.arcs
+         if active[i, j] and mu[i, j] < -feas_tol),
+        key=lambda t: (t[0], t[1]))
+    nxt = active.copy()
+    if violations:
+        nxt[violations[0][1]] = True
+    elif negatives:
+        nxt[negatives[0][1]] = False
+    else:
+        return None
+    return nxt
+
+
+def resistance_pricing_path(net, a_mat):
+    """Run the active-set loop on :func:`resistance_candidate`.
+
+    Returns the capped sets visited (as frozensets of arcs) and the final
+    candidate (prices, lambda, mu).
+    """
+    active = np.zeros((net.n_locations,) * 2, dtype=bool)
+    path = []
+    for _ in range(max(8, 4 * len(net.arcs))):
+        candidate = resistance_candidate(net, a_mat, active)
+        path.append(frozenset(arc for arc in net.arcs if active[arc]))
+        active = next_active(net, active, candidate[0], candidate[2])
+        if active is None:
+            return path, candidate
+    raise RuntimeError("reference loop did not reach a KKT point")
 
 
 def injection_resistance(weights, i, j):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,9 @@ from resistive_pricing import (
     validate_network,
     value_vector,
 )
+
+from resistive_pricing.electrical import component_border, potentials
+from resistive_pricing.network import projection_weights
 
 from gen import random_ads, random_connected_network
 from oracles import injection_resistance
@@ -150,6 +155,50 @@ class TestLaplacian:
                 total = sum((eff[i, j] + eff[i, k] - eff[j, k]) * w[i, j]
                             for j in range(n) if w[i, j] > 0)
                 assert total == pytest.approx(2.0, abs=1e-10)
+
+
+def test_model_read_only_after_unpickling():
+    model = pickle.loads(pickle.dumps(build_electrical(ring_with_chord())[0]))
+    assert model.local_index[5] == 5
+    for name in ("nodes", "laplacian", "pseudoinverse", "resistances",
+                 "effective_resistance"):
+        with pytest.raises(ValueError):
+            getattr(model, name)[0] = 0
+
+
+class TestPotentials:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def test_equal_pseudoinverse_times_v(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_connected_network(rng, n_min=2, n_max=8)
+        v = value_vector(net, random_ads(rng, net, hi=1.0))
+        n = net.n_locations
+        lam = potentials(undirected_projection(net), v,
+                         component_border(np.zeros(n, dtype=int)))
+        pinv = build_electrical(net)[0].pseudoinverse
+        assert np.allclose(lam, pinv @ v, rtol=0.0,
+                           atol=1e-12 * max(1.0, np.abs(v).max()))
+
+    def test_masked_components_and_isolated_node(self):
+        # masking the arcs at node 3 leaves components {0, 1, 2}, {3}, {4, 5}
+        net = bidirectional([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 6)
+        a = np.zeros((6, 6))
+        a[0, 1], a[4, 5] = 0.5, 0.2
+        keep = net.demand > 0
+        keep[2, 3] = keep[3, 2] = keep[3, 4] = keep[4, 3] = False
+        weights = projection_weights(net.demand, net.travel_time, keep)
+        labels = np.array([0, 0, 0, 1, 2, 2])
+        border = component_border(labels)
+        assert border[0, 2] == pytest.approx(1.0 / 3.0)
+        assert border[3, 3] == 1.0 and border[2, 3] == 0.0
+        v = value_vector(net, a, keep)
+        lam = potentials(weights, v, border)
+        assert lam[3] == 0.0
+        for model in build_electrical(net, keep):
+            assert np.allclose(lam[model.nodes],
+                               model.pseudoinverse @ v[model.nodes],
+                               rtol=0.0, atol=1e-12)
 
 
 class TestValueVector:

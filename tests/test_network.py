@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +75,13 @@ class TestValidation:
         assert net.arc_array.tolist() == [list(arc) for arc in net.arcs]
         with pytest.raises(ValueError):
             net.arc_array[0, 0] = 2
+
+    @pytest.mark.parametrize("name", ["demand", "travel_time", "arc_array"])
+    def test_read_only_after_unpickling(self, name):
+        net = pickle.loads(pickle.dumps(three_cycle()))
+        assert net.arcs == three_cycle().arcs
+        with pytest.raises(ValueError):
+            getattr(net, name)[0, 1] = 2
 
 
 class TestProjection:
@@ -243,6 +252,15 @@ class TestAdRevenueVector:
         values[0, 1] = -0.2
         with pytest.raises(ValueError):
             AdRevenueVector(net, values)
+
+    def test_read_only_after_unpickling(self):
+        a = AdRevenueVector.from_arcs(three_cycle(), {(0, 1): 0.2})
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy.values[0, 1] == 0.2
+        with pytest.raises(ValueError):
+            copy.values[0, 1] = 0.5
+        with pytest.raises(ValueError):
+            copy.network.demand[0, 1] = 5.0
 
     def test_from_arcs(self):
         net = three_cycle()

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,13 +17,21 @@ from resistive_pricing import (
     validate_network,
 )
 from resistive_pricing import pricing
-from resistive_pricing.electrical import value_vector
+from resistive_pricing.electrical import (
+    component_border,
+    potentials,
+    value_vector,
+)
+from resistive_pricing.network import connected_components, projection_weights
 
 from gen import quiet_instance, random_ads, random_instance
 from oracles import (
     central_difference_sensitivity,
     enumerate_optimal_prices,
+    next_active,
     pricing_objective,
+    resistance_candidate,
+    resistance_pricing_path,
 )
 
 
@@ -160,23 +170,30 @@ class TestGeneralSolver:
         net = validate_network(demand, np.ones((5, 5)), 0.6)
         with pytest.raises(NotApplicable):
             solve_closed_form(net, a)
-        prices = pricing._kkt_candidate(net, a, np.zeros((5, 5), bool))[0]
-        on_arcs = net.on_arcs(prices)
-        top = [net.arcs[k] for k in np.flatnonzero(on_arcs == on_arcs.max())]
+        prices = pricing._kkt_candidate(pricing._LoopState(net, a))[0]
+        top = [net.arcs[k] for k in np.flatnonzero(prices == prices.max())]
         assert top == [(2, 1), (4, 3)]
 
         seen = []
         candidate = pricing._kkt_candidate
 
-        def recording(net_, a_mat, active):
-            seen.append(frozenset(map(tuple, np.argwhere(active).tolist())))
-            return candidate(net_, a_mat, active)
+        def recording(state):
+            seen.append(capped_arcs(net, state.capped))
+            return candidate(state)
 
         monkeypatch.setattr(pricing, "_kkt_candidate", recording)
         sol = solve_general(net, a)
         assert seen[:3] == [frozenset(), {(2, 1)}, {(2, 1), (4, 3)}]
         assert sol.active_set == {(2, 1), (4, 3)}
         assert sol.kkt_residual < 1e-8
+
+    def test_read_only_after_unpickling(self):
+        net, a = capped_instance()
+        sol = pickle.loads(pickle.dumps(solve_general(net, a)))
+        assert sol.active_set == solve_general(net, a).active_set
+        for name in ("prices", "flows", "duals_lambda", "duals_mu"):
+            with pytest.raises(ValueError):
+                getattr(sol, name)[0] = 0.0
 
     def test_payoff_monotone_in_ad_revenue(self):
         rng = np.random.default_rng(23)
@@ -189,82 +206,175 @@ class TestGeneralSolver:
             assert solve_general(net, bumped).payoff >= base - 1e-10
 
 
-def loop_next_active(net, active, prices, mu, barred):
-    """Per-arc loop form of the solver's entry/exit rule: the most violated
-    cap enters, else the most negative multiplier leaves, ties to the
-    lexicographically smaller arc, skipping the arc barred from that move.
-    Returns the next active set and the new (barred_entry, barred_exit)."""
-    barred_entry, barred_exit = barred
-    violations = sorted(
-        ((prices[i, j] - 1.0, (i, j)) for i, j in net.arcs
-         if not active[i, j] and prices[i, j] > 1.0 + pricing.FEAS_TOL),
-        key=lambda t: (-t[0], t[1]))
-    negatives = sorted(
-        ((mu[i, j], (i, j)) for i, j in net.arcs
-         if active[i, j] and mu[i, j] < -pricing.FEAS_TOL),
-        key=lambda t: (t[0], t[1]))
-    nxt = active.copy()
-    if violations:
-        arc = next((t[1] for t in violations if t[1] != barred_entry),
-                   violations[0][1])
-        nxt[arc] = True
-        return nxt, (None, arc)
-    arc = next((t[1] for t in negatives if t[1] != barred_exit),
-               negatives[0][1])
-    nxt[arc] = False
-    return nxt, (arc, None)
+def capped_arcs(net, capped):
+    return frozenset(arc for arc, on in zip(net.arcs, capped) if on)
+
+
+def arc_matrix(net, values, fill):
+    out = np.full((net.n_locations,) * 2, fill)
+    for arc, value in zip(net.arcs, values):
+        out[arc] = value
+    return out
+
+
+def record_loop(monkeypatch):
+    """Record (state copy, prices, lambda, mu) for every candidate the
+    pricing loop computes."""
+    steps = []
+    candidate = pricing._kkt_candidate
+
+    def recording(state):
+        out = candidate(state)
+        snapshot = (state.capped.copy(), state.weights.copy(),
+                    state.labels.copy(), state.border.copy())
+        steps.append(snapshot + out)
+        return out
+
+    monkeypatch.setattr(pricing, "_kkt_candidate", recording)
+    return steps
+
+
+def fresh_labels(weights):
+    labels = np.empty(len(weights), dtype=int)
+    for ci, nodes in enumerate(connected_components(weights)):
+        labels[nodes] = ci
+    return labels
 
 
 class TestLoopReference:
-    """The vectorized pricing passes against their per-arc loop forms, with
-    exact equality: the arithmetic per arc is unchanged."""
+    """The pricing loop against its per-arc loop form, with exact equality,
+    and against the paper's resistance form of the same loop."""
 
     def test_candidates_and_active_set_path(self, monkeypatch):
-        steps = []
-        candidate = pricing._kkt_candidate
-
-        def recording(net_, a_mat, active):
-            out = candidate(net_, a_mat, active)
-            steps.append((active.copy(),) + out)
-            return out
-
-        monkeypatch.setattr(pricing, "_kkt_candidate", recording)
+        steps = record_loop(monkeypatch)
         rng = np.random.default_rng(0)
-        moves = exits = 0
-        # draw 48 exits the active set and re-enters it
+        moves = exits = deaths = 0
         for _ in range(60):
             net, a = random_instance(rng, aggressive=True, n_min=5, n_max=8)
             steps.clear()
             sol = solve_general(net, a)
             c = net.unit_cost
-            barred = (None, None)
-            for t, (active, prices, lam, mu, models) in enumerate(steps):
+            for t, (capped, weights, labels, border, prices, lam, mu) \
+                    in enumerate(steps):
+                active = arc_matrix(net, capped, False)
                 keep = (net.demand > 0) & ~active
-                v = value_vector(net, a, keep)
-                s_node = np.zeros(net.n_locations)
-                for model in models:
-                    if model.size > 1:
-                        s_node[model.nodes] = \
-                            model.effective_resistance @ v[model.nodes]
-                for i, j in net.arcs:
+                # the incrementally kept state equals a fresh build
+                assert np.array_equal(weights, projection_weights(
+                    net.demand, net.travel_time, keep))
+                assert np.array_equal(labels, fresh_labels(weights))
+                assert np.array_equal(border, component_border(labels))
+                out = np.zeros(net.n_locations)
+                into = np.zeros(net.n_locations)
+                for k, (i, j) in enumerate(net.arcs):
+                    if not capped[k]:
+                        gain = net.demand[i, j] * (1.0 + a[i, j] - c)
+                        out[i] += gain
+                        into[j] += gain
+                lam_free = potentials(weights, out - into, border)
+                if labels.max() == 0:
+                    assert np.array_equal(lam, lam_free)
+                for k, (i, j) in enumerate(net.arcs):
                     xi = net.travel_time[i, j]
-                    if active[i, j]:
-                        assert prices[i, j] == 1.0
-                        assert mu[i, j] == net.demand[i, j] * (
+                    if capped[k]:
+                        assert prices[k] == 1.0
+                        assert mu[k] == net.demand[i, j] * (
                             (lam[i] - lam[j]) - xi * (1.0 + a[i, j] - c))
                     else:
-                        assert prices[i, j] == (1.0 - a[i, j] + c) / 2.0 \
-                            + (s_node[j] - s_node[i]) / (4.0 * xi)
-                        assert mu[i, j] == 0.0
+                        assert prices[k] == (1.0 - a[i, j] + c) / 2.0 \
+                            + (lam_free[i] - lam_free[j]) / (2.0 * xi)
+                        assert mu[k] == 0.0
+                expected = next_active(net, active,
+                                       arc_matrix(net, prices, np.nan),
+                                       arc_matrix(net, mu, 0.0))
                 if t + 1 < len(steps):
-                    expected, barred = loop_next_active(
-                        net, active, prices, mu, barred)
-                    assert np.array_equal(steps[t + 1][0], expected)
+                    following = arc_matrix(net, steps[t + 1][0], False)
+                    assert np.array_equal(following, expected)
                     moves += 1
                     exits += expected.sum() < active.sum()
-            assert sol.active_set == {
-                arc for arc in net.arcs if steps[-1][0][arc]}
-        assert moves >= 100 and exits >= 1
+                    deaths += (steps[t + 1][1] == 0).sum() \
+                        > (weights == 0).sum()
+                else:
+                    assert expected is None
+            assert sol.active_set == capped_arcs(net, steps[-1][0])
+        # draw 48 exits the active set; some entries kill a pair
+        assert moves >= 100 and exits >= 1 and deaths >= 1
+
+    def test_resistance_form_oracle(self, monkeypatch):
+        """On the same 60 instances the loop driven by the resistance-form
+        candidate takes exactly the same path to the same prices."""
+        steps = record_loop(monkeypatch)
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            net, a = random_instance(rng, aggressive=True, n_min=5, n_max=8)
+            steps.clear()
+            sol = solve_general(net, a)
+            path, (prices, lam, _) = resistance_pricing_path(net, a)
+            assert path == [capped_arcs(net, step[0]) for step in steps]
+            on = net.on_arcs(prices)
+            assert np.abs(net.on_arcs(sol.prices) - on).max() \
+                <= 1e-12 * np.abs(on).max()
+            assert np.allclose(sol.duals_lambda, lam - lam[-1],
+                               rtol=0.0, atol=1e-12 * np.abs(lam).max())
+
+    def test_exit_takes_most_negative_multiplier(self, monkeypatch):
+        """Draw 579 of the aggressive n = 5-8 stream reaches a candidate
+        with no violated cap and several negative cap multipliers; the most
+        negative one leaves."""
+        steps = record_loop(monkeypatch)
+        rng = np.random.default_rng(0)
+        for _ in range(580):
+            net, a = random_instance(rng, aggressive=True, n_min=5, n_max=8)
+        sol = solve_general(net, a)
+        assert sol.kkt_residual < 1e-8
+        exits = 0
+        for now, following in zip(steps, steps[1:]):
+            capped, prices, mu = now[0], now[4], now[6]
+            negatives = np.flatnonzero(capped & (mu < -pricing.FEAS_TOL))
+            if negatives.size < 2 or np.any(
+                    ~capped & (prices > 1.0 + pricing.FEAS_TOL)):
+                continue
+            left = np.flatnonzero(capped & ~following[0])
+            assert left.size == 1 and mu[left[0]] == mu[negatives].min()
+            assert mu[left[0]] < mu[negatives].max()
+            exits += 1
+        assert exits >= 1
+
+    def test_bridge_cap_splits_components(self):
+        """Capping the one-way bridge (2, 3) between two triangles kills its
+        pair: the state splits into two components, and the shift that keeps
+        the bridge's multiplier non-negative moves the far side's lambda.
+        solve_general itself never gets here (a bridge's flow is forced to
+        zero, so its price is never above the cap), hence the direct drive."""
+        demand = np.zeros((6, 6))
+        for tri in ((0, 1, 2), (3, 4, 5)):
+            for i in tri:
+                for j in tri:
+                    if i != j:
+                        demand[i, j] = 1.0 + 0.3 * i + 0.1 * j
+        demand[2, 3] = 0.8
+        net = validate_network(demand, np.full((6, 6), 1.5), 0.6)
+        a = random_ads(np.random.default_rng(3), net, hi=0.3)
+        state = pricing._LoopState(net, a)
+        bridge = net.arcs.index((2, 3))
+        state.set_capped(bridge, True)
+        assert state.labels.tolist() == [0, 0, 0, 1, 1, 1]
+        assert np.array_equal(state.border, component_border(state.labels))
+        prices, lam, mu = pricing._kkt_candidate(state)
+
+        active = arc_matrix(net, state.capped, False)
+        ref_prices, ref_lam, ref_mu = resistance_candidate(net, a, active)
+        assert np.abs(prices - net.on_arcs(ref_prices)).max() < 1e-12
+        assert np.abs(lam - ref_lam).max() < 1e-12
+        assert np.abs(mu - net.on_arcs(ref_mu)).max() < 1e-12
+        assert mu[bridge] == pytest.approx(0.0, abs=1e-12)
+        v = value_vector(net, a, (net.demand > 0) & ~active)
+        shift = lam - potentials(state.weights, v, state.border)
+        assert np.ptp(shift[:3]) < 1e-12 and np.ptp(shift[3:]) < 1e-12
+        assert shift[3] - shift[0] < -0.1
+
+        state.set_capped(bridge, False)
+        assert state.labels.tolist() == [0] * 6
+        assert np.array_equal(state.border, np.full((6, 6), 1.0 / 6.0))
 
     def test_kkt_residual(self):
         rng = np.random.default_rng(9)
