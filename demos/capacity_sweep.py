@@ -40,9 +40,9 @@ for eta10 in range(1, 11):
     print(f"{eta10 / 10.0:>6.1f} {sol.payoff:>10.4f} "
           f"{sol.empty_flows.sum():>10.4f}")
 
-print("\nexponential demand (gamma = 2), psi = 120, one seeded solve:")
+print("\nexponential demand (gamma = 2), psi = 120, interior-point solve:")
 params = ExtendedParams(eta=0.8, psi=120.0,
                         demand=DemandModel.exponential(2.0))
 sol = solve_extended(net, None, params, seed=0)
-print(f"payoff {sol.payoff:.4f}  stationarity residual "
+print(f"payoff {sol.payoff:.4f}  scaled KKT residual "
       f"{sol.kkt_residual:.2e}  local_only={sol.local_only}")

@@ -358,3 +358,98 @@ def sample_feasible_extended(net, params, rng, count=1000, iters=400):
             continue
         points.append((x[:na].copy(), x[na:].copy()))
     return points
+
+
+def arcs_off_cycles(net, pairs):
+    """Arcs on no directed cycle of the graph of arcs plus ``pairs``.
+
+    Arc (u, v) is on a cycle exactly when v reaches u; reachability is a
+    depth-first search from every node.
+    """
+    n = net.n_locations
+    succ = [set() for _ in range(n)]
+    for u, v in list(net.arcs) + list(pairs):
+        succ[u].add(v)
+    reach = []
+    for root in range(n):
+        seen, stack = {root}, [root]
+        while stack:
+            for nxt in succ[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        reach.append(seen)
+    return [(u, v) for u, v in net.arcs if u not in reach[v]]
+
+
+def exponential_duality_gap(net, a, params, sol, empty_pairs=None,
+                            margin=1e-6):
+    """Lagrangian-dual bound minus the payoff of an exponential solution,
+    relative to |payoff| plus the total vehicle mass.
+
+    In demand coordinates the problem maximizes
+    sum xi z (a - c) - (xi/gamma) z log(z/theta) - sum eta c t w over flow
+    balance, the capacity bound and the boxes z in [theta e^-10,
+    theta e^gamma], w in [0, psi/t].  The balance duals y and the capacity
+    price mu are fitted by least squares to the stationarity rows
+    xi (a - c + p - 1/gamma) = y_u - y_v + mu xi of the arcs priced strictly
+    inside the box (gauge y_{N-1} = 0, plus the row mu = 0 when capacity is
+    slack); mu is clipped at 0.  The dual function is then evaluated in
+    closed form: each z maximizes a concave function of one variable (a
+    clipped exponential), each w sits at 0 or psi/t.  By weak duality the
+    result is an upper bound on the optimum, so a small non-negative gap
+    certifies the payoff.  The bound is tight only when the interior arcs
+    determine the duals; with most prices at the box ends, or nodes joined
+    only by empty flows, the fit is loose and the gap overstates.
+    """
+    from resistive_pricing.network import ad_matrix
+
+    a_mat = ad_matrix(net, a)
+    n = net.n_locations
+    gamma, psi, eta, c = (params.demand.gamma, params.psi, params.eta,
+                          net.unit_cost)
+    pairs = [(i, j, net.travel_time[i, j]) for i, j in net.arcs]
+    known = set(net.arcs)
+    for i, j, t in empty_pairs or ():
+        if (i, j) not in known:
+            pairs.append((i, j, float(t)))
+            known.add((i, j))
+
+    rows, rhs = [], []
+    used = 0.0
+    for i, j in net.arcs:
+        th, xi, a = net.demand[i, j], net.travel_time[i, j], a_mat[i, j]
+        p = float(sol.prices[i, j])
+        used += xi * th * np.exp(-gamma * p)
+        if -1.0 + margin < p < 10.0 / gamma - margin:
+            row = np.zeros(n)  # y_0 .. y_{N-2}, then mu
+            if i < n - 1:
+                row[i] += 1.0
+            if j < n - 1:
+                row[j] -= 1.0
+            row[-1] = xi
+            rows.append(row)
+            rhs.append(xi * (a - c + p - 1.0 / gamma))
+    for i, j, t in pairs:
+        used += t * sol.empty_flows[i, j]
+    if psi - used > margin * psi:
+        row = np.zeros(n)
+        row[-1] = 1.0
+        rows.append(row)
+        rhs.append(0.0)
+    fit, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    y = np.append(fit[:-1], 0.0)
+    mu = max(float(fit[-1]), 0.0)
+
+    dual = mu * psi
+    for i, j in net.arcs:
+        th, xi, a = net.demand[i, j], net.travel_time[i, j], a_mat[i, j]
+        r = y[i] - y[j] + mu * xi
+        z = th * np.exp(gamma * (a - c - r / xi) - 1.0)
+        z = min(max(z, th * np.exp(-10.0)), th * np.exp(gamma))
+        dual += xi * (a - c) * z - (xi / gamma) * z * np.log(z / th) - r * z
+    for i, j, t in pairs:
+        slope = -(eta * c * t + y[i] - y[j] + mu * t)
+        dual += max(slope, 0.0) * psi / t
+    mass = float((net.arc_demand * net.arc_time).sum())
+    return (dual - sol.payoff) / (abs(sol.payoff) + mass)

@@ -250,9 +250,7 @@ def test_criterion_09_strategy_property_on_synthetic_instances():
                 f"{med_uniform:.4%}, exponential {med_exp:.4%} "
                 f"(target <= 10%)")
     assert med_uniform <= 0.10
-    if med_exp > 0.10:  # logged, not hard-failed: local solver caveat
-        record_note(f"criterion 9: exponential median gap {med_exp:.4%}"
-                    " exceeds the 10% target (local solver)")
+    assert med_exp <= 0.10
     assert time.monotonic() - t0 < 600.0
 
 
