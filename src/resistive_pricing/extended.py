@@ -21,6 +21,10 @@ from .pricing import NoConvergence
 from .qp import QPNoConvergence, solve_convex_qp
 
 CAPACITY_TOL = 1e-8
+# interior-point iteration cap, relative KKT and complementarity tolerances
+IPM_MAX_ITER = 100
+IPM_TOL = 1e-10
+IPM_GAP_TOL = 1e-12
 
 
 class Infeasible(RuntimeError):
@@ -253,7 +257,6 @@ def _check_cycles(nodes, arc, pairs):
     Otherwise the graph is strongly connected: the arcs connect it weakly.
     """
     reach = np.eye(nodes)
-    reach[arc[:, 0], arc[:, 1]] = 1.0
     reach[pairs[:, 0], pairs[:, 1]] = 1.0
     while True:  # transitive closure by boolean squaring
         closed = ((reach @ reach) > 0).astype(float)
@@ -272,8 +275,7 @@ def _blocking(slack, kap, ds, dk):
     return max(float((-ds / slack).max()), float((-dk / kap).max()))
 
 
-def _solve_exponential(net, a_mat, params, pairs, pair_time,
-                       max_iter=100, tol=1e-10, gap_tol=1e-12):
+def _solve_exponential(net, a_mat, params, pairs, pair_time):
     """Primal-dual path-following solve of the concave exponential problem.
 
     In demand coordinates z = theta exp(-gamma p) the problem is
@@ -289,9 +291,9 @@ def _solve_exponential(net, a_mat, params, pairs, pair_time,
     1e-10 floor, B the balance rows of all nodes but the last plus the
     capacity row, so B D^-1 B' is the graph Laplacian with conductance 1/D
     per arc and pair, one node grounded, bordered by the capacity row.  It
-    stops once balance, capacity and stationarity are within ``tol`` and
-    the complementarity gap within ``gap_tol``, each relative to its scale;
-    the largest of these is the ``kkt_residual``.
+    stops once balance, capacity and stationarity are within ``IPM_TOL``
+    and the complementarity gap within ``IPM_GAP_TOL``, each relative to
+    its scale; the largest of these is the ``kkt_residual``.
     """
     gamma, psi, c = params.demand.gamma, params.psi, net.unit_cost
     nodes, arc = net.n_locations, net.arc_array
@@ -349,7 +351,7 @@ def _solve_exponential(net, a_mat, params, pairs, pair_time,
         + np.tile(0.1 * (1.0 + np.abs(grad)), 2)
     dual = np.zeros(nodes)  # balance duals, then the capacity dual
 
-    for it in range(max_iter + 1):
+    for it in range(IPM_MAX_ITER + 1):
         grad = gradient(x)
         slack = np.concatenate([x - lo, hi - x])
         r_d = grad - times_bt(dual) - kap[:n] + kap[n:]
@@ -360,11 +362,15 @@ def _solve_exponential(net, a_mat, params, pairs, pair_time,
                      abs(r_p[-1]) / psi)
         residual = max(primal, gap / payoff_scale, float(np.abs(r_d).max())
                        / (1.0 + float(np.abs(grad).max())))
-        if residual <= tol and gap <= gap_tol * payoff_scale:
+        if residual <= IPM_TOL and gap <= IPM_GAP_TOL * payoff_scale:
             break
-        if it == max_iter:  # Infeasible if still not primal feasible
-            error = Infeasible if primal > tol else NoConvergence
-            raise error(f"after {max_iter} interior-point iterations the "
+        # on an infeasible instance the multipliers diverge until rounding
+        # puts an iterate on its bound; stop there or at the cap, and raise
+        # Infeasible if still not primal feasible
+        stalled = not (slack.min() > 0.0 and np.isfinite(residual))
+        if stalled or it == IPM_MAX_ITER:
+            error = Infeasible if primal > IPM_TOL else NoConvergence
+            raise error(f"after {it} interior-point iterations the "
                         f"primal residual is {primal:.3e} and the scaled "
                         f"KKT residual {residual:.3e}")
 
@@ -420,7 +426,7 @@ def solve_extended(net: TrafficNetwork, a, params: ExtendedParams,
     result, and ``local_only`` stays set.  Raises :class:`Infeasible` when
     some arc lies on no directed cycle of arcs plus empty pairs, or when
     no balanced flow fits the capacity; :class:`NoConvergence` when the
-    iteration cap is hit at a primal-feasible point.
+    iteration stops short of the optimum at a primal-feasible point.
     """
     a_mat = ad_matrix(net, a)
     pairs, pair_time = _pair_set(net, empty_pairs)

@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,39 @@ class TestExponentialInteriorPoint:
         params = ExtendedParams(eta=0.8, psi=1e-9 * mass,
                                 demand=DemandModel.exponential(2.0))
         with pytest.raises(Infeasible, match="below the vehicle mass"):
+            solve_extended(net, None, params, seed=0)
+
+    def test_infeasible_past_the_checks_made_before_iterating(self):
+        """Every arc is on a cycle and xi z_lo ~ 4.5e-5 < psi, but the
+        return pair needs 100 z >= 4.5e-3 > psi: no balanced flow fits."""
+        demand = np.zeros((2, 2))
+        demand[0, 1] = 1.0
+        net = validate_network(demand, np.ones((2, 2)), 0.5)
+        params = ExtendedParams(eta=0.8, psi=1e-3,
+                                demand=DemandModel.exponential(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Infeasible, match="interior-point iterations"):
+                solve_extended(net, None, params, seed=0,
+                               empty_pairs=[(1, 0, 100.0)])
+
+    def test_iteration_cap_classified_by_primal_residual(self, monkeypatch):
+        demand = np.zeros((2, 2))
+        demand[0, 1] = 1.0
+        net = validate_network(demand, np.ones((2, 2)), 0.5)
+        params = ExtendedParams(eta=0.8, psi=1e-3,
+                                demand=DemandModel.exponential(1.0))
+        monkeypatch.setattr("resistive_pricing.extended.IPM_MAX_ITER", 5)
+        with pytest.raises(Infeasible, match="after 5 interior-point"):
+            solve_extended(net, None, params, seed=0,
+                           empty_pairs=[(1, 0, 100.0)])
+        # a feasible instance primal feasible after 6 iterations, done at 7
+        net, _ = synth_instance(6, 0.5, seed=4, profile="commuter")
+        mass = float((net.arc_demand * net.arc_time).sum())
+        params = ExtendedParams(eta=0.8, psi=mass,
+                                demand=DemandModel.exponential(2.0))
+        monkeypatch.setattr("resistive_pricing.extended.IPM_MAX_ITER", 6)
+        with pytest.raises(NoConvergence, match="after 6 interior-point"):
             solve_extended(net, None, params, seed=0)
 
     def test_off_cycle_arc_named_and_unlocked_by_empty_pair(self):
