@@ -185,9 +185,7 @@ def cmd_select(args) -> int:
     comparison = strategy_compare(
         loaded.network, catalog, mode=args.mode, model=args.model,
         params=params, seed=args.seed, trials=args.trials)
-    wanted = {"resistance": "resistance", "optimal": "optimal",
-              "random": "random"}[args.strategy]
-    outcome = comparison.outcome(wanted)
+    outcome = comparison.outcome(args.strategy)
     rows = []
     for label, dval, pval in zip(comparison.candidates, comparison.deltas,
                                  comparison.payoffs):

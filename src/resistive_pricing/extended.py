@@ -126,7 +126,9 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
     """Objective value at a feasible (prices, empty_flows) point.
 
     Raises InfeasiblePoint naming the violated constraint when the point
-    is infeasible beyond tolerance.
+    is infeasible beyond tolerance: ``tol`` absolute for prices and empty
+    flows, relative to max(1, largest node throughput) for flow balance
+    and to max(1, psi) for fleet capacity.
     """
     a_mat = ad_matrix(net, a)
     pairs, pair_time = _pair_set(net, empty_pairs)
@@ -152,14 +154,15 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
     flow = np.zeros((n, n))
     flow[arc_mask] = net.demand[arc_mask] * params.demand.remaining(p_on)
     total = flow + np.where(pair_mask, w, 0.0)
-    imbalance = total.sum(axis=1) - total.sum(axis=0)
-    if np.abs(imbalance).max() > tol:
+    outflow, inflow = total.sum(axis=1), total.sum(axis=0)
+    scale = max(1.0, float(np.abs(outflow).max()), float(np.abs(inflow).max()))
+    if np.abs(outflow - inflow).max() > tol * scale:
         raise InfeasiblePoint("vehicle flow balance")
 
     w_on = w[pairs[:, 0], pairs[:, 1]]
     used = float((net.travel_time[arc_mask] * flow[arc_mask]).sum()
                  + (pair_time * w_on).sum())
-    if used > params.psi + CAPACITY_TOL + tol:
+    if used > params.psi + CAPACITY_TOL + tol * max(1.0, params.psi):
         raise InfeasiblePoint("fleet capacity")
 
     value = float((net.travel_time[arc_mask] * flow[arc_mask]

@@ -8,7 +8,11 @@ mimics a morning-commute demand pattern.
 """
 
 import csv
-from dataclasses import dataclass
+import math
+import warnings
+from dataclasses import dataclass, fields
+from itertools import compress
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,12 +40,22 @@ class RideRecord:
     dropoff_time: float
 
     def __post_init__(self):
-        coords = (self.pickup_lat, self.pickup_lon,
-                  self.dropoff_lat, self.dropoff_lon)
-        if not all(np.isfinite(coords)):
+        if not (math.isfinite(self.pickup_lat) and math.isfinite(self.pickup_lon)
+                and math.isfinite(self.dropoff_lat)
+                and math.isfinite(self.dropoff_lon)):
             raise ValueError("ride coordinates must be finite")
         if not self.dropoff_time > self.pickup_time:
             raise ValueError("dropoff_time must exceed pickup_time")
+
+
+RIDE_FIELDS = tuple(f.name for f in fields(RideRecord))
+
+
+def _columns(records, *names):
+    """One float array per named RideRecord field, in record order."""
+    m = len(records)
+    return [np.fromiter(map(attrgetter(name), records), float, count=m)
+            for name in names]
 
 
 @dataclass(frozen=True)
@@ -60,25 +74,23 @@ class ClusteringResult:
 
 
 def read_rides_csv(path) -> list[RideRecord]:
-    """Load rides from CSV with the documented header (RFC-4180)."""
-    required = ["pickup_time", "dropoff_time", "pickup_lon", "pickup_lat",
-                "dropoff_lon", "dropoff_lat"]
-    records = []
+    """Load rides from an RFC-4180 CSV whose header names the six
+    RideRecord fields.
+
+    Columns may come in any order and extra columns are ignored.  A row
+    that does not parse, or that RideRecord rejects, raises ValueError.
+    """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(
-                col not in reader.fieldnames for col in required):
-            raise ValueError(f"rides CSV must carry columns {required}")
-        for row in reader:
-            records.append(RideRecord(
-                pickup_lat=float(row["pickup_lat"]),
-                pickup_lon=float(row["pickup_lon"]),
-                dropoff_lat=float(row["dropoff_lat"]),
-                dropoff_lon=float(row["dropoff_lon"]),
-                pickup_time=float(row["pickup_time"]),
-                dropoff_time=float(row["dropoff_time"]),
-            ))
-    return records
+        header = next(csv.reader(fh), None)
+        if header is None or any(col not in header for col in RIDE_FIELDS):
+            raise ValueError(f"rides CSV must carry columns {list(RIDE_FIELDS)}")
+        with warnings.catch_warnings():
+            # a header-only file is an empty ride list
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(
+                fh, dtype=float, delimiter=",", quotechar='"', comments=None,
+                usecols=[header.index(col) for col in RIDE_FIELDS], ndmin=2)
+    return [RideRecord(*row) for row in table.tolist()]
 
 
 def filter_rides(records, bbox, window) -> list[RideRecord]:
@@ -88,16 +100,11 @@ def filter_rides(records, bbox, window) -> list[RideRecord]:
     """
     lat0, lat1, lon0, lon1 = bbox
     t0, t1 = window
-    kept = []
-    for r in records:
-        if not (lat0 <= r.pickup_lat <= lat1 and lat0 <= r.dropoff_lat <= lat1):
-            continue
-        if not (lon0 <= r.pickup_lon <= lon1 and lon0 <= r.dropoff_lon <= lon1):
-            continue
-        if not (t0 <= r.pickup_time and r.dropoff_time <= t1):
-            continue
-        kept.append(r)
-    return kept
+    olat, olon, dlat, dlon, start, end = _columns(records, *RIDE_FIELDS)
+    keep = ((lat0 <= olat) & (olat <= lat1) & (lat0 <= dlat) & (dlat <= lat1)
+            & (lon0 <= olon) & (olon <= lon1) & (lon0 <= dlon) & (dlon <= lon1)
+            & (t0 <= start) & (end <= t1))
+    return list(compress(records, keep))
 
 
 def _project_metres(lat, lon, bbox):
@@ -108,59 +115,92 @@ def _project_metres(lat, lon, bbox):
 
 
 def _kmeans(points, k, rng, max_iter=300):
+    """k-means++ seeding, then Lloyd iterations on an (n, 2) point array.
+
+    Squared distances are ``dx*dx + dy*dy`` from 1-D coordinate arrays,
+    kept as a (k, n) array; each point takes the first nearest centroid.
+    A centroid is its members' coordinate sums (``np.bincount``, in index
+    order) over their count.  In an iteration that leaves some cluster
+    empty, clusters are visited in order instead: an empty one is
+    reseeded at the point farthest from every centroid, which then joins
+    it.  Returns (centers, labels, inertia).
+    """
     n = len(points)
+    x = np.ascontiguousarray(points[:, 0])
+    y = np.ascontiguousarray(points[:, 1])
+
     # k-means++ seeding
     centers = np.empty((k, 2))
     centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = (x - centers[0, 0]) ** 2 + (y - centers[0, 1]) ** 2
     for ci in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[ci] = points[rng.integers(n)]
         else:
             centers[ci] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((points - centers[ci]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, (x - centers[ci, 0]) ** 2 + (y - centers[ci, 1]) ** 2)
+
+    dists = np.empty((k, n))
+    dy = np.empty((k, n))
+
+    def squared_distances():
+        np.subtract.outer(centers[:, 0], x, out=dists)
+        np.subtract.outer(centers[:, 1], y, out=dy)
+        np.multiply(dists, dists, out=dists)
+        np.multiply(dy, dy, out=dy)
+        return np.add(dists, dy, out=dists)
 
     labels = np.zeros(n, dtype=int)
     for _ in range(max_iter):
-        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dists.argmin(axis=1)
-        for ci in range(k):
-            sel = new_labels == ci
-            if sel.any():
-                centers[ci] = points[sel].mean(axis=0)
-            else:
-                # reseed an empty cluster at the farthest point
-                far = int(dists.min(axis=1).argmax())
-                centers[ci] = points[far]
-                new_labels[far] = ci
+        new_labels = squared_distances().argmin(axis=0)
+        counts = np.bincount(new_labels, minlength=k)
+        if counts.all():
+            centers = np.column_stack([
+                np.bincount(new_labels, weights=x, minlength=k) / counts,
+                np.bincount(new_labels, weights=y, minlength=k) / counts])
+        else:
+            for ci in range(k):
+                sel = new_labels == ci
+                if sel.any():
+                    centers[ci] = points[sel].mean(axis=0)
+                else:
+                    far = int(dists.min(axis=0).argmax())
+                    centers[ci] = points[far]
+                    new_labels[far] = ci
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
-    dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = dists.argmin(axis=1)
-    inertia = float(dists[np.arange(n), labels].sum())
+    labels = squared_distances().argmin(axis=0)
+    inertia = float(dists[labels, np.arange(n)].sum())
     return centers, labels, inertia
+
+
+def _distinct_points(points) -> int:
+    """Number of distinct rows of an (n, 2) array."""
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    rows = points[order]
+    return 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
 
 
 def cluster_endpoints(records, k: int, bbox, seed) -> ClusteringResult:
     """Cluster pooled origin and destination points into k locations.
 
-    Records must already be filtered to bbox and the time window.
-    k-means++ initialization from ``seed``; Lloyd iterations capped at
-    300; deterministic given the seed.
+    Records must already be filtered to bbox and the time window.  The
+    origins, then the destinations, are projected to metres; fewer than k
+    distinct points raise TooFewPoints.  k-means++ initialization from
+    ``seed``; Lloyd iterations capped at 300; deterministic given the seed.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if not records:
         raise TooFewPoints("no ride records supplied")
-    lats = np.array([r.pickup_lat for r in records]
-                    + [r.dropoff_lat for r in records])
-    lons = np.array([r.pickup_lon for r in records]
-                    + [r.dropoff_lon for r in records])
-    points = _project_metres(lats, lons, bbox)
-    if len(np.unique(points, axis=0)) < k:
+    olat, olon, dlat, dlon = _columns(records, "pickup_lat", "pickup_lon",
+                                      "dropoff_lat", "dropoff_lon")
+    points = _project_metres(np.concatenate([olat, dlat]),
+                             np.concatenate([olon, dlon]), bbox)
+    if _distinct_points(points) < k:
         raise TooFewPoints(f"need at least {k} distinct endpoints")
     rng = np.random.default_rng(seed)
     centers_m, labels, inertia = _kmeans(points, k, rng)
@@ -197,32 +237,25 @@ def aggregate_network(records, clustering: ClusteringResult,
     if slot_seconds <= 0:
         raise ValueError("slot_seconds must be positive")
     k = len(clustering.centroids)
-    counts = np.zeros((k, k))
-    durations = np.zeros((k, k))
-    dropped_rides = 0
-    for rec, oi, di in zip(records, clustering.origin_labels,
-                           clustering.dest_labels):
-        if oi == di:
-            dropped_rides += 1
-            continue
-        counts[oi, di] += 1
-        durations[oi, di] += (rec.dropoff_time - rec.pickup_time) / slot_seconds
+    origin = np.asarray(clustering.origin_labels)
+    dest = np.asarray(clustering.dest_labels)
+    start, end = _columns(records, "pickup_time", "dropoff_time")
+    inter = origin != dest
+    dropped_rides = len(inter) - int(np.count_nonzero(inter))
+    # bincount sums in record order, as a per-record loop would
+    pair = origin[inter] * k + dest[inter]
+    counts = np.bincount(pair, minlength=k * k).reshape(k, k).astype(float)
+    durations = np.bincount(pair, weights=((end - start) / slot_seconds)[inter],
+                            minlength=k * k).reshape(k, k)
     if counts.sum() == 0:
         raise EmptyAfterAggregation("every ride is intra-cluster")
 
     with np.errstate(invalid="ignore"):
         mean_time = np.where(counts > 0, durations / np.maximum(counts, 1), 1.0)
 
-    # largest weakly connected component over clusters with any traffic
-    sym = counts + counts.T
-    comps = connected_components(sym)
-    isolated = (sym.sum(axis=1) == 0)
-    # traffic-free clusters never qualify
-    sizes = [0 if isolated[members].all() else len(members)
-             for members in comps]
-    kept = comps[int(np.argmax(sizes))]
-    if len(kept) < 2:
-        raise EmptyAfterAggregation("largest component has fewer than 2 locations")
+    # largest weakly connected component; a cluster without inter-cluster
+    # rides is a singleton, so it never beats a pair that has some
+    kept = max(connected_components(counts + counts.T), key=len)
     dropped = tuple(int(i) for i in np.setdiff1d(np.arange(k), kept))
 
     net = validate_network(counts[np.ix_(kept, kept)],

@@ -339,14 +339,9 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
         raise ValueError("model must be 'basic' or 'extended'")
 
     deltas = [delta(net, vec) for vec in vectors]
-    res_idx = 0
-    for k in range(1, len(labels)):
-        if deltas[k] > deltas[res_idx]:
-            res_idx = k
-    opt_idx = 0
-    for k in range(1, len(labels)):
-        if payoffs[k] > payoffs[opt_idx]:
-            opt_idx = k
+    # argmax takes the first maximum: ties go to the smallest label
+    res_idx = int(np.argmax(deltas))
+    opt_idx = int(np.argmax(payoffs))
     rng = np.random.default_rng(children[-1])
     draws = rng.integers(0, len(labels), size=trials)
     random_payoff = float(np.mean([payoffs[d] for d in draws]))

@@ -6,7 +6,9 @@ solving dense equality-KKT systems with lstsq; the active-set loop's
 candidates come from the paper's resistance form with an SVD
 pseudoinverse; resistances come from current injection into the raw
 Laplacian; sensitivities from central finite differences; extended-model
-optima from face enumeration and feasible random sampling.
+optima from face enumeration and feasible random sampling.  Ride ingest
+is checked against the plain forms of k-means and of the per-record
+aggregation loop.
 """
 
 import itertools
@@ -453,3 +455,63 @@ def exponential_duality_gap(net, a, params, sol, empty_pairs=None,
         dual += max(slope, 0.0) * psi / t
     mass = float((net.arc_demand * net.arc_time).sum())
     return (dual - sol.payoff) / (abs(sol.payoff) + mass)
+
+
+def kmeans_reference(points, k, rng, max_iter=300):
+    """k-means++ seeding and Lloyd iterations on an (n, 2) point array.
+
+    The plain form: distances from an (n, k, 2) temporary, each centroid
+    the mean of its members, an empty cluster reseeded at the point
+    farthest from every centroid.  ``ingest._kmeans`` must match it bit
+    for bit.  Returns (centers, labels, inertia).
+    """
+    n = len(points)
+    centers = np.empty((k, 2))
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for ci in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[ci] = points[rng.integers(n)]
+        else:
+            centers[ci] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((points - centers[ci]) ** 2).sum(axis=1))
+
+    labels = np.zeros(n, dtype=int)
+    for _ in range(max_iter):
+        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dists.argmin(axis=1)
+        for ci in range(k):
+            sel = new_labels == ci
+            if sel.any():
+                centers[ci] = points[sel].mean(axis=0)
+            else:
+                far = int(dists.min(axis=1).argmax())
+                centers[ci] = points[far]
+                new_labels[far] = ci
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = dists.argmin(axis=1)
+    inertia = float(dists[np.arange(n), labels].sum())
+    return centers, labels, inertia
+
+
+def aggregate_reference(records, origin_labels, dest_labels, k, slot_seconds):
+    """Ride counts and summed durations (slots) per cluster pair, one
+    record at a time; intra-cluster rides are counted apart.
+
+    Returns (counts, durations, intra) with (k, k) float matrices.
+    """
+    counts = np.zeros((k, k))
+    durations = np.zeros((k, k))
+    intra = 0
+    for rec, oi, di in zip(records, origin_labels, dest_labels):
+        if oi == di:
+            intra += 1
+            continue
+        counts[oi, di] += 1
+        durations[oi, di] += (rec.dropoff_time - rec.pickup_time) / slot_seconds
+    return counts, durations, intra

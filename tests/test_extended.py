@@ -112,6 +112,28 @@ class TestPayoffExtended:
         with pytest.raises(InfeasiblePoint, match="negative"):
             payoff_extended(net, None, params, np.ones((2, 2)), w)
 
+    def test_solver_point_accepted_at_large_demand(self):
+        net, _ = synth_instance(6, 0.5, seed=4, profile="commuter")
+        scaled = validate_network(net.demand * 1e8, net.travel_time,
+                                  net.unit_cost)
+        mass = float((scaled.arc_demand * scaled.arc_time).sum())
+        params = ExtendedParams(eta=0.8, psi=0.5 * mass,
+                                demand=DemandModel.exponential(2.0))
+        sol = solve_extended(scaled, None, params, seed=0)
+        value = payoff_extended(scaled, None, params, sol.prices,
+                                sol.empty_flows)
+        assert value == pytest.approx(sol.payoff, rel=1e-9)
+
+    def test_small_imbalance_rejected_at_unit_scale(self):
+        demand = np.array([[0, 1.0], [1.0, 0]])
+        net = validate_network(demand, np.ones((2, 2)), 0.6)
+        params = ExtendedParams(eta=0.8, psi=100.0,
+                                demand=DemandModel.uniform())
+        prices = np.full((2, 2), 0.5)
+        prices[1, 0] += 1e-5
+        with pytest.raises(InfeasiblePoint, match="balance"):
+            payoff_extended(net, None, params, prices, np.zeros((2, 2)))
+
 
 class TestUniformSolver:
     def test_reduces_to_basic_model(self):

@@ -1,0 +1,242 @@
+"""The array forms of ride ingest against their plain per-record forms.
+
+k-means, the distinct-endpoint count and the aggregation must agree bit
+for bit with the loop forms in ``oracles``; the CSV reader must accept
+any column order and reject bad rows.
+"""
+
+import csv
+
+import numpy as np
+import pytest
+
+from resistive_pricing import RideRecord, aggregate_network, cluster_endpoints
+from resistive_pricing.cli import main
+from resistive_pricing.ingest import (
+    TooFewPoints,
+    _distinct_points,
+    _kmeans,
+    _project_metres,
+    filter_rides,
+    read_rides_csv,
+)
+
+from oracles import aggregate_reference, kmeans_reference
+
+BBOX = (30.65, 30.69, 104.03, 104.08)
+HEADER = ["pickup_time", "dropoff_time", "pickup_lon", "pickup_lat",
+          "dropoff_lon", "dropoff_lat"]
+
+
+def assert_same_kmeans(points, k, new_rng):
+    got = _kmeans(points, k, new_rng())
+    want = kmeans_reference(points, k, new_rng())
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+class ScriptedSeeds:
+    """Stands in for a Generator in k-means++ seeding: each draw returns
+    the next scripted point index."""
+
+    def __init__(self, picks):
+        self.picks = list(picks)
+
+    def integers(self, n):
+        return self.picks.pop(0)
+
+    def choice(self, n, p=None):
+        return self.picks.pop(0)
+
+
+def random_rides(rng, count, grid=None):
+    """Rides inside BBOX; with ``grid``, coordinates snap to that many
+    steps per axis, so endpoints repeat."""
+    lat0, lat1, lon0, lon1 = BBOX
+    u = rng.uniform(size=(count, 4))
+    if grid:
+        u = np.round(u * grid) / grid
+    start = rng.uniform(0, 3600, count)
+    return [RideRecord(float(lat0 + a * (lat1 - lat0)),
+                       float(lon0 + b * (lon1 - lon0)),
+                       float(lat0 + c * (lat1 - lat0)),
+                       float(lon0 + d * (lon1 - lon0)),
+                       float(t), float(t + rng.uniform(60, 1800)))
+            for (a, b, c, d), t in zip(u, start)]
+
+
+class TestKMeans:
+    @pytest.mark.parametrize("draw", range(40))
+    def test_matches_reference(self, draw):
+        rng = np.random.default_rng(draw)
+        n = int(rng.integers(20, 400))
+        k = int(rng.integers(2, 16))
+        spread = 10.0 ** rng.uniform(0, 4)
+        points = rng.normal(0.0, spread, size=(n, 2))
+        if draw % 4 == 0:
+            # blobs: well-separated clusters
+            points += rng.uniform(-1e4, 1e4, size=(k, 2))[rng.integers(k, size=n)]
+        assert_same_kmeans(points, k, lambda: np.random.default_rng(draw))
+
+    @pytest.mark.parametrize("draw", range(10))
+    def test_matches_reference_with_duplicates(self, draw):
+        rng = np.random.default_rng(100 + draw)
+        points = np.round(rng.uniform(0, 4, size=(300, 2))) * 250.0
+        assert_same_kmeans(points, int(rng.integers(3, 12)),
+                           lambda: np.random.default_rng(draw))
+
+    @pytest.mark.parametrize("seeds", [[0, 5, 5, 9], [3, 3, 3, 7, 1],
+                                       [8, 2, 8, 2, 8, 2],
+                                       [18, 35, 31, 28, 35, 30, 2]])
+    def test_matches_reference_through_empty_cluster_reseed(self, seeds):
+        # seeding that repeats a point leaves a cluster empty after the
+        # first assignment (ties go to the lower index), so it is reseeded
+        points = np.random.default_rng(7).normal(0.0, 100.0, size=(40, 2))
+        assert_same_kmeans(points, len(seeds), lambda: ScriptedSeeds(seeds))
+
+    def test_matches_reference_on_rides(self):
+        rides = random_rides(np.random.default_rng(3), 2000)
+        for seed, k in [(0, 15), (1, 12)]:
+            clustering = cluster_endpoints(rides, k, BBOX, seed)
+            lat = np.array([r.pickup_lat for r in rides]
+                           + [r.dropoff_lat for r in rides])
+            lon = np.array([r.pickup_lon for r in rides]
+                           + [r.dropoff_lon for r in rides])
+            points = _project_metres(lat, lon, BBOX)
+            _, labels, inertia = kmeans_reference(
+                points, k, np.random.default_rng(seed))
+            assert np.array_equal(clustering.origin_labels, labels[:2000])
+            assert np.array_equal(clustering.dest_labels, labels[2000:])
+            assert clustering.inertia == inertia
+
+
+class TestDistinctPoints:
+    @pytest.mark.parametrize("draw", range(10))
+    def test_matches_unique_rows(self, draw):
+        rng = np.random.default_rng(draw)
+        points = np.round(rng.uniform(0, 3, size=(int(rng.integers(1, 60)), 2)))
+        assert _distinct_points(points) == len(np.unique(points, axis=0))
+
+    def test_signed_zero_is_one_point(self):
+        points = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]])
+        assert _distinct_points(points) == len(np.unique(points, axis=0)) == 2
+
+    def test_too_few_distinct_endpoints(self):
+        rides = random_rides(np.random.default_rng(4), 50, grid=1)
+        distinct = len({(r.pickup_lat, r.pickup_lon) for r in rides}
+                       | {(r.dropoff_lat, r.dropoff_lon) for r in rides})
+        cluster_endpoints(rides, distinct, BBOX, seed=0)
+        with pytest.raises(TooFewPoints):
+            cluster_endpoints(rides, distinct + 1, BBOX, seed=0)
+
+
+class TestAggregation:
+    @pytest.mark.parametrize("draw", range(6))
+    def test_matches_loop_reference(self, draw):
+        rng = np.random.default_rng(draw)
+        rides = random_rides(rng, 600, grid=8 if draw % 2 else None)
+        k = int(rng.integers(3, 10))
+        clustering = cluster_endpoints(rides, k, BBOX, seed=draw)
+        result = aggregate_network(rides, clustering, 600.0, 0.6)
+        counts, durations, intra = aggregate_reference(
+            rides, clustering.origin_labels, clustering.dest_labels, k, 600.0)
+        kept = np.array(result.kept_clusters)
+        sub = np.ix_(kept, kept)
+        with np.errstate(invalid="ignore"):
+            mean = np.where(counts > 0, durations / np.maximum(counts, 1), 1.0)
+        net = result.network
+        assert np.array_equal(net.demand, counts[sub])
+        assert np.array_equal(net.travel_time.view(np.int64),
+                              mean[sub].view(np.int64))
+        assert result.dropped_rides == intra
+        assert sorted(result.kept_clusters + result.dropped_clusters) \
+            == list(range(k))
+
+
+class TestFilter:
+    def test_matches_loop_form(self):
+        rng = np.random.default_rng(6)
+        lat0, lat1, lon0, lon1 = BBOX
+        rides = [RideRecord(*(float(v) for v in rng.uniform(
+            [lat0 - 0.01, lon0 - 0.01, lat0 - 0.01, lon0 - 0.01],
+            [lat1 + 0.01, lon1 + 0.01, lat1 + 0.01, lon1 + 0.01])),
+            float(t), float(t + 300)) for t in rng.uniform(0, 4000, 500)]
+        window = (500.0, 3000.0)
+        want = [r for r in rides
+                if lat0 <= r.pickup_lat <= lat1 and lat0 <= r.dropoff_lat <= lat1
+                and lon0 <= r.pickup_lon <= lon1 and lon0 <= r.dropoff_lon <= lon1
+                and window[0] <= r.pickup_time and r.dropoff_time <= window[1]]
+        assert 0 < len(want) < len(rides)
+        assert filter_rides(rides, BBOX, window) == want
+
+    def test_empty(self):
+        assert filter_rides([], BBOX, (0.0, 1.0)) == []
+
+
+class TestReadRidesCsv:
+    def write(self, tmp_path, rows):
+        path = tmp_path / "rides.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(HEADER)
+            writer.writerows(rows)
+        return path
+
+    def test_matches_dictreader_form(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rides = random_rides(rng, 200)
+        rows = [[repr(r.pickup_time), repr(r.dropoff_time), repr(r.pickup_lon),
+                 repr(r.pickup_lat), repr(r.dropoff_lon), repr(r.dropoff_lat)]
+                for r in rides]
+        path = self.write(tmp_path, rows)
+        with open(path, newline="") as fh:
+            want = [RideRecord(**{col: float(row[col]) for col in HEADER})
+                    for row in csv.DictReader(fh)]
+        assert read_rides_csv(path) == want == rides
+
+    def test_reordered_columns_extra_text_and_quotes(self, tmp_path):
+        path = tmp_path / "rides.csv"
+        path.write_text(
+            'note,dropoff_lat,pickup_time,"dropoff_lon",pickup_lat,'
+            'dropoff_time,pickup_lon\n'
+            '"a, quoted ""note""",30.67,0,104.05,30.66,"600",104.04\n'
+            'plain,30.68,100.5,104.06,30.655,700.25,104.045\n')
+        assert read_rides_csv(path) == [
+            RideRecord(30.66, 104.04, 30.67, 104.05, 0.0, 600.0),
+            RideRecord(30.655, 104.045, 30.68, 104.06, 100.5, 700.25)]
+
+    def test_header_only(self, tmp_path):
+        assert read_rides_csv(self.write(tmp_path, [])) == []
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "rides.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="columns"):
+            read_rides_csv(path)
+
+    @pytest.mark.parametrize("row", [
+        ["0", "600", "104.04", "nan", "104.05", "30.67"],
+        ["0", "600", "104.04", "30.66", "inf", "30.67"],
+        ["600", "600", "104.04", "30.66", "104.05", "30.67"],
+        ["700", "600", "104.04", "30.66", "104.05", "30.67"],
+        ["0", "nan", "104.04", "30.66", "104.05", "30.67"],
+        ["0", "600", "104.04", "30.66", "", "30.67"],
+        ["0", "600", "104.04", "x", "104.05", "30.67"],
+        ["0", "600", "104.04", "30.66", "104.05"],
+    ])
+    def test_bad_row_raises(self, tmp_path, row):
+        good = ["0", "600", "104.04", "30.66", "104.05", "30.67"]
+        path = self.write(tmp_path, [good, row])
+        with pytest.raises(ValueError):
+            read_rides_csv(path)
+
+    def test_bad_row_is_usage_error_in_cli(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        self.write(tmp_path, [["0", "600", "104.04", "nan", "104.05", "30.67"]])
+        code = main(["ingest", "--rides", "rides.csv", "--bbox",
+                     "30.65,30.69,104.03,104.08", "--window", "0,4200",
+                     "--k", "3", "--slot-seconds", "600", "--cost", "0.6",
+                     "--seed", "3", "--out", "net.json"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
