@@ -33,7 +33,7 @@ def bidirectional(edges, n, theta=1.0):
 
 ring = bidirectional([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
                       (1, 4)], 6)
-eff = build_electrical(ring)[0].effective_resistance
+eff = build_electrical(ring).effective_resistance
 print("ring + chord effective resistances on edges:")
 for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)]:
     print(f"  R[{i},{j}] = {eff[i, j]:.6f}")

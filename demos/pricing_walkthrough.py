@@ -37,7 +37,7 @@ weights = undirected_projection(net)
 print("\nundirected projection weights (theta/xi summed over directions):")
 print(np.round(weights, 4))
 
-model = build_electrical(net)[0]
+model = build_electrical(net)
 print("\nresistor values (1/weight):")
 print(np.round(model.resistances, 4))
 print("\neffective resistances:")

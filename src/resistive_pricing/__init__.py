@@ -12,13 +12,7 @@ fleet capacity bound.
 # pyproject.toml reads it for the package metadata
 __version__ = "0.1.0"
 
-from .electrical import (
-    DifferentComponents,
-    ElectricalModel,
-    build_electrical,
-    effective_resistance,
-    value_vector,
-)
+from .electrical import ElectricalModel, build_electrical, value_vector
 from .extended import (
     DemandModel,
     ExtendedParams,

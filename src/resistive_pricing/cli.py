@@ -80,7 +80,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _dump_electrical(net, prefix):
-    model = build_electrical(net)[0]
+    model = build_electrical(net)
     n = net.n_locations
     fileio.write_csv(
         f"{prefix}.resistance.csv",

@@ -7,16 +7,17 @@ Moore-Penrose pseudoinverse of the graph Laplacian:
 
     R_ij = l+_ii + l+_jj - 2 l+_ij
 
-The pseudoinverse is computed per connected component by solving the
-bordered system (L + J/m) X = I and subtracting J/m, which is exact for a
-connected component and avoids an eigendecomposition.
+A validated network is connected, so the pseudoinverse comes from the
+bordered system (L + J/N) X = I by subtracting J/N, which is exact for a
+connected graph and avoids an eigendecomposition.
 
 Pricing needs only the node potentials lambda = L+ v of a value vector v
-that sums to zero on every component, and :func:`potentials` gets them
-from one bordered solve without forming L+ at all.
+that sums to zero on every component, possibly of a masked projection, and
+:func:`potentials` gets them from one bordered solve without forming L+ at
+all.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,60 +25,42 @@ from .network import (
     FrozenArrays,
     TrafficNetwork,
     ad_matrix,
-    connected_components,
-    projection_weights,
+    undirected_projection,
 )
-
-
-class DifferentComponents(ValueError):
-    """Raised when an effective resistance is requested across components."""
 
 
 @dataclass(frozen=True)
 class ElectricalModel(FrozenArrays):
-    """Electrical network of one connected component of the projection.
+    """Electrical network of the (connected) undirected projection.
 
     Attributes:
-        nodes: sorted global location ids covered by this component.
-        laplacian: (m, m) component Laplacian.
-        pseudoinverse: (m, m) Moore-Penrose pseudoinverse of it.
-        resistances: (m, m) direct resistor values; +inf where the two
-            nodes share no edge.
-        effective_resistance: (m, m) effective resistances, local indices.
+        laplacian: (N, N) graph Laplacian.
+        pseudoinverse: (N, N) Moore-Penrose pseudoinverse of it.
+        resistances: (N, N) direct resistor values; +inf where the two
+            locations share no edge.
+        effective_resistance: (N, N) effective resistances.
     """
 
-    nodes: np.ndarray
     laplacian: np.ndarray
     pseudoinverse: np.ndarray
     resistances: np.ndarray
     effective_resistance: np.ndarray
-    local_index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("nodes", "laplacian", "pseudoinverse",
-                     "resistances", "effective_resistance"):
+        for name in ("laplacian", "pseudoinverse", "resistances",
+                     "effective_resistance"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(
-            self, "local_index",
-            {int(g): l for l, g in enumerate(self.nodes)})
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
 
 
-def _component_model(weights: np.ndarray, nodes: np.ndarray) -> ElectricalModel:
-    m = len(nodes)
-    if m == 1:
-        zero = np.zeros((1, 1))
-        return ElectricalModel(nodes, zero, zero,
-                               np.full((1, 1), np.inf), zero)
-    w = weights[np.ix_(nodes, nodes)]
+def build_electrical(net: TrafficNetwork) -> ElectricalModel:
+    """Build the electrical network of a validated (connected) network."""
+    w = undirected_projection(net)
+    n = net.n_locations
     lap = np.diag(w.sum(axis=1)) - w
-    ones = np.full((m, m), 1.0 / m)
-    pinv = np.linalg.solve(lap + ones, np.eye(m)) - ones
+    ones = np.full((n, n), 1.0 / n)
+    pinv = np.linalg.solve(lap + ones, np.eye(n)) - ones
     pinv = 0.5 * (pinv + pinv.T)
     diag = np.diag(pinv)
     eff = diag[:, None] + diag[None, :] - 2.0 * pinv
@@ -85,23 +68,7 @@ def _component_model(weights: np.ndarray, nodes: np.ndarray) -> ElectricalModel:
     np.fill_diagonal(eff, 0.0)
     with np.errstate(divide="ignore"):
         res = np.where(w > 0, 1.0 / np.where(w > 0, w, 1.0), np.inf)
-    return ElectricalModel(nodes, lap, pinv, res, eff)
-
-
-def build_electrical(net: TrafficNetwork,
-                     mask: np.ndarray | None = None) -> list[ElectricalModel]:
-    """Build the electrical network, one model per connected component.
-
-    ``mask`` is an optional (N, N) boolean matrix over arcs; False entries
-    zero out the corresponding demand before projection (the masked arcs
-    are exactly those priced at the cap in the general pricing solver).
-    Without a mask the validated network yields a single component.
-    Isolated vertices of the masked projection yield one-node models with
-    an empty resistor set.
-    """
-    weights = projection_weights(net.demand, net.travel_time, mask)
-    return [_component_model(weights, comp)
-            for comp in connected_components(weights)]
+    return ElectricalModel(lap, pinv, res, eff)
 
 
 def component_border(labels: np.ndarray) -> np.ndarray:
@@ -127,37 +94,6 @@ def potentials(weights: np.ndarray, v: np.ndarray,
     system = border - weights
     system.flat[::len(system) + 1] += weights.sum(axis=1)
     return np.linalg.solve(system, v)
-
-
-def component_of(models: list[ElectricalModel], n_locations: int) -> np.ndarray:
-    """Map each global location id to its component index in ``models``."""
-    comp = np.full(n_locations, -1, dtype=int)
-    for ci, model in enumerate(models):
-        comp[model.nodes] = ci
-    return comp
-
-
-def effective_resistance(models, i: int, j: int) -> float:
-    """Effective resistance between locations i and j.
-
-    ``models`` is a list from :func:`build_electrical` (a single model is
-    also accepted).  Raises DifferentComponents when i and j are not
-    connected under the mask the models were built with.
-    """
-    if isinstance(models, ElectricalModel):
-        models = [models]
-    if i == j:
-        return 0.0
-    for model in models:
-        li = model.local_index.get(int(i))
-        if li is None:
-            continue
-        lj = model.local_index.get(int(j))
-        if lj is None:
-            raise DifferentComponents(
-                f"locations {i} and {j} lie in different components")
-        return float(model.effective_resistance[li, lj])
-    raise ValueError(f"location {i} not covered by any model")
 
 
 def value_vector(net: TrafficNetwork, a=None,

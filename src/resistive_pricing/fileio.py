@@ -102,16 +102,6 @@ def load_ads(path, net: TrafficNetwork) -> AdRevenueVector:
     return AdRevenueVector.from_arcs(net, entries)
 
 
-def save_ads(path, net: TrafficNetwork, ad_revenue):
-    ads = ad_revenue.values if isinstance(ad_revenue, AdRevenueVector) \
-        else np.asarray(ad_revenue)
-    doc = {"ads": [{"from": i, "to": j, "a": float(ads[i, j])}
-                   for i, j in net.arcs if ads[i, j] != 0]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_advertisers(path) -> AdvertiserCatalog:
     try:
         with open(path) as fh:

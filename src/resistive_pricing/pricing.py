@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrical import (
-    build_electrical,
-    component_border,
-    component_of,
-    potentials,
-    value_vector,
-)
+from .electrical import component_border, potentials, value_vector
 from .network import (
     FrozenArrays,
     TrafficNetwork,
@@ -311,7 +305,8 @@ def solve_general(net: TrafficNetwork, a=None,
     :func:`_kkt_candidate`); the pair weights and components carry over
     between iterations, and the components are recomputed only when a move
     kills or revives a pair.  Terminates at a KKT point with residual below
-    1e-8 or raises :class:`NoConvergence` after 4*|arcs| iterations.
+    1e-8 or raises :class:`NoConvergence` after ``max_iter`` iterations,
+    by default max(8, 4 |arcs|).
     """
     a_mat = ad_matrix(net, a)
     state = _LoopState(net, a_mat)
@@ -347,7 +342,10 @@ def price_sensitivity(net: TrafficNetwork, a, arc: tuple[int, int],
 
     With a nonempty active set the masked-network variant applies: capped
     arcs (and arcs in other masked components) have zero derivative, and
-    the resistances are those of the masked network.  Raises
+    the resistances are those of the masked network.  They come from the
+    node potentials lambda = L+ (e_x - e_y) of that network, one bordered
+    solve, since R_jx - R_ix - R_jy + R_iy = 2 (lambda_i - lambda_j)
+    within the component of (x, y) and lambda = 0 on the others.  Raises
     :class:`RegimeBoundary` when the active set changes under a +-eps
     perturbation of a_xy, where the derivative is undefined.
     """
@@ -377,20 +375,14 @@ def price_sensitivity(net: TrafficNetwork, a, arc: tuple[int, int],
     if (x, y) in base.active_set:
         return deriv
 
-    capped = np.array(sorted(base.active_set), dtype=int).reshape(-1, 2)
-    active = np.zeros((n, n), dtype=bool)
-    active[capped[:, 0], capped[:, 1]] = True
-    models = build_electrical(net, (net.demand > 0) & ~active)
-    comp = component_of(models, n)
-    model = models[comp[x]]
-    loc = np.zeros(n, dtype=int)
-    loc[model.nodes] = np.arange(model.size)
-    eff = model.effective_resistance
-    lx, ly = loc[x], loc[y]
-    live = ~active[ai, aj] & (comp[ai] == comp[x])
-    i, j = ai[live], aj[live]
-    li, lj = loc[i], loc[j]
-    deriv[i, j] = net.demand[x, y] / (4.0 * net.travel_time[i, j]) * (
-        eff[lj, lx] - eff[li, lx] - eff[lj, ly] + eff[li, ly])
+    state = _LoopState(net, a_mat)
+    for k, ij in enumerate(net.arcs):
+        if ij in base.active_set:
+            state.set_capped(k, True)
+    v = np.zeros(n)
+    v[x], v[y] = 1.0, -1.0
+    lam = potentials(state.weights, v, state.border)
+    deriv[ai, aj] = np.where(state.capped, 0.0, net.demand[x, y]
+                             * (lam[ai] - lam[aj]) / state.two_xi)
     deriv[x, y] -= 0.5
     return deriv

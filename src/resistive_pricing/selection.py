@@ -136,6 +136,37 @@ def _demand_symmetric(net: TrafficNetwork) -> bool:
     return bool(np.array_equal(net.demand, net.demand.T))
 
 
+def _select_single(net, catalog, kind, advertisers, candidate, closed_form):
+    """Budget-one selection shared by the arc and location selectors.
+
+    ``advertisers`` maps each label to its bid; ``candidate(label)`` builds
+    the induced ad vector and ``closed_form(label, eff)`` the exact score
+    under symmetric demand.  Labels are scanned in sorted order and the
+    first maximum wins.
+    """
+    catalog.validate_for(net)
+    if catalog.budget != 1:
+        raise ValueError("closed-form selector supports budget == 1; "
+                         "rank caller-built candidates with delta() instead")
+    if not advertisers:
+        raise ValueError(f"catalog has no {kind}-based advertisers")
+    labels = sorted(advertisers)
+    if _demand_symmetric(net):
+        eff = build_electrical(net).effective_resistance
+        scores = [closed_form(label, eff) for label in labels]
+    else:
+        scores = [delta(net, candidate(label)) for label in labels]
+    best = max(range(len(labels)), key=scores.__getitem__)
+    chosen = labels[best]
+    a_win = candidate(chosen)
+    return SelectionResult(
+        chosen=chosen,
+        ad_revenue=a_win,
+        payoff=solve_general(net, a_win).payoff,
+        scores=tuple(zip(labels, (float(s) for s in scores))),
+    )
+
+
 def select_arc_advertiser(net: TrafficNetwork,
                           catalog: AdvertiserCatalog) -> SelectionResult:
     """Pick the single arc-based advertiser maximizing provider payoff.
@@ -145,40 +176,17 @@ def select_arc_advertiser(net: TrafficNetwork,
     candidate is scored by Delta of its induced ad vector.  Ties break to
     the lexicographically smallest arc.
     """
-    catalog.validate_for(net)
-    if catalog.budget != 1:
-        raise ValueError("closed-form selector supports budget == 1; "
-                         "rank caller-built candidates with delta() instead")
-    if not catalog.arc_based:
-        raise ValueError("catalog has no arc-based advertisers")
-    arcs = sorted(catalog.arc_based)
-    if _demand_symmetric(net):
-        model = build_electrical(net)[0]
-        eff = model.effective_resistance
-        c = net.unit_cost
-        scores = []
-        for (i, j) in arcs:
-            b = catalog.arc_based[(i, j)]
-            th, xi = net.demand[i, j], net.travel_time[i, j]
-            scores.append(th * xi * (b * b + 2.0 * (1.0 - c) * b)
-                          - th * th * b * b * eff[i, j])
-    else:
-        scores = [delta(net, arc_candidate(net, arc, catalog.arc_based[arc]))
-                  for arc in arcs]
-    # arcs are sorted, so keeping the first maximum breaks ties lexicographically
-    best = 0
-    for k in range(1, len(arcs)):
-        if scores[k] > scores[best]:
-            best = k
-    chosen = arcs[best]
-    a_win = arc_candidate(net, chosen, catalog.arc_based[chosen])
-    payoff = solve_general(net, a_win).payoff
-    return SelectionResult(
-        chosen=chosen,
-        ad_revenue=a_win,
-        payoff=payoff,
-        scores=tuple(zip(arcs, (float(s) for s in scores))),
-    )
+    bids, c = catalog.arc_based, net.unit_cost
+
+    def score(arc, eff):
+        b = bids[arc]
+        th, xi = net.demand[arc], net.travel_time[arc]
+        return th * xi * (b * b + 2.0 * (1.0 - c) * b) \
+            - th * th * b * b * eff[arc]
+
+    return _select_single(net, catalog, "arc", bids,
+                          lambda arc: arc_candidate(net, arc, bids[arc]),
+                          score)
 
 
 def select_location_advertiser(net: TrafficNetwork,
@@ -191,46 +199,23 @@ def select_location_advertiser(net: TrafficNetwork,
     is exact; otherwise candidates are scored by Delta.  Ties break to the
     smallest location index.
     """
-    catalog.validate_for(net)
-    if catalog.budget != 1:
-        raise ValueError("closed-form selector supports budget == 1; "
-                         "rank caller-built candidates with delta() instead")
-    if not catalog.location_based:
-        raise ValueError("catalog has no location-based advertisers")
-    locations = sorted(catalog.location_based)
-    if _demand_symmetric(net):
-        model = build_electrical(net)[0]
-        eff = model.effective_resistance
-        c = net.unit_cost
-        scores = []
-        for k in locations:
-            incoming = sorted(catalog.location_based[k].items())
-            score = 0.0
-            for s, d_sk in incoming:
-                th_s, xi_s = net.demand[s, k], net.travel_time[s, k]
-                score += th_s * xi_s * (d_sk * d_sk + 2.0 * (1.0 - c) * d_sk)
-                for t, d_tk in incoming:
-                    th_t = net.demand[t, k]
-                    score += 0.5 * th_s * th_t * d_sk * d_tk * (
-                        eff[s, t] - eff[s, k] - eff[t, k])
-            scores.append(score)
-    else:
-        scores = [
-            delta(net, location_candidate(net, k, catalog.location_based[k]))
-            for k in locations]
-    best = 0
-    for k in range(1, len(locations)):
-        if scores[k] > scores[best]:
-            best = k
-    chosen = locations[best]
-    a_win = location_candidate(net, chosen, catalog.location_based[chosen])
-    payoff = solve_general(net, a_win).payoff
-    return SelectionResult(
-        chosen=chosen,
-        ad_revenue=a_win,
-        payoff=payoff,
-        scores=tuple(zip(locations, (float(s) for s in scores))),
-    )
+    bids, c = catalog.location_based, net.unit_cost
+
+    def score(k, eff):
+        incoming = sorted(bids[k].items())
+        total = 0.0
+        for s, d_sk in incoming:
+            th_s, xi_s = net.demand[s, k], net.travel_time[s, k]
+            total += th_s * xi_s * (d_sk * d_sk + 2.0 * (1.0 - c) * d_sk)
+            for t, d_tk in incoming:
+                th_t = net.demand[t, k]
+                total += 0.5 * th_s * th_t * d_sk * d_tk * (
+                    eff[s, t] - eff[s, k] - eff[t, k])
+        return total
+
+    return _select_single(
+        net, catalog, "location", bids,
+        lambda k: location_candidate(net, k, bids[k]), score)
 
 
 def reduced_search(net: TrafficNetwork, candidates: Sequence) -> SelectionResult:

@@ -50,7 +50,7 @@ def scaled_commuter(seed=1, factor=6.0):
 def test_criterion_01_effective_resistance_golden():
     """Ring-with-chord golden values: chord 0.3, ring edges 11/30."""
     t0 = time.monotonic()
-    model = build_electrical(ring_with_chord())[0]
+    model = build_electrical(ring_with_chord())
     eff = model.effective_resistance
     assert eff[1, 4] == pytest.approx(0.3, abs=1e-9)
     assert eff[4, 1] == pytest.approx(0.3, abs=1e-9)
@@ -66,7 +66,7 @@ def test_criterion_02_local_sum_rule():
     for _ in range(200):
         net = random_connected_network(rng, n_min=3, n_max=12)
         w = undirected_projection(net)
-        eff = build_electrical(net)[0].effective_resistance
+        eff = build_electrical(net).effective_resistance
         n = net.n_locations
         deg = w.sum(axis=1)
         row_self = (w * eff).sum(axis=1)

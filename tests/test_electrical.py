@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resistive_pricing import (
-    DifferentComponents,
     build_electrical,
-    effective_resistance,
     undirected_projection,
     validate_network,
     value_vector,
@@ -41,12 +39,12 @@ class TestEffectiveResistance:
         demand[0, 1] = 1.0
         demand[1, 2] = 0.5
         net = validate_network(demand, np.ones((3, 3)), 0.6)
-        model = build_electrical(net)[0]
+        model = build_electrical(net)
         assert model.effective_resistance[0, 2] == pytest.approx(3.0, abs=1e-12)
 
     def test_triangle_parallel(self):
         net = bidirectional([(0, 1), (1, 2), (2, 0)], 3, theta=0.5)
-        model = build_electrical(net)[0]
+        model = build_electrical(net)
         # r = 1 per edge: direct 1 parallel with 1 + 1
         assert model.effective_resistance[0, 1] == pytest.approx(2.0 / 3.0)
 
@@ -59,32 +57,17 @@ class TestEffectiveResistance:
         demand[2, 1] = 0.25
         travel = np.ones((3, 3))
         net = validate_network(demand, travel, 0.6)
-        model = build_electrical(net)[0]
+        model = build_electrical(net)
         r12, r13, r32 = 1.0 / 3.0, 2.0, 4.0
         expected = r12 * (r13 + r32) / (r12 + r13 + r32)
         assert model.effective_resistance[0, 1] == pytest.approx(expected)
 
     def test_ring_with_chord_golden(self):
-        model = build_electrical(ring_with_chord())[0]
+        model = build_electrical(ring_with_chord())
         eff = model.effective_resistance
         assert eff[1, 4] == pytest.approx(0.3, abs=1e-9)
         for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]:
             assert eff[i, j] == pytest.approx(11.0 / 30.0, abs=1e-9)
-
-    def test_accessor_and_diagonal(self):
-        net = ring_with_chord()
-        models = build_electrical(net)
-        assert effective_resistance(models, 2, 2) == 0.0
-        assert effective_resistance(models, 1, 4) == pytest.approx(0.3)
-
-    def test_masked_disconnection(self):
-        net = bidirectional([(0, 1), (1, 2)], 3)
-        mask = net.demand > 0
-        mask[1, 2] = mask[2, 1] = False
-        models = build_electrical(net, mask)
-        assert sorted(len(m.nodes) for m in models) == [1, 2]
-        with pytest.raises(DifferentComponents):
-            effective_resistance(models, 0, 2)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(0, 10 ** 6))
@@ -92,7 +75,7 @@ class TestEffectiveResistance:
         """R from the pseudoinverse equals the injected-current voltage."""
         net = random_connected_network(np.random.default_rng(seed),
                                        n_min=3, n_max=8)
-        model = build_electrical(net)[0]
+        model = build_electrical(net)
         w = undirected_projection(net)
         rng = np.random.default_rng(seed + 1)
         n = net.n_locations
@@ -106,7 +89,7 @@ class TestEffectiveResistance:
     def test_bounds_and_symmetry(self, seed):
         net = random_connected_network(np.random.default_rng(seed),
                                        n_min=3, n_max=8)
-        model = build_electrical(net)[0]
+        model = build_electrical(net)
         eff, res = model.effective_resistance, model.resistances
         assert np.allclose(eff, eff.T)
         assert np.allclose(np.diag(eff), 0.0)
@@ -114,7 +97,7 @@ class TestEffectiveResistance:
         edges = np.isfinite(res)
         assert np.all(eff[edges] <= res[edges] + 1e-10)
         # triangle inequality
-        n = len(model.nodes)
+        n = net.n_locations
         for i in range(n):
             for j in range(n):
                 for k in range(n):
@@ -127,8 +110,8 @@ class TestLaplacian:
     def test_laplacian_and_pseudoinverse_identities(self, seed):
         net = random_connected_network(np.random.default_rng(seed),
                                        n_min=2, n_max=8)
-        model = build_electrical(net)[0]
-        n = len(model.nodes)
+        model = build_electrical(net)
+        n = net.n_locations
         lap, pinv = model.laplacian, model.pseudoinverse
         assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
         eigs = np.linalg.eigvalsh(lap)
@@ -144,7 +127,7 @@ class TestLaplacian:
 
     def test_local_sum_rule_small(self):
         net = ring_with_chord()
-        model = build_electrical(net)[0]
+        model = build_electrical(net)
         w = undirected_projection(net)
         eff = model.effective_resistance
         n = net.n_locations
@@ -158,9 +141,8 @@ class TestLaplacian:
 
 
 def test_model_read_only_after_unpickling():
-    model = pickle.loads(pickle.dumps(build_electrical(ring_with_chord())[0]))
-    assert model.local_index[5] == 5
-    for name in ("nodes", "laplacian", "pseudoinverse", "resistances",
+    model = pickle.loads(pickle.dumps(build_electrical(ring_with_chord())))
+    for name in ("laplacian", "pseudoinverse", "resistances",
                  "effective_resistance"):
         with pytest.raises(ValueError):
             getattr(model, name)[0] = 0
@@ -176,7 +158,7 @@ class TestPotentials:
         n = net.n_locations
         lam = potentials(undirected_projection(net), v,
                          component_border(np.zeros(n, dtype=int)))
-        pinv = build_electrical(net)[0].pseudoinverse
+        pinv = build_electrical(net).pseudoinverse
         assert np.allclose(lam, pinv @ v, rtol=0.0,
                            atol=1e-12 * max(1.0, np.abs(v).max()))
 
@@ -195,9 +177,10 @@ class TestPotentials:
         v = value_vector(net, a, keep)
         lam = potentials(weights, v, border)
         assert lam[3] == 0.0
-        for model in build_electrical(net, keep):
-            assert np.allclose(lam[model.nodes],
-                               model.pseudoinverse @ v[model.nodes],
+        for nodes in ([0, 1, 2], [3], [4, 5]):
+            block = weights[np.ix_(nodes, nodes)]
+            lap = np.diag(block.sum(axis=1)) - block
+            assert np.allclose(lam[nodes], np.linalg.pinv(lap) @ v[nodes],
                                rtol=0.0, atol=1e-12)
 
 

@@ -455,7 +455,7 @@ class TestSensitivity:
         rng = np.random.default_rng(31)
         net, a = quiet_instance(rng)
         from resistive_pricing import build_electrical
-        model = build_electrical(net)[0]
+        model = build_electrical(net)
         for x, y in net.arcs:
             deriv = price_sensitivity(net, a, (x, y))
             own = -0.5 + net.demand[x, y] * model.effective_resistance[x, y] \
@@ -518,6 +518,30 @@ class TestSensitivity:
         deriv = price_sensitivity(net, a, capped)
         for arc in net.arcs:
             assert deriv[arc] == 0.0
+
+    def test_masked_variant_finite_differences_live_source(self):
+        """Live source arcs of capped optima match a general-solve FD."""
+        rng = np.random.default_rng(43)
+        checked = 0
+        for _ in range(200):
+            net, a = random_instance(rng, aggressive=True)
+            a = np.where(net.demand > 0, np.maximum(a, 0.05), 0.0)
+            active = solve_general(net, a).active_set
+            live = [arc for arc in net.arcs if arc not in active]
+            if not active or not live:
+                continue
+            try:
+                deriv = price_sensitivity(net, a, live[0], boundary_eps=1e-4)
+            except RegimeBoundary:
+                continue
+            fd = central_difference_sensitivity(solve_general, net, a,
+                                                live[0], eps=1e-6)
+            for i, j in net.arcs:
+                assert deriv[i, j] == pytest.approx(fd[i, j], abs=1e-6)
+            checked += 1
+            if checked == 5:
+                break
+        assert checked == 5
 
     def test_regime_boundary_detection(self):
         """Bisect a symmetric triangle onto the exact active-set flip."""

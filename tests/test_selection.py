@@ -78,7 +78,7 @@ class TestDelta:
         rng = np.random.default_rng(19)
         for _ in range(20):
             net, a = random_instance(rng, aggressive=True, n_max=9)
-            model = build_electrical(net)[0]
+            model = build_electrical(net)
             s = model.effective_resistance @ value_vector(net, a)
             total = 0.0
             for i, j in net.arcs:
@@ -207,7 +207,7 @@ class TestLocationSelection:
                          * (d * d + 2 * (1 - c) * d)
                          for s, d in dmap.items())
             from resistive_pricing import build_electrical
-            model = build_electrical(net)[0]
+            model = build_electrical(net)
             y = np.zeros(net.n_locations)
             for s, d in dmap.items():
                 y[k] += net.demand[s, k] * d
@@ -221,8 +221,20 @@ class TestLocationSelection:
         separated-origins configuration."""
         net = bidirectional([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)], 6)
         from resistive_pricing import build_electrical
-        eff = build_electrical(net)[0].effective_resistance
+        eff = build_electrical(net).effective_resistance
         assert eff[1, 3] == pytest.approx(eff[1, 0] + eff[0, 3], abs=1e-10)
+
+    def test_budget_above_one_and_empty_rejected(self):
+        net = ring_with_chord()
+        catalog = AdvertiserCatalog(arc_based={}, location_based={1: {0: 0.4}},
+                                    budget=2)
+        with pytest.raises(ValueError, match="budget == 1"):
+            select_location_advertiser(net, catalog)
+        catalog = AdvertiserCatalog(arc_based={(0, 1): 0.4},
+                                    location_based={}, budget=1)
+        with pytest.raises(ValueError,
+                           match="no location-based advertisers"):
+            select_location_advertiser(net, catalog)
 
     def test_validates_incoming_arcs(self):
         net = bidirectional([(0, 1)], 2)
