@@ -25,7 +25,7 @@ from .extended import (
 from .ingest import (
     ClusteringResult,
     EmptyAfterAggregation,
-    RideRecord,
+    Rides,
     TooFewPoints,
     aggregate_network,
     cluster_endpoints,

@@ -258,9 +258,9 @@ def cmd_ingest(args) -> int:
     window = tuple(float(t) for t in args.window.split(","))
     if len(window) != 2:
         raise ValueError("window must be t0,t1")
-    records = filter_rides(read_rides_csv(args.rides), bbox, window)
-    clustering = cluster_endpoints(records, args.k, bbox, args.seed)
-    result = aggregate_network(records, clustering, args.slot_seconds, args.cost)
+    rides = filter_rides(read_rides_csv(args.rides), bbox, window)
+    clustering = cluster_endpoints(rides, args.k, bbox, args.seed)
+    result = aggregate_network(rides, clustering, args.slot_seconds, args.cost)
     fileio.save_network(args.out, result.network)
     fileio.write_manifest(
         args.out, "ingest",
@@ -379,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("price", help="solve the basic pricing problem")
     p.add_argument("--network", required=True)
     p.add_argument("--ads", default=None,
-                   help="optional network-format file whose ad_revenue "
-                        "overrides the network file")
+                   help='optional ads file {"ads": [{from, to, a}]} whose '
+                        "revenues override the network file's")
     p.add_argument("--out", default="prices.csv")
     p.add_argument("--dump-electrical", default=None, metavar="PREFIX")
     p.set_defaults(func=cmd_price)

@@ -96,18 +96,13 @@ def potentials(weights: np.ndarray, v: np.ndarray,
     return np.linalg.solve(system, v)
 
 
-def value_vector(net: TrafficNetwork, a=None,
-                 mask: np.ndarray | None = None) -> np.ndarray:
+def value_vector(net: TrafficNetwork, a=None) -> np.ndarray:
     """Per-location value of having available vehicles.
 
     v_i = sum over arcs leaving i of theta_im (1 + a_im - c)
-        - sum over arcs entering i of theta_mi (1 + a_mi - c),
-    with masked arcs contributing nothing.  Entries sum to zero, both
-    globally and within every component of the masked projection.
+        - sum over arcs entering i of theta_mi (1 + a_mi - c).
+    Entries sum to zero.
     """
     a_mat = ad_matrix(net, a)
-    demand = net.demand
-    if mask is not None:
-        demand = np.where(mask, demand, 0.0)
-    gain = demand * (1.0 + a_mat - net.unit_cost)
+    gain = net.demand * (1.0 + a_mat - net.unit_cost)
     return gain.sum(axis=1) - gain.sum(axis=0)

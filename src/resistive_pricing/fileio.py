@@ -20,6 +20,22 @@ class MalformedInput(ValueError):
     pass
 
 
+# what indexing and converting a JSON value of the wrong shape raises
+_ENTRY_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _malformed(kind, path, exc) -> MalformedInput:
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return MalformedInput(f"{kind} file {path}: {detail}")
+
+
+def _location(value, n: int) -> int:
+    i = int(value)
+    if not 0 <= i < n:
+        raise ValueError(f"location {i} outside 0..{n - 1}")
+    return i
+
+
 def fmt(x) -> str:
     """Fixed 9-significant-digit rendering used in every CSV."""
     return f"{float(x):.9g}"
@@ -38,7 +54,9 @@ def load_network(path) -> LoadedNetwork:
     JSON with fields ``n``, ``cost``, ``arcs`` (objects with from, to,
     demand, travel_time, optional ad_revenue) and optional
     ``empty_travel_time`` entries for off-arc empty-vehicle pairs.
-    Location indices are zero-based.
+    Location indices are zero-based and must lie in ``[0, n)``; a
+    missing key, a value of the wrong type or an index out of range
+    raises MalformedInput naming the file.
     """
     try:
         with open(path) as fh:
@@ -54,16 +72,20 @@ def load_network(path) -> LoadedNetwork:
     demand = np.zeros((n, n))
     travel = np.ones((n, n))
     ads = np.zeros((n, n))
-    for entry in arcs:
-        i, j = int(entry["from"]), int(entry["to"])
-        demand[i, j] = float(entry["demand"])
-        travel[i, j] = float(entry["travel_time"])
-        ads[i, j] = float(entry.get("ad_revenue", 0.0))
+    try:
+        for entry in arcs:
+            i, j = _location(entry["from"], n), _location(entry["to"], n)
+            demand[i, j] = float(entry["demand"])
+            travel[i, j] = float(entry["travel_time"])
+            ads[i, j] = float(entry.get("ad_revenue", 0.0))
+        empty = None
+        if doc.get("empty_travel_time"):
+            empty = tuple((_location(e["from"], n), _location(e["to"], n),
+                           float(e["travel_time"]))
+                          for e in doc["empty_travel_time"])
+    except _ENTRY_ERRORS as exc:
+        raise _malformed("network", path, exc) from exc
     net = validate_network(demand, travel, cost)
-    empty = None
-    if doc.get("empty_travel_time"):
-        empty = tuple((int(e["from"]), int(e["to"]), float(e["travel_time"]))
-                      for e in doc["empty_travel_time"])
     return LoadedNetwork(net, AdRevenueVector(net, ads), empty)
 
 
@@ -95,10 +117,11 @@ def load_ads(path, net: TrafficNetwork) -> AdRevenueVector:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"cannot read ads file {path}: {exc}") from exc
-    if "ads" not in doc:
-        raise MalformedInput(f"ads file {path} must carry an 'ads' list")
-    entries = {(int(e["from"]), int(e["to"])): float(e["a"])
-               for e in doc["ads"]}
+    try:
+        entries = {(int(e["from"]), int(e["to"])): float(e["a"])
+                   for e in doc["ads"]}
+    except _ENTRY_ERRORS as exc:
+        raise _malformed("ads", path, exc) from exc
     return AdRevenueVector.from_arcs(net, entries)
 
 
@@ -108,17 +131,21 @@ def load_advertisers(path) -> AdvertiserCatalog:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"cannot read advertiser file {path}: {exc}") from exc
-    arc_based = {}
-    for entry in doc.get("arc_based", []):
-        arc_based[(int(entry["from"]), int(entry["to"]))] = float(entry["b"])
-    location_based = {}
-    for entry in doc.get("location_based", []):
-        k = int(entry["location"])
-        location_based[k] = {int(d["from"]): float(d["value"])
-                             for d in entry.get("d", [])}
+    try:
+        arc_based = {}
+        for entry in doc.get("arc_based", []):
+            arc = (int(entry["from"]), int(entry["to"]))
+            arc_based[arc] = float(entry["b"])
+        location_based = {}
+        for entry in doc.get("location_based", []):
+            k = int(entry["location"])
+            location_based[k] = {int(d["from"]): float(d["value"])
+                                 for d in entry.get("d", [])}
+        budget = int(doc.get("budget", 1))
+    except _ENTRY_ERRORS as exc:
+        raise _malformed("advertiser", path, exc) from exc
     return AdvertiserCatalog(arc_based=arc_based,
-                             location_based=location_based,
-                             budget=int(doc.get("budget", 1)))
+                             location_based=location_based, budget=budget)
 
 
 def save_advertisers(path, catalog: AdvertiserCatalog):

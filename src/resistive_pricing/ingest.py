@@ -1,4 +1,4 @@
-"""Build traffic networks from ride records, plus a synthetic generator.
+"""Traffic networks from columnar ride records, plus a synthetic generator.
 
 Ride endpoints (origins and destinations pooled into one point cloud) are
 clustered into locations with k-means; demand is the ride count between
@@ -8,15 +8,13 @@ mimics a morning-commute demand pattern.
 """
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass, fields
-from itertools import compress
-from operator import attrgetter
 
 import numpy as np
 
-from .network import TrafficNetwork, connected_components, validate_network
+from .network import (FrozenArrays, TrafficNetwork, _frozen_array,
+                      connected_components, validate_network)
 from .selection import AdvertiserCatalog
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -30,39 +28,49 @@ class EmptyAfterAggregation(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RideRecord:
-    pickup_lat: float
-    pickup_lon: float
-    dropoff_lat: float
-    dropoff_lon: float
-    pickup_time: float
-    dropoff_time: float
+@dataclass(frozen=True, eq=False)
+class Rides(FrozenArrays):
+    """Rides as six equal-length, read-only float64 columns.  A ride with
+    a non-finite coordinate or ``dropoff_time <= pickup_time`` is named.
+
+    >>> Rides([1, 2], [1, 2], [1, 2], [1, 2], [0, 60], [600, 30])
+    Traceback (most recent call last):
+    ValueError: ride 1: dropoff_time <= pickup_time
+    """
+
+    pickup_lat: np.ndarray
+    pickup_lon: np.ndarray
+    dropoff_lat: np.ndarray
+    dropoff_lon: np.ndarray
+    pickup_time: np.ndarray
+    dropoff_time: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.pickup_lat) and math.isfinite(self.pickup_lon)
-                and math.isfinite(self.dropoff_lat)
-                and math.isfinite(self.dropoff_lon)):
-            raise ValueError("ride coordinates must be finite")
-        if not self.dropoff_time > self.pickup_time:
-            raise ValueError("dropoff_time must exceed pickup_time")
+        columns = [_frozen_array(getattr(self, name)) for name in RIDE_FIELDS]
+        m = min(col.size for col in columns)
+        if any(col.shape != (m,) for col in columns):
+            raise ValueError(f"ride {m}: columns must be 1-D of equal length")
+        late = ~(columns[5] > columns[4])
+        bad = late | ~np.isfinite(np.stack(columns[:4])).all(axis=0)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"ride {i}: dropoff_time <= pickup_time" if late[i]
+                             else f"ride {i}: non-finite coordinate")
+        for name, col in zip(RIDE_FIELDS, columns):
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return len(self.pickup_time)
 
 
-RIDE_FIELDS = tuple(f.name for f in fields(RideRecord))
-
-
-def _columns(records, *names):
-    """One float array per named RideRecord field, in record order."""
-    m = len(records)
-    return [np.fromiter(map(attrgetter(name), records), float, count=m)
-            for name in names]
+RIDE_FIELDS = tuple(f.name for f in fields(Rides))
 
 
 @dataclass(frozen=True)
 class ClusteringResult:
     """k-means clustering of pooled ride endpoints.
 
-    ``origin_labels`` / ``dest_labels`` give each record's endpoint
+    ``origin_labels`` / ``dest_labels`` give each ride's endpoint
     clusters; ``inertia`` is the within-cluster squared distance in
     metres squared (equirectangular projection).
     """
@@ -73,38 +81,38 @@ class ClusteringResult:
     inertia: float
 
 
-def read_rides_csv(path) -> list[RideRecord]:
-    """Load rides from an RFC-4180 CSV whose header names the six
-    RideRecord fields.
+def read_rides_csv(path) -> Rides:
+    """Load rides from an RFC-4180 CSV whose header names the Rides columns.
 
     Columns may come in any order and extra columns are ignored.  A row
-    that does not parse, or that RideRecord rejects, raises ValueError.
+    that does not parse, or a ride that Rides rejects, raises ValueError.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None or any(col not in header for col in RIDE_FIELDS):
             raise ValueError(f"rides CSV must carry columns {list(RIDE_FIELDS)}")
         with warnings.catch_warnings():
-            # a header-only file is an empty ride list
+            # a header-only file holds no rides
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(
-                fh, dtype=float, delimiter=",", quotechar='"', comments=None,
-                usecols=[header.index(col) for col in RIDE_FIELDS], ndmin=2)
-    return [RideRecord(*row) for row in table.tolist()]
+                fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                usecols=[header.index(col) for col in RIDE_FIELDS])
+    return Rides(*table.T)
 
 
-def filter_rides(records, bbox, window) -> list[RideRecord]:
+def filter_rides(rides: Rides, bbox, window) -> Rides:
     """Keep rides whose both endpoints sit in bbox and both times in window.
 
     bbox is (lat_min, lat_max, lon_min, lon_max); window is (t0, t1).
     """
     lat0, lat1, lon0, lon1 = bbox
     t0, t1 = window
-    olat, olon, dlat, dlon, start, end = _columns(records, *RIDE_FIELDS)
+    columns = [getattr(rides, name) for name in RIDE_FIELDS]
+    olat, olon, dlat, dlon, start, end = columns
     keep = ((lat0 <= olat) & (olat <= lat1) & (lat0 <= dlat) & (dlat <= lat1)
             & (lon0 <= olon) & (olon <= lon1) & (lon0 <= dlon) & (dlon <= lon1)
             & (t0 <= start) & (end <= t1))
-    return list(compress(records, keep))
+    return Rides(*(col[keep] for col in columns))
 
 
 def _project_metres(lat, lon, bbox):
@@ -134,11 +142,7 @@ def _kmeans(points, k, rng, max_iter=300):
     centers[0] = points[rng.integers(n)]
     d2 = (x - centers[0, 0]) ** 2 + (y - centers[0, 1]) ** 2
     for ci in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centers[ci] = points[rng.integers(n)]
-        else:
-            centers[ci] = points[rng.choice(n, p=d2 / total)]
+        centers[ci] = points[rng.choice(n, p=d2 / d2.sum())]
         d2 = np.minimum(d2, (x - centers[ci, 0]) ** 2 + (y - centers[ci, 1]) ** 2)
 
     dists = np.empty((k, n))
@@ -169,7 +173,6 @@ def _kmeans(points, k, rng, max_iter=300):
                     centers[ci] = points[far]
                     new_labels[far] = ci
         if np.array_equal(new_labels, labels):
-            labels = new_labels
             break
         labels = new_labels
     labels = squared_distances().argmin(axis=0)
@@ -184,22 +187,21 @@ def _distinct_points(points) -> int:
     return 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
 
 
-def cluster_endpoints(records, k: int, bbox, seed) -> ClusteringResult:
+def cluster_endpoints(rides: Rides, k: int, bbox, seed) -> ClusteringResult:
     """Cluster pooled origin and destination points into k locations.
 
-    Records must already be filtered to bbox and the time window.  The
+    Rides must already be filtered to bbox and the time window.  The
     origins, then the destinations, are projected to metres; fewer than k
     distinct points raise TooFewPoints.  k-means++ initialization from
     ``seed``; Lloyd iterations capped at 300; deterministic given the seed.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if not records:
-        raise TooFewPoints("no ride records supplied")
-    olat, olon, dlat, dlon = _columns(records, "pickup_lat", "pickup_lon",
-                                      "dropoff_lat", "dropoff_lon")
-    points = _project_metres(np.concatenate([olat, dlat]),
-                             np.concatenate([olon, dlon]), bbox)
+    if len(rides) == 0:
+        raise TooFewPoints("no rides supplied")
+    lat = np.concatenate([rides.pickup_lat, rides.dropoff_lat])
+    lon = np.concatenate([rides.pickup_lon, rides.dropoff_lon])
+    points = _project_metres(lat, lon, bbox)
     if _distinct_points(points) < k:
         raise TooFewPoints(f"need at least {k} distinct endpoints")
     rng = np.random.default_rng(seed)
@@ -208,11 +210,10 @@ def cluster_endpoints(records, k: int, bbox, seed) -> ClusteringResult:
     lat_mid = np.deg2rad(0.5 * (bbox[0] + bbox[1]))
     cent_lat = np.rad2deg(centers_m[:, 1] / EARTH_RADIUS_M)
     cent_lon = np.rad2deg(centers_m[:, 0] / (EARTH_RADIUS_M * np.cos(lat_mid)))
-    m = len(records)
     return ClusteringResult(
         centroids=np.column_stack([cent_lat, cent_lon]),
-        origin_labels=labels[:m],
-        dest_labels=labels[m:],
+        origin_labels=labels[:len(rides)],
+        dest_labels=labels[len(rides):],
         inertia=inertia,
     )
 
@@ -225,7 +226,7 @@ class AggregationResult:
     dropped_rides: int        # intra-cluster rides
 
 
-def aggregate_network(records, clustering: ClusteringResult,
+def aggregate_network(rides: Rides, clustering: ClusteringResult,
                       slot_seconds: float, cost: float) -> AggregationResult:
     """Aggregate labelled rides into a validated TrafficNetwork.
 
@@ -237,21 +238,19 @@ def aggregate_network(records, clustering: ClusteringResult,
     if slot_seconds <= 0:
         raise ValueError("slot_seconds must be positive")
     k = len(clustering.centroids)
-    origin = np.asarray(clustering.origin_labels)
-    dest = np.asarray(clustering.dest_labels)
-    start, end = _columns(records, "pickup_time", "dropoff_time")
+    origin, dest = clustering.origin_labels, clustering.dest_labels
     inter = origin != dest
     dropped_rides = len(inter) - int(np.count_nonzero(inter))
-    # bincount sums in record order, as a per-record loop would
+    # bincount sums in ride order, as a per-ride loop would
     pair = origin[inter] * k + dest[inter]
     counts = np.bincount(pair, minlength=k * k).reshape(k, k).astype(float)
-    durations = np.bincount(pair, weights=((end - start) / slot_seconds)[inter],
+    slots = (rides.dropoff_time - rides.pickup_time) / slot_seconds
+    durations = np.bincount(pair, weights=slots[inter],
                             minlength=k * k).reshape(k, k)
     if counts.sum() == 0:
         raise EmptyAfterAggregation("every ride is intra-cluster")
 
-    with np.errstate(invalid="ignore"):
-        mean_time = np.where(counts > 0, durations / np.maximum(counts, 1), 1.0)
+    mean_time = np.where(counts > 0, durations / np.maximum(counts, 1), 1.0)
 
     # largest weakly connected component; a cluster without inter-cluster
     # rides is a singleton, so it never beats a pair that has some

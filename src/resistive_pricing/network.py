@@ -140,7 +140,8 @@ class TrafficNetwork(FrozenArrays):
         return self.travel_time[idx[:, 0], idx[:, 1]]
 
     def has_arc(self, i: int, j: int) -> bool:
-        return self.demand[i, j] > 0
+        n = self.n_locations
+        return 0 <= i < n and 0 <= j < n and bool(self.demand[i, j] > 0)
 
     def on_arcs(self, matrix: np.ndarray) -> np.ndarray:
         """Extract per-arc values from an (N, N) matrix, arc order."""
@@ -167,17 +168,13 @@ def validate_network(demand, travel_time, unit_cost: float) -> TrafficNetwork:
 
 
 def projection_weights(demand: np.ndarray,
-                       travel_time: np.ndarray,
-                       arc_mask: np.ndarray | None = None) -> np.ndarray:
+                       travel_time: np.ndarray) -> np.ndarray:
     """Symmetric edge-weight matrix of the undirected projection.
 
     Weight(i, j) = demand[i, j] / time[i, j] + demand[j, i] / time[j, i],
-    with absent arcs contributing zero.  ``arc_mask`` optionally zeroes
-    out arcs (used for masked electrical networks).
+    with absent arcs contributing zero.
     """
     demand = np.asarray(demand, dtype=float)
-    if arc_mask is not None:
-        demand = np.where(arc_mask, demand, 0.0)
     ratio = np.zeros_like(demand)
     live = demand > 0
     ratio[live] = demand[live] / np.asarray(travel_time, dtype=float)[live]

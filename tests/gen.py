@@ -1,8 +1,10 @@
-"""Seeded random instance generators shared across the test suite."""
+"""Seeded random instance generators shared across the test suite, and
+helpers that build and compare ride records."""
 
 import numpy as np
 
-from resistive_pricing import validate_network
+from resistive_pricing import Rides, validate_network
+from resistive_pricing.ingest import RIDE_FIELDS
 
 
 def random_connected_network(rng, n_min=2, n_max=6, cost=None,
@@ -78,3 +80,16 @@ def quiet_instance(rng, margin=1e-3, ad_floor=0.0, tries=120, **kw):
         if worst <= 1.0 - margin:
             return net, a
     raise RuntimeError("could not generate a cap-free instance")
+
+
+def rides_of(rows):
+    """Rides from rows of (pickup_lat, pickup_lon, dropoff_lat,
+    dropoff_lon, pickup_time, dropoff_time); no rows give no rides."""
+    return Rides(*np.array(rows, dtype=float).reshape(-1, 6).T)
+
+
+def assert_same_rides(got, want):
+    """Every column of two Rides equal bit for bit."""
+    for name in RIDE_FIELDS:
+        assert np.array_equal(getattr(got, name).view(np.int64),
+                              getattr(want, name).view(np.int64)), name

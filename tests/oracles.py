@@ -499,19 +499,21 @@ def kmeans_reference(points, k, rng, max_iter=300):
     return centers, labels, inertia
 
 
-def aggregate_reference(records, origin_labels, dest_labels, k, slot_seconds):
+def aggregate_reference(rides, origin_labels, dest_labels, k, slot_seconds):
     """Ride counts and summed durations (slots) per cluster pair, one
-    record at a time; intra-cluster rides are counted apart.
+    ride at a time; intra-cluster rides are counted apart.
 
     Returns (counts, durations, intra) with (k, k) float matrices.
     """
     counts = np.zeros((k, k))
     durations = np.zeros((k, k))
     intra = 0
-    for rec, oi, di in zip(records, origin_labels, dest_labels):
+    for start, end, oi, di in zip(rides.pickup_time.tolist(),
+                                  rides.dropoff_time.tolist(),
+                                  origin_labels, dest_labels):
         if oi == di:
             intra += 1
             continue
         counts[oi, di] += 1
-        durations[oi, di] += (rec.dropoff_time - rec.pickup_time) / slot_seconds
+        durations[oi, di] += (end - start) / slot_seconds
     return counts, durations, intra

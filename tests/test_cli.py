@@ -100,6 +100,41 @@ class TestPriceCommand:
         assert main(["price"]) == 2
 
 
+RING = [{"from": i, "to": (i + 1) % 3, "demand": 1, "travel_time": 1}
+        for i in range(3)]
+PRICE = ["price", "--network", "net.json", "--out", "p.csv"]
+SELECT = ["select", "--network", "net.json", "--advertisers", "adv.json",
+          "--mode", "location", "--strategy", "resistance", "--seed", "0",
+          "--out", "s.csv"]
+
+
+def ring(*arcs):
+    return {"n": 3, "cost": 0.6, "arcs": list(arcs)}
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"net.json": ring({"from": 0, "demand": 1, "travel_time": 1})}, PRICE),
+    ({"net.json": ring(*RING[:2], {**RING[2], "to": 3})}, PRICE),
+    ({"net.json": ring(1, 2)}, PRICE),
+    ({"net.json": ring(*RING[:2], {**RING[2], "from": -1})}, PRICE),
+    ({"net.json": ring(*RING), "ads.json": {"ads": [{"from": 0, "to": 1}]}},
+     PRICE + ["--ads", "ads.json"]),
+    ({"net.json": ring(*RING),
+      "ads.json": {"ads": [{"from": -1, "to": 0, "a": 0.1}]}},
+     PRICE + ["--ads", "ads.json"]),
+    ({"net.json": ring(*RING),
+      "adv.json": {"location_based": [{"location": 1, "d": [{"from": 0}]}]}},
+     SELECT),
+], ids=["arc-without-to", "to-out-of-range", "arcs-not-objects",
+        "from-negative", "ad-without-a", "ad-from-negative",
+        "advertiser-d-without-value"])
+def test_malformed_input_exit_2(workdir, capsys, files, argv):
+    for name, doc in files.items():
+        Path(name).write_text(json.dumps(doc))
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 class TestSelectCommand:
     def test_select_random_seeded_identical(self, workdir):
         write_instance("net.json", "ads.json")

@@ -169,12 +169,14 @@ class TestPotentials:
         a[0, 1], a[4, 5] = 0.5, 0.2
         keep = net.demand > 0
         keep[2, 3] = keep[3, 2] = keep[3, 4] = keep[4, 3] = False
-        weights = projection_weights(net.demand, net.travel_time, keep)
+        masked = np.where(keep, net.demand, 0.0)
+        weights = projection_weights(masked, net.travel_time)
         labels = np.array([0, 0, 0, 1, 2, 2])
         border = component_border(labels)
         assert border[0, 2] == pytest.approx(1.0 / 3.0)
         assert border[3, 3] == 1.0 and border[2, 3] == 0.0
-        v = value_vector(net, a, keep)
+        gain = masked * (1.0 + a - net.unit_cost)
+        v = gain.sum(axis=1) - gain.sum(axis=0)
         lam = potentials(weights, v, border)
         assert lam[3] == 0.0
         for nodes in ([0, 1, 2], [3], [4, 5]):

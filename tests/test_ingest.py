@@ -1,9 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from resistive_pricing import (
     EmptyAfterAggregation,
-    RideRecord,
+    Rides,
     TooFewPoints,
     aggregate_network,
     cluster_endpoints,
@@ -15,13 +17,14 @@ from resistive_pricing.ingest import (
     read_rides_csv,
 )
 
+from gen import assert_same_rides, rides_of
+
 BBOX = (30.65, 30.69, 104.03, 104.08)
 
 
 def ride(olat, olon, dlat, dlon, t0=0.0, dur=600.0):
-    return RideRecord(pickup_lat=olat, pickup_lon=olon,
-                      dropoff_lat=dlat, dropoff_lon=dlon,
-                      pickup_time=t0, dropoff_time=t0 + dur)
+    """One ride as a row of the six Rides columns."""
+    return (olat, olon, dlat, dlon, t0, t0 + dur)
 
 
 def grid_rides(rng, count=300):
@@ -41,17 +44,71 @@ def grid_rides(rng, count=300):
                           blon + rng.normal(0, jitter),
                           t0=float(rng.uniform(0, 3600)),
                           dur=float(rng.uniform(300, 1800))))
-    return rides
+    return rides_of(rides)
 
 
-class TestRideRecord:
+def four_rides():
+    """Columns of four valid rides, as writable float arrays."""
+    rows = [ride(30.66 + 0.001 * r, 104.04, 30.67, 104.05 + 0.001 * r,
+                 t0=100.0 * r) for r in range(4)]
+    return [np.array(col) for col in zip(*rows)]
+
+
+class TestRides:
     def test_rejects_bad_times(self):
-        with pytest.raises(ValueError):
-            ride(30.66, 104.04, 30.67, 104.05, t0=10.0, dur=-5.0)
+        with pytest.raises(ValueError, match="^ride 0: dropoff_time"):
+            rides_of([ride(30.66, 104.04, 30.67, 104.05, t0=10.0, dur=-5.0)])
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            ride(np.nan, 104.04, 30.67, 104.05)
+        with pytest.raises(ValueError, match="^ride 0: non-finite"):
+            rides_of([ride(np.nan, 104.04, 30.67, 104.05)])
+
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coordinate_names_ride(self, column, value):
+        columns = four_rides()
+        columns[column][2] = value
+        with pytest.raises(ValueError, match="^ride 2: non-finite coordinate"):
+            Rides(*columns)
+
+    @pytest.mark.parametrize("dropoff", [300.0, 299.0, np.nan])
+    def test_dropoff_not_after_pickup_names_ride(self, dropoff):
+        columns = four_rides()
+        columns[4][3], columns[5][3] = 300.0, dropoff
+        with pytest.raises(ValueError,
+                           match="^ride 3: dropoff_time <= pickup_time"):
+            Rides(*columns)
+
+    def test_first_bad_ride_is_named(self):
+        columns = four_rides()
+        columns[0][3] = np.nan
+        columns[5][1] = columns[4][1]
+        with pytest.raises(ValueError, match="^ride 1: "):
+            Rides(*columns)
+
+    @pytest.mark.parametrize("column", range(6))
+    def test_unequal_lengths_name_first_missing_ride(self, column):
+        columns = four_rides()
+        columns[column] = columns[column][:2]
+        with pytest.raises(ValueError, match="^ride 2: columns must be 1-D"):
+            Rides(*columns)
+
+    def test_rejects_2d_column(self):
+        columns = four_rides()
+        columns[1] = np.tile(columns[1], (2, 1))
+        with pytest.raises(ValueError, match="1-D"):
+            Rides(*columns)
+
+    def test_read_only_columns_and_length(self):
+        columns = four_rides()
+        rides = Rides(*columns)
+        assert len(rides) == 4
+        columns[0][0] = 0.0   # the record holds its own copy
+        assert rides.pickup_lat[0] == pytest.approx(30.66)
+        for held in (rides, pickle.loads(pickle.dumps(rides))):
+            with pytest.raises(ValueError):
+                held.pickup_time[0] = 5.0
+        assert len(rides_of([])) == 0
 
 
 class TestClustering:
@@ -65,7 +122,7 @@ class TestClustering:
                 b = (a + 1) % 3
                 rides.append(ride(sites[a][0], sites[a][1],
                                   sites[b][0], sites[b][1]))
-        result = cluster_endpoints(rides, 3, BBOX, seed=0)
+        result = cluster_endpoints(rides_of(rides), 3, BBOX, seed=0)
         assert result.inertia == pytest.approx(0.0, abs=1e-6)
         lat0, lat1, lon0, lon1 = BBOX
         for lat, lon in result.centroids:
@@ -82,29 +139,31 @@ class TestClustering:
     def test_centroids_inside_bbox_k15(self):
         rng = np.random.default_rng(3)
         lat0, lat1, lon0, lon1 = BBOX
-        rides = [ride(float(rng.uniform(lat0, lat1)),
-                      float(rng.uniform(lon0, lon1)),
-                      float(rng.uniform(lat0, lat1)),
-                      float(rng.uniform(lon0, lon1)))
-                 for _ in range(400)]
+        rides = rides_of([ride(float(rng.uniform(lat0, lat1)),
+                               float(rng.uniform(lon0, lon1)),
+                               float(rng.uniform(lat0, lat1)),
+                               float(rng.uniform(lon0, lon1)))
+                          for _ in range(400)])
         result = cluster_endpoints(rides, 15, BBOX, seed=4)
         assert len(result.centroids) == 15
         for lat, lon in result.centroids:
             assert lat0 <= lat <= lat1 and lon0 <= lon <= lon1
 
     def test_too_few_points(self):
-        rides = [ride(30.66, 104.04, 30.67, 104.05)] * 5
+        rides = rides_of([ride(30.66, 104.04, 30.67, 104.05)] * 5)
         with pytest.raises(TooFewPoints):
             cluster_endpoints(rides, 4, BBOX, seed=0)
+
+    def test_no_rides(self):
+        with pytest.raises(TooFewPoints, match="no rides"):
+            cluster_endpoints(rides_of([]), 2, BBOX, seed=0)
 
     def test_inertia_consistent_with_labels(self):
         rides = grid_rides(np.random.default_rng(5), count=150)
         result = cluster_endpoints(rides, 5, BBOX, seed=2)
         from resistive_pricing.ingest import _project_metres
-        lats = np.array([r.pickup_lat for r in rides]
-                        + [r.dropoff_lat for r in rides])
-        lons = np.array([r.pickup_lon for r in rides]
-                        + [r.dropoff_lon for r in rides])
+        lats = np.concatenate([rides.pickup_lat, rides.dropoff_lat])
+        lons = np.concatenate([rides.pickup_lon, rides.dropoff_lon])
         pts = _project_metres(lats, lons, BBOX)
         cent = _project_metres(result.centroids[:, 0],
                                result.centroids[:, 1], BBOX)
@@ -120,7 +179,7 @@ class TestAggregation:
         b = (lat0 + 0.8 * (lat1 - lat0), lon0 + 0.8 * (lon1 - lon0))
         rides = [ride(a[0], a[1], b[0], b[1], dur=d)
                  for d in (600.0, 1200.0, 1800.0)]
-        rides += [ride(b[0], b[1], a[0], a[1], dur=600.0)]
+        rides = rides_of(rides + [ride(b[0], b[1], a[0], a[1], dur=600.0)])
         clustering = cluster_endpoints(rides, 2, BBOX, seed=0)
         result = aggregate_network(rides, clustering, 600.0, 0.6)
         net = result.network
@@ -147,8 +206,8 @@ class TestAggregation:
         lat0, lat1, lon0, lon1 = BBOX
         a = (lat0 + 0.2 * (lat1 - lat0), lon0 + 0.2 * (lon1 - lon0))
         b = (lat0 + 0.8 * (lat1 - lat0), lon0 + 0.8 * (lon1 - lon0))
-        rides = [ride(a[0], a[1], a[0] + 1e-5, a[1] + 1e-5),
-                 ride(b[0], b[1], b[0] + 1e-5, b[1] + 1e-5)] * 4
+        rides = rides_of([ride(a[0], a[1], a[0] + 1e-5, a[1] + 1e-5),
+                          ride(b[0], b[1], b[0] + 1e-5, b[1] + 1e-5)] * 4)
         clustering = cluster_endpoints(rides, 2, BBOX, seed=0)
         with pytest.raises(EmptyAfterAggregation):
             aggregate_network(rides, clustering, 600.0, 0.6)
@@ -166,6 +225,7 @@ class TestAggregation:
             rides.append(ride(*p[2], *p[0]))
         # a lone intra-cluster ride keeps cluster 3 populated but isolated
         rides.append(ride(p[3][0], p[3][1], p[3][0] + 1e-5, p[3][1] + 1e-5))
+        rides = rides_of(rides)
         clustering = cluster_endpoints(rides, 4, BBOX, seed=3)
         result = aggregate_network(rides, clustering, 600.0, 0.6)
         assert result.network.n_locations == 3
@@ -179,7 +239,7 @@ class TestAggregation:
             origin_labels=np.array([o for o, _ in pairs]),
             dest_labels=np.array([d for _, d in pairs]),
             inertia=0.0)
-        rides = [ride(*BBOX[::2], *BBOX[1::2])] * len(pairs)
+        rides = rides_of([ride(*BBOX[::2], *BBOX[1::2])] * len(pairs))
         result = aggregate_network(rides, clustering, 600.0, 0.6)
         assert result.kept_clusters == (2, 3, 4)
         assert result.dropped_clusters == (0, 1, 5)
@@ -191,9 +251,9 @@ class TestFilterAndCsv:
         inside = ride(30.66, 104.04, 30.67, 104.05, t0=100.0)
         outside_box = ride(30.60, 104.04, 30.67, 104.05, t0=100.0)
         outside_time = ride(30.66, 104.04, 30.67, 104.05, t0=5000.0)
-        kept = filter_rides([inside, outside_box, outside_time],
+        kept = filter_rides(rides_of([inside, outside_box, outside_time]),
                             BBOX, (0.0, 2000.0))
-        assert kept == [inside]
+        assert_same_rides(kept, rides_of([inside]))
 
     def test_read_rides_csv(self, tmp_path):
         path = tmp_path / "rides.csv"
@@ -201,9 +261,10 @@ class TestFilterAndCsv:
             "pickup_time,dropoff_time,pickup_lon,pickup_lat,"
             "dropoff_lon,dropoff_lat\n"
             "0,600,104.04,30.66,104.05,30.67\n")
-        records = read_rides_csv(path)
-        assert len(records) == 1
-        assert records[0].dropoff_time == 600.0
+        rides = read_rides_csv(path)
+        assert len(rides) == 1
+        assert rides.dropoff_time[0] == 600.0
+        assert rides.pickup_lat[0] == 30.66
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "rides.csv"

@@ -1,4 +1,4 @@
-"""The array forms of ride ingest against their plain per-record forms.
+"""The array forms of ride ingest against their plain per-ride forms.
 
 k-means, the distinct-endpoint count and the aggregation must agree bit
 for bit with the loop forms in ``oracles``; the CSV reader must accept
@@ -10,7 +10,7 @@ import csv
 import numpy as np
 import pytest
 
-from resistive_pricing import RideRecord, aggregate_network, cluster_endpoints
+from resistive_pricing import Rides, aggregate_network, cluster_endpoints
 from resistive_pricing.cli import main
 from resistive_pricing.ingest import (
     TooFewPoints,
@@ -21,6 +21,7 @@ from resistive_pricing.ingest import (
     read_rides_csv,
 )
 
+from gen import assert_same_rides, rides_of
 from oracles import aggregate_reference, kmeans_reference
 
 BBOX = (30.65, 30.69, 104.03, 104.08)
@@ -58,12 +59,10 @@ def random_rides(rng, count, grid=None):
     if grid:
         u = np.round(u * grid) / grid
     start = rng.uniform(0, 3600, count)
-    return [RideRecord(float(lat0 + a * (lat1 - lat0)),
-                       float(lon0 + b * (lon1 - lon0)),
-                       float(lat0 + c * (lat1 - lat0)),
-                       float(lon0 + d * (lon1 - lon0)),
-                       float(t), float(t + rng.uniform(60, 1800)))
-            for (a, b, c, d), t in zip(u, start)]
+    return rides_of([(lat0 + a * (lat1 - lat0), lon0 + b * (lon1 - lon0),
+                      lat0 + c * (lat1 - lat0), lon0 + d * (lon1 - lon0),
+                      t, t + rng.uniform(60, 1800))
+                     for (a, b, c, d), t in zip(u, start)])
 
 
 class TestKMeans:
@@ -99,10 +98,8 @@ class TestKMeans:
         rides = random_rides(np.random.default_rng(3), 2000)
         for seed, k in [(0, 15), (1, 12)]:
             clustering = cluster_endpoints(rides, k, BBOX, seed)
-            lat = np.array([r.pickup_lat for r in rides]
-                           + [r.dropoff_lat for r in rides])
-            lon = np.array([r.pickup_lon for r in rides]
-                           + [r.dropoff_lon for r in rides])
+            lat = np.concatenate([rides.pickup_lat, rides.dropoff_lat])
+            lon = np.concatenate([rides.pickup_lon, rides.dropoff_lon])
             points = _project_metres(lat, lon, BBOX)
             _, labels, inertia = kmeans_reference(
                 points, k, np.random.default_rng(seed))
@@ -124,8 +121,8 @@ class TestDistinctPoints:
 
     def test_too_few_distinct_endpoints(self):
         rides = random_rides(np.random.default_rng(4), 50, grid=1)
-        distinct = len({(r.pickup_lat, r.pickup_lon) for r in rides}
-                       | {(r.dropoff_lat, r.dropoff_lon) for r in rides})
+        distinct = len(set(zip(rides.pickup_lat, rides.pickup_lon))
+                       | set(zip(rides.dropoff_lat, rides.dropoff_lon)))
         cluster_endpoints(rides, distinct, BBOX, seed=0)
         with pytest.raises(TooFewPoints):
             cluster_endpoints(rides, distinct + 1, BBOX, seed=0)
@@ -158,20 +155,22 @@ class TestFilter:
     def test_matches_loop_form(self):
         rng = np.random.default_rng(6)
         lat0, lat1, lon0, lon1 = BBOX
-        rides = [RideRecord(*(float(v) for v in rng.uniform(
+        rows = [(*rng.uniform(
             [lat0 - 0.01, lon0 - 0.01, lat0 - 0.01, lon0 - 0.01],
-            [lat1 + 0.01, lon1 + 0.01, lat1 + 0.01, lon1 + 0.01])),
-            float(t), float(t + 300)) for t in rng.uniform(0, 4000, 500)]
+            [lat1 + 0.01, lon1 + 0.01, lat1 + 0.01, lon1 + 0.01]),
+            t, t + 300) for t in rng.uniform(0, 4000, 500)]
         window = (500.0, 3000.0)
-        want = [r for r in rides
-                if lat0 <= r.pickup_lat <= lat1 and lat0 <= r.dropoff_lat <= lat1
-                and lon0 <= r.pickup_lon <= lon1 and lon0 <= r.dropoff_lon <= lon1
-                and window[0] <= r.pickup_time and r.dropoff_time <= window[1]]
-        assert 0 < len(want) < len(rides)
-        assert filter_rides(rides, BBOX, window) == want
+        want = [(olat, olon, dlat, dlon, t0, t1)
+                for olat, olon, dlat, dlon, t0, t1 in rows
+                if lat0 <= olat <= lat1 and lat0 <= dlat <= lat1
+                and lon0 <= olon <= lon1 and lon0 <= dlon <= lon1
+                and window[0] <= t0 and t1 <= window[1]]
+        assert 0 < len(want) < len(rows)
+        assert_same_rides(filter_rides(rides_of(rows), BBOX, window),
+                          rides_of(want))
 
     def test_empty(self):
-        assert filter_rides([], BBOX, (0.0, 1.0)) == []
+        assert len(filter_rides(rides_of([]), BBOX, (0.0, 1.0))) == 0
 
 
 class TestReadRidesCsv:
@@ -186,14 +185,17 @@ class TestReadRidesCsv:
     def test_matches_dictreader_form(self, tmp_path):
         rng = np.random.default_rng(0)
         rides = random_rides(rng, 200)
-        rows = [[repr(r.pickup_time), repr(r.dropoff_time), repr(r.pickup_lon),
-                 repr(r.pickup_lat), repr(r.dropoff_lon), repr(r.dropoff_lat)]
-                for r in rides]
-        path = self.write(tmp_path, rows)
+        columns = [getattr(rides, col).tolist() for col in HEADER]
+        path = self.write(tmp_path, [[repr(v) for v in row]
+                                     for row in zip(*columns)])
         with open(path, newline="") as fh:
-            want = [RideRecord(**{col: float(row[col]) for col in HEADER})
-                    for row in csv.DictReader(fh)]
-        assert read_rides_csv(path) == want == rides
+            rows = list(csv.DictReader(fh))
+        want = Rides(**{col: [float(row[col]) for row in rows]
+                        for col in HEADER})
+        got = read_rides_csv(path)
+        assert len(got) == 200
+        assert_same_rides(got, want)
+        assert_same_rides(got, rides)
 
     def test_reordered_columns_extra_text_and_quotes(self, tmp_path):
         path = tmp_path / "rides.csv"
@@ -202,12 +204,12 @@ class TestReadRidesCsv:
             'dropoff_time,pickup_lon\n'
             '"a, quoted ""note""",30.67,0,104.05,30.66,"600",104.04\n'
             'plain,30.68,100.5,104.06,30.655,700.25,104.045\n')
-        assert read_rides_csv(path) == [
-            RideRecord(30.66, 104.04, 30.67, 104.05, 0.0, 600.0),
-            RideRecord(30.655, 104.045, 30.68, 104.06, 100.5, 700.25)]
+        assert_same_rides(read_rides_csv(path), rides_of([
+            (30.66, 104.04, 30.67, 104.05, 0.0, 600.0),
+            (30.655, 104.045, 30.68, 104.06, 100.5, 700.25)]))
 
     def test_header_only(self, tmp_path):
-        assert read_rides_csv(self.write(tmp_path, [])) == []
+        assert len(read_rides_csv(self.write(tmp_path, []))) == 0
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "rides.csv"
@@ -229,6 +231,14 @@ class TestReadRidesCsv:
         good = ["0", "600", "104.04", "30.66", "104.05", "30.67"]
         path = self.write(tmp_path, [good, row])
         with pytest.raises(ValueError):
+            read_rides_csv(path)
+
+    def test_rejected_ride_named_by_data_row(self, tmp_path):
+        good = ["0", "600", "104.04", "30.66", "104.05", "30.67"]
+        late = ["700", "600", "104.04", "30.66", "104.05", "30.67"]
+        path = self.write(tmp_path, [good, good, late, good])
+        with pytest.raises(ValueError,
+                           match="^ride 2: dropoff_time <= pickup_time"):
             read_rides_csv(path)
 
     def test_bad_row_is_usage_error_in_cli(self, tmp_path, monkeypatch, capsys):

@@ -17,11 +17,7 @@ from resistive_pricing import (
     validate_network,
 )
 from resistive_pricing import pricing
-from resistive_pricing.electrical import (
-    component_border,
-    potentials,
-    value_vector,
-)
+from resistive_pricing.electrical import component_border, potentials
 from resistive_pricing.network import connected_components, projection_weights
 
 from gen import quiet_instance, random_ads, random_instance
@@ -260,7 +256,7 @@ class TestLoopReference:
                 keep = (net.demand > 0) & ~active
                 # the incrementally kept state equals a fresh build
                 assert np.array_equal(weights, projection_weights(
-                    net.demand, net.travel_time, keep))
+                    np.where(keep, net.demand, 0.0), net.travel_time))
                 assert np.array_equal(labels, fresh_labels(weights))
                 assert np.array_equal(border, component_border(labels))
                 out = np.zeros(net.n_locations)
@@ -367,7 +363,9 @@ class TestLoopReference:
         assert np.abs(lam - ref_lam).max() < 1e-12
         assert np.abs(mu - net.on_arcs(ref_mu)).max() < 1e-12
         assert mu[bridge] == pytest.approx(0.0, abs=1e-12)
-        v = value_vector(net, a, (net.demand > 0) & ~active)
+        masked = np.where((net.demand > 0) & ~active, net.demand, 0.0)
+        gain = masked * (1.0 + a - net.unit_cost)
+        v = gain.sum(axis=1) - gain.sum(axis=0)
         shift = lam - potentials(state.weights, v, state.border)
         assert np.ptp(shift[:3]) < 1e-12 and np.ptp(shift[3:]) < 1e-12
         assert shift[3] - shift[0] < -0.1
