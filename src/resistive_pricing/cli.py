@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: price, price-extended, select, ingest, synth, sweep-psi,
-sweep-eta, report, dump-electrical.  Every command that writes an output
-also writes ``<out>.manifest.json`` recording the resolved parameters,
-seed, and input hashes; re-running a command with the same manifest
-reproduces byte-identical CSV output.  Exit codes: 0 success, 2 usage or
-validation error, 3 solver non-convergence.
+sweep-eta, report, dump-electrical.  Every command except ``report``
+writes ``<out>.manifest.json`` when it succeeds; :func:`main` builds it
+from the parsed arguments: every option but the seed as a parameter (the
+sweeps record their resolved grid under ``psi_grid`` or ``eta_grid``),
+the seed, and the SHA-256 of each input file given.  Re-running a command
+with the same manifest reproduces byte-identical CSV output.  Exit codes:
+0 success, 2 usage or validation error, 3 solver non-convergence.
 
 The sweep commands fan grid points out to a thread pool capped by the
 ``RESISTIVE_PRICING_THREADS`` environment variable.
@@ -29,20 +31,19 @@ from .extended import (
 )
 from .fileio import MalformedInput, fmt
 from .ingest import (
-    EmptyAfterAggregation,
-    TooFewPoints,
     aggregate_network,
     cluster_endpoints,
     filter_rides,
     read_rides_csv,
     synth_instance,
 )
-from .network import NetworkValidationError
 from .pricing import NoConvergence, NotApplicable, solve_closed_form, solve_general
 from .selection import strategy_compare
 
 USAGE_ERROR = 2
 SOLVER_ERROR = 3
+# the arguments that name input files, hashed into the manifest
+INPUT_ARGS = ("network", "ads", "advertisers", "rides")
 
 
 def _pool_size() -> int:
@@ -61,21 +62,23 @@ def _parse_demand(text: str) -> DemandModel:
 
 
 def _parse_grid(text: str) -> list[float]:
-    if ":" in text:
-        start, stop, step = (float(t) for t in text.split(":"))
-        if step <= 0:
-            raise ValueError("grid step must be positive")
-        values = []
-        x = start
-        while x <= stop + 1e-9:
-            values.append(round(x, 12))
-            x += step
-        if not values:
-            raise ValueError("empty grid")
-        return values
-    values = [float(t) for t in text.split(",") if t.strip()]
+    """``start:stop:step`` (stop included) or ``v1,v2,...`` as a list."""
+    try:
+        if ":" in text:
+            start, stop, step = (float(t) for t in text.split(":"))
+            if step <= 0:
+                raise ValueError("grid step must be positive")
+            values = []
+            x = start
+            while x <= stop + 1e-9:
+                values.append(round(x, 12))
+                x += step
+        else:
+            values = [float(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
     if not values:
-        raise ValueError("empty grid")
+        raise argparse.ArgumentTypeError(f"empty grid {text!r}")
     return values
 
 
@@ -106,15 +109,18 @@ PRICE_HEADER = ["from", "to", "price", "flow", "mu",
                 "payoff_contrib", "cs_contrib"]
 
 
-def cmd_price(args) -> int:
-    started = time.time()
+def _network_and_ads(args):
+    """The loaded network file and the ad revenues to price with: the
+    ``--ads`` file's when given, else the network file's own."""
     loaded = fileio.load_network(args.network)
-    net = loaded.network
-    inputs = [args.network]
-    a = loaded.ad_revenue
     if args.ads:
-        a = fileio.load_ads(args.ads, net)
-        inputs.append(args.ads)
+        return loaded, fileio.load_ads(args.ads, loaded.network)
+    return loaded, loaded.ad_revenue
+
+
+def cmd_price(args) -> int:
+    loaded, a = _network_and_ads(args)
+    net = loaded.network
     try:
         sol = solve_closed_form(net, a)
     except NotApplicable:
@@ -122,25 +128,14 @@ def cmd_price(args) -> int:
     fileio.write_csv(args.out, PRICE_HEADER, _price_rows(net, a.values, sol))
     if args.dump_electrical:
         _dump_electrical(net, args.dump_electrical)
-    fileio.write_manifest(
-        args.out, "price",
-        {"network": args.network, "ads": args.ads, "out": args.out,
-         "dump_electrical": args.dump_electrical},
-        None, inputs, started)
     print(f"payoff={fmt(sol.payoff)} consumer_surplus={fmt(sol.consumer_surplus)} "
           f"active_set={len(sol.active_set)} kkt_residual={sol.kkt_residual:.3e}")
     return 0
 
 
 def cmd_price_extended(args) -> int:
-    started = time.time()
-    loaded = fileio.load_network(args.network)
+    loaded, a = _network_and_ads(args)
     net = loaded.network
-    inputs = [args.network]
-    a = loaded.ad_revenue
-    if args.ads:
-        a = fileio.load_ads(args.ads, net)
-        inputs.append(args.ads)
     params = ExtendedParams(eta=args.eta, psi=args.psi,
                             demand=_parse_demand(args.demand))
     sol = solve_extended(net, a, params, seed=args.seed,
@@ -158,11 +153,6 @@ def cmd_price_extended(args) -> int:
               f"# local_only={int(sol.local_only)}"]
     fileio.write_csv(args.out, ["row_type", "from", "to", "price", "flow"],
                      rows, footer)
-    fileio.write_manifest(
-        args.out, "price-extended",
-        {"network": args.network, "ads": args.ads, "psi": args.psi,
-         "eta": args.eta, "demand": args.demand, "out": args.out},
-        args.seed, inputs, started)
     print(f"payoff={fmt(sol.payoff)} local_only={int(sol.local_only)} "
           f"kkt_residual={sol.kkt_residual:.3e}")
     return 0
@@ -178,7 +168,6 @@ def _extended_params(args):
 
 
 def cmd_select(args) -> int:
-    started = time.time()
     loaded = fileio.load_network(args.network)
     catalog = fileio.load_advertisers(args.advertisers)
     params = _extended_params(args)
@@ -198,24 +187,16 @@ def cmd_select(args) -> int:
               f"# gap_to_optimal={fmt(outcome.gap_to_optimal)}"]
     fileio.write_csv(args.out, ["candidate", "delta", "payoff", "chosen"],
                      rows, footer)
-    fileio.write_manifest(
-        args.out, "select",
-        {"network": args.network, "advertisers": args.advertisers,
-         "mode": args.mode, "strategy": args.strategy, "model": args.model,
-         "psi": args.psi, "eta": args.eta, "demand": args.demand,
-         "trials": args.trials, "out": args.out},
-        args.seed, [args.network, args.advertisers], started)
     print(f"strategy={outcome.strategy} chosen={outcome.chosen} "
           f"payoff={fmt(outcome.payoff)} gap={fmt(outcome.gap_to_optimal)}")
     return 0
 
 
 def _sweep(args, kind) -> int:
-    started = time.time()
     loaded = fileio.load_network(args.network)
     catalog = fileio.load_advertisers(args.advertisers)
     demand = _parse_demand(args.demand)
-    grid = _parse_grid(args.psi_grid if kind == "psi" else args.eta_grid)
+    grid = getattr(args, f"{kind}_grid")
 
     def run(index, value):
         if kind == "psi":
@@ -239,19 +220,11 @@ def _sweep(args, kind) -> int:
                          fmt(outcome.gap_to_optimal)])
     fileio.write_csv(args.out, [kind, "strategy", "payoff", "gap_to_optimal"],
                      rows)
-    fileio.write_manifest(
-        args.out, f"sweep-{kind}",
-        {"network": args.network, "advertisers": args.advertisers,
-         "grid": grid, "psi": getattr(args, "psi", None),
-         "eta": getattr(args, "eta", None), "demand": args.demand,
-         "mode": args.mode, "trials": args.trials, "out": args.out},
-        args.seed, [args.network, args.advertisers], started)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def cmd_ingest(args) -> int:
-    started = time.time()
     bbox = tuple(float(t) for t in args.bbox.split(","))
     if len(bbox) != 4:
         raise ValueError("bbox must be lat0,lat1,lon0,lon1")
@@ -262,12 +235,6 @@ def cmd_ingest(args) -> int:
     clustering = cluster_endpoints(rides, args.k, bbox, args.seed)
     result = aggregate_network(rides, clustering, args.slot_seconds, args.cost)
     fileio.save_network(args.out, result.network)
-    fileio.write_manifest(
-        args.out, "ingest",
-        {"rides": args.rides, "bbox": args.bbox, "window": args.window,
-         "k": args.k, "slot_seconds": args.slot_seconds, "cost": args.cost,
-         "out": args.out},
-        args.seed, [args.rides], started)
     print(f"locations={result.network.n_locations} "
           f"arcs={len(result.network.arcs)} "
           f"dropped_clusters={list(result.dropped_clusters)} "
@@ -276,30 +243,18 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    started = time.time()
     net, catalog = synth_instance(args.n, args.density, args.seed,
                                   profile=args.profile, cost=args.cost)
     fileio.save_network(args.out, net)
     if args.advertisers_out:
         fileio.save_advertisers(args.advertisers_out, catalog)
-    fileio.write_manifest(
-        args.out, "synth",
-        {"n": args.n, "density": args.density, "profile": args.profile,
-         "cost": args.cost, "out": args.out,
-         "advertisers_out": args.advertisers_out},
-        args.seed, [], started)
     print(f"locations={net.n_locations} arcs={len(net.arcs)}")
     return 0
 
 
 def cmd_dump_electrical(args) -> int:
-    started = time.time()
     loaded = fileio.load_network(args.network)
     _dump_electrical(loaded.network, args.out)
-    fileio.write_manifest(
-        args.out, "dump-electrical",
-        {"network": args.network, "out": args.out},
-        None, [args.network], started)
     print(f"wrote {args.out}.resistance.csv and {args.out}.value.csv")
     return 0
 
@@ -436,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-psi", help="capacity sweep over strategies")
     p.add_argument("--network", required=True)
     p.add_argument("--advertisers", required=True)
-    p.add_argument("--psi-grid", default="40:280:40")
+    p.add_argument("--psi-grid", type=_parse_grid, default="40:280:40")
     p.add_argument("--eta", type=float, default=0.8)
     p.add_argument("--demand", default="uniform")
     p.add_argument("--mode", choices=["arc", "location"], default="location")
@@ -448,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-eta", help="empty-routing cost sweep")
     p.add_argument("--network", required=True)
     p.add_argument("--advertisers", required=True)
-    p.add_argument("--eta-grid", default="0.1:1.0:0.1")
+    p.add_argument("--eta-grid", type=_parse_grid, default="0.1:1.0:0.1")
     p.add_argument("--psi", type=float, default=300.0)
     p.add_argument("--demand", default="uniform")
     p.add_argument("--mode", choices=["arc", "location"], default="location")
@@ -477,15 +432,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.time()
     try:
-        return args.func(args)
-    except (NetworkValidationError, MalformedInput, TooFewPoints,
-            EmptyAfterAggregation, ValueError) as exc:
+        code = args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (NoConvergence, Infeasible) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return SOLVER_ERROR
+    if code == 0 and args.command != "report":
+        params = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "func", "seed")}
+        inputs = [getattr(args, k) for k in INPUT_ARGS if getattr(args, k, None)]
+        fileio.write_manifest(args.out, args.command, params,
+                              getattr(args, "seed", None), inputs, started)
+    return code
 
 
 def entrypoint():

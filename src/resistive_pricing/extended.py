@@ -21,6 +21,8 @@ from .pricing import NoConvergence
 from .qp import QPNoConvergence, solve_convex_qp
 
 CAPACITY_TOL = 1e-8
+# payoff_extended's feasibility tolerance
+POINT_TOL = 1e-6
 # interior-point iteration cap, relative KKT and complementarity tolerances
 IPM_MAX_ITER = 100
 IPM_TOL = 1e-10
@@ -122,12 +124,12 @@ def _pair_set(net: TrafficNetwork, empty_pairs):
 
 def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
                     prices: np.ndarray, empty_flows: np.ndarray,
-                    empty_pairs=None, tol: float = 1e-6) -> float:
+                    empty_pairs=None) -> float:
     """Objective value at a feasible (prices, empty_flows) point.
 
     Raises InfeasiblePoint naming the violated constraint when the point
-    is infeasible beyond tolerance: ``tol`` absolute for prices and empty
-    flows, relative to max(1, largest node throughput) for flow balance
+    is infeasible beyond tolerance: ``POINT_TOL`` absolute for prices and
+    empty flows, relative to max(1, largest node throughput) for flow balance
     and to max(1, psi) for fleet capacity.
     """
     a_mat = ad_matrix(net, a)
@@ -140,15 +142,15 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
 
     pair_mask = np.zeros((n, n), dtype=bool)
     pair_mask[pairs[:, 0], pairs[:, 1]] = True
-    if np.any(np.abs(w[~pair_mask]) > tol):
+    if np.any(np.abs(w[~pair_mask]) > POINT_TOL):
         raise InfeasiblePoint("empty flow outside the empty-routing pair set")
-    if np.any(w[pair_mask] < -tol):
+    if np.any(w[pair_mask] < -POINT_TOL):
         raise InfeasiblePoint("negative empty flow")
     arc_mask = net.demand > 0
     p_on = p[arc_mask]
     if np.any(np.isnan(p_on)):
         raise InfeasiblePoint("price undefined on an arc")
-    if params.demand.kind == "uniform" and np.any(p_on > 1.0 + tol):
+    if params.demand.kind == "uniform" and np.any(p_on > 1.0 + POINT_TOL):
         raise InfeasiblePoint("price above the cap")
 
     flow = np.zeros((n, n))
@@ -156,13 +158,13 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
     total = flow + np.where(pair_mask, w, 0.0)
     outflow, inflow = total.sum(axis=1), total.sum(axis=0)
     scale = max(1.0, float(np.abs(outflow).max()), float(np.abs(inflow).max()))
-    if np.abs(outflow - inflow).max() > tol * scale:
+    if np.abs(outflow - inflow).max() > POINT_TOL * scale:
         raise InfeasiblePoint("vehicle flow balance")
 
     w_on = w[pairs[:, 0], pairs[:, 1]]
     used = float((net.travel_time[arc_mask] * flow[arc_mask]).sum()
                  + (pair_time * w_on).sum())
-    if used > params.psi + CAPACITY_TOL + tol * max(1.0, params.psi):
+    if used > params.psi + CAPACITY_TOL + POINT_TOL * max(1.0, params.psi):
         raise InfeasiblePoint("fleet capacity")
 
     value = float((net.travel_time[arc_mask] * flow[arc_mask]

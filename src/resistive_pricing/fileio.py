@@ -29,8 +29,17 @@ def _malformed(kind, path, exc) -> MalformedInput:
     return MalformedInput(f"{kind} file {path}: {detail}")
 
 
+def _index(value) -> int:
+    """A location index read from JSON: ``1``, ``1.0`` and ``"1"`` pass;
+    a value whose float is not integral, such as ``0.9``, is rejected."""
+    x = float(value)
+    if not x.is_integer():
+        raise ValueError(f"location index {value!r} is not an integer")
+    return int(x)
+
+
 def _location(value, n: int) -> int:
-    i = int(value)
+    i = _index(value)
     if not 0 <= i < n:
         raise ValueError(f"location {i} outside 0..{n - 1}")
     return i
@@ -54,9 +63,9 @@ def load_network(path) -> LoadedNetwork:
     JSON with fields ``n``, ``cost``, ``arcs`` (objects with from, to,
     demand, travel_time, optional ad_revenue) and optional
     ``empty_travel_time`` entries for off-arc empty-vehicle pairs.
-    Location indices are zero-based and must lie in ``[0, n)``; a
-    missing key, a value of the wrong type or an index out of range
-    raises MalformedInput naming the file.
+    Location indices are zero-based integers in ``[0, n)``; a missing
+    key, a value of the wrong type, a fractional index or an index out of
+    range raises MalformedInput naming the file.
     """
     try:
         with open(path) as fh:
@@ -118,7 +127,7 @@ def load_ads(path, net: TrafficNetwork) -> AdRevenueVector:
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"cannot read ads file {path}: {exc}") from exc
     try:
-        entries = {(int(e["from"]), int(e["to"])): float(e["a"])
+        entries = {(_index(e["from"]), _index(e["to"])): float(e["a"])
                    for e in doc["ads"]}
     except _ENTRY_ERRORS as exc:
         raise _malformed("ads", path, exc) from exc
@@ -134,12 +143,12 @@ def load_advertisers(path) -> AdvertiserCatalog:
     try:
         arc_based = {}
         for entry in doc.get("arc_based", []):
-            arc = (int(entry["from"]), int(entry["to"]))
+            arc = (_index(entry["from"]), _index(entry["to"]))
             arc_based[arc] = float(entry["b"])
         location_based = {}
         for entry in doc.get("location_based", []):
-            k = int(entry["location"])
-            location_based[k] = {int(d["from"]): float(d["value"])
+            k = _index(entry["location"])
+            location_based[k] = {_index(d["from"]): float(d["value"])
                                  for d in entry.get("d", [])}
         budget = int(doc.get("budget", 1))
     except _ENTRY_ERRORS as exc:

@@ -18,6 +18,7 @@ from .network import (FrozenArrays, TrafficNetwork, _frozen_array,
 from .selection import AdvertiserCatalog
 
 EARTH_RADIUS_M = 6_371_000.0
+KMEANS_MAX_ITER = 300
 
 
 class TooFewPoints(ValueError):
@@ -85,19 +86,43 @@ def read_rides_csv(path) -> Rides:
     """Load rides from an RFC-4180 CSV whose header names the Rides columns.
 
     Columns may come in any order and extra columns are ignored.  A row
-    that does not parse, or a ride that Rides rejects, raises ValueError.
+    that does not parse, or a ride that Rides rejects, raises ValueError
+    naming the ride by its zero-based index among the non-blank data rows.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None or any(col not in header for col in RIDE_FIELDS):
             raise ValueError(f"rides CSV must carry columns {list(RIDE_FIELDS)}")
-        with warnings.catch_warnings():
-            # a header-only file holds no rides
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(
-                fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
-                usecols=[header.index(col) for col in RIDE_FIELDS])
+        usecols = [header.index(col) for col in RIDE_FIELDS]
+        try:
+            with warnings.catch_warnings():
+                # a header-only file holds no rides
+                warnings.filterwarnings("ignore",
+                                        "loadtxt: input contained no data")
+                table = np.loadtxt(fh, delimiter=",", quotechar='"',
+                                   comments=None, ndmin=2, usecols=usecols)
+        except ValueError:
+            fh.seek(0)
+            _name_bad_row(fh, usecols)
+            raise
     return Rides(*table.T)
+
+
+def _name_bad_row(fh, usecols):
+    """Raise ValueError naming the first data row of a ride CSV that does
+    not parse.  Blank lines are skipped and not counted, as np.loadtxt
+    skips them."""
+    rows = csv.reader(fh)
+    next(rows)
+    for i, row in enumerate(row for row in rows if row):
+        if len(row) <= max(usecols):
+            raise ValueError(f"ride {i}: {len(row)} fields, "
+                             f"{max(usecols) + 1} needed")
+        try:
+            for col in usecols:
+                float(row[col])
+        except ValueError as exc:
+            raise ValueError(f"ride {i}: {exc}") from None
 
 
 def filter_rides(rides: Rides, bbox, window) -> Rides:
@@ -122,7 +147,7 @@ def _project_metres(lat, lon, bbox):
     return np.column_stack([x, y])
 
 
-def _kmeans(points, k, rng, max_iter=300):
+def _kmeans(points, k, rng):
     """k-means++ seeding, then Lloyd iterations on an (n, 2) point array.
 
     Squared distances are ``dx*dx + dy*dy`` from 1-D coordinate arrays,
@@ -131,7 +156,8 @@ def _kmeans(points, k, rng, max_iter=300):
     order) over their count.  In an iteration that leaves some cluster
     empty, clusters are visited in order instead: an empty one is
     reseeded at the point farthest from every centroid, which then joins
-    it.  Returns (centers, labels, inertia).
+    it.  At most ``KMEANS_MAX_ITER`` iterations.  Returns (centers,
+    labels, inertia).
     """
     n = len(points)
     x = np.ascontiguousarray(points[:, 0])
@@ -156,7 +182,7 @@ def _kmeans(points, k, rng, max_iter=300):
         return np.add(dists, dy, out=dists)
 
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         new_labels = squared_distances().argmin(axis=0)
         counts = np.bincount(new_labels, minlength=k)
         if counts.all():
@@ -193,7 +219,7 @@ def cluster_endpoints(rides: Rides, k: int, bbox, seed) -> ClusteringResult:
     Rides must already be filtered to bbox and the time window.  The
     origins, then the destinations, are projected to metres; fewer than k
     distinct points raise TooFewPoints.  k-means++ initialization from
-    ``seed``; Lloyd iterations capped at 300; deterministic given the seed.
+    ``seed``; Lloyd iterations capped at ``KMEANS_MAX_ITER``; deterministic given the seed.
     """
     if k < 2:
         raise ValueError("k must be at least 2")

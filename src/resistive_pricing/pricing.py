@@ -293,8 +293,7 @@ def solve_closed_form(net: TrafficNetwork, a=None) -> PricingSolution:
     return _assemble(net, a_mat, prices, lam, mu, state.capped)
 
 
-def solve_general(net: TrafficNetwork, a=None,
-                  max_iter: int | None = None) -> PricingSolution:
+def solve_general(net: TrafficNetwork, a=None) -> PricingSolution:
     """Active-set solve of the pricing problem, any regime.
 
     Starts from an empty active set; per iteration the most violated cap
@@ -305,14 +304,12 @@ def solve_general(net: TrafficNetwork, a=None,
     :func:`_kkt_candidate`); the pair weights and components carry over
     between iterations, and the components are recomputed only when a move
     kills or revives a pair.  Terminates at a KKT point with residual below
-    1e-8 or raises :class:`NoConvergence` after ``max_iter`` iterations,
-    by default max(8, 4 |arcs|).
+    1e-8 or raises :class:`NoConvergence` after max(8, 4 |arcs|)
+    iterations.
     """
     a_mat = ad_matrix(net, a)
     state = _LoopState(net, a_mat)
-    cap = max_iter if max_iter is not None else max(8, 4 * len(state.ai))
-
-    for _ in range(cap):
+    for _ in range(max(8, 4 * len(state.ai))):
         prices, lam, mu = _kkt_candidate(state)
         capped = state.capped
         violations = np.flatnonzero(~capped & (prices > 1.0 + FEAS_TOL))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from resistive_pricing import AdvertiserCatalog, synth_instance, validate_network
-from resistive_pricing import fileio
-from resistive_pricing.cli import main
+from resistive_pricing import cli, fileio
+from resistive_pricing.cli import build_parser, main
+from resistive_pricing.extended import Infeasible
 
 
 @pytest.fixture
@@ -58,6 +60,13 @@ class TestFileFormats:
         Path("bad.json").write_text("{not json")
         with pytest.raises(fileio.MalformedInput):
             fileio.load_network("bad.json")
+
+    def test_integral_index_forms_accepted(self, workdir):
+        doc = {"n": 2, "cost": 0.6,
+               "arcs": [{"from": 0, "to": 1.0, "demand": 1, "travel_time": 1},
+                        {"from": "1", "to": 0, "demand": 1, "travel_time": 1}]}
+        Path("n.json").write_text(json.dumps(doc))
+        assert fileio.load_network("n.json").network.arcs == ((0, 1), (1, 0))
 
     def test_fmt_nine_significant_digits(self):
         assert fileio.fmt(2.0) == "2"
@@ -125,9 +134,18 @@ def ring(*arcs):
     ({"net.json": ring(*RING),
       "adv.json": {"location_based": [{"location": 1, "d": [{"from": 0}]}]}},
      SELECT),
+    ({"net.json": ring({**RING[0], "from": 0.9}, *RING[1:])}, PRICE),
+    ({"net.json": ring(*RING),
+      "ads.json": {"ads": [{"from": 0.5, "to": 1, "a": 0.1}]}},
+     PRICE + ["--ads", "ads.json"]),
+    ({"net.json": ring(*RING),
+      "adv.json": {"location_based": [
+          {"location": 1, "d": [{"from": 0.9, "value": 0.1}]}]}},
+     SELECT),
 ], ids=["arc-without-to", "to-out-of-range", "arcs-not-objects",
         "from-negative", "ad-without-a", "ad-from-negative",
-        "advertiser-d-without-value"])
+        "advertiser-d-without-value", "from-fractional", "ad-from-fractional",
+        "advertiser-from-fractional"])
 def test_malformed_input_exit_2(workdir, capsys, files, argv):
     for name, doc in files.items():
         Path(name).write_text(json.dumps(doc))
@@ -315,3 +333,102 @@ class TestSynthIngestReport:
         assert code == 0
         rows = Path("el.resistance.csv").read_text().splitlines()
         assert len(rows) == 7  # header + 6 locations
+
+
+def write_rides(path):
+    rng = np.random.default_rng(2)
+    lines = ["pickup_time,dropoff_time,pickup_lon,pickup_lat,"
+             "dropoff_lon,dropoff_lat"]
+    sites = [(104.035, 30.655), (104.075, 30.685), (104.055, 30.670)]
+    for _ in range(60):
+        a, b = rng.choice(3, size=2, replace=False)
+        t0 = float(rng.uniform(0, 3600))
+        lines.append(f"{t0},{t0 + 600},{sites[a][0]},{sites[a][1]},"
+                     f"{sites[b][0]},{sites[b][1]}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv, manifest_of, inputs", [
+        (["price", "--network", "net.json", "--ads", "rev.json",
+          "--out", "p.csv"], "p.csv", ["net.json", "rev.json"]),
+        (["price-extended", "--network", "net.json", "--psi", "30",
+          "--eta", "0.8", "--seed", "4", "--out", "ext.csv"],
+         "ext.csv", ["net.json"]),
+        (["select", "--network", "net.json", "--advertisers", "adv.json",
+          "--mode", "arc", "--strategy", "resistance", "--trials", "5",
+          "--seed", "6", "--out", "s.csv"], "s.csv", ["net.json", "adv.json"]),
+        (["ingest", "--rides", "rides.csv", "--bbox",
+          "30.65,30.69,104.03,104.08", "--window", "0,4200", "--k", "3",
+          "--seed", "3", "--out", "ing.json"], "ing.json", ["rides.csv"]),
+        (["synth", "--n", "5", "--seed", "9", "--out", "syn.json",
+          "--advertisers-out", "syn_adv.json"], "syn.json", []),
+        (["sweep-psi", "--network", "net.json", "--advertisers", "adv.json",
+          "--psi-grid", "20:40:20", "--trials", "5", "--seed", "5",
+          "--out", "sw.csv"], "sw.csv", ["net.json", "adv.json"]),
+        (["dump-electrical", "--network", "net.json", "--out", "el"],
+         "el", ["net.json"]),
+    ], ids=["price", "price-extended", "select", "ingest", "synth",
+            "sweep-psi", "dump-electrical"])
+    def test_manifest_records_parsed_arguments(self, workdir, argv,
+                                               manifest_of, inputs):
+        net, _ = write_instance("net.json", "adv.json", n=5)
+        Path("rev.json").write_text(json.dumps(
+            {"ads": [{"from": i, "to": j, "a": 0.1} for i, j in net.arcs]}))
+        write_rides("rides.csv")
+        assert main(argv) == 0
+        manifest = json.loads(
+            Path(f"{manifest_of}.manifest.json").read_text())
+        parsed = vars(build_parser().parse_args(argv))
+        seed = parsed.pop("seed", None)
+        for key in ("command", "func"):
+            del parsed[key]
+        assert manifest["command"] == argv[0]
+        assert manifest["parameters"] == parsed
+        assert manifest["inputs"] == {p: sha256(p) for p in inputs}
+        assert manifest["seed"] == seed
+
+    def test_sweep_records_resolved_grid(self, workdir):
+        write_instance("net.json", "adv.json", n=5)
+        assert main(["sweep-eta", "--network", "net.json", "--advertisers",
+                     "adv.json", "--eta-grid", "0.4:0.8:0.4", "--psi", "50",
+                     "--trials", "5", "--seed", "1", "--out", "e.csv"]) == 0
+        params = json.loads(Path("e.csv.manifest.json").read_text())[
+            "parameters"]
+        assert params["eta_grid"] == [0.4, 0.8]
+        assert "grid" not in params and "eta" not in params
+
+    def test_usage_error_writes_no_manifest(self, workdir):
+        doc = {"n": 2, "cost": 0.6,
+               "arcs": [{"from": 0, "to": 0, "demand": 1, "travel_time": 1}]}
+        Path("bad.json").write_text(json.dumps(doc))
+        assert main(["price", "--network", "bad.json", "--out", "p.csv"]) == 2
+        assert list(Path().glob("*.manifest.json")) == []
+
+    def test_solver_error_writes_no_manifest(self, workdir, monkeypatch):
+        write_instance("net.json", "adv.json", n=5)
+
+        def infeasible(*args, **kwargs):
+            raise Infeasible("no feasible point")
+        monkeypatch.setattr(cli, "solve_extended", infeasible)
+        assert main(["price-extended", "--network", "net.json", "--psi", "30",
+                     "--eta", "0.8", "--seed", "4", "--out", "ext.csv"]) == 3
+        assert list(Path().glob("*.manifest.json")) == []
+
+    def test_report_writes_no_manifest(self, workdir):
+        write_instance("net.json", "adv.json")
+        assert main(["price", "--network", "net.json", "--out", "p.csv"]) == 0
+        assert main(["report", "p.csv", "--out-prefix", "series"]) == 0
+        assert [p.name for p in Path().glob("*.manifest.json")] == [
+            "p.csv.manifest.json"]
+
+    def test_bad_grid_names_the_option(self, workdir, capsys):
+        write_instance("net.json", "adv.json", n=5)
+        assert main(["sweep-eta", "--network", "net.json", "--advertisers",
+                     "adv.json", "--eta-grid", "0.1:x:0.1", "--seed",
+                     "1"]) == 2
+        assert "--eta-grid" in capsys.readouterr().err

@@ -241,6 +241,17 @@ class TestReadRidesCsv:
                            match="^ride 2: dropoff_time <= pickup_time"):
             read_rides_csv(path)
 
+    @pytest.mark.parametrize("rows", [
+        [["0", "600", "104.04", "x", "104.05", "30.67"]],
+        [["0", "600", "104.04", "30.66", "104.05"]],
+        [[], ["0", "600", "104.04", "x", "104.05", "30.67"]],
+    ], ids=["non-numeric", "short", "after-blank-line"])
+    def test_unparseable_row_named_by_data_row(self, tmp_path, rows):
+        good = ["0", "600", "104.04", "30.66", "104.05", "30.67"]
+        path = self.write(tmp_path, [good] + rows)
+        with pytest.raises(ValueError, match="^ride 1: "):
+            read_rides_csv(path)
+
     def test_bad_row_is_usage_error_in_cli(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         self.write(tmp_path, [["0", "600", "104.04", "nan", "104.05", "30.67"]])
