@@ -7,7 +7,8 @@ from the parsed arguments: every option but the seed as a parameter (the
 sweeps record their resolved grid under ``psi_grid`` or ``eta_grid``),
 the seed, and the SHA-256 of each input file given.  Re-running a command
 with the same manifest reproduces byte-identical CSV output.  Exit codes:
-0 success, 2 usage or validation error, 3 solver non-convergence.
+0 success, 2 usage or validation error or a file that cannot be read or
+written, 3 solver non-convergence.
 
 The sweep commands fan grid points out to a thread pool capped by the
 ``RESISTIVE_PRICING_THREADS`` environment variable.
@@ -435,18 +436,19 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         code = args.func(args)
-    except ValueError as exc:
+        if code == 0 and args.command != "report":
+            params = {k: v for k, v in vars(args).items()
+                      if k not in ("command", "func", "seed")}
+            inputs = [getattr(args, k) for k in INPUT_ARGS
+                      if getattr(args, k, None)]
+            fileio.write_manifest(args.out, args.command, params,
+                                  getattr(args, "seed", None), inputs, started)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (NoConvergence, Infeasible) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return SOLVER_ERROR
-    if code == 0 and args.command != "report":
-        params = {k: v for k, v in vars(args).items()
-                  if k not in ("command", "func", "seed")}
-        inputs = [getattr(args, k) for k in INPUT_ARGS if getattr(args, k, None)]
-        fileio.write_manifest(args.out, args.command, params,
-                              getattr(args, "seed", None), inputs, started)
     return code
 
 

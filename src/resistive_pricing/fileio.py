@@ -29,17 +29,17 @@ def _malformed(kind, path, exc) -> MalformedInput:
     return MalformedInput(f"{kind} file {path}: {detail}")
 
 
-def _index(value) -> int:
-    """A location index read from JSON: ``1``, ``1.0`` and ``"1"`` pass;
-    a value whose float is not integral, such as ``0.9``, is rejected."""
+def _integer(value, what="location index") -> int:
+    """An integer read from JSON: ``1``, ``1.0`` and ``"1"`` pass; a value
+    whose float is not integral, such as ``0.9``, is rejected."""
     x = float(value)
     if not x.is_integer():
-        raise ValueError(f"location index {value!r} is not an integer")
+        raise ValueError(f"{what} {value!r} is not an integer")
     return int(x)
 
 
 def _location(value, n: int) -> int:
-    i = _index(value)
+    i = _integer(value)
     if not 0 <= i < n:
         raise ValueError(f"location {i} outside 0..{n - 1}")
     return i
@@ -64,8 +64,8 @@ def load_network(path) -> LoadedNetwork:
     demand, travel_time, optional ad_revenue) and optional
     ``empty_travel_time`` entries for off-arc empty-vehicle pairs.
     Location indices are zero-based integers in ``[0, n)``; a missing
-    key, a value of the wrong type, a fractional index or an index out of
-    range raises MalformedInput naming the file.
+    key, a value of the wrong type, a fractional ``n`` or index, or an
+    index out of range raises MalformedInput naming the file.
     """
     try:
         with open(path) as fh:
@@ -73,11 +73,11 @@ def load_network(path) -> LoadedNetwork:
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"cannot read network file {path}: {exc}") from exc
     try:
-        n = int(doc["n"])
+        n = _integer(doc["n"], "n")
         cost = float(doc["cost"])
         arcs = doc["arcs"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"network file {path} missing n/cost/arcs") from exc
+    except _ENTRY_ERRORS as exc:
+        raise _malformed("network", path, exc) from exc
     demand = np.zeros((n, n))
     travel = np.ones((n, n))
     ads = np.zeros((n, n))
@@ -127,7 +127,7 @@ def load_ads(path, net: TrafficNetwork) -> AdRevenueVector:
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"cannot read ads file {path}: {exc}") from exc
     try:
-        entries = {(_index(e["from"]), _index(e["to"])): float(e["a"])
+        entries = {(_integer(e["from"]), _integer(e["to"])): float(e["a"])
                    for e in doc["ads"]}
     except _ENTRY_ERRORS as exc:
         raise _malformed("ads", path, exc) from exc
@@ -143,14 +143,14 @@ def load_advertisers(path) -> AdvertiserCatalog:
     try:
         arc_based = {}
         for entry in doc.get("arc_based", []):
-            arc = (_index(entry["from"]), _index(entry["to"]))
+            arc = (_integer(entry["from"]), _integer(entry["to"]))
             arc_based[arc] = float(entry["b"])
         location_based = {}
         for entry in doc.get("location_based", []):
-            k = _index(entry["location"])
-            location_based[k] = {_index(d["from"]): float(d["value"])
+            k = _integer(entry["location"])
+            location_based[k] = {_integer(d["from"]): float(d["value"])
                                  for d in entry.get("d", [])}
-        budget = int(doc.get("budget", 1))
+        budget = _integer(doc.get("budget", 1), "budget")
     except _ENTRY_ERRORS as exc:
         raise _malformed("advertiser", path, exc) from exc
     return AdvertiserCatalog(arc_based=arc_based,

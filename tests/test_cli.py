@@ -142,15 +142,39 @@ def ring(*arcs):
       "adv.json": {"location_based": [
           {"location": 1, "d": [{"from": 0.9, "value": 0.1}]}]}},
      SELECT),
+    ({"net.json": {"n": 2.5, "cost": 0.6, "arcs": [
+        {"from": 0, "to": 1, "demand": 1, "travel_time": 1},
+        {"from": 1, "to": 0, "demand": 1, "travel_time": 1}]}}, PRICE),
+    ({"net.json": ring(*RING),
+      "adv.json": {"location_based": [
+          {"location": 1, "d": [{"from": 0, "value": 0.1}]}],
+          "budget": 1.7}},
+     SELECT),
 ], ids=["arc-without-to", "to-out-of-range", "arcs-not-objects",
         "from-negative", "ad-without-a", "ad-from-negative",
         "advertiser-d-without-value", "from-fractional", "ad-from-fractional",
-        "advertiser-from-fractional"])
+        "advertiser-from-fractional", "n-fractional", "budget-fractional"])
 def test_malformed_input_exit_2(workdir, capsys, files, argv):
     for name, doc in files.items():
         Path(name).write_text(json.dumps(doc))
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocked", ["nodir", "p.csv.manifest.json"],
+                         ids=["output-dir-missing", "manifest-unwritable"])
+def test_unwritable_output_exit_2(workdir, capsys, blocked):
+    """An output or manifest path that cannot be opened for writing ends
+    in one error line and exit code 2, not a traceback."""
+    Path("net.json").write_text(json.dumps(ring(*RING)))
+    argv = PRICE
+    if blocked == "nodir":
+        argv = PRICE[:-1] + ["nodir/p.csv"]
+    else:
+        Path(blocked).mkdir()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestSelectCommand:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from resistive_pricing import (
     AdRevenueVector,
+    NoConvergence,
     NotApplicable,
     RegimeBoundary,
     check_mu_zero_sufficient,
@@ -14,6 +15,7 @@ from resistive_pricing import (
     price_sensitivity,
     solve_closed_form,
     solve_general,
+    synth_instance,
     validate_network,
 )
 from resistive_pricing import pricing
@@ -35,6 +37,19 @@ def symmetric_triangle(cost=0.6, theta=1.0):
     demand = np.full((3, 3), float(theta))
     np.fill_diagonal(demand, 0.0)
     return validate_network(demand, np.ones((3, 3)), cost)
+
+
+def mirror_tie_instance():
+    """Two mirror-image copies of :func:`capped_instance` sharing node 0:
+    arcs (2, 1) and (4, 3) tie exactly for the largest violated cap."""
+    demand = np.zeros((5, 5))
+    a = np.zeros((5, 5))
+    for x, y in ((1, 2), (3, 4)):
+        demand[0, x], demand[0, y] = 5.0, 0.1
+        demand[x, 0], demand[x, y] = 0.2, 0.05
+        demand[y, 0], demand[y, x] = 4.0, 0.3
+        a[0, x] = 3.0
+    return validate_network(demand, np.ones((5, 5)), 0.6), a
 
 
 def capped_instance():
@@ -156,14 +171,8 @@ class TestGeneralSolver:
     def test_tie_enters_lower_arc_first(self, monkeypatch):
         """Two mirror-image arcs share the largest violation exactly; the
         lower arc index, (2, 1) before (4, 3), enters first."""
-        demand = np.zeros((5, 5))
-        a = np.zeros((5, 5))
-        for x, y in ((1, 2), (3, 4)):
-            demand[0, x], demand[0, y] = 5.0, 0.1
-            demand[x, 0], demand[x, y] = 0.2, 0.05
-            demand[y, 0], demand[y, x] = 4.0, 0.3
-            a[0, x] = 3.0
-        net = validate_network(demand, np.ones((5, 5)), 0.6)
+        monkeypatch.setattr(pricing, "BLOCK_ROUNDS", 0)
+        net, a = mirror_tie_instance()
         with pytest.raises(NotApplicable):
             solve_closed_form(net, a)
         prices = pricing._kkt_candidate(pricing._LoopState(net, a))[0]
@@ -182,6 +191,39 @@ class TestGeneralSolver:
         assert seen[:3] == [frozenset(), {(2, 1)}, {(2, 1), (4, 3)}]
         assert sol.active_set == {(2, 1), (4, 3)}
         assert sol.kkt_residual < 1e-8
+
+    def test_block_round_enters_every_violation(self, monkeypatch):
+        """On the mirror-image instance the first block round enters both
+        tied arcs, and the second candidate is already the KKT point."""
+        steps = record_loop(monkeypatch)
+        net, a = mirror_tie_instance()
+        sol = solve_general(net, a)
+        assert [capped_arcs(net, step[0]) for step in steps] \
+            == [frozenset(), {(2, 1), (4, 3)}]
+        assert sol.active_set == {(2, 1), (4, 3)}
+        assert sol.kkt_residual < 1e-8
+
+    def test_iteration_cap_raises_no_convergence(self, monkeypatch):
+        """A candidate that always reports a violated cap and a negative
+        multiplier never settles: the loop stops after BLOCK_ROUNDS +
+        max(8, 4 |arcs|) candidates with a typed NoConvergence."""
+        net, a = capped_instance()
+        calls = []
+
+        def restless(state):
+            calls.append(state.capped.sum())
+            arcs = len(state.ai)
+            return np.full(arcs, 2.0), np.zeros(state.n), np.full(arcs, -1.0)
+
+        monkeypatch.setattr(pricing, "_kkt_candidate", restless)
+        cap = pricing.BLOCK_ROUNDS + max(8, 4 * len(net.arcs))
+        with pytest.raises(NoConvergence,
+                           match=f"after {cap} active-set iterations"):
+            solve_general(net, a)
+        assert len(calls) == cap
+        # block rounds flip every arc; single moves then flip one
+        assert calls[:3] == [0, len(net.arcs), 0]
+        assert calls[pricing.BLOCK_ROUNDS:pricing.BLOCK_ROUNDS + 2] == [0, 1]
 
     def test_read_only_after_unpickling(self):
         net, a = capped_instance()
@@ -237,85 +279,125 @@ def fresh_labels(weights):
     return labels
 
 
+def check_loop_path(monkeypatch, rounds):
+    """Run 60 aggressive n = 5-8 draws through the loop and check every
+    candidate against its per-arc form and every move against
+    :func:`oracles.next_active` (block moves for the first ``rounds``).
+    Returns the counts of moves, net exits, pair deaths, moves of more
+    than one arc, and moves that both enter and release arcs."""
+    steps = record_loop(monkeypatch)
+    rng = np.random.default_rng(0)
+    moves = exits = deaths = blocks = swaps = 0
+    for _ in range(60):
+        net, a = random_instance(rng, aggressive=True, n_min=5, n_max=8)
+        steps.clear()
+        sol = solve_general(net, a)
+        c = net.unit_cost
+        for t, (capped, weights, labels, border, prices, lam, mu) \
+                in enumerate(steps):
+            active = arc_matrix(net, capped, False)
+            keep = (net.demand > 0) & ~active
+            # the incrementally kept state equals a fresh build
+            assert np.array_equal(weights, projection_weights(
+                np.where(keep, net.demand, 0.0), net.travel_time))
+            assert np.array_equal(labels, fresh_labels(weights))
+            assert np.array_equal(border, component_border(labels))
+            out = np.zeros(net.n_locations)
+            into = np.zeros(net.n_locations)
+            for k, (i, j) in enumerate(net.arcs):
+                if not capped[k]:
+                    gain = net.demand[i, j] * (1.0 + a[i, j] - c)
+                    out[i] += gain
+                    into[j] += gain
+            lam_free = potentials(weights, out - into, border)
+            if labels.max() == 0:
+                assert np.array_equal(lam, lam_free)
+            for k, (i, j) in enumerate(net.arcs):
+                xi = net.travel_time[i, j]
+                if capped[k]:
+                    assert prices[k] == 1.0
+                    assert mu[k] == net.demand[i, j] * (
+                        (lam[i] - lam[j]) - xi * (1.0 + a[i, j] - c))
+                else:
+                    assert prices[k] == (1.0 - a[i, j] + c) / 2.0 \
+                        + (lam_free[i] - lam_free[j]) / (2.0 * xi)
+                    assert mu[k] == 0.0
+            expected = next_active(net, active,
+                                   arc_matrix(net, prices, np.nan),
+                                   arc_matrix(net, mu, 0.0),
+                                   block=t < rounds)
+            if t + 1 < len(steps):
+                following = arc_matrix(net, steps[t + 1][0], False)
+                assert np.array_equal(following, expected)
+                moves += 1
+                exits += expected.sum() < active.sum()
+                deaths += (steps[t + 1][1] == 0).sum() \
+                    > (weights == 0).sum()
+                blocks += (following != active).sum() > 1
+                swaps += np.any(following & ~active) \
+                    and np.any(active & ~following)
+            else:
+                assert expected is None
+        assert sol.active_set == capped_arcs(net, steps[-1][0])
+    return moves, exits, deaths, blocks, swaps
+
+
+def check_resistance_path(monkeypatch, rounds):
+    """On the same 60 draws, the resistance-form loop with ``rounds`` block
+    rounds visits the same capped sets and reaches the same prices."""
+    steps = record_loop(monkeypatch)
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        net, a = random_instance(rng, aggressive=True, n_min=5, n_max=8)
+        steps.clear()
+        sol = solve_general(net, a)
+        path, (prices, lam, _) = resistance_pricing_path(
+            net, a, block_rounds=rounds)
+        assert path == [capped_arcs(net, step[0]) for step in steps]
+        on = net.on_arcs(prices)
+        assert np.abs(net.on_arcs(sol.prices) - on).max() \
+            <= 1e-12 * np.abs(on).max()
+        assert np.allclose(sol.duals_lambda, lam - lam[-1],
+                           rtol=0.0, atol=1e-12 * np.abs(lam).max())
+
+
 class TestLoopReference:
     """The pricing loop against its per-arc loop form, with exact equality,
     and against the paper's resistance form of the same loop."""
 
     def test_candidates_and_active_set_path(self, monkeypatch):
-        steps = record_loop(monkeypatch)
-        rng = np.random.default_rng(0)
-        moves = exits = deaths = 0
-        for _ in range(60):
-            net, a = random_instance(rng, aggressive=True, n_min=5, n_max=8)
-            steps.clear()
-            sol = solve_general(net, a)
-            c = net.unit_cost
-            for t, (capped, weights, labels, border, prices, lam, mu) \
-                    in enumerate(steps):
-                active = arc_matrix(net, capped, False)
-                keep = (net.demand > 0) & ~active
-                # the incrementally kept state equals a fresh build
-                assert np.array_equal(weights, projection_weights(
-                    np.where(keep, net.demand, 0.0), net.travel_time))
-                assert np.array_equal(labels, fresh_labels(weights))
-                assert np.array_equal(border, component_border(labels))
-                out = np.zeros(net.n_locations)
-                into = np.zeros(net.n_locations)
-                for k, (i, j) in enumerate(net.arcs):
-                    if not capped[k]:
-                        gain = net.demand[i, j] * (1.0 + a[i, j] - c)
-                        out[i] += gain
-                        into[j] += gain
-                lam_free = potentials(weights, out - into, border)
-                if labels.max() == 0:
-                    assert np.array_equal(lam, lam_free)
-                for k, (i, j) in enumerate(net.arcs):
-                    xi = net.travel_time[i, j]
-                    if capped[k]:
-                        assert prices[k] == 1.0
-                        assert mu[k] == net.demand[i, j] * (
-                            (lam[i] - lam[j]) - xi * (1.0 + a[i, j] - c))
-                    else:
-                        assert prices[k] == (1.0 - a[i, j] + c) / 2.0 \
-                            + (lam_free[i] - lam_free[j]) / (2.0 * xi)
-                        assert mu[k] == 0.0
-                expected = next_active(net, active,
-                                       arc_matrix(net, prices, np.nan),
-                                       arc_matrix(net, mu, 0.0))
-                if t + 1 < len(steps):
-                    following = arc_matrix(net, steps[t + 1][0], False)
-                    assert np.array_equal(following, expected)
-                    moves += 1
-                    exits += expected.sum() < active.sum()
-                    deaths += (steps[t + 1][1] == 0).sum() \
-                        > (weights == 0).sum()
-                else:
-                    assert expected is None
-            assert sol.active_set == capped_arcs(net, steps[-1][0])
+        monkeypatch.setattr(pricing, "BLOCK_ROUNDS", 0)
+        moves, exits, deaths, _, _ = check_loop_path(monkeypatch, 0)
         # draw 48 exits the active set; some entries kill a pair
         assert moves >= 100 and exits >= 1 and deaths >= 1
+
+    def test_block_candidates_and_active_set_path(self, monkeypatch):
+        """The same check on the default schedule, against the per-arc
+        block rule for the first BLOCK_ROUNDS candidates."""
+        moves, exits, deaths, blocks, swaps = check_loop_path(
+            monkeypatch, pricing.BLOCK_ROUNDS)
+        # a block round moves several arcs at once: 69 moves, not 119;
+        # draw 48 still exits, and in draw 58 one round enters two arcs
+        # and releases one
+        assert moves >= 60 and exits >= 1 and deaths >= 1
+        assert blocks >= 30 and swaps >= 1
 
     def test_resistance_form_oracle(self, monkeypatch):
         """On the same 60 instances the loop driven by the resistance-form
         candidate takes exactly the same path to the same prices."""
-        steps = record_loop(monkeypatch)
-        rng = np.random.default_rng(0)
-        for _ in range(60):
-            net, a = random_instance(rng, aggressive=True, n_min=5, n_max=8)
-            steps.clear()
-            sol = solve_general(net, a)
-            path, (prices, lam, _) = resistance_pricing_path(net, a)
-            assert path == [capped_arcs(net, step[0]) for step in steps]
-            on = net.on_arcs(prices)
-            assert np.abs(net.on_arcs(sol.prices) - on).max() \
-                <= 1e-12 * np.abs(on).max()
-            assert np.allclose(sol.duals_lambda, lam - lam[-1],
-                               rtol=0.0, atol=1e-12 * np.abs(lam).max())
+        monkeypatch.setattr(pricing, "BLOCK_ROUNDS", 0)
+        check_resistance_path(monkeypatch, 0)
+
+    def test_block_resistance_form_oracle(self, monkeypatch):
+        """The same on the default schedule: block rounds, then single
+        moves, on both sides."""
+        check_resistance_path(monkeypatch, pricing.BLOCK_ROUNDS)
 
     def test_exit_takes_most_negative_multiplier(self, monkeypatch):
         """Draw 579 of the aggressive n = 5-8 stream reaches a candidate
         with no violated cap and several negative cap multipliers; the most
         negative one leaves."""
+        monkeypatch.setattr(pricing, "BLOCK_ROUNDS", 0)
         steps = record_loop(monkeypatch)
         rng = np.random.default_rng(0)
         for _ in range(580):
@@ -391,6 +473,52 @@ class TestLoopReference:
             imbalance = sol.flows.sum(axis=1) - sol.flows.sum(axis=0)
             res = max(res, np.abs(imbalance).max())
             assert sol.kkt_residual == res
+
+
+class TestBlockMoves:
+    """The default schedule (block rounds, then single moves) against the
+    single-move loop (BLOCK_ROUNDS = 0)."""
+
+    def test_same_answer_as_single_moves(self, monkeypatch):
+        """Prices and payoffs agree within 1e-12 relative.  The active sets
+        differ only on arcs priced 1 with zero flow, where the cap
+        multiplier is not unique; 4 of these 300 draws have such an arc."""
+        rng = np.random.default_rng(0)
+        differ = 0
+        for _ in range(300):
+            net, a = random_instance(rng, aggressive=True, n_min=3, n_max=12)
+            block = solve_general(net, a)
+            with monkeypatch.context() as m:
+                m.setattr(pricing, "BLOCK_ROUNDS", 0)
+                single = solve_general(net, a)
+            on = net.on_arcs(single.prices)
+            assert np.abs(net.on_arcs(block.prices) - on).max() \
+                <= 1e-12 * np.abs(on).max()
+            # the payoff can cancel to rounding noise; its unit is sum θξ
+            unit = (net.arc_demand * net.arc_time).sum()
+            assert abs(block.payoff - single.payoff) \
+                <= 1e-12 * max(abs(single.payoff), unit)
+            for arc in block.active_set ^ single.active_set:
+                for sol in (block, single):
+                    assert abs(sol.prices[arc] - 1.0) <= 1e-12
+                    assert sol.flows[arc] <= 1e-12 * net.demand[arc]
+            differ += block.active_set != single.active_set
+        assert differ >= 1
+
+    @pytest.mark.parametrize("n", [60, 120])
+    def test_commuter_in_few_candidates(self, monkeypatch, n):
+        """The commuter instances that cap 38 and 189 arcs: the single-move
+        loop needs one candidate per capped arc, the block rounds at most
+        6, to the same active set and bit-identical prices."""
+        net = synth_instance(n, 0.3, seed=1, profile="commuter")[0]
+        with monkeypatch.context() as m:
+            m.setattr(pricing, "BLOCK_ROUNDS", 0)
+            single = solve_general(net)
+        steps = record_loop(monkeypatch)
+        block = solve_general(net)
+        assert len(steps) <= 6
+        assert block.active_set == single.active_set
+        assert np.array_equal(block.prices, single.prices, equal_nan=True)
 
 
 class TestMuZeroSufficient:
