@@ -2,7 +2,8 @@
 
 On a synthetic morning-commute instance, payoff grows with the fleet cap
 until capacity stops binding, and shrinks as empty-vehicle routing gets
-more expensive.  Uniform demand keeps every solve exact.
+more expensive.  With uniform demand every solve is the global optimum to
+within its KKT residual.
 
 Run:  python demos/capacity_sweep.py
 """

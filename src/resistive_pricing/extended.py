@@ -2,11 +2,10 @@
 
 The extended problem prices each arc under a general demand curve, routes
 empty vehicles at cost eta*c per slot, and caps the total vehicle mass at
-psi.  With the uniform demand curve the problem is a convex QP in (p, w)
-and is solved exactly by a dense active-set method.  With the exponential
-curve it is concave in demand coordinates z = theta * (1 - F(p)), and one
-primal-dual interior-point solve finds its optimum; each Newton step is a
-weighted graph Laplacian solve on the locations.
+psi.  In demand coordinates z = theta * (1 - F(p)) the problem is concave
+for both the uniform and the exponential curve, with the same balance and
+capacity rows; one primal-dual interior-point solve finds its optimum, and
+each Newton step is a weighted graph Laplacian solve on the locations.
 
 Empty flows live on the arc set by default.  Off-arc pairs participate
 only when explicit empty travel times are supplied for them.
@@ -16,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FrozenArrays, TrafficNetwork, _frozen_array, ad_matrix
+from .network import (FrozenArrays, TrafficNetwork, _frozen_array, ad_matrix,
+                      connected_components)
 from .pricing import NoConvergence
-from .qp import QPNoConvergence, solve_convex_qp
+from .qp import solve_convex_qp  # noqa: F401  (bench/spans.py wraps this name)
 
 CAPACITY_TOL = 1e-8
 # payoff_extended's feasibility tolerance
@@ -86,9 +86,10 @@ class ExtendedSolution(FrozenArrays):
 
     prices is (N, N) with NaN off the arc set; empty_flows is (N, N),
     zero off the empty-routing pair set; both are read-only.
-    ``local_only`` is False for uniform demand, whose optimum is certified
-    by its active set, and True for exponential demand, whose optimum is
-    reached to within ``kkt_residual``.
+    ``kkt_residual`` is the solve's largest balance, capacity, stationarity
+    or complementarity residual, each relative to its scale.  ``local_only``
+    is False for uniform demand and True for exponential demand; both
+    optima are reached to within ``kkt_residual``.
     """
 
     prices: np.ndarray
@@ -204,63 +205,8 @@ def _solution(net, a_mat, params, pairs, pair_time, p_vec, w_vec, residual,
     )
 
 
-def _solve_uniform(net, a_mat, params, pairs, pair_time):
-    arcs = net.arcs
-    na, nw = len(arcs), len(pairs)
-    n = na + nw
-    th, xi = net.arc_demand, net.arc_time
-    a_vec = net.on_arcs(a_mat)
-    c = net.unit_cost
-
-    quad = np.zeros((n, n))
-    quad[np.arange(na), np.arange(na)] = 2.0 * th * xi
-    lin = np.concatenate([-th * xi * (1.0 - a_vec + c),
-                          pair_time * params.eta * c])
-
-    nodes = net.n_locations
-    A_full = np.zeros((nodes, n))
-    for k, (u, v) in enumerate(arcs):
-        A_full[u, k] -= th[k]
-        A_full[v, k] += th[k]
-    for k, (u, v) in enumerate(pairs):
-        A_full[u, na + k] += 1.0
-        A_full[v, na + k] -= 1.0
-    b_full = net.demand.sum(axis=0) - net.demand.sum(axis=1)
-    A, b = A_full[:-1], b_full[:-1]  # rows sum to zero; drop one
-
-    m_ineq = na + nw + 1
-    G = np.zeros((m_ineq, n))
-    h = np.zeros(m_ineq)
-    G[np.arange(na), np.arange(na)] = 1.0
-    h[:na] = 1.0
-    G[na + np.arange(nw), na + np.arange(nw)] = -1.0
-    G[-1, :na] = -th * xi
-    G[-1, na:] = pair_time
-    h[-1] = params.psi - float((th * xi).sum())
-
-    x0 = np.concatenate([np.ones(na), np.zeros(nw)])
-    try:
-        result = solve_convex_qp(quad, lin, A, b, G, h, x0)
-    except QPNoConvergence as exc:
-        raise NoConvergence(str(exc)) from exc
-
-    x = result.x
-    grad = quad @ x + lin + A.T @ result.eq_duals + G.T @ result.ineq_duals
-    residual = float(np.abs(grad).max())
-    residual = max(residual, float(np.abs(A @ x - b).max()))
-    viol = G @ x - h
-    residual = max(residual, float(np.maximum(viol, 0.0).max()))
-    residual = max(residual, float(np.abs(result.ineq_duals * viol).max()))
-
-    return _solution(net, a_mat, params, pairs, pair_time, x[:na],
-                     np.maximum(x[na:], 0.0), residual, local_only=False)
-
-
-def _check_cycles(nodes, arc, pairs):
-    """Raise :class:`Infeasible` naming an arc on no directed cycle of the
-    routing graph (arcs plus pairs), as its positive flow cannot balance.
-    Otherwise the graph is strongly connected: the arcs connect it weakly.
-    """
+def _on_cycles(nodes, pairs):
+    """Mask of the edges in ``pairs`` on a directed cycle of their graph."""
     reach = np.eye(nodes)
     reach[pairs[:, 0], pairs[:, 1]] = 1.0
     while True:  # transitive closure by boolean squaring
@@ -268,11 +214,7 @@ def _check_cycles(nodes, arc, pairs):
         if np.array_equal(closed, reach):
             break
         reach = closed
-    stuck = np.flatnonzero(reach[arc[:, 1], arc[:, 0]] == 0)
-    if len(stuck):
-        u, v = arc[stuck[0]]
-        raise Infeasible(f"arc ({u}, {v}) lies on no directed cycle of the "
-                         "routing graph (arcs plus empty pairs)")
+    return reach[pairs[:, 1], pairs[:, 0]] > 0
 
 
 def _blocking(slack, kap, ds, dk):
@@ -280,59 +222,55 @@ def _blocking(slack, kap, ds, dk):
     return max(float((-ds / slack).max()), float((-dk / kap).max()))
 
 
-def _solve_exponential(net, a_mat, params, pairs, pair_time):
-    """Primal-dual path-following solve of the concave exponential problem.
+def _interior_point(params, c, edges, th, xi, pair_time, arc_grad, arc_hess,
+                    z_lo, z_hi, z0, grounded):
+    """Primal-dual path-following solve of a concave extended problem.
 
-    In demand coordinates z = theta exp(-gamma p) the problem is
+    In demand coordinates z (vehicles per slot on each arc) the problem is
 
-        min  sum xi z (c - a) + (xi/gamma) z log(z/theta) + sum eta c t w
+        min  sum f(z) + sum eta c t w
         s.t. A (z, w) = 0,   xi'z + t'w + s = psi,   lo <= (z, w, s) <= hi,
 
-    with A the node-edge incidence of the routing graph, z in
-    [theta e^-10, theta e^gamma] (prices in [-1, 10/gamma]), w in
-    [0, psi/t] and the capacity slack s in [0, psi].  Mehrotra's
-    predictor-corrector (Nocedal & Wright, ch. 14 and 19) solves each
-    Newton step with B D^-1 B': D is the Hessian plus barrier terms plus a
-    1e-10 floor, B the balance rows of all nodes but the last plus the
-    capacity row, so B D^-1 B' is the graph Laplacian with conductance 1/D
-    per arc and pair, one node grounded, bordered by the capacity row.  It
-    stops once balance, capacity and stationarity are within ``IPM_TOL``
-    and the complementarity gap within ``IPM_GAP_TOL``, each relative to
-    its scale; the largest of these is the ``kkt_residual``.
+    with A the node-edge incidence of ``edges`` (the arcs, then the empty
+    pairs), f' = ``arc_grad`` and f'' = ``arc_hess`` per arc, z in
+    [z_lo, z_hi], w in [0, psi/t] and the capacity slack s in [0, psi].
+    Mehrotra's predictor-corrector (Nocedal & Wright, ch. 14 and 19) starts
+    from z0 and solves each Newton step with B D^-1 B': D is the Hessian
+    plus barrier terms plus a floor of 1e-10 times the largest f''(theta),
+    B the balance rows of the nodes not ``grounded`` plus the capacity row,
+    so B D^-1 B' is the graph Laplacian with conductance 1/D per edge, with
+    one node grounded per weakly connected component, bordered by the
+    capacity row.  It stops once balance, capacity and stationarity are
+    within ``IPM_TOL`` and the complementarity gap within ``IPM_GAP_TOL``,
+    each relative to its scale; the largest of these is the returned
+    residual.  Returns (z, w, residual).
     """
-    gamma, psi, c = params.demand.gamma, params.psi, net.unit_cost
-    nodes, arc = net.n_locations, net.arc_array
-    th, xi, a_vec = net.arc_demand, net.arc_time, net.on_arcs(a_mat)
-    na = len(th)
-    _check_cycles(nodes, arc, pairs)
-    z_lo, z_hi = th * np.exp(-10.0), th * np.exp(gamma)
-    if float((xi * z_lo).sum()) > psi:
-        raise Infeasible(f"capacity {psi:.6g} is below the vehicle mass "
-                         "with every price at its upper end")
+    psi = params.psi
+    # grounded nodes share the last slot, so B keeps the leading rows
+    m = int(np.count_nonzero(~grounded))
+    slot = np.full(len(grounded), m)
+    slot[~grounded] = np.arange(m)
+    tail, head = slot[edges.T]
+    nodes = m + 1
 
     # x = (z, w, s): the first ne entries are edge flows
-    tail, head = np.concatenate([arc, pairs]).T
-    ne = len(tail)
+    na, ne = len(th), len(tail)
     n = ne + 1
     g = np.concatenate([xi, pair_time, [1.0]])
-    lo = np.concatenate([z_lo, np.zeros(len(pairs)), [0.0]])
+    lo = np.concatenate([z_lo, np.zeros(len(pair_time)), [0.0]])
     hi = np.concatenate([z_hi, psi / pair_time, [psi]])
-    lin = np.concatenate([xi * (c - a_vec + 1.0 / gamma),
-                          pair_time * params.eta * c, [0.0]])
-    curv = xi / gamma
-    floor = 1e-10 * float((curv / th).max())  # Hessian scale at p = 0
+    w_cost = np.append(pair_time * params.eta * c, 0.0)  # then s, at no cost
+    floor = 1e-10 * float(arc_hess(th).max())
     flow_scale, payoff_scale = float(th.max()), float((xi * th).sum())
 
     def gradient(x):
-        grad = lin.copy()
-        grad[:na] += curv * np.log(x[:na] / th)
-        return grad
+        return np.concatenate([arc_grad(x[:na]), w_cost])
 
     def node_sum(edge_values):
         return np.bincount(tail, edge_values, nodes) \
             - np.bincount(head, edge_values, nodes)
 
-    def times_b(x):  # B x; the grounded node's slot holds the capacity row
+    def times_b(x):  # B x; the grounded slot holds the capacity row
         out = node_sum(x[:ne])
         out[-1] = g @ x
         return out
@@ -343,11 +281,7 @@ def _solve_exponential(net, a_mat, params, pairs, pair_time):
         out[:ne] += y[tail] - y[head]
         return out
 
-    # start at the per-arc optimum scaled to use at most half the capacity,
-    # inside the box; bound multipliers (lower, upper) zero stationarity
-    log_rem = np.minimum(gamma * (a_vec - c) - 1.0, 0.9 * gamma - 1.0)
-    log_rem -= max(0.0, np.log(xi @ (th * np.exp(log_rem)) / (0.5 * psi)))
-    z0 = th * np.exp(np.maximum(log_rem, 0.1 * gamma - 9.0))
+    # bound multipliers (lower, upper) zero stationarity at the start
     w0 = np.minimum(0.1 * z0.mean(), 0.5 * psi / pair_time)
     s0 = np.clip(psi - xi @ z0 - pair_time @ w0, 0.1 * psi, 0.9 * psi)
     x = np.concatenate([z0, w0, [s0]])
@@ -381,7 +315,7 @@ def _solve_exponential(net, a_mat, params, pairs, pair_time):
 
         ratio = kap / slack
         D = ratio[:n] + ratio[n:] + floor
-        D[:na] += curv / x[:na]
+        D[:na] += arc_hess(x[:na])
         cond = 1.0 / D
         M = np.bincount(tail * nodes + head, cond[:ne], nodes * nodes)
         M = M.reshape(nodes, nodes)
@@ -414,8 +348,71 @@ def _solve_exponential(net, a_mat, params, pairs, pair_time):
         dual = dual + step * d_dual
         kap = kap + step * dk
 
-    p_vec = -np.log(x[:na] / th) / gamma
-    return _solution(net, a_mat, params, pairs, pair_time, p_vec, x[na:ne],
+    return x[:na], x[na:ne], residual
+
+
+def _solve_uniform(net, a_mat, params, pairs, pair_time):
+    """f(z) = xi z^2/theta - xi z (1 + a - c) for z = theta (1 - p) in
+    [0, psi/xi].  Arcs and pairs on no directed cycle carry no flow: they
+    keep price 1 and w = 0, and are dropped before iterating."""
+    nodes, arc, c = net.n_locations, net.arc_array, net.unit_cost
+    live = _on_cycles(nodes, pairs)  # pairs start with the arcs
+    on = live[:len(arc)]
+    p_vec, w_vec, residual = np.ones(len(arc)), np.zeros(len(pairs)), 0.0
+    if on.any():
+        edges = np.concatenate([arc[on], pairs[live]])
+        u, v = edges.T
+        weights = np.zeros((nodes, nodes))
+        weights[u, v] = weights[v, u] = 1.0
+        grounded = np.zeros(nodes, dtype=bool)
+        grounded[[comp[-1] for comp in connected_components(weights)]] = True
+        th, xi = net.arc_demand[on], net.arc_time[on]
+        margin = 1.0 + net.on_arcs(a_mat)[on] - c
+        lin, hess = -xi * margin, 2.0 * xi / th
+        # start at the per-arc optimum scaled to use at most half the capacity
+        z0 = th * np.maximum(0.5 * margin, 0.05)
+        z0 *= min(1.0, 0.5 * params.psi / float(xi @ z0))
+        z, w, residual = _interior_point(
+            params, c, edges, th, xi, pair_time[live],
+            lambda z: lin + hess * z, lambda z: hess,
+            np.zeros(len(th)), params.psi / xi, z0, grounded)
+        p_vec[on] = 1.0 - z / th
+        w_vec[live] = w
+    return _solution(net, a_mat, params, pairs, pair_time, p_vec, w_vec,
+                     residual, local_only=False)
+
+
+def _solve_exponential(net, a_mat, params, pairs, pair_time):
+    """f(z) = xi z (c - a) + (xi/gamma) z log(z/theta) for z = theta
+    exp(-gamma p) in [theta e^-10, theta e^gamma] (p in [-1, 10/gamma])."""
+    gamma, psi, c = params.demand.gamma, params.psi, net.unit_cost
+    nodes, arc = net.n_locations, net.arc_array
+    th, xi, a_vec = net.arc_demand, net.arc_time, net.on_arcs(a_mat)
+    stuck = np.flatnonzero(~_on_cycles(nodes, pairs)[:len(th)])
+    if len(stuck):
+        u, v = arc[stuck[0]]
+        raise Infeasible(f"arc ({u}, {v}) lies on no directed cycle of the "
+                         "routing graph (arcs plus empty pairs)")
+    z_lo, z_hi = th * np.exp(-10.0), th * np.exp(gamma)
+    if float((xi * z_lo).sum()) > psi:
+        raise Infeasible(f"capacity {psi:.6g} is below the vehicle mass "
+                         "with every price at its upper end")
+
+    lin = xi * (c - a_vec + 1.0 / gamma)
+    curv = xi / gamma
+    # start at the per-arc optimum scaled to use at most half the capacity,
+    # inside the box
+    log_rem = np.minimum(gamma * (a_vec - c) - 1.0, 0.9 * gamma - 1.0)
+    log_rem -= max(0.0, np.log(xi @ (th * np.exp(log_rem)) / (0.5 * psi)))
+    z0 = th * np.exp(np.maximum(log_rem, 0.1 * gamma - 9.0))
+    # the arcs connect the locations weakly: ground the last one
+    grounded = np.arange(nodes) == nodes - 1
+    z, w, residual = _interior_point(
+        params, c, np.concatenate([arc, pairs]), th, xi, pair_time,
+        lambda z: lin + curv * np.log(z / th), lambda z: curv / z,
+        z_lo, z_hi, z0, grounded)
+    p_vec = -np.log(z / th) / gamma
+    return _solution(net, a_mat, params, pairs, pair_time, p_vec, w,
                      residual, local_only=True)
 
 
@@ -423,15 +420,15 @@ def solve_extended(net: TrafficNetwork, a, params: ExtendedParams,
                    seed=None, empty_pairs=None) -> ExtendedSolution:
     """Solve the extended pricing problem.
 
-    Uniform demand: exact, globally optimal active-set QP solve (the
-    problem is concave quadratic with affine constraints).  Exponential
-    demand: one deterministic primal-dual interior-point solve in demand
+    One deterministic primal-dual interior-point solve in demand
     coordinates, where the problem is concave, so its stationary point is
-    the global optimum; ``seed`` must be given but does not affect the
-    result, and ``local_only`` stays set.  Raises :class:`Infeasible` when
-    some arc lies on no directed cycle of arcs plus empty pairs, or when
-    no balanced flow fits the capacity; :class:`NoConvergence` when the
-    iteration stops short of the optimum at a primal-feasible point.
+    the global optimum.  Uniform demand is always feasible: an arc on no
+    directed cycle of arcs plus empty pairs gets price exactly 1 and no
+    flow.  Exponential demand: ``seed`` must be given but does not affect
+    the result, ``local_only`` stays set, and :class:`Infeasible` is raised
+    when some arc lies on no directed cycle or no balanced flow fits the
+    capacity.  Raises :class:`NoConvergence` when the iteration stops short
+    of the optimum at a primal-feasible point.
     """
     a_mat = ad_matrix(net, a)
     pairs, pair_time = _pair_set(net, empty_pairs)

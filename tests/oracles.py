@@ -263,6 +263,28 @@ def _extended_dimensions(net, params):
     return arcs, th, xi, na, n, quad, A, b, gcap, hcap
 
 
+def extended_uniform_qp(net, a_mat, params):
+    """The uniform-demand extended problem in (p, w) as a dense QP for
+    ``qp.solve_convex_qp``: min 0.5 x'Qx + lin'x s.t. A x = b, G x <= h,
+    started at x0 with every price at the cap and every empty flow at 0,
+    so every bound starts in the working set.  Returns (Q, lin, A, b, G,
+    h, x0) and the offset that turns the minimum into the payoff."""
+    _, th, xi, na, n, Q, A, b, gcap, hcap = _extended_dimensions(net, params)
+    c = net.unit_cost
+    a_vec = net.on_arcs(a_mat)
+    lin = np.concatenate([-th * xi * (1.0 - a_vec + c),
+                          xi * params.eta * c])
+    G = np.zeros((n + 1, n))
+    G[np.arange(na), np.arange(na)] = 1.0  # p <= 1
+    G[na + np.arange(na), na + np.arange(na)] = -1.0  # w >= 0
+    G[-1] = gcap
+    h = np.concatenate([np.ones(na), np.zeros(na), [hcap]])
+    x0 = np.concatenate([np.ones(na), np.zeros(na)])
+    offset = float((th * xi * (a_vec - c)).sum())
+    # balance rows sum to zero; drop one
+    return (Q, lin, A[:-1], b[:-1], G, h, x0), offset
+
+
 def extended_uniform_objective(net, a_mat, params, p_vec, w_vec):
     th, xi = net.arc_demand, net.arc_time
     a_vec = net.on_arcs(a_mat)

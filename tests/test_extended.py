@@ -17,6 +17,7 @@ from resistive_pricing import (
     synth_instance,
     validate_network,
 )
+from resistive_pricing.qp import solve_convex_qp
 
 from gen import random_ads, random_instance
 from oracles import (
@@ -24,6 +25,7 @@ from oracles import (
     enumerate_extended_uniform,
     exponential_duality_gap,
     extended_uniform_objective,
+    extended_uniform_qp,
     sample_feasible_extended,
 )
 
@@ -214,6 +216,83 @@ class TestUniformSolver:
         # optimum p = 0.54: (1-p)(p + 1 - c) - 0.48 (1-p)
         assert with_pair.payoff == pytest.approx(0.46 * 0.46, abs=1e-8)
         assert with_pair.empty_flows[1, 0] == pytest.approx(0.46, abs=1e-8)
+
+
+def uniform_reference(net, a, params):
+    """Payoff of the dense active-set QP on the same uniform problem."""
+    a_mat = np.zeros_like(net.demand) if a is None else a
+    qp, offset = extended_uniform_qp(net, a_mat, params)
+    x = solve_convex_qp(*qp).x
+    return offset - (0.5 * x @ qp[0] @ x + qp[1] @ x)
+
+
+class TestUniformInteriorPoint:
+    def test_matches_dense_qp_on_aggressive_draws(self):
+        """One-way-heavy draws, many with off-cycle arcs, across capacity
+        and empty-cost ranges: every solve agrees with the dense QP."""
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            net, a = random_instance(rng, aggressive=True, n_min=2, n_max=9)
+            mass = float((net.arc_demand * net.arc_time).sum())
+            params = ExtendedParams(
+                eta=float(rng.uniform(0.1, 1.0)),
+                psi=float(rng.uniform(0.05, 2.0)) * mass,
+                demand=DemandModel.uniform())
+            sol = solve_extended(net, a, params)
+            ref = uniform_reference(net, a, params)
+            # a payoff of 0 (every arc off-cycle) is compared at mass scale
+            assert abs(sol.payoff - ref) <= 1e-9 * max(abs(ref), 1e-3 * mass)
+            assert sol.kkt_residual < 1e-8
+            assert not sol.local_only
+
+    def test_off_cycle_arc_priced_at_cap(self):
+        """Arc (0, 1) is on no directed cycle: price exactly 1, no flow."""
+        demand = np.zeros((3, 3))
+        demand[0, 1] = 1.0
+        demand[1, 2] = demand[2, 1] = 0.5
+        net = validate_network(demand, np.ones((3, 3)), 0.3)
+        params = ExtendedParams(eta=0.8, psi=10.0,
+                                demand=DemandModel.uniform())
+        sol = solve_extended(net, None, params)
+        assert sol.prices[0, 1] == 1.0
+        assert sol.empty_flows[0, 1] == 0.0
+        assert sol.prices[1, 2] < 1.0 and sol.prices[2, 1] < 1.0
+        assert sol.payoff == pytest.approx(
+            uniform_reference(net, None, params), rel=1e-9)
+
+    def test_drop_splits_routing_graph(self):
+        """Dropping the bridge (1, 2) leaves two weak components."""
+        demand = np.zeros((4, 4))
+        demand[0, 1], demand[1, 0] = 1.0, 0.6
+        demand[2, 3], demand[3, 2] = 0.8, 1.2
+        demand[1, 2] = 2.0
+        net = validate_network(demand, np.full((4, 4), 1.5), 0.4)
+        a = np.where(demand > 0, 0.2, 0.0)
+        mass = float((net.arc_demand * net.arc_time).sum())
+        params = ExtendedParams(eta=0.5, psi=0.4 * mass,
+                                demand=DemandModel.uniform())
+        sol = solve_extended(net, a, params)
+        assert sol.prices[1, 2] == 1.0
+        prices = np.where(net.demand > 0, sol.prices, 0.0)
+        assert payoff_extended(net, a, params, prices, sol.empty_flows) \
+            == pytest.approx(sol.payoff, rel=1e-9)
+        assert sol.payoff == pytest.approx(
+            uniform_reference(net, a, params), rel=1e-9)
+        assert sol.kkt_residual < 1e-8
+
+    def test_payoff_scale_invariant(self):
+        net, _ = synth_instance(6, 0.5, seed=4, profile="commuter")
+        payoffs = []
+        for k in range(-6, 7):
+            scaled = validate_network(net.demand * 10.0 ** k,
+                                      net.travel_time, net.unit_cost)
+            mass = float((scaled.arc_demand * scaled.arc_time).sum())
+            params = ExtendedParams(eta=0.8, psi=0.5 * mass,
+                                    demand=DemandModel.uniform())
+            sol = solve_extended(scaled, None, params)
+            assert sol.kkt_residual < 1e-8
+            payoffs.append(sol.payoff / 10.0 ** k)
+        assert payoffs == pytest.approx([payoffs[6]] * 13, rel=1e-9)
 
 
 class TestExponentialSolver:

@@ -6,11 +6,12 @@ import pytest
 from resistive_pricing import (
     DemandModel,
     ExtendedParams,
-    extended,
     solve_extended,
     synth_instance,
 )
 from resistive_pricing.qp import QPNoConvergence, solve_convex_qp
+
+from oracles import extended_uniform_qp
 
 
 def kkt_residual(Q, c, A, b, G, h, result):
@@ -101,26 +102,13 @@ def test_zero_curvature_ray_stops_at_bound():
     assert_kkt(Q, c, A, b, G, h, result)
 
 
-def recorded_uniform_qp(monkeypatch):
-    """The QP that ``solve_extended`` builds for a uniform-demand solve."""
-    calls = []
-
-    def record(*args, **kwargs):
-        calls.append(args)
-        return solve_convex_qp(*args, **kwargs)
-
-    monkeypatch.setattr(extended, "solve_convex_qp", record)
+def test_degenerate_uniform_start():
     net, _ = synth_instance(6, 0.5, seed=4, profile="commuter")
     total = float((net.arc_demand * net.arc_time).sum())
     params = ExtendedParams(eta=0.8, psi=0.5 * total,
                             demand=DemandModel.uniform())
-    sol = solve_extended(net, None, params)
-    (Q, c, A, b, G, h, x0), = calls
-    return sol, (Q, c, A, b, G, h, x0)
-
-
-def test_degenerate_uniform_start(monkeypatch):
-    sol, (Q, c, A, b, G, h, x0) = recorded_uniform_qp(monkeypatch)
+    (Q, c, A, b, G, h, x0), offset = extended_uniform_qp(
+        net, np.zeros_like(net.demand), params)
     bounds = np.count_nonzero(G, axis=1) == 1
     assert np.all((h - G @ x0)[bounds] == 0.0)  # every bound starts active
     # restore the flow-balance row the caller drops: rows now sum to zero
@@ -132,7 +120,10 @@ def test_degenerate_uniform_start(monkeypatch):
         assert_kkt(Q, c, A_k, b_k, G, h, result)
         values.append(0.5 * result.x @ Q @ result.x + c @ result.x)
     assert values[1] == pytest.approx(values[0], rel=1e-12, abs=1e-12)
+    sol = solve_extended(net, None, params)
     assert sol.kkt_residual < 1e-8
+    # the dense QP is an independent reference for the interior-point engine
+    assert offset - values[0] == pytest.approx(sol.payoff, rel=1e-9)
 
 
 def test_infeasible_start_raises():
