@@ -15,6 +15,7 @@ The sweep commands fan grid points out to a thread pool capped by the
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -45,6 +46,8 @@ USAGE_ERROR = 2
 SOLVER_ERROR = 3
 # the arguments that name input files, hashed into the manifest
 INPUT_ARGS = ("network", "ads", "advertisers", "rides")
+# the most points a start:stop:step grid may have
+MAX_GRID_POINTS = 10_000
 
 
 def _pool_size() -> int:
@@ -63,15 +66,22 @@ def _parse_demand(text: str) -> DemandModel:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """``start:stop:step`` (stop included) or ``v1,v2,...`` as a list."""
+    """``start:stop:step`` (stop included, at most ``MAX_GRID_POINTS``
+    points) or ``v1,v2,...`` as a list."""
     try:
         if ":" in text:
             start, stop, step = (float(t) for t in text.split(":"))
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ValueError("grid bounds and step must be finite")
             if step <= 0:
                 raise ValueError("grid step must be positive")
+            steps = (stop + 1e-9 - start) / step
+            if not steps < MAX_GRID_POINTS:  # inf included
+                raise ValueError(f"{steps + 1:.6g} points, more than the "
+                                 f"{MAX_GRID_POINTS} allowed")
             values = []
             x = start
-            while x <= stop + 1e-9:
+            for _ in range(math.floor(steps) + 1):
                 values.append(round(x, 12))
                 x += step
         else:
@@ -269,15 +279,20 @@ def _read_table(path):
     if not lines:
         raise MalformedInput(f"{path} is empty")
     header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]
-            if ln and not ln.startswith("#")]
-    footer = {}
-    for ln in lines[1:]:
+    rows, footer = [], {}
+    for number, ln in enumerate(lines[1:], start=2):
         if ln.startswith("#"):
             key, sep, value = ln[1:].lstrip().partition("=")
             if not sep:
                 raise MalformedInput(f"{path}: footer line {ln!r} has no '='")
             footer[key] = value
+        elif ln:
+            row = ln.split(",")
+            if len(row) != len(header):
+                raise MalformedInput(f"{path}, line {number}: {len(row)} "
+                                     f"fields, but the header has "
+                                     f"{len(header)}")
+            rows.append(row)
     return header, rows, footer
 
 

@@ -6,6 +6,8 @@ psi.  In demand coordinates z = theta * (1 - F(p)) the problem is concave
 for both the uniform and the exponential curve, with the same balance and
 capacity rows; one primal-dual interior-point solve finds its optimum, and
 each Newton step is a weighted graph Laplacian solve on the locations.
+Both curves share one set-up; :class:`DemandModel` holds the per-arc
+formulas that differ.
 
 Empty flows live on the arc set by default.  Off-arc pairs participate
 only when explicit empty travel times are supplied for them.
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (FrozenArrays, TrafficNetwork, _frozen_array, ad_matrix,
-                      connected_components)
+from .network import FrozenArrays, TrafficNetwork, _frozen_array, ad_matrix
 from .pricing import NoConvergence
 from .qp import solve_convex_qp  # noqa: F401  (bench/spans.py wraps this name)
 
@@ -27,6 +28,8 @@ POINT_TOL = 1e-6
 IPM_MAX_ITER = 100
 IPM_TOL = 1e-10
 IPM_GAP_TOL = 1e-12
+# the largest exponential-demand gamma whose e^gamma is finite
+GAMMA_MAX = float(np.log(np.finfo(float).max))
 
 
 class Infeasible(RuntimeError):
@@ -39,7 +42,14 @@ class InfeasiblePoint(ValueError):
 
 @dataclass(frozen=True)
 class DemandModel:
-    """Reservation-price model: fraction F(p) of users priced out at p."""
+    """Reservation-price model: fraction F(p) of users priced out at p.
+
+    Per arc the solver minimizes a convex f(z) in z = theta (1 - F(p)):
+    uniform f(z) = xi z^2/theta - xi z (1 + a - c) for z in [0, psi/xi];
+    exponential f(z) = xi z (c - a) + (xi/gamma) z log(z/theta) for z in
+    [theta e^-10, theta e^gamma] (p in [-1, 10/gamma]); gamma > 0 must
+    have a finite e^gamma.
+    """
 
     kind: str
     gamma: float | None = None
@@ -48,8 +58,9 @@ class DemandModel:
         if self.kind not in ("uniform", "exponential"):
             raise ValueError("demand kind must be 'uniform' or 'exponential'")
         if self.kind == "exponential":
-            if self.gamma is None or self.gamma <= 0:
-                raise ValueError("exponential demand requires gamma > 0")
+            if self.gamma is None or not 0 < self.gamma <= GAMMA_MAX:
+                raise ValueError("exponential demand requires 0 < gamma <= "
+                                 f"{GAMMA_MAX:.6g} (got {self.gamma})")
 
     @classmethod
     def uniform(cls) -> "DemandModel":
@@ -66,6 +77,36 @@ class DemandModel:
             return 1.0 - np.minimum(p, 1.0)
         return np.exp(-self.gamma * p)
 
+    def box(self, th, xi, psi):
+        """Per-arc bounds (z_lo, z_hi) on z."""
+        if self.kind == "uniform":
+            return np.zeros(len(th)), psi / xi
+        return th * np.exp(-10.0), th * np.exp(self.gamma)
+
+    def start(self, th, xi, a, c, psi):
+        """Per-arc optimum scaled to use at most half the capacity."""
+        if self.kind == "uniform":
+            z0 = th * np.maximum(0.5 * (1.0 + a - c), 0.05)
+            return z0 * min(1.0, 0.5 * psi / float(xi @ z0))
+        gamma = self.gamma
+        log_rem = np.minimum(gamma * (a - c) - 1.0, 0.9 * gamma - 1.0)
+        log_rem -= max(0.0, np.log(xi @ (th * np.exp(log_rem)) / (0.5 * psi)))
+        return th * np.exp(np.maximum(log_rem, 0.1 * gamma - 9.0))
+
+    def derivatives(self, th, xi, a, c):
+        """f' and f'' per arc, each a function of z."""
+        if self.kind == "uniform":
+            lin, hess = -xi * (1.0 + a - c), 2.0 * xi / th
+            return (lambda z: lin + hess * z), (lambda z: hess)
+        lin, curv = xi * (c - a + 1.0 / self.gamma), xi / self.gamma
+        return (lambda z: lin + curv * np.log(z / th)), (lambda z: curv / z)
+
+    def price(self, z, th):
+        """The price p at which arc demand theta falls to z."""
+        if self.kind == "uniform":
+            return 1.0 - z / th
+        return -np.log(z / th) / self.gamma
+
 
 @dataclass(frozen=True)
 class ExtendedParams:
@@ -74,10 +115,10 @@ class ExtendedParams:
     demand: DemandModel
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.psi <= 0:
-            raise ValueError("psi must be positive")
+        if not 0 < self.eta < np.inf:
+            raise ValueError(f"eta must be finite and positive, not {self.eta}")
+        if not 0 < self.psi < np.inf:
+            raise ValueError(f"psi must be finite and positive, not {self.psi}")
 
 
 @dataclass(frozen=True)
@@ -205,8 +246,8 @@ def _solution(net, a_mat, params, pairs, pair_time, p_vec, w_vec, residual,
     )
 
 
-def _on_cycles(nodes, pairs):
-    """Mask of the edges in ``pairs`` on a directed cycle of their graph."""
+def _mutual_reach(nodes, pairs):
+    """Mask of the node pairs in one strong class of the graph of ``pairs``."""
     reach = np.eye(nodes)
     reach[pairs[:, 0], pairs[:, 1]] = 1.0
     while True:  # transitive closure by boolean squaring
@@ -214,7 +255,7 @@ def _on_cycles(nodes, pairs):
         if np.array_equal(closed, reach):
             break
         reach = closed
-    return reach[pairs[:, 1], pairs[:, 0]] > 0
+    return (reach > 0) & (reach.T > 0)
 
 
 def _blocking(slack, kap, ds, dk):
@@ -351,89 +392,48 @@ def _interior_point(params, c, edges, th, xi, pair_time, arc_grad, arc_hess,
     return x[:na], x[na:ne], residual
 
 
-def _solve_uniform(net, a_mat, params, pairs, pair_time):
-    """f(z) = xi z^2/theta - xi z (1 + a - c) for z = theta (1 - p) in
-    [0, psi/xi].  Arcs and pairs on no directed cycle carry no flow: they
-    keep price 1 and w = 0, and are dropped before iterating."""
-    nodes, arc, c = net.n_locations, net.arc_array, net.unit_cost
-    live = _on_cycles(nodes, pairs)  # pairs start with the arcs
-    on = live[:len(arc)]
-    p_vec, w_vec, residual = np.ones(len(arc)), np.zeros(len(pairs)), 0.0
-    if on.any():
-        edges = np.concatenate([arc[on], pairs[live]])
-        u, v = edges.T
-        weights = np.zeros((nodes, nodes))
-        weights[u, v] = weights[v, u] = 1.0
-        grounded = np.zeros(nodes, dtype=bool)
-        grounded[[comp[-1] for comp in connected_components(weights)]] = True
-        th, xi = net.arc_demand[on], net.arc_time[on]
-        margin = 1.0 + net.on_arcs(a_mat)[on] - c
-        lin, hess = -xi * margin, 2.0 * xi / th
-        # start at the per-arc optimum scaled to use at most half the capacity
-        z0 = th * np.maximum(0.5 * margin, 0.05)
-        z0 *= min(1.0, 0.5 * params.psi / float(xi @ z0))
-        z, w, residual = _interior_point(
-            params, c, edges, th, xi, pair_time[live],
-            lambda z: lin + hess * z, lambda z: hess,
-            np.zeros(len(th)), params.psi / xi, z0, grounded)
-        p_vec[on] = 1.0 - z / th
-        w_vec[live] = w
-    return _solution(net, a_mat, params, pairs, pair_time, p_vec, w_vec,
-                     residual, local_only=False)
-
-
-def _solve_exponential(net, a_mat, params, pairs, pair_time):
-    """f(z) = xi z (c - a) + (xi/gamma) z log(z/theta) for z = theta
-    exp(-gamma p) in [theta e^-10, theta e^gamma] (p in [-1, 10/gamma])."""
-    gamma, psi, c = params.demand.gamma, params.psi, net.unit_cost
-    nodes, arc = net.n_locations, net.arc_array
-    th, xi, a_vec = net.arc_demand, net.arc_time, net.on_arcs(a_mat)
-    stuck = np.flatnonzero(~_on_cycles(nodes, pairs)[:len(th)])
-    if len(stuck):
-        u, v = arc[stuck[0]]
-        raise Infeasible(f"arc ({u}, {v}) lies on no directed cycle of the "
-                         "routing graph (arcs plus empty pairs)")
-    z_lo, z_hi = th * np.exp(-10.0), th * np.exp(gamma)
-    if float((xi * z_lo).sum()) > psi:
-        raise Infeasible(f"capacity {psi:.6g} is below the vehicle mass "
-                         "with every price at its upper end")
-
-    lin = xi * (c - a_vec + 1.0 / gamma)
-    curv = xi / gamma
-    # start at the per-arc optimum scaled to use at most half the capacity,
-    # inside the box
-    log_rem = np.minimum(gamma * (a_vec - c) - 1.0, 0.9 * gamma - 1.0)
-    log_rem -= max(0.0, np.log(xi @ (th * np.exp(log_rem)) / (0.5 * psi)))
-    z0 = th * np.exp(np.maximum(log_rem, 0.1 * gamma - 9.0))
-    # the arcs connect the locations weakly: ground the last one
-    grounded = np.arange(nodes) == nodes - 1
-    z, w, residual = _interior_point(
-        params, c, np.concatenate([arc, pairs]), th, xi, pair_time,
-        lambda z: lin + curv * np.log(z / th), lambda z: curv / z,
-        z_lo, z_hi, z0, grounded)
-    p_vec = -np.log(z / th) / gamma
-    return _solution(net, a_mat, params, pairs, pair_time, p_vec, w,
-                     residual, local_only=True)
-
-
 def solve_extended(net: TrafficNetwork, a, params: ExtendedParams,
                    seed=None, empty_pairs=None) -> ExtendedSolution:
     """Solve the extended pricing problem.
 
     One deterministic primal-dual interior-point solve in demand
     coordinates, where the problem is concave, so its stationary point is
-    the global optimum.  Uniform demand is always feasible: an arc on no
-    directed cycle of arcs plus empty pairs gets price exactly 1 and no
-    flow.  Exponential demand: ``seed`` must be given but does not affect
-    the result, ``local_only`` stays set, and :class:`Infeasible` is raised
-    when some arc lies on no directed cycle or no balanced flow fits the
-    capacity.  Raises :class:`NoConvergence` when the iteration stops short
-    of the optimum at a primal-feasible point.
+    the global optimum.  An arc on no directed cycle of arcs plus empty
+    pairs gets price exactly 1 and no flow under uniform demand; under
+    exponential demand it, or a capacity no balanced flow fits, raises
+    :class:`Infeasible`.  Raises :class:`NoConvergence` when the iteration
+    stops short of the optimum at a primal-feasible point.  ``seed`` does
+    not affect the result; ``local_only`` is set for exponential demand.
     """
     a_mat = ad_matrix(net, a)
     pairs, pair_time = _pair_set(net, empty_pairs)
-    if params.demand.kind == "uniform":
-        return _solve_uniform(net, a_mat, params, pairs, pair_time)
-    if seed is None:
-        raise ValueError("exponential demand solve requires a seed")
-    return _solve_exponential(net, a_mat, params, pairs, pair_time)
+    demand, psi, c = params.demand, params.psi, net.unit_cost
+    arc = net.arc_array
+    # an edge is on a directed cycle when its ends share a strong class
+    classes = _mutual_reach(net.n_locations, pairs)
+    live = classes[pairs[:, 0], pairs[:, 1]]  # pairs start with the arcs
+    on = live[:len(arc)]
+    exponential = demand.kind == "exponential"
+    if exponential and not on.all():
+        u, v = arc[np.flatnonzero(~on)[0]]
+        raise Infeasible(f"arc ({u}, {v}) lies on no directed cycle of the "
+                         "routing graph (arcs plus empty pairs)")
+    th, xi = net.arc_demand[on], net.arc_time[on]
+    a_vec = net.on_arcs(a_mat)[on]
+    z_lo, z_hi = demand.box(th, xi, psi)
+    if float((xi * z_lo).sum()) > psi:
+        raise Infeasible(f"capacity {psi:.6g} is below the vehicle mass "
+                         "with every price at its upper end")
+    p_vec, w_vec, residual = np.ones(len(arc)), np.zeros(len(pairs)), 0.0
+    if on.any():
+        arc_grad, arc_hess = demand.derivatives(th, xi, a_vec, c)
+        # each weak component left is a strong class: ground its last node
+        grounded = ~np.triu(classes, 1).any(axis=1)
+        z, w, residual = _interior_point(
+            params, c, np.concatenate([arc[on], pairs[live]]), th, xi,
+            pair_time[live], arc_grad, arc_hess, z_lo, z_hi,
+            demand.start(th, xi, a_vec, c, psi), grounded)
+        p_vec[on] = demand.price(z, th)
+        w_vec[live] = w
+    return _solution(net, a_mat, params, pairs, pair_time, p_vec, w_vec,
+                     residual, local_only=exponential)

@@ -177,6 +177,22 @@ def test_unwritable_output_exit_2(workdir, capsys, blocked):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--psi", "nan"), ("--psi", "inf"), ("--eta", "nan"),
+    ("--demand", "exp:nan"), ("--demand", "exp:1e6")],
+    ids=["psi-nan", "psi-inf", "eta-nan", "gamma-nan", "gamma-exp-overflows"])
+def test_non_finite_extended_parameter_exit_2(workdir, capsys, option, value):
+    """A non-finite psi, eta or gamma, or a gamma whose e^gamma overflows,
+    is a usage error, not a solver error."""
+    write_instance("net.json", "adv.json", n=5)
+    argv = {"--psi": "30", "--eta": "0.8", "--demand": "exp:2"}
+    argv[option] = value
+    assert main(["price-extended", "--network", "net.json", "--seed", "4",
+                 "--out", "ext.csv", *(t for kv in argv.items() for t in kv)
+                 ]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestSelectCommand:
     def test_select_random_seeded_identical(self, workdir):
         write_instance("net.json", "ads.json")
@@ -249,6 +265,23 @@ class TestGridParsing:
         from resistive_pricing.cli import _parse_grid
         assert _parse_grid("0.5,0.7") == [0.5, 0.7]
         assert len(_parse_grid("0.1:1.0:0.1")) == 10
+
+    def test_default_grids_bit_for_bit(self):
+        from resistive_pricing.cli import _parse_grid
+        for text, expected in [
+                ("40:280:40", [40.0, 80.0, 120.0, 160.0, 200.0, 240.0,
+                               280.0]),
+                ("0.1:1.0:0.1", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                 0.9, 1.0])]:
+            grid = _parse_grid(text)
+            assert np.array(grid).tobytes() == np.array(expected).tobytes()
+
+    def test_grid_point_count_capped(self):
+        import argparse
+        from resistive_pricing.cli import MAX_GRID_POINTS, _parse_grid
+        with pytest.raises(argparse.ArgumentTypeError, match="1e[+]06 points"):
+            _parse_grid("0:1:1e-6")
+        assert len(_parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
 
     def test_demand_spec_parsing(self):
         from resistive_pricing.cli import _parse_demand
@@ -339,6 +372,18 @@ class TestSynthIngestReport:
                                    "arc,0,1,0.5,0.2\n#oops\n")
         assert main(["report", "ext.csv"]) == 2
         assert "has no '='" in capsys.readouterr().err
+
+    def test_report_short_row_exit_2(self, workdir, capsys):
+        write_instance("net.json", "ads.json")
+        main(["price", "--network", "net.json", "--out", "p.csv"])
+        lines = Path("p.csv").read_text().splitlines()
+        Path("p.csv").write_text("\n".join(lines[:2] + ["0,1,0.5"]
+                                            + lines[2:]) + "\n")
+        capsys.readouterr()
+        assert main(["report", "p.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: p.csv, line 3: 3 fields")
+        assert err.count("\n") == 1
 
     def test_price_extended_footer(self, workdir):
         write_instance("net.json", "ads.json", n=5)

@@ -47,6 +47,23 @@ class TestDemandModel:
         d = DemandModel.exponential(2.0)
         assert d.remaining(0.5) == pytest.approx(np.exp(-1.0))
 
+    @pytest.mark.parametrize("eta, psi, gamma", [
+        (np.nan, 1.0, 2.0), (np.inf, 1.0, 2.0), (1.0, np.nan, 2.0),
+        (1.0, np.inf, 2.0), (1.0, 1.0, np.nan), (1.0, 1.0, np.inf),
+        (1.0, 1.0, 1e6)],
+        ids=["eta-nan", "eta-inf", "psi-nan", "psi-inf", "gamma-nan",
+             "gamma-inf", "gamma-exp-overflows"])
+    def test_non_finite_rejected(self, eta, psi, gamma):
+        """NaN, infinity, and a gamma whose e^gamma overflows are usage
+        errors, not inputs the solver meets."""
+        with pytest.raises(ValueError):
+            ExtendedParams(eta=eta, psi=psi,
+                           demand=DemandModel.exponential(gamma))
+
+    def test_largest_gamma_accepted(self):
+        gamma = np.log(np.finfo(float).max)
+        assert np.isfinite(np.exp(DemandModel.exponential(gamma).gamma))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DemandModel("gamma")
@@ -245,6 +262,28 @@ class TestUniformInteriorPoint:
             assert sol.kkt_residual < 1e-8
             assert not sol.local_only
 
+    def test_eta_limit_matches_basic_pricing(self):
+        """Independent of the dense QP: with empty routing dearer than any
+        dual difference and slack capacity, w = 0 and the extended problem
+        is the basic one, which the active-set engine solves exactly."""
+        rng = np.random.default_rng(4)
+        for k in range(400):
+            net, a = random_instance(rng, aggressive=k % 2 == 1, n_min=2,
+                                     n_max=9)
+            basic = solve_general(net, a)
+            lam = np.asarray(basic.duals_lambda)
+            mass = float((net.arc_demand * net.arc_time).sum())
+            params = ExtendedParams(
+                eta=10.0 * (float(lam.max() - lam.min()) + 1.0)
+                / (net.unit_cost * float(net.arc_time.min())),
+                psi=10.0 * (4.0 * mass + 10.0),
+                demand=DemandModel.uniform())
+            sol = solve_extended(net, a, params)
+            assert abs(sol.payoff - basic.payoff) \
+                <= 1e-9 * max(abs(basic.payoff), 1e-3 * mass)
+            on = net.demand > 0
+            assert np.abs(sol.prices[on] - basic.prices[on]).max() <= 1e-7
+
     def test_off_cycle_arc_priced_at_cap(self):
         """Arc (0, 1) is on no directed cycle: price exactly 1, no flow."""
         demand = np.zeros((3, 3))
@@ -296,14 +335,20 @@ class TestUniformInteriorPoint:
 
 
 class TestExponentialSolver:
-    def test_requires_seed(self):
+    def test_seed_optional(self):
+        """The seed is optional and changes no bit of the answer."""
         rng = np.random.default_rng(1)
         net, a = random_instance(rng, n_min=3, n_max=4, both_dirs=1.1)
         total = float((net.arc_demand * net.arc_time).sum())
         params = ExtendedParams(eta=0.8, psi=total,
                                 demand=DemandModel.exponential(2.0))
-        with pytest.raises(ValueError):
-            solve_extended(net, a, params)
+        unseeded = solve_extended(net, a, params)
+        seeded = solve_extended(net, a, params, seed=0)
+        for name in ("prices", "empty_flows"):
+            assert getattr(unseeded, name).tobytes() \
+                == getattr(seeded, name).tobytes()
+        assert unseeded.payoff == seeded.payoff
+        assert unseeded.kkt_residual == seeded.kkt_residual
 
     def test_deterministic_and_stationary(self):
         net, _ = synth_instance(6, 0.5, seed=4, profile="symmetric")
