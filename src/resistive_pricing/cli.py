@@ -271,6 +271,7 @@ def cmd_dump_electrical(args) -> int:
 
 
 def _read_table(path):
+    """Header, (line number, fields) rows and footer of a CSV table."""
     try:
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -292,52 +293,69 @@ def _read_table(path):
                 raise MalformedInput(f"{path}, line {number}: {len(row)} "
                                      f"fields, but the header has "
                                      f"{len(header)}")
-            rows.append(row)
+            rows.append((number, row))
     return header, rows, footer
 
 
+def _floats(path, rows, cols):
+    """Fields ``cols`` of (line number, fields) rows, one float list per
+    column; a field that is not a number raises MalformedInput naming the
+    file and line."""
+    values = [[] for _ in cols]
+    for number, row in rows:
+        for col, column in zip(cols, values):
+            try:
+                column.append(float(row[col]))
+            except ValueError:
+                raise MalformedInput(f"{path}, line {number}: field "
+                                     f"{col + 1} is {row[col]!r}, not a "
+                                     f"number") from None
+    return values
+
+
 def cmd_report(args) -> int:
-    header, rows, footer = _read_table(args.input)
-    prefix = args.out_prefix or (args.input + ".series")
+    path = args.input
+    header, rows, footer = _read_table(path)
+    prefix = args.out_prefix or (path + ".series")
     if header == PRICE_HEADER:
-        payoff = sum(float(r[5]) for r in rows)
-        surplus = sum(float(r[6]) for r in rows)
-        active = sum(1 for r in rows if float(r[4]) > 1e-9)
+        price, mu, pay, cs = _floats(path, rows, (2, 4, 5, 6))
+        payoff = sum(pay)
+        surplus = sum(cs)
+        active = sum(1 for m in mu if m > 1e-9)
         ratio = payoff / surplus if surplus else float("nan")
         print(f"payoff={fmt(payoff)}")
         print(f"consumer_surplus={fmt(surplus)}")
         print(f"payoff_to_surplus_ratio={ratio:.4f}")
         print(f"active_set_size={active}")
-        top = sorted(rows, key=lambda r: -float(r[5]))[:5]
+        top = sorted(range(len(rows)), key=lambda idx: -pay[idx])[:5]
         print("top_arcs_by_payoff=" + ";".join(
-            f"{r[0]}->{r[1]}:{fmt(float(r[5]))}" for r in top))
+            f"{rows[idx][1][0]}->{rows[idx][1][1]}:{fmt(pay[idx])}"
+            for idx in top))
         fileio.write_csv(f"{prefix}.payoff_by_arc.csv", ["x", "y"],
-                         ([str(idx), fmt(float(r[5]))]
-                          for idx, r in enumerate(rows)))
+                         ([str(idx), fmt(y)] for idx, y in enumerate(pay)))
         fileio.write_csv(f"{prefix}.price_by_arc.csv", ["x", "y"],
-                         ([str(idx), fmt(float(r[2]))]
-                          for idx, r in enumerate(rows)))
+                         ([str(idx), fmt(y)] for idx, y in enumerate(price)))
         return 0
     if len(header) == 4 and header[1:] == ["strategy", "payoff", "gap_to_optimal"]:
         xname = header[0]
-        strategies = sorted({r[1] for r in rows})
+        [payoffs] = _floats(path, rows, (2,))
+        strategies = sorted({r[1] for _, r in rows})
         for strat in strategies:
-            series = [(r[0], r[2]) for r in rows if r[1] == strat]
+            series = [(r[0], y) for (_, r), y in zip(rows, payoffs)
+                      if r[1] == strat]
             fileio.write_csv(f"{prefix}.{strat}.csv", ["x", "y"],
-                             ([x, fmt(float(y))] for x, y in series))
+                             ([x, fmt(y)] for x, y in series))
         print(f"series_over={xname} strategies={strategies} rows={len(rows)}")
         return 0
     if header == ["row_type", "from", "to", "price", "flow"]:
-        payoff = footer.get("payoff")
-        print(f"payoff={payoff}")
+        [flows] = _floats(path, [r for r in rows if r[1][0] == "arc"], (4,))
+        print(f"payoff={footer.get('payoff')}")
         print(f"kkt_residual={footer.get('kkt_residual')}")
         print(f"local_only={footer.get('local_only')}")
-        arcs = [r for r in rows if r[0] == "arc"]
         fileio.write_csv(f"{prefix}.flow_by_arc.csv", ["x", "y"],
-                         ([str(idx), fmt(float(r[4]))]
-                          for idx, r in enumerate(arcs)))
+                         ([str(idx), fmt(y)] for idx, y in enumerate(flows)))
         return 0
-    raise MalformedInput(f"unrecognized table schema in {args.input}")
+    raise MalformedInput(f"unrecognized table schema in {path}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,7 @@ mimics a morning-commute demand pattern.
 """
 
 import csv
+import logging
 import warnings
 from dataclasses import dataclass, fields
 
@@ -19,6 +20,10 @@ from .selection import AdvertiserCatalog
 
 EARTH_RADIUS_M = 6_371_000.0
 KMEANS_MAX_ITER = 300
+# relative skip margin of the bound-accelerated k-means (see _kmeans)
+KMEANS_MARGIN = 1e-9
+
+log = logging.getLogger(__name__)
 
 
 class TooFewPoints(ValueError):
@@ -151,13 +156,39 @@ def _kmeans(points, k, rng):
     """k-means++ seeding, then Lloyd iterations on an (n, 2) point array.
 
     Squared distances are ``dx*dx + dy*dy`` from 1-D coordinate arrays,
-    kept as a (k, n) array; each point takes the first nearest centroid.
+    kept as a (k, m) array; each point takes the first nearest centroid.
     A centroid is its members' coordinate sums (``np.bincount``, in index
-    order) over their count.  In an iteration that leaves some cluster
-    empty, clusters are visited in order instead: an empty one is
-    reseeded at the point farthest from every centroid, which then joins
-    it.  At most ``KMEANS_MAX_ITER`` iterations.  Returns (centers,
-    labels, inertia).
+    order) over their count.  At most ``KMEANS_MAX_ITER`` iterations,
+    stopping when no label changes; one last full pass gives the labels
+    and the inertia.  Returns (centers, labels, inertia).
+
+    Most points stop moving after a few iterations, so the loop keeps,
+    per point, an upper bound ``u`` on the distance to its own centroid
+    and a lower bound ``l`` on the distance to every other one (Hamerly,
+    "Making k-means even faster", SDM 2010).  A point is skipped, keeping
+    its label, when ``u`` plus a margin is below the larger of ``l`` and
+    half the distance from its centroid to the nearest other centroid;
+    by the triangle inequality its label cannot change then.  The rest
+    get a full column of distances, and ``u`` and ``l`` are reset to its
+    smallest and second-smallest entries.  After each centroid update,
+    ``u`` grows by the distance its own centroid moved and ``l`` shrinks
+    by the largest move among the other centroids.
+
+    The margin covers rounding, so that a skipped point's computed
+    distances would also have given it its label, ties included: a
+    relative ``KMEANS_MARGIN`` on ``u`` covers the few roundings in each
+    distance and in the sums that grow ``u``, and an absolute floor of
+    ``KMEANS_MAX_ITER + 8`` ulps of four times the largest coordinate
+    magnitude covers the cancellation in ``l``, which loses at most one
+    rounding of the point cloud's diameter per iteration.  Labels,
+    centroids and inertia are therefore bit-identical to full Lloyd
+    passes.
+
+    In an iteration that leaves some cluster empty, clusters are visited
+    in order instead, after one full pass: an empty one is reseeded at
+    the point farthest from every centroid, which then joins it, and the
+    next iteration gives every point a full column.  One debug record
+    per call gives the iterations and the distance columns computed.
     """
     n = len(points)
     x = np.ascontiguousarray(points[:, 0])
@@ -174,34 +205,70 @@ def _kmeans(points, k, rng):
     dists = np.empty((k, n))
     dy = np.empty((k, n))
 
-    def squared_distances():
-        np.subtract.outer(centers[:, 0], x, out=dists)
-        np.subtract.outer(centers[:, 1], y, out=dy)
-        np.multiply(dists, dists, out=dists)
-        np.multiply(dy, dy, out=dy)
-        return np.add(dists, dy, out=dists)
+    def squared_distances(px, py):
+        """(k, m) squared distances to m points, in the buffers' heads."""
+        m = len(px)
+        out = dists.reshape(-1)[:k * m].reshape(k, m)
+        tmp = dy.reshape(-1)[:k * m].reshape(k, m)
+        np.subtract.outer(centers[:, 0], px, out=out)
+        np.subtract.outer(centers[:, 1], py, out=tmp)
+        np.multiply(out, out, out=out)
+        np.multiply(tmp, tmp, out=tmp)
+        return np.add(out, tmp, out=out)
 
+    floor = (KMEANS_MAX_ITER + 8) * np.spacing(4.0 * np.abs(points).max())
+    upper = np.full(n, np.inf)
+    lower = np.zeros(n)
     labels = np.zeros(n, dtype=int)
-    for _ in range(KMEANS_MAX_ITER):
-        new_labels = squared_distances().argmin(axis=0)
+    columns = 0
+    for it in range(KMEANS_MAX_ITER):
+        gaps = np.sqrt(((centers[:, None] - centers[None]) ** 2).sum(axis=2))
+        np.fill_diagonal(gaps, np.inf)
+        half = 0.5 * gaps.min(axis=1)
+        stale = np.flatnonzero(upper * (1.0 + KMEANS_MARGIN) + floor
+                               >= np.maximum(lower, half[labels]))
+        columns += len(stale)
+        block = squared_distances(x[stale], y[stale])
+        near = block.argmin(axis=0)
+        cols = np.arange(len(stale))
+        upper[stale] = np.sqrt(block[near, cols])
+        block[near, cols] = np.inf
+        lower[stale] = np.sqrt(block.min(axis=0))
+        new_labels = labels.copy()
+        new_labels[stale] = near
+
+        old = centers.copy()
         counts = np.bincount(new_labels, minlength=k)
         if counts.all():
             centers = np.column_stack([
                 np.bincount(new_labels, weights=x, minlength=k) / counts,
                 np.bincount(new_labels, weights=y, minlength=k) / counts])
         else:
+            log.debug("k-means iteration %d left %d cluster(s) empty: full "
+                      "pass and reseed", it + 1, k - np.count_nonzero(counts))
+            nearest = squared_distances(x, y).min(axis=0)
+            columns += n
             for ci in range(k):
                 sel = new_labels == ci
                 if sel.any():
                     centers[ci] = points[sel].mean(axis=0)
                 else:
-                    far = int(dists.min(axis=0).argmax())
+                    far = int(nearest.argmax())
                     centers[ci] = points[far]
                     new_labels[far] = ci
+            upper[:] = np.inf
+        moved = np.sqrt(((centers - old) ** 2).sum(axis=1))
+        top = int(moved.argmax())
+        others = np.full(k, moved[top])
+        others[top] = np.partition(moved, k - 2)[k - 2]
+        upper += moved[new_labels]
+        lower -= others[new_labels]
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    labels = squared_distances().argmin(axis=0)
+    log.debug("k-means: %d iterations, %d distance columns, n x iterations "
+              "= %d", it + 1, columns, n * (it + 1))
+    labels = squared_distances(x, y).argmin(axis=0)
     inertia = float(dists[labels, np.arange(n)].sum())
     return centers, labels, inertia
 
@@ -219,7 +286,8 @@ def cluster_endpoints(rides: Rides, k: int, bbox, seed) -> ClusteringResult:
     Rides must already be filtered to bbox and the time window.  The
     origins, then the destinations, are projected to metres; fewer than k
     distinct points raise TooFewPoints.  k-means++ initialization from
-    ``seed``; Lloyd iterations capped at ``KMEANS_MAX_ITER``; deterministic given the seed.
+    ``seed``; Lloyd iterations capped at ``KMEANS_MAX_ITER``;
+    deterministic given the seed.
     """
     if k < 2:
         raise ValueError("k must be at least 2")

@@ -105,13 +105,12 @@ class TrafficNetwork(FrozenArrays):
         arc_mask = demand > 0
         if not arc_mask.any():
             raise Disconnected("network has no arcs")
-        on_arcs = travel_time[arc_mask]
-        if np.any(~np.isfinite(on_arcs)) or np.any(on_arcs <= 0):
-            bad = [tuple(ij) for ij in np.argwhere(arc_mask)
-                   if not (np.isfinite(travel_time[tuple(ij)])
-                           and travel_time[tuple(ij)] > 0)][0]
+        bad = arc_mask & ~(np.isfinite(travel_time) & (travel_time > 0))
+        if bad.any():
+            i, j = (int(v) for v in np.argwhere(bad)[0])
             raise NonPositiveTravelTimeOnArc(
-                f"travel_time{bad} must be positive and finite on arc {bad}")
+                f"travel_time[{i}, {j}] must be positive and finite on arc "
+                f"({i}, {j})")
 
         weights = projection_weights(demand, travel_time)
         if len(connected_components(weights)) != 1:

@@ -59,9 +59,10 @@ class AdvertiserCatalog:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
-        for arc, b in self.arc_based.items():
+        for (i, j), b in self.arc_based.items():
             if b < 0:
-                raise ValueError(f"negative willingness to pay on arc {arc}")
+                raise ValueError(
+                    f"negative willingness to pay on arc ({i}, {j})")
         for k, incoming in self.location_based.items():
             for i, d in incoming.items():
                 if d < 0:

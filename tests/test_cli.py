@@ -121,7 +121,7 @@ def ring(*arcs):
     return {"n": 3, "cost": 0.6, "arcs": list(arcs)}
 
 
-@pytest.mark.parametrize("files, argv", [
+MALFORMED = [
     ({"net.json": ring({"from": 0, "demand": 1, "travel_time": 1})}, PRICE),
     ({"net.json": ring(*RING[:2], {**RING[2], "to": 3})}, PRICE),
     ({"net.json": ring(1, 2)}, PRICE),
@@ -150,15 +150,33 @@ def ring(*arcs):
           {"location": 1, "d": [{"from": 0, "value": 0.1}]}],
           "budget": 1.7}},
      SELECT),
-], ids=["arc-without-to", "to-out-of-range", "arcs-not-objects",
-        "from-negative", "ad-without-a", "ad-from-negative",
-        "advertiser-d-without-value", "from-fractional", "ad-from-fractional",
-        "advertiser-from-fractional", "n-fractional", "budget-fractional"])
+]
+MALFORMED_IDS = ["arc-without-to", "to-out-of-range", "arcs-not-objects",
+                 "from-negative", "ad-without-a", "ad-from-negative",
+                 "advertiser-d-without-value", "from-fractional",
+                 "ad-from-fractional", "advertiser-from-fractional",
+                 "n-fractional", "budget-fractional"]
+
+
+@pytest.mark.parametrize("files, argv", MALFORMED, ids=MALFORMED_IDS)
 def test_malformed_input_exit_2(workdir, capsys, files, argv):
     for name, doc in files.items():
         Path(name).write_text(json.dumps(doc))
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("files, argv", MALFORMED + [
+    ({"net.json": ring(*RING[:2], {**RING[2], "travel_time": 0})}, PRICE)],
+    ids=MALFORMED_IDS + ["travel-time-zero"])
+def test_malformed_input_message_has_plain_numbers(workdir, capsys, files,
+                                                   argv):
+    """Indices in an error message read as plain ints, not numpy reprs."""
+    for name, doc in files.items():
+        Path(name).write_text(json.dumps(doc))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "np." not in err
 
 
 @pytest.mark.parametrize("blocked", ["nodir", "p.csv.manifest.json"],
@@ -384,6 +402,24 @@ class TestSynthIngestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: p.csv, line 3: 3 fields")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("table, line", [
+        ("from,to,price,flow,mu,payoff_contrib,cs_contrib\n"
+         "0,1,0.5,1,0,1,0.5\n0,2,x,1,0,1,1\n", 3),
+        ("psi,strategy,payoff,gap_to_optimal\n40,optimal,x,0\n", 2),
+        ("row_type,from,to,price,flow\narc,0,1,0.5,0.2\narc,1,0,0.5,x\n"
+         "# payoff=1\n", 3)], ids=["price", "sweep", "extended"])
+    def test_report_non_numeric_field_exit_2(self, workdir, capsys, table,
+                                             line):
+        """A field that is not a number is named by file and line before
+        report prints or writes anything."""
+        Path("t.csv").write_text(table)
+        assert main(["report", "t.csv", "--out-prefix", "series"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: t.csv, line {line}: ")
+        assert "'x'" in err and err.count("\n") == 1
+        assert not list(Path().glob("series*"))
 
     def test_price_extended_footer(self, workdir):
         write_instance("net.json", "ads.json", n=5)

@@ -6,6 +6,7 @@ any column order and reject bad rows.
 """
 
 import csv
+import logging
 
 import numpy as np
 import pytest
@@ -65,6 +66,27 @@ def random_rides(rng, count, grid=None):
                      for (a, b, c, d), t in zip(u, start)])
 
 
+def collinear_lattice(draw, diagonal=False):
+    """Integer points with repeats on a line: the x axis, mirrored about
+    0 when ``draw % 3 == 1`` and along (3, 4) when ``draw % 3 == 2``;
+    with ``diagonal``, turned onto (1, 1) and scaled.  Returns (points,
+    k)."""
+    rng = np.random.default_rng(draw)
+    k = int(rng.integers(2, 7))
+    xs = np.arange(int(rng.integers(4, 40))).astype(float)
+    mult = rng.integers(1, 5, size=len(xs)) * (rng.uniform(size=len(xs)) < 0.7)
+    xs = np.repeat(xs, mult)
+    points = np.column_stack([xs, np.zeros_like(xs)])
+    if draw % 3 == 1:
+        points = np.concatenate([points, -points])
+    elif draw % 3 == 2:
+        points = points @ np.array([[3.0, 4.0], [0.0, 0.0]])
+    if diagonal:
+        points = (points @ np.array([[1.0, 1.0], [0.0, 0.0]])
+                  * rng.choice([1.0, 0.1, 3.0, 1e6]))
+    return points, k
+
+
 class TestKMeans:
     @pytest.mark.parametrize("draw", range(40))
     def test_matches_reference(self, draw):
@@ -93,6 +115,80 @@ class TestKMeans:
         # first assignment (ties go to the lower index), so it is reseeded
         points = np.random.default_rng(7).normal(0.0, 100.0, size=(40, 2))
         assert_same_kmeans(points, len(seeds), lambda: ScriptedSeeds(seeds))
+
+    def test_matches_reference_on_hotspots_at_bench_scale(self):
+        # 40 000 endpoints scattered about 100 m around 15 hotspots about
+        # 1 km apart, projected to metres (~1e7): after the first passes
+        # the bounds skip almost every point
+        rng = np.random.default_rng(11)
+        lat0, lat1, lon0, lon1 = BBOX
+        grid = np.stack(np.meshgrid(np.linspace(lat0 + 0.007, lat1 - 0.007, 3),
+                                    np.linspace(lon0 + 0.006, lon1 - 0.006, 5),
+                                    indexing="ij"), axis=-1).reshape(-1, 2)
+        centre = grid + rng.uniform(-0.001, 0.001, size=grid.shape)
+        rate = rng.uniform(0.3, 1.0, len(centre))
+        hotspot = rng.choice(len(centre), size=40_000, p=rate / rate.sum())
+        ends = centre[hotspot] + rng.normal(0.0, 0.0009, size=(40_000, 2))
+        ends = np.clip(ends, [lat0, lon0], [lat1, lon1])
+        points = _project_metres(ends[:, 0], ends[:, 1], BBOX)
+        assert_same_kmeans(points, 15, lambda: np.random.default_rng(11))
+
+    @pytest.mark.parametrize("draw", [5, 12, 22, 204, 436, 655])
+    def test_matches_reference_on_collinear_lattices(self, draw):
+        # centroids move along the line, so a shifted bound can equal the
+        # distance it bounds exactly, and a point ties between two
+        # centroids; these draws all hit such ties
+        points, k = collinear_lattice(draw)
+        assert_same_kmeans(points, k, lambda: np.random.default_rng(draw))
+
+    @pytest.mark.parametrize("draw", [841, 2941, 4385, 4830])
+    def test_matches_reference_on_diagonal_lattices(self, draw):
+        # the same along (1, 1): distances are irrational, so bounds that
+        # tie exactly can come out an ulp apart either way; these draws
+        # need the margin even with a strict skip test
+        points, k = collinear_lattice(draw, diagonal=True)
+        assert_same_kmeans(points, k, lambda: np.random.default_rng(draw))
+
+    @pytest.mark.parametrize("draw", [125, 259, 268])
+    def test_matches_reference_on_integer_lattices(self, draw):
+        # a rectangle of integer points, each repeated 1-3 times; these
+        # draws hit upper bound == lower bound exactly
+        rng = np.random.default_rng(draw)
+        side = int(rng.integers(3, 12))
+        k = int(rng.integers(2, 10))
+        grid = np.stack(np.meshgrid(np.arange(side),
+                                    np.arange(int(rng.integers(2, 12)))),
+                        axis=-1).reshape(-1, 2).astype(float)
+        points = np.repeat(grid, rng.integers(1, 4, size=len(grid)), axis=0)
+        assert_same_kmeans(points, k, lambda: np.random.default_rng(draw))
+
+    @pytest.mark.parametrize("draw", [0, 1, 2, 3, 18, 52])
+    def test_matches_reference_far_from_origin(self, draw):
+        # offsets 1e5-1e9 with spreads 1e-7-1e1: the spread is down to the
+        # coordinates' ulp, so the bounds' margin is all that separates them
+        rng = np.random.default_rng(draw)
+        n = int(rng.integers(50, 600))
+        k = int(rng.integers(2, 12))
+        offset = 10 ** rng.uniform(5, 9) * rng.choice([-1, 1], size=2)
+        points = offset + rng.normal(0, 10 ** rng.uniform(-7, 1), size=(n, 2))
+        assert_same_kmeans(points, k, lambda: np.random.default_rng(draw))
+
+    def test_logs_one_debug_record(self, caplog):
+        points = np.random.default_rng(0).normal(0.0, 100.0, size=(500, 2))
+        points[250:] += 1e4
+        with caplog.at_level(logging.DEBUG, logger="resistive_pricing.ingest"):
+            _kmeans(points, 4, np.random.default_rng(0))
+        [record] = caplog.records
+        iterations, columns, full = record.args
+        assert full == 500 * iterations
+        assert 500 <= columns < full
+
+    def test_logs_the_empty_cluster_fallback(self, caplog):
+        points = np.random.default_rng(7).normal(0.0, 100.0, size=(40, 2))
+        with caplog.at_level(logging.DEBUG, logger="resistive_pricing.ingest"):
+            _kmeans(points, 4, ScriptedSeeds([0, 5, 5, 9]))
+        assert len(caplog.records) == 2
+        assert "empty" in caplog.records[0].getMessage()
 
     def test_matches_reference_on_rides(self):
         rides = random_rides(np.random.default_rng(3), 2000)

@@ -53,6 +53,15 @@ class TestValidation:
         with pytest.raises(NonPositiveTravelTimeOnArc):
             validate_network(demand, travel, 0.6)
 
+    def test_bad_travel_time_names_arc_with_plain_ints(self):
+        demand = np.array([[0, 1.0, 1.0], [1.0, 0, 0], [1.0, 0, 0]])
+        travel = np.ones((3, 3))
+        travel[2, 0] = 0.0
+        with pytest.raises(NonPositiveTravelTimeOnArc) as err:
+            validate_network(demand, travel, 0.6)
+        assert str(err.value) == ("travel_time[2, 0] must be positive and "
+                                  "finite on arc (2, 0)")
+
     def test_travel_time_off_arc_ignored(self):
         demand = np.array([[0, 1.0], [0, 0]])
         travel = np.array([[1.0, 2.0], [-5.0, np.nan]])

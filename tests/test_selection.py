@@ -90,6 +90,12 @@ class TestDelta:
 
 
 class TestArcSelection:
+    def test_negative_willingness_names_arc_with_plain_ints(self):
+        arc = tuple(np.array([0, 1]))
+        with pytest.raises(ValueError) as err:
+            AdvertiserCatalog(arc_based={arc: -0.1}, location_based={})
+        assert str(err.value) == "negative willingness to pay on arc (0, 1)"
+
     def test_ring_chord_golden(self):
         net = ring_with_chord()
         catalog = AdvertiserCatalog(
