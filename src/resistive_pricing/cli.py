@@ -215,9 +215,11 @@ def _sweep(args, kind) -> int:
         else:
             params = ExtendedParams(eta=value, psi=args.psi, demand=demand)
         child = np.random.SeedSequence(args.seed, spawn_key=(index,))
-        return strategy_compare(loaded.network, catalog, mode=args.mode,
-                                model="extended", params=params, seed=child,
-                                trials=args.trials)
+        # a pool thread starts from numpy's default error state
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return strategy_compare(loaded.network, catalog, mode=args.mode,
+                                    model="extended", params=params,
+                                    seed=child, trials=args.trials)
 
     with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
         futures = [pool.submit(run, idx, val) for idx, val in enumerate(grid)]
@@ -358,8 +360,15 @@ def cmd_report(args) -> int:
     raise MalformedInput(f"unrecognized table schema in {path}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit code 2."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="resistive-pricing",
         description="Spatial pricing and advertiser selection for vehicle "
                     "service networks")
@@ -381,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--demand", default="uniform")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="ext.csv")
     p.set_defaults(func=cmd_price_extended)
 
@@ -468,7 +477,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     started = time.time()
     try:
-        code = args.func(args)
+        # float overflow, division by zero and nan raise instead of warning
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            code = args.func(args)
         if code == 0 and args.command != "report":
             params = {k: v for k, v in vars(args).items()
                       if k not in ("command", "func", "seed")}
@@ -478,6 +489,9 @@ def main(argv=None) -> int:
                                   getattr(args, "seed", None), inputs, started)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except FloatingPointError as exc:
+        print(f"error: input out of float range: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (NoConvergence, Infeasible) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

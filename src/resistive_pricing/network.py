@@ -68,6 +68,13 @@ class TrafficNetwork(FrozenArrays):
         travel_time: (N, N) travel time in slots; must be positive and finite
             on arcs, ignored elsewhere.
         unit_cost: per-user per-slot service cost, in [0, 1).
+        arcs, arc_array: the M arcs (i, j) in lexicographic order, as
+            tuples and as an (M, 2) int array.
+        arc_demand, arc_time: (M,) demand and travel time per arc.
+        projection: (N, N) weights of the undirected projection, see
+            :func:`projection_weights`.
+
+    Array attributes are computed once, at construction, and read-only.
     """
 
     n_locations: int
@@ -76,6 +83,9 @@ class TrafficNetwork(FrozenArrays):
     unit_cost: float
     arcs: tuple[tuple[int, int], ...] = field(init=False)
     arc_array: np.ndarray = field(init=False, repr=False, compare=False)
+    arc_demand: np.ndarray = field(init=False, repr=False, compare=False)
+    arc_time: np.ndarray = field(init=False, repr=False, compare=False)
+    projection: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_locations
@@ -121,22 +131,15 @@ class TrafficNetwork(FrozenArrays):
         object.__setattr__(self, "demand", demand)
         object.__setattr__(self, "travel_time", travel_time)
         object.__setattr__(self, "unit_cost", cost)
-        # (M, 2) read-only int array of the arcs, in lexicographic order
         arc_array = np.argwhere(arc_mask)
-        arc_array.setflags(write=False)
-        object.__setattr__(self, "arc_array", arc_array)
+        ai, aj = arc_array.T
+        for name, arr in (("projection", weights), ("arc_array", arc_array),
+                          ("arc_demand", demand[ai, aj]),
+                          ("arc_time", travel_time[ai, aj])):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(
             self, "arcs", tuple(map(tuple, arc_array.tolist())))
-
-    @property
-    def arc_demand(self) -> np.ndarray:
-        idx = self.arc_array
-        return self.demand[idx[:, 0], idx[:, 1]]
-
-    @property
-    def arc_time(self) -> np.ndarray:
-        idx = self.arc_array
-        return self.travel_time[idx[:, 0], idx[:, 1]]
 
     def has_arc(self, i: int, j: int) -> bool:
         n = self.n_locations
@@ -184,9 +187,10 @@ def undirected_projection(net: TrafficNetwork) -> np.ndarray:
     """Edge weights of the undirected projection of a validated network.
 
     Entry (i, j) is positive iff at least one of the arcs (i, j), (j, i)
-    carries demand; the matrix is symmetric with zero diagonal.
+    carries demand; the matrix is symmetric with zero diagonal.  Returns
+    the network's shared, read-only ``projection`` array.
     """
-    return projection_weights(net.demand, net.travel_time)
+    return net.projection
 
 
 def _adjacency_lists(weights: np.ndarray) -> list[np.ndarray]:

@@ -12,8 +12,9 @@ Prices need the resistances only through s = R v, and within a component,
 where v sums to zero, s_j - s_i = 2 (lambda_i - lambda_j) for the node
 potentials lambda = L+ v.  Every candidate therefore costs one bordered
 linear solve (:func:`electrical.potentials`), never a pseudoinverse.  The
-loop keeps the masked pair weights and the components across iterations
-and recomputes the components only when a move kills or revives a pair.
+loop starts from the connected network's projection as one component and
+recomputes the components at most once per round of moves, only when the
+round kills or revives a pair.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from .network import (
     TrafficNetwork,
     ad_matrix,
     connected_components,
-    projection_weights,
 )
 
 FEAS_TOL = 1e-9
@@ -86,6 +86,13 @@ class PayoffBreakdown:
     surplus_by_arc: np.ndarray
 
 
+def _arc_payoff_surplus(th, xi, a_arc, c, p):
+    """Per-arc payoff theta*xi*(1-p)*(p+a-c) and surplus
+    0.5*theta*xi*(1-p)^2."""
+    rest = 1.0 - p
+    return th * xi * rest * (p + a_arc - c), 0.5 * th * xi * rest ** 2
+
+
 def payoff_and_surplus(net: TrafficNetwork, a, prices: np.ndarray) -> PayoffBreakdown:
     """Evaluate payoff and consumer surplus for arbitrary feasible prices.
 
@@ -101,10 +108,8 @@ def payoff_and_surplus(net: TrafficNetwork, a, prices: np.ndarray) -> PayoffBrea
         raise ValueError("prices must be defined and <= 1 on every arc")
     payoff_by_arc = np.zeros((n, n))
     surplus_by_arc = np.zeros((n, n))
-    th, xi = net.demand[arc_mask], net.travel_time[arc_mask]
-    rest = 1.0 - p_on
-    payoff_by_arc[arc_mask] = th * xi * rest * (p_on + a_mat[arc_mask] - net.unit_cost)
-    surplus_by_arc[arc_mask] = 0.5 * th * xi * rest ** 2
+    payoff_by_arc[arc_mask], surplus_by_arc[arc_mask] = _arc_payoff_surplus(
+        net.arc_demand, net.arc_time, a_mat[arc_mask], net.unit_cost, p_on)
     return PayoffBreakdown(
         payoff=float(payoff_by_arc.sum()),
         consumer_surplus=float(surplus_by_arc.sum()),
@@ -139,9 +144,10 @@ class _LoopState:
     Besides the per-arc constants of the problem it holds the ``capped``
     mask (arcs pinned at the cap), the pair weights of the masked
     projection, and the components of that projection as per-node
-    ``labels`` with their border matrix.  Moving one arc rewrites one pair
-    weight; the components are recomputed only when that weight goes to or
-    from zero, i.e. when the pair dies or comes back.
+    ``labels`` with their border matrix.  It starts uncapped, as one
+    component with border J/N, which assumes a connected network.  Each
+    round of moves (:meth:`move`) recomputes the components at most once,
+    only when a touched pair weight goes to or from zero.
     """
 
     def __init__(self, net, a_mat):
@@ -160,8 +166,10 @@ class _LoopState:
         index[ai, aj] = np.arange(len(ai))
         self.reverse = index[aj, ai]
         self.capped = np.zeros(len(ai), dtype=bool)
-        self.weights = projection_weights(net.demand, net.travel_time)
-        self._find_components()
+        self.weights = net.projection.copy()
+        self.labels = np.zeros(n, dtype=int)
+        self.n_comp = 1
+        self.border = np.full((n, n), 1.0 / n)
 
     def _find_components(self):
         self.labels = np.empty(self.n, dtype=int)
@@ -171,18 +179,21 @@ class _LoopState:
         self.n_comp = len(comps)
         self.border = component_border(self.labels)
 
-    def set_capped(self, k, flag):
-        """Pin arc k at the cap (flag True) or release it."""
-        self.capped[k] = flag
+    def move(self, enter, leave):
+        """Pin the arcs ``enter`` at the cap and release the arcs ``leave``
+        (index arrays), as one round."""
+        capped, ratio = self.capped, self.ratio
+        capped[enter] = True
+        capped[leave] = False
+        k = np.concatenate((enter, leave))
         x, y, r = self.ai[k], self.aj[k], self.reverse[k]
-        # rebuilt from both live flags, never by subtraction, so a dead
-        # pair reads exactly 0
-        weight = 0.0 if flag else self.ratio[k]
-        if r >= 0 and not self.capped[r]:
-            weight = weight + self.ratio[r]
+        # rebuilt from both final live flags, never by subtraction, so a
+        # dead pair reads exactly 0
+        weight = np.where(capped[k], 0.0, ratio[k]) \
+            + np.where((r >= 0) & ~capped[r], ratio[r], 0.0)
         was_live = self.weights[x, y] > 0
         self.weights[x, y] = self.weights[y, x] = weight
-        if (weight > 0) != was_live:
+        if np.any((weight > 0) != was_live):
             self._find_components()
 
 
@@ -238,40 +249,37 @@ def _resolve_shifts(n_comp, constraints):
     return np.zeros(n_comp), False
 
 
-def _kkt_residual(net, a_mat, prices, lam, mu):
-    ai, aj = net.arc_array.T
-    th, xi = net.arc_demand, net.arc_time
-    flows = np.zeros_like(net.demand)
-    flows[ai, aj] = th * np.maximum(1.0 - prices, 0.0)
-    stat = th * xi * (2.0 * prices - 1.0 - net.unit_cost + a_mat[ai, aj]) \
-        - th * (lam[ai] - lam[aj]) + mu
-    imbalance = flows.sum(axis=1) - flows.sum(axis=0)
-    res = max(0.0, np.abs(stat).max(), (prices - 1.0).max(), (-mu).max(),
-              np.abs(mu * (prices - 1.0)).max(), np.abs(imbalance).max())
-    return float(res), flows
-
-
 def _assemble(net, a_mat, prices, lam, mu, capped):
-    """Solution record from the per-arc candidate of the final capped set."""
+    """Solution record from the per-arc candidate of the final capped set,
+    computed on the arc vectors and scattered into N x N once."""
     lam = lam - lam[-1]
-    residual, flows = _kkt_residual(net, a_mat, prices, lam, mu)
     n = net.n_locations
     ai, aj = net.arc_array.T
-    price_mat = np.full((n, n), np.nan)
-    price_mat[ai, aj] = prices
-    mu_mat = np.zeros((n, n))
-    mu_mat[ai, aj] = mu
-    breakdown = payoff_and_surplus(net, a_mat, np.where(net.demand > 0,
-                                                        price_mat, 0.0))
+    th, xi, c = net.arc_demand, net.arc_time, net.unit_cost
+    a_arc = a_mat[ai, aj]
+    mats = [np.full((n, n), np.nan)] + [np.zeros((n, n)) for _ in range(4)]
+    per_arc = (prices, mu, th * np.maximum(1.0 - prices, 0.0),
+               *_arc_payoff_surplus(th, xi, a_arc, c, prices))
+    for mat, values in zip(mats, per_arc):
+        mat[ai, aj] = values
+    price_mat, mu_mat, flows, payoff_mat, surplus_mat = mats
+    # totals and imbalance sum the N x N scatters, in the summation order
+    # of payoff_and_surplus; sums over the arc vectors would move low bits
+    stat = th * xi * (2.0 * prices - 1.0 - c + a_arc) \
+        - th * (lam[ai] - lam[aj]) + mu
+    imbalance = flows.sum(axis=1) - flows.sum(axis=0)
+    residual = max(0.0, np.abs(stat).max(), (prices - 1.0).max(),
+                   (-mu).max(), np.abs(mu * (prices - 1.0)).max(),
+                   np.abs(imbalance).max())
     return PricingSolution(
         prices=price_mat,
         flows=flows,
         duals_lambda=lam,
         duals_mu=mu_mat,
         active_set=frozenset(map(tuple, net.arc_array[capped].tolist())),
-        payoff=breakdown.payoff,
-        consumer_surplus=breakdown.consumer_surplus,
-        kkt_residual=residual,
+        payoff=float(payoff_mat.sum()),
+        consumer_surplus=float(surplus_mat.sum()),
+        kkt_residual=float(residual),
     )
 
 
@@ -306,9 +314,11 @@ def solve_general(net: TrafficNetwork, a=None) -> PricingSolution:
     enters or, when no cap is violated, the most negative cap multiplier
     leaves, ties to the lower arc index, i.e. the lexicographically
     smaller arc.  Each iteration is one bordered solve for the node
-    potentials of the masked network (see :func:`_kkt_candidate`); the
-    pair weights and components carry over between iterations, and the
-    components are recomputed only when a move kills or revives a pair.
+    potentials of the masked network (see :func:`_kkt_candidate`).  The
+    loop assumes a connected start, as validation guarantees; the pair
+    weights and components carry over between iterations, and each one
+    recomputes the components at most once, only when its moves kill or
+    revive a pair.
     Terminates at a KKT point with residual below 1e-8 or raises
     :class:`NoConvergence` after ``BLOCK_ROUNDS + max(8, 4 |arcs|)``
     iterations.
@@ -340,10 +350,7 @@ def solve_general(net: TrafficNetwork, a=None) -> PricingSolution:
                 raise NoConvergence(
                     f"KKT residual {sol.kkt_residual:.3e} above tolerance")
             return sol
-        for k in enter:
-            state.set_capped(k, True)
-        for k in leave:
-            state.set_capped(k, False)
+        state.move(enter, leave)
     raise NoConvergence(f"no KKT point after {cap} active-set iterations")
 
 
@@ -390,9 +397,8 @@ def price_sensitivity(net: TrafficNetwork, a, arc: tuple[int, int],
         return deriv
 
     state = _LoopState(net, a_mat)
-    for k, ij in enumerate(net.arcs):
-        if ij in base.active_set:
-            state.set_capped(k, True)
+    capped = np.flatnonzero([ij in base.active_set for ij in net.arcs])
+    state.move(capped, capped[:0])
     v = np.zeros(n)
     v[x], v[y] = 1.0, -1.0
     lam = potentials(state.weights, v, state.border)

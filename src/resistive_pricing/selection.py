@@ -27,18 +27,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .electrical import (
-    build_electrical,
-    component_border,
-    potentials,
-    value_vector,
-)
-from .network import (
-    AdRevenueVector,
-    TrafficNetwork,
-    ad_matrix,
-    undirected_projection,
-)
+from .electrical import build_electrical, potentials, value_vector
+from .network import AdRevenueVector, TrafficNetwork, ad_matrix
 from .pricing import solve_general
 
 
@@ -124,8 +114,9 @@ def delta(net: TrafficNetwork, a) -> float:
     """
     a_mat = ad_matrix(net, a)
     n = net.n_locations
-    lam = potentials(undirected_projection(net), value_vector(net, a_mat),
-                     component_border(np.zeros(n, dtype=int)))
+    # a validated network is connected: its border is J/N
+    lam = potentials(net.projection, value_vector(net, a_mat),
+                     np.full((n, n), 1.0 / n))
     ai, aj = net.arc_array.T
     th = net.arc_demand
     gain = 1.0 + a_mat[ai, aj] - net.unit_cost
@@ -290,8 +281,8 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
     Resistance-based picks the Delta argmax; optimal exhaustively
     maximizes the model payoff (basic pricing or the extended solver when
     ``model == 'extended'``, which requires ``params``); randomized
-    averages the payoff of ``trials`` uniform candidate draws.  All
-    randomness derives from ``seed``.
+    averages the payoff of ``trials`` (at least 1) uniform candidate
+    draws.  All randomness derives from ``seed``.
     """
     catalog.validate_for(net)
     if mode == "arc":
@@ -308,6 +299,8 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
         raise ValueError(f"catalog has no {mode}-based advertisers")
     if seed is None:
         raise ValueError("a seed is required (randomized strategy)")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     root = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     children = root.spawn(len(vectors) + 1)

@@ -1,9 +1,17 @@
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import os
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resistive_pricing import AdvertiserCatalog, synth_instance, validate_network
 from resistive_pricing import cli, fileio
@@ -209,6 +217,194 @@ def test_non_finite_extended_parameter_exit_2(workdir, capsys, option, value):
                  "--out", "ext.csv", *(t for kv in argv.items() for t in kv)
                  ]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_price_extended_seed_optional(workdir):
+    """The extended solve is deterministic: without --seed it writes the
+    same bytes as with one, and the manifest records a null seed."""
+    write_instance("net.json", "adv.json", n=5)
+    argv = ["price-extended", "--network", "net.json", "--psi", "30",
+            "--eta", "0.8", "--demand", "exp:2"]
+    assert main(argv + ["--out", "free.csv"]) == 0
+    assert main(argv + ["--seed", "7", "--out", "seeded.csv"]) == 0
+    assert Path("free.csv").read_bytes() == Path("seeded.csv").read_bytes()
+    assert json.loads(
+        Path("free.csv.manifest.json").read_text())["seed"] is None
+
+
+def run_main(argv):
+    """Exit code, stderr and recorded warnings of one in-process run."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("argv", [
+    ["price-extended", "--network", "net.json", "--psi", "abc",
+     "--eta", "0.8"],
+    ["select", "--network", "net.json", "--advertisers", "adv.json",
+     "--mode", "location", "--strategy", "random", "--trials", "0",
+     "--seed", "0"],
+    ["price", "--network", "huge.json"],
+    ["sweep-psi", "--network", "net.json", "--advertisers", "adv.json",
+     "--psi-grid", "1e308", "--seed", "0"],
+], ids=["argparse-type", "zero-trials", "demand-overflows",
+        "sweep-thread-overflows"])
+def test_bad_input_one_error_line_no_warning(workdir, argv):
+    """An option argparse rejects, zero random trials, and inputs whose
+    arithmetic overflows, in the main thread or a sweep thread: exit 2
+    with one error: line, no warning and no manifest."""
+    net, _ = write_instance("net.json", "adv.json", n=5)
+    doc = json.loads(Path("net.json").read_text())
+    doc["arcs"][0].update(demand=1e308, travel_time=0.5)
+    Path("huge.json").write_text(json.dumps(doc))
+    code, err, caught = run_main(argv)
+    assert code == 2 and caught == []
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(Path().glob("*.manifest.json")) == []
+
+
+# one-field mutations of every input kind and of the numeric options
+BAD_VALUES = [float("nan"), float("inf"), float("-inf"), 0, -1.5, 1e308,
+              "abc", None, "DROP"]
+BAD_TEXT = ["nan", "inf", "-inf", "0", "-1.5", "1e308", "abc"]
+NET_COMMANDS = [["price", "--out", "p.csv"],
+                ["price-extended", "--psi", "30", "--eta", "0.8",
+                 "--demand", "exp:2", "--out", "e.csv"],
+                ["dump-electrical", "--out", "el"]]
+OPTION_COMMANDS = [
+    (["price-extended", "--network", "net.json", "--psi", "30", "--eta",
+      "0.8", "--demand", "exp:2", "--out", "e.csv"],
+     ["--psi", "--eta", "--demand"]),
+    (["ingest", "--rides", "rides.csv", "--bbox",
+      "30.65,30.69,104.03,104.08", "--window", "0,4200", "--k", "3",
+      "--slot-seconds", "600", "--cost", "0.6", "--seed", "3",
+      "--out", "ing.json"], ["--k", "--slot-seconds", "--cost"]),
+    (["synth", "--n", "5", "--density", "0.5", "--cost", "0.6", "--seed",
+      "2", "--out", "syn.json"], ["--n", "--density", "--cost"]),
+    (["select", "--network", "net.json", "--advertisers", "adv.json",
+      "--mode", "location", "--strategy", "random", "--trials", "3",
+      "--seed", "0", "--out", "s.csv"], ["--trials"]),
+    (["sweep-psi", "--network", "net.json", "--advertisers", "adv.json",
+      "--psi-grid", "20,40", "--eta", "0.8", "--trials", "3", "--seed",
+      "1", "--out", "sw.csv"], ["--psi-grid", "--eta"]),
+]
+
+
+@contextlib.contextmanager
+def fresh_dir():
+    """Run the block inside a new temporary working directory."""
+    old = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(old)
+
+
+@functools.cache
+def fuzz_inputs():
+    """File name -> text of one valid input of each kind, price and
+    extended tables included."""
+    with fresh_dir():
+        net, _ = write_instance("net.json", "adv.json", n=5,
+                                profile="commuter")
+        Path("ads.json").write_text(json.dumps(
+            {"ads": [{"from": i, "to": j, "a": 0.1} for i, j in net.arcs]}))
+        write_rides("rides.csv")
+        for argv in NET_COMMANDS[:2]:
+            assert run_main(argv + ["--network", "net.json"])[0] == 0
+        return {p.name: p.read_text() for p in Path().iterdir()
+                if p.suffix in (".json", ".csv")
+                and not p.name.endswith(".manifest.json")}
+
+
+def leaf_paths(doc, path=()):
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path]
+    return [leaf for key, value in items
+            for leaf in leaf_paths(value, path + (key,))]
+
+
+@st.composite
+def mutated_run(draw):
+    """(files, argv): valid inputs with one field, row or option made
+    NaN, +-inf, 0, negative, huge, of the wrong type or missing, and the
+    command that reads it."""
+    files = dict(fuzz_inputs())
+    kind = draw(st.sampled_from(["net.json", "ads.json", "adv.json",
+                                 "rides.csv", "p.csv", "e.csv", "option"]))
+    if kind == "option":
+        argv, options = draw(st.sampled_from(OPTION_COMMANDS))
+        argv = list(argv)
+        option = draw(st.sampled_from(options))
+        text = draw(st.sampled_from(BAD_TEXT))
+        argv[argv.index(option) + 1] = \
+            f"exp:{text}" if option == "--demand" else text
+        return files, argv
+    if kind.endswith(".json"):
+        doc = json.loads(files[kind])
+        path = draw(st.sampled_from(leaf_paths(doc)))
+        value = draw(st.sampled_from(BAD_VALUES))
+        doc = copy.deepcopy(doc)
+        parent = functools.reduce(lambda d, key: d[key], path[:-1], doc)
+        if value == "DROP":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        files[kind] = json.dumps(doc)
+    else:
+        lines = files[kind].splitlines()
+        row = draw(st.integers(1, len(lines) - 1))
+        fields = lines[row].split(",")
+        col = draw(st.integers(-1, len(fields) - 1))
+        if col < 0:
+            fields.pop()
+        else:
+            fields[col] = draw(st.sampled_from(BAD_TEXT))
+        lines[row] = ",".join(fields)
+        files[kind] = "\n".join(lines) + "\n"
+    if kind == "net.json":
+        argv = draw(st.sampled_from(NET_COMMANDS)) + ["--network", kind]
+    elif kind == "ads.json":
+        argv = NET_COMMANDS[0] + ["--network", "net.json", "--ads", kind]
+    elif kind == "adv.json":
+        argv = ["select", "--network", "net.json", "--advertisers", kind,
+                "--mode", draw(st.sampled_from(["arc", "location"])),
+                "--strategy", "resistance", "--seed", "0", "--out", "s.csv"]
+    elif kind == "rides.csv":
+        argv = OPTION_COMMANDS[1][0]
+    else:
+        argv = ["report", kind, "--out-prefix", "series"]
+    return files, argv
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mutated_run())
+def test_mutated_input_exits_with_typed_error(case):
+    """Any one bad field, row or option: exit 0, 2 or 3, no exception and
+    no warning; on failure one error: or solver error: line first on
+    stderr and no manifest."""
+    files, argv = case
+    with fresh_dir():
+        for name, text in files.items():
+            Path(name).write_text(text)
+        code, err, caught = run_main(argv)
+        manifests = list(Path().glob("*.manifest.json"))
+    assert code in (0, 2, 3) and caught == []
+    if code:
+        assert err.startswith(("error:", "solver error:")) and not manifests
+    elif argv[0] != "report":
+        assert manifests
 
 
 class TestSelectCommand:

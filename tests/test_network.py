@@ -15,7 +15,7 @@ from resistive_pricing import (
     undirected_projection,
     validate_network,
 )
-from resistive_pricing.network import connected_components
+from resistive_pricing.network import connected_components, projection_weights
 
 from gen import random_connected_network
 
@@ -93,7 +93,35 @@ class TestValidation:
             getattr(net, name)[0, 1] = 2
 
 
+    @pytest.mark.parametrize("name", ["projection", "arc_demand", "arc_time"])
+    def test_cached_arrays_read_only(self, name):
+        """The cached per-arc vectors and the projection are read-only, and
+        stay so after a pickle round trip."""
+        net = three_cycle()
+        for copy in (net, pickle.loads(pickle.dumps(net))):
+            arr = getattr(copy, name)
+            assert np.array_equal(arr, getattr(net, name))
+            with pytest.raises(ValueError):
+                arr[...] = 2.0
+
+    def test_arc_vectors_follow_arc_order(self):
+        net = random_connected_network(np.random.default_rng(4), n_max=9)
+        assert np.array_equal(net.arc_demand, net.on_arcs(net.demand))
+        assert np.array_equal(net.arc_time, net.on_arcs(net.travel_time))
+
+
 class TestProjection:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def test_cached_projection_bit_equal(self, seed):
+        """undirected_projection returns the network's own cached array,
+        bit-equal to a fresh projection_weights."""
+        net = random_connected_network(np.random.default_rng(seed), n_max=9)
+        w = undirected_projection(net)
+        assert w is net.projection
+        assert w.tobytes() == projection_weights(
+            net.demand, net.travel_time).tobytes()
+
     def test_figure_style_projection(self):
         # arcs (1,2),(2,1),(1,3),(3,2) in one-based labels
         demand = np.zeros((3, 3))

@@ -434,7 +434,7 @@ class TestLoopReference:
         a = random_ads(np.random.default_rng(3), net, hi=0.3)
         state = pricing._LoopState(net, a)
         bridge = net.arcs.index((2, 3))
-        state.set_capped(bridge, True)
+        state.move(np.array([bridge]), np.array([], dtype=int))
         assert state.labels.tolist() == [0, 0, 0, 1, 1, 1]
         assert np.array_equal(state.border, component_border(state.labels))
         prices, lam, mu = pricing._kkt_candidate(state)
@@ -452,7 +452,7 @@ class TestLoopReference:
         assert np.ptp(shift[:3]) < 1e-12 and np.ptp(shift[3:]) < 1e-12
         assert shift[3] - shift[0] < -0.1
 
-        state.set_capped(bridge, False)
+        state.move(np.array([], dtype=int), np.array([bridge]))
         assert state.labels.tolist() == [0] * 6
         assert np.array_equal(state.border, np.full((6, 6), 1.0 / 6.0))
 
@@ -521,6 +521,56 @@ class TestBlockMoves:
         assert np.array_equal(block.prices, single.prices, equal_nan=True)
 
 
+class TestLoopStateMove:
+    """A round of moves against a fresh build of the masked state."""
+
+    @staticmethod
+    def assert_fresh(net, state):
+        keep = (net.demand > 0) & ~arc_matrix(net, state.capped, False)
+        weights = projection_weights(np.where(keep, net.demand, 0.0),
+                                     net.travel_time)
+        assert state.weights.tobytes() == weights.tobytes()
+        labels = fresh_labels(weights)
+        assert np.array_equal(state.labels, labels)
+        assert state.n_comp == labels.max() + 1
+        assert state.border.tobytes() == component_border(labels).tobytes()
+
+    def test_rounds_match_fresh_build(self):
+        """Random enter and leave sets on aggressive draws, 6 rounds each:
+        after every round the pair weights are bit-equal to the projection
+        of the masked demand, and the labels and border equal a fresh
+        build.  Some rounds kill one pair and revive another, and some
+        cap one arc of a pair while releasing its reverse."""
+        rng = np.random.default_rng(11)
+        kill_and_revive = swaps = 0
+        for _ in range(150):
+            net, a = random_instance(rng, aggressive=True, n_min=3, n_max=8)
+            state = pricing._LoopState(net, a)
+            self.assert_fresh(net, state)
+            for _ in range(6):
+                m = len(state.capped)
+                enter = np.flatnonzero(~state.capped & (rng.random(m) < 0.4))
+                leave = np.flatnonzero(state.capped & (rng.random(m) < 0.4))
+                live = state.weights > 0
+                state.move(enter, leave)
+                self.assert_fresh(net, state)
+                now = state.weights > 0
+                kill_and_revive += np.any(live & ~now) and np.any(~live & now)
+                swaps += bool(set(state.reverse[enter]) & set(leave))
+        # 428 and 177 of the 900 rounds
+        assert kill_and_revive >= 100 and swaps >= 50
+
+    def test_connected_start_equals_fresh_components(self):
+        """The start skips the components pass: labels 0 and border J/N,
+        bit-equal to what the pass would build."""
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            net, a = random_instance(rng, n_min=2, n_max=9)
+            state = pricing._LoopState(net, a)
+            self.assert_fresh(net, state)
+            assert state.weights is not net.projection
+
+
 class TestMuZeroSufficient:
     def test_symmetric_true(self):
         net = symmetric_triangle()
@@ -565,6 +615,17 @@ class TestPayoffAndSurplus:
         prices = np.full((3, 3), 1.2)
         with pytest.raises(ValueError):
             payoff_and_surplus(net, None, prices)
+
+    def test_solver_totals_equal_payoff_and_surplus(self):
+        """solve_general's payoff and consumer surplus are exactly what
+        payoff_and_surplus gives on its prices."""
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            net, a = random_instance(rng, aggressive=True)
+            sol = solve_general(net, a)
+            ref = payoff_and_surplus(net, a, sol.prices)
+            assert sol.payoff == ref.payoff
+            assert sol.consumer_surplus == ref.consumer_surplus
 
     def test_arbitrary_feasible_prices(self):
         rng = np.random.default_rng(2)
