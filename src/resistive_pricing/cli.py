@@ -29,6 +29,7 @@ from .extended import (
     DemandModel,
     ExtendedParams,
     Infeasible,
+    _pair_set,
     solve_extended,
 )
 from .fileio import MalformedInput, fmt
@@ -63,6 +64,16 @@ def _parse_demand(text: str) -> DemandModel:
     if text.startswith("exp:"):
         return DemandModel.exponential(float(text.split(":", 1)[1]))
     raise ValueError("demand must be 'uniform' or 'exp:<gamma>'")
+
+
+def _extended_params(args, **point) -> ExtendedParams:
+    """Parameters from ``--eta``, ``--psi`` and ``--demand``; a sweep gives
+    its grid value for the one it sweeps as ``point``."""
+    given = vars(args) | point
+    if given["eta"] is None or given["psi"] is None:
+        raise ValueError("extended model requires --psi and --eta")
+    return ExtendedParams(eta=given["eta"], psi=given["psi"],
+                          demand=_parse_demand(args.demand))
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -118,6 +129,9 @@ def _price_rows(net, a_mat, sol):
 
 PRICE_HEADER = ["from", "to", "price", "flow", "mu",
                 "payoff_contrib", "cs_contrib"]
+EXTENDED_HEADER = ["row_type", "from", "to", "price", "flow"]
+# a sweep table's columns after the swept parameter
+SWEEP_COLUMNS = ["strategy", "payoff", "gap_to_optimal"]
 
 
 def _network_and_ads(args):
@@ -147,41 +161,29 @@ def cmd_price(args) -> int:
 def cmd_price_extended(args) -> int:
     loaded, a = _network_and_ads(args)
     net = loaded.network
-    params = ExtendedParams(eta=args.eta, psi=args.psi,
-                            demand=_parse_demand(args.demand))
+    params = _extended_params(args)
     sol = solve_extended(net, a, params, seed=args.seed,
                          empty_pairs=loaded.empty_pairs)
     rows = []
     for i, j in net.arcs:
         q = net.demand[i, j] * params.demand.remaining(sol.prices[i, j])
         rows.append(["arc", str(i), str(j), fmt(sol.prices[i, j]), fmt(q)])
-    pair_set = set(net.arcs) | {(int(i), int(j))
-                                for i, j, _ in (loaded.empty_pairs or ())}
-    for i, j in sorted(pair_set):
+    pairs, _ = _pair_set(net, loaded.empty_pairs)
+    for i, j in sorted(pairs.tolist()):
         rows.append(["empty", str(i), str(j), "", fmt(sol.empty_flows[i, j])])
     footer = [f"# payoff={fmt(sol.payoff)}",
               f"# kkt_residual={sol.kkt_residual:.3e}",
               f"# local_only={int(sol.local_only)}"]
-    fileio.write_csv(args.out, ["row_type", "from", "to", "price", "flow"],
-                     rows, footer)
+    fileio.write_csv(args.out, EXTENDED_HEADER, rows, footer)
     print(f"payoff={fmt(sol.payoff)} local_only={int(sol.local_only)} "
           f"kkt_residual={sol.kkt_residual:.3e}")
     return 0
 
 
-def _extended_params(args):
-    if args.model == "extended":
-        if args.psi is None or args.eta is None:
-            raise ValueError("extended model requires --psi and --eta")
-        return ExtendedParams(eta=args.eta, psi=args.psi,
-                              demand=_parse_demand(args.demand))
-    return None
-
-
 def cmd_select(args) -> int:
     loaded = fileio.load_network(args.network)
     catalog = fileio.load_advertisers(args.advertisers)
-    params = _extended_params(args)
+    params = _extended_params(args) if args.model == "extended" else None
     comparison = strategy_compare(
         loaded.network, catalog, mode=args.mode, model=args.model,
         params=params, seed=args.seed, trials=args.trials)
@@ -203,17 +205,14 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _sweep(args, kind) -> int:
+def cmd_sweep(args) -> int:
+    kind = args.command.removeprefix("sweep-")
     loaded = fileio.load_network(args.network)
     catalog = fileio.load_advertisers(args.advertisers)
-    demand = _parse_demand(args.demand)
     grid = getattr(args, f"{kind}_grid")
 
     def run(index, value):
-        if kind == "psi":
-            params = ExtendedParams(eta=args.eta, psi=value, demand=demand)
-        else:
-            params = ExtendedParams(eta=value, psi=args.psi, demand=demand)
+        params = _extended_params(args, **{kind: value})
         child = np.random.SeedSequence(args.seed, spawn_key=(index,))
         # a pool thread starts from numpy's default error state
         with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -231,8 +230,7 @@ def _sweep(args, kind) -> int:
             outcome = comparison.outcome(name)
             rows.append([fmt(value), name, fmt(outcome.payoff),
                          fmt(outcome.gap_to_optimal)])
-    fileio.write_csv(args.out, [kind, "strategy", "payoff", "gap_to_optimal"],
-                     rows)
+    fileio.write_csv(args.out, [kind] + SWEEP_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -315,6 +313,11 @@ def _floats(path, rows, cols):
     return values
 
 
+def _write_series(path, points):
+    """An x,y table of (x, y) points."""
+    fileio.write_csv(path, ["x", "y"], ([str(x), fmt(y)] for x, y in points))
+
+
 def cmd_report(args) -> int:
     path = args.input
     header, rows, footer = _read_table(path)
@@ -333,29 +336,25 @@ def cmd_report(args) -> int:
         print("top_arcs_by_payoff=" + ";".join(
             f"{rows[idx][1][0]}->{rows[idx][1][1]}:{fmt(pay[idx])}"
             for idx in top))
-        fileio.write_csv(f"{prefix}.payoff_by_arc.csv", ["x", "y"],
-                         ([str(idx), fmt(y)] for idx, y in enumerate(pay)))
-        fileio.write_csv(f"{prefix}.price_by_arc.csv", ["x", "y"],
-                         ([str(idx), fmt(y)] for idx, y in enumerate(price)))
+        _write_series(f"{prefix}.payoff_by_arc.csv", enumerate(pay))
+        _write_series(f"{prefix}.price_by_arc.csv", enumerate(price))
         return 0
-    if len(header) == 4 and header[1:] == ["strategy", "payoff", "gap_to_optimal"]:
+    if header[1:] == SWEEP_COLUMNS:
         xname = header[0]
         [payoffs] = _floats(path, rows, (2,))
         strategies = sorted({r[1] for _, r in rows})
         for strat in strategies:
-            series = [(r[0], y) for (_, r), y in zip(rows, payoffs)
-                      if r[1] == strat]
-            fileio.write_csv(f"{prefix}.{strat}.csv", ["x", "y"],
-                             ([x, fmt(y)] for x, y in series))
+            _write_series(f"{prefix}.{strat}.csv",
+                          ((r[0], y) for (_, r), y in zip(rows, payoffs)
+                           if r[1] == strat))
         print(f"series_over={xname} strategies={strategies} rows={len(rows)}")
         return 0
-    if header == ["row_type", "from", "to", "price", "flow"]:
+    if header == EXTENDED_HEADER:
         [flows] = _floats(path, [r for r in rows if r[1][0] == "arc"], (4,))
         print(f"payoff={footer.get('payoff')}")
         print(f"kkt_residual={footer.get('kkt_residual')}")
         print(f"local_only={footer.get('local_only')}")
-        fileio.write_csv(f"{prefix}.flow_by_arc.csv", ["x", "y"],
-                         ([str(idx), fmt(y)] for idx, y in enumerate(flows)))
+        _write_series(f"{prefix}.flow_by_arc.csv", enumerate(flows))
         return 0
     raise MalformedInput(f"unrecognized table schema in {path}")
 
@@ -431,29 +430,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--advertisers-out", default=None)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("sweep-psi", help="capacity sweep over strategies")
-    p.add_argument("--network", required=True)
-    p.add_argument("--advertisers", required=True)
-    p.add_argument("--psi-grid", type=_parse_grid, default="40:280:40")
-    p.add_argument("--eta", type=float, default=0.8)
-    p.add_argument("--demand", default="uniform")
-    p.add_argument("--mode", choices=["arc", "location"], default="location")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default="sweep_psi.csv")
-    p.set_defaults(func=lambda args: _sweep(args, "psi"))
-
-    p = sub.add_parser("sweep-eta", help="empty-routing cost sweep")
-    p.add_argument("--network", required=True)
-    p.add_argument("--advertisers", required=True)
-    p.add_argument("--eta-grid", type=_parse_grid, default="0.1:1.0:0.1")
-    p.add_argument("--psi", type=float, default=300.0)
-    p.add_argument("--demand", default="uniform")
-    p.add_argument("--mode", choices=["arc", "location"], default="location")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default="sweep_eta.csv")
-    p.set_defaults(func=lambda args: _sweep(args, "eta"))
+    for kind, fixed, grid, value, text in [
+        ("psi", "eta", "40:280:40", 0.8, "capacity sweep over strategies"),
+        ("eta", "psi", "0.1:1.0:0.1", 300.0, "empty-routing cost sweep"),
+    ]:
+        p = sub.add_parser(f"sweep-{kind}", help=text)
+        p.add_argument("--network", required=True)
+        p.add_argument("--advertisers", required=True)
+        p.add_argument(f"--{kind}-grid", type=_parse_grid, default=grid)
+        p.add_argument(f"--{fixed}", type=float, default=value)
+        p.add_argument("--demand", default="uniform")
+        p.add_argument("--mode", choices=["arc", "location"],
+                       default="location")
+        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", default=f"sweep_{kind}.csv")
+        p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="summarize a solver output file")
     p.add_argument("input")

@@ -8,8 +8,8 @@ Moore-Penrose pseudoinverse of the graph Laplacian:
     R_ij = l+_ii + l+_jj - 2 l+_ij
 
 A validated network is connected, so the pseudoinverse comes from the
-bordered system (L + J/N) X = I by subtracting J/N, which is exact for a
-connected graph and avoids an eigendecomposition.
+bordered system (L + J/N) X = I of :func:`potentials` by subtracting J/N,
+which is exact for a connected graph and avoids an eigendecomposition.
 
 Pricing needs only the node potentials lambda = L+ v of a value vector v
 that sums to zero on every component, possibly of a masked projection, and
@@ -60,7 +60,7 @@ def build_electrical(net: TrafficNetwork) -> ElectricalModel:
     n = net.n_locations
     lap = np.diag(w.sum(axis=1)) - w
     ones = np.full((n, n), 1.0 / n)
-    pinv = np.linalg.solve(lap + ones, np.eye(n)) - ones
+    pinv = potentials(w, np.eye(n), ones) - ones
     pinv = 0.5 * (pinv + pinv.T)
     diag = np.diag(pinv)
     eff = diag[:, None] + diag[None, :] - 2.0 * pinv

@@ -45,6 +45,23 @@ def _location(value, n: int) -> int:
     return i
 
 
+def _read_json(kind, path):
+    """The document in a JSON file; one that cannot be read or parsed
+    raises MalformedInput naming the file's ``kind``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise MalformedInput(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def _write_json(path, doc):
+    """Indented, key-sorted JSON with a trailing LF."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def fmt(x) -> str:
     """Fixed 9-significant-digit rendering used in every CSV."""
     return f"{float(x):.9g}"
@@ -67,11 +84,7 @@ def load_network(path) -> LoadedNetwork:
     key, a value of the wrong type, a fractional ``n`` or index, or an
     index out of range raises MalformedInput naming the file.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedInput(f"cannot read network file {path}: {exc}") from exc
+    doc = _read_json("network", path)
     try:
         n = _integer(doc["n"], "n")
         cost = float(doc["cost"])
@@ -114,18 +127,12 @@ def save_network(path, net: TrafficNetwork, ad_revenue=None, empty_pairs=None):
         doc["empty_travel_time"] = [
             {"from": int(i), "to": int(j), "travel_time": float(t)}
             for i, j, t in empty_pairs]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def load_ads(path, net: TrafficNetwork) -> AdRevenueVector:
     """Read a standalone ad-revenue file: {"ads": [{from, to, a}]}."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedInput(f"cannot read ads file {path}: {exc}") from exc
+    doc = _read_json("ads", path)
     try:
         entries = {(_integer(e["from"]), _integer(e["to"])): float(e["a"])
                    for e in doc["ads"]}
@@ -135,11 +142,7 @@ def load_ads(path, net: TrafficNetwork) -> AdRevenueVector:
 
 
 def load_advertisers(path) -> AdvertiserCatalog:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedInput(f"cannot read advertiser file {path}: {exc}") from exc
+    doc = _read_json("advertiser", path)
     try:
         arc_based = {}
         for entry in doc.get("arc_based", []):
@@ -169,9 +172,7 @@ def save_advertisers(path, catalog: AdvertiserCatalog):
             for k, incoming in sorted(catalog.location_based.items())],
         "budget": catalog.budget,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def write_csv(path, header, rows, footer=None):
@@ -204,7 +205,5 @@ def write_manifest(out_path, command: str, params: dict, seed,
         "duration_seconds": round(time.time() - started, 6),
     }
     path = str(out_path) + ".manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
     return path

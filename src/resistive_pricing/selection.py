@@ -128,33 +128,43 @@ def _demand_symmetric(net: TrafficNetwork) -> bool:
     return bool(np.array_equal(net.demand, net.demand.T))
 
 
-def _select_single(net, catalog, kind, advertisers, candidate, closed_form):
+def _candidates(net, catalog, mode):
+    """Labels of the catalog's ``mode``-based advertisers in sorted order,
+    and the ad vector each induces."""
+    if mode == "arc":
+        bids, induced = catalog.arc_based, arc_candidate
+    elif mode == "location":
+        bids, induced = catalog.location_based, location_candidate
+    else:
+        raise ValueError("mode must be 'arc' or 'location'")
+    labels = sorted(bids)
+    if not labels:
+        raise ValueError(f"catalog has no {mode}-based advertisers")
+    return labels, [induced(net, label, bids[label]) for label in labels]
+
+
+def _select_single(net, catalog, mode, closed_form):
     """Budget-one selection shared by the arc and location selectors.
 
-    ``advertisers`` maps each label to its bid; ``candidate(label)`` builds
-    the induced ad vector and ``closed_form(label, eff)`` the exact score
-    under symmetric demand.  Labels are scanned in sorted order and the
-    first maximum wins.
+    ``closed_form(label, eff)`` is the exact score under symmetric demand;
+    otherwise each candidate is scored by Delta.  Labels are scanned in
+    sorted order and the first maximum wins.
     """
     catalog.validate_for(net)
     if catalog.budget != 1:
         raise ValueError("closed-form selector supports budget == 1; "
                          "rank caller-built candidates with delta() instead")
-    if not advertisers:
-        raise ValueError(f"catalog has no {kind}-based advertisers")
-    labels = sorted(advertisers)
+    labels, vectors = _candidates(net, catalog, mode)
     if _demand_symmetric(net):
         eff = build_electrical(net).effective_resistance
         scores = [closed_form(label, eff) for label in labels]
     else:
-        scores = [delta(net, candidate(label)) for label in labels]
+        scores = [delta(net, vec) for vec in vectors]
     best = max(range(len(labels)), key=scores.__getitem__)
-    chosen = labels[best]
-    a_win = candidate(chosen)
     return SelectionResult(
-        chosen=chosen,
-        ad_revenue=a_win,
-        payoff=solve_general(net, a_win).payoff,
+        chosen=labels[best],
+        ad_revenue=vectors[best],
+        payoff=solve_general(net, vectors[best]).payoff,
         scores=tuple(zip(labels, (float(s) for s in scores))),
     )
 
@@ -176,9 +186,7 @@ def select_arc_advertiser(net: TrafficNetwork,
         return th * xi * (b * b + 2.0 * (1.0 - c) * b) \
             - th * th * b * b * eff[arc]
 
-    return _select_single(net, catalog, "arc", bids,
-                          lambda arc: arc_candidate(net, arc, bids[arc]),
-                          score)
+    return _select_single(net, catalog, "arc", score)
 
 
 def select_location_advertiser(net: TrafficNetwork,
@@ -205,9 +213,7 @@ def select_location_advertiser(net: TrafficNetwork,
                     eff[s, t] - eff[s, k] - eff[t, k])
         return total
 
-    return _select_single(
-        net, catalog, "location", bids,
-        lambda k: location_candidate(net, k, bids[k]), score)
+    return _select_single(net, catalog, "location", score)
 
 
 def reduced_search(net: TrafficNetwork, candidates: Sequence) -> SelectionResult:
@@ -285,25 +291,16 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
     draws.  All randomness derives from ``seed``.
     """
     catalog.validate_for(net)
-    if mode == "arc":
-        labels = sorted(catalog.arc_based)
-        vectors = [arc_candidate(net, arc, catalog.arc_based[arc])
-                   for arc in labels]
-    elif mode == "location":
-        labels = sorted(catalog.location_based)
-        vectors = [location_candidate(net, k, catalog.location_based[k])
-                   for k in labels]
-    else:
-        raise ValueError("mode must be 'arc' or 'location'")
-    if not labels:
-        raise ValueError(f"catalog has no {mode}-based advertisers")
+    labels, vectors = _candidates(net, catalog, mode)
     if seed is None:
         raise ValueError("a seed is required (randomized strategy)")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     root = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
-    children = root.spawn(len(vectors) + 1)
+    # the random strategy draws from the last of len(labels) + 1 children,
+    # as it always has, so that its draws keep their bits
+    rng = np.random.default_rng(root.spawn(len(labels) + 1)[-1])
 
     if model == "basic":
         payoffs = [solve_general(net, vec).payoff for vec in vectors]
@@ -311,9 +308,7 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
         if params is None:
             raise ValueError("extended model requires params")
         from .extended import solve_extended
-        payoffs = [
-            solve_extended(net, vec, params, seed=child).payoff
-            for vec, child in zip(vectors, children)]
+        payoffs = [solve_extended(net, vec, params).payoff for vec in vectors]
     else:
         raise ValueError("model must be 'basic' or 'extended'")
 
@@ -321,7 +316,6 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
     # argmax takes the first maximum: ties go to the smallest label
     res_idx = int(np.argmax(deltas))
     opt_idx = int(np.argmax(payoffs))
-    rng = np.random.default_rng(children[-1])
     draws = rng.integers(0, len(labels), size=trials)
     random_payoff = float(np.mean([payoffs[d] for d in draws]))
 

@@ -671,10 +671,14 @@ class TestManifest:
         (["sweep-psi", "--network", "net.json", "--advertisers", "adv.json",
           "--psi-grid", "20:40:20", "--trials", "5", "--seed", "5",
           "--out", "sw.csv"], "sw.csv", ["net.json", "adv.json"]),
+        (["sweep-eta", "--network", "net.json", "--advertisers", "adv.json",
+          "--eta-grid", "0.4,0.8", "--psi", "50", "--demand", "exp:2",
+          "--mode", "arc", "--trials", "5", "--seed", "5", "--out", "se.csv"],
+         "se.csv", ["net.json", "adv.json"]),
         (["dump-electrical", "--network", "net.json", "--out", "el"],
          "el", ["net.json"]),
     ], ids=["price", "price-extended", "select", "ingest", "synth",
-            "sweep-psi", "dump-electrical"])
+            "sweep-psi", "sweep-eta", "dump-electrical"])
     def test_manifest_records_parsed_arguments(self, workdir, argv,
                                                manifest_of, inputs):
         net, _ = write_instance("net.json", "adv.json", n=5)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from resistive_pricing import (
     build_electrical,
+    synth_instance,
     undirected_projection,
     validate_network,
     value_vector,
@@ -124,6 +125,24 @@ class TestLaplacian:
         assert np.allclose(lap @ (pinv @ v), v, atol=1e-9)
         ones = np.full((n, n), 1.0 / n)
         assert np.allclose(lap @ pinv, np.eye(n) - ones, atol=1e-9)
+
+    def test_pseudoinverse_bits_of_direct_bordered_solve(self):
+        """L+ from potentials has the same bits as the direct solve of
+        (L + J/N) X = I, minus J/N and symmetrized."""
+        rng = np.random.default_rng(12)
+        nets = [random_connected_network(rng, n_min=2, n_max=12)
+                for _ in range(200)]
+        nets += [synth_instance(n, 0.3, seed=1, profile=profile)[0]
+                 for n in (10, 30, 60, 120)
+                 for profile in ("symmetric", "commuter")]
+        for net in nets:
+            n = net.n_locations
+            w = undirected_projection(net)
+            ones = np.full((n, n), 1.0 / n)
+            pinv = np.linalg.solve(np.diag(w.sum(axis=1)) - w + ones,
+                                   np.eye(n)) - ones
+            assert np.array_equal(build_electrical(net).pseudoinverse,
+                                  0.5 * (pinv + pinv.T))
 
     def test_local_sum_rule_small(self):
         net = ring_with_chord()

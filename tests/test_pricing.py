@@ -421,8 +421,9 @@ class TestLoopReference:
         """Capping the one-way bridge (2, 3) between two triangles kills its
         pair: the state splits into two components, and the shift that keeps
         the bridge's multiplier non-negative moves the far side's lambda.
-        solve_general itself never gets here (a bridge's flow is forced to
-        zero, so its price is never above the cap), hence the direct drive."""
+        The state is driven directly so that the split is known; for a
+        split that solve_general reaches, see
+        test_solve_splits_masked_network."""
         demand = np.zeros((6, 6))
         for tri in ((0, 1, 2), (3, 4, 5)):
             for i in tri:
@@ -455,6 +456,36 @@ class TestLoopReference:
         state.move(np.array([], dtype=int), np.array([bridge]))
         assert state.labels.tolist() == [0] * 6
         assert np.array_equal(state.border, np.full((6, 6), 1.0 / 6.0))
+
+    def test_solve_splits_masked_network(self, monkeypatch):
+        """Draw 65 of the aggressive n = 3-9 stream ends with (2, 3) and
+        (3, 1) capped, which isolates node 3: the masked projection splits,
+        the shift resolution moves lambda, and the answer is still the
+        enumeration optimum."""
+        shifts = []
+        resolve = pricing._resolve_shifts
+
+        def recording(n_comp, constraints):
+            shifts.append(resolve(n_comp, constraints))
+            return shifts[-1]
+        monkeypatch.setattr(pricing, "_resolve_shifts", recording)
+        rng = np.random.default_rng(5)
+        for _ in range(66):
+            net, a = random_instance(rng, aggressive=True, n_min=3, n_max=9)
+        assert net.arcs == ((0, 1), (0, 2), (2, 0), (2, 3), (3, 1))
+        sol = solve_general(net, a)
+        assert sol.active_set == {(2, 3), (3, 1)}
+        active = arc_matrix(net, [arc in sol.active_set for arc in net.arcs],
+                            False)
+        masked = np.where(active, 0.0, net.demand)
+        assert len(connected_components(
+            projection_weights(masked, net.travel_time))) == 2
+        assert any(feasible and np.any(s != 0) for s, feasible in shifts)
+        oracle_prices, oracle_val = enumerate_optimal_prices(net, a)
+        for arc in net.arcs:
+            assert sol.prices[arc] == pytest.approx(oracle_prices[arc],
+                                                    abs=1e-12)
+        assert sol.payoff == pytest.approx(oracle_val, rel=1e-12)
 
     def test_kkt_residual(self):
         rng = np.random.default_rng(9)
