@@ -9,17 +9,14 @@ the seed, and the SHA-256 of each input file given.  Re-running a command
 with the same manifest reproduces byte-identical CSV output.  Exit codes:
 0 success, 2 usage or validation error or a file that cannot be read or
 written, 3 solver non-convergence.
-
-The sweep commands fan grid points out to a thread pool capped by the
-``RESISTIVE_PRICING_THREADS`` environment variable.
 """
 
 import argparse
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+# bench/spans.py wraps this name; the sweeps no longer call it
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
@@ -49,13 +46,6 @@ SOLVER_ERROR = 3
 INPUT_ARGS = ("network", "ads", "advertisers", "rides")
 # the most points a start:stop:step grid may have
 MAX_GRID_POINTS = 10_000
-
-
-def _pool_size() -> int:
-    raw = os.environ.get("RESISTIVE_PRICING_THREADS")
-    if raw:
-        return max(1, int(raw))
-    return min(8, os.cpu_count() or 1)
 
 
 def _parse_demand(text: str) -> DemandModel:
@@ -211,21 +201,13 @@ def cmd_sweep(args) -> int:
     catalog = fileio.load_advertisers(args.advertisers)
     grid = getattr(args, f"{kind}_grid")
 
-    def run(index, value):
-        params = _extended_params(args, **{kind: value})
-        child = np.random.SeedSequence(args.seed, spawn_key=(index,))
-        # a pool thread starts from numpy's default error state
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return strategy_compare(loaded.network, catalog, mode=args.mode,
-                                    model="extended", params=params,
-                                    seed=child, trials=args.trials)
-
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        futures = [pool.submit(run, idx, val) for idx, val in enumerate(grid)]
-        results = [f.result() for f in futures]
-
     rows = []
-    for value, comparison in zip(grid, results):
+    for index, value in enumerate(grid):
+        comparison = strategy_compare(
+            loaded.network, catalog, mode=args.mode, model="extended",
+            params=_extended_params(args, **{kind: value}),
+            seed=np.random.SeedSequence(args.seed, spawn_key=(index,)),
+            trials=args.trials)
         for name in ("resistance", "optimal", "random"):
             outcome = comparison.outcome(name)
             rows.append([fmt(value), name, fmt(outcome.payoff),

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FrozenArrays, TrafficNetwork, _frozen_array, ad_matrix
+from .network import (FrozenArrays, TrafficNetwork, _frozen_array, _spread,
+                      ad_matrix)
 from .pricing import NoConvergence
 from .qp import solve_convex_qp  # noqa: F401  (bench/spans.py wraps this name)
 
@@ -248,14 +249,10 @@ def _solution(net, a_mat, params, pairs, pair_time, p_vec, w_vec, residual,
 
 def _mutual_reach(nodes, pairs):
     """Mask of the node pairs in one strong class of the graph of ``pairs``."""
-    reach = np.eye(nodes)
-    reach[pairs[:, 0], pairs[:, 1]] = 1.0
-    while True:  # transitive closure by boolean squaring
-        closed = ((reach @ reach) > 0).astype(float)
-        if np.array_equal(closed, reach):
-            break
-        reach = closed
-    return (reach > 0) & (reach.T > 0)
+    adj = np.zeros((nodes, nodes), dtype=bool)
+    adj[pairs[:, 0], pairs[:, 1]] = True
+    reach = _spread(adj, np.eye(nodes, dtype=bool), np.eye(nodes, dtype=bool))
+    return reach & reach.T
 
 
 def _blocking(slack, kap, ds, dk):

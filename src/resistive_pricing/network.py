@@ -193,8 +193,21 @@ def undirected_projection(net: TrafficNetwork) -> np.ndarray:
     return net.projection
 
 
-def _adjacency_lists(weights: np.ndarray) -> list[np.ndarray]:
-    return [np.flatnonzero(weights[i] > 0) for i in range(weights.shape[0])]
+def _spread(adj: np.ndarray, frontier: np.ndarray,
+            member: np.ndarray) -> np.ndarray:
+    """Grow the boolean (k, N) ``member`` in place, row by row, by every
+    node its ``frontier`` row reaches along the boolean (N, N) ``adj``.
+
+    A node already in ``member`` is never entered, so marking a node in
+    advance removes it from the graph for that row.  Breadth-first, all
+    rows at once, one float32 product per step: it sums non-negative 0/1
+    terms, so its ``> 0`` test is exact at any N.  Returns ``member``.
+    """
+    step = adj.astype(np.float32)
+    while frontier.any():
+        frontier = ((frontier.astype(np.float32) @ step) > 0) & ~member
+        member |= frontier
+    return member
 
 
 def connected_components(weights: np.ndarray) -> list[np.ndarray]:
@@ -207,63 +220,25 @@ def connected_components(weights: np.ndarray) -> list[np.ndarray]:
     unseen = np.ones(adj.shape[0], dtype=bool)
     comps = []
     while unseen.any():
-        member = np.zeros_like(unseen)
-        member[np.argmax(unseen)] = True
-        frontier = member
-        # breadth-first: each pass adds the frontier's new neighbours
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~member
-            member |= frontier
-        unseen &= ~member
-        comps.append(np.flatnonzero(member))
+        member = np.zeros((1, adj.shape[0]), dtype=bool)
+        member[0, np.argmax(unseen)] = True
+        _spread(adj, member.copy(), member)
+        unseen &= ~member[0]
+        comps.append(np.flatnonzero(member[0]))
     return comps
 
 
 def find_cut_vertices(net: TrafficNetwork) -> set[int]:
     """Articulation points of the undirected projection.
 
-    Iterative Hopcroft-Tarjan DFS; a vertex is returned exactly when its
-    removal disconnects the projection.
+    A vertex is returned exactly when its removal disconnects the
+    projection: row v spreads from node v + 1 (mod N) with v marked in
+    advance, and v is a cut vertex when that row misses some node.
     """
-    weights = undirected_projection(net)
-    n = net.n_locations
-    adj = _adjacency_lists(weights)
-    disc = np.full(n, -1, dtype=int)
-    low = np.zeros(n, dtype=int)
-    parent = np.full(n, -1, dtype=int)
-    cut: set[int] = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        root_children = 0
-        stack: list[tuple[int, int]] = [(root, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, ptr = stack[-1]
-            if ptr < len(adj[u]):
-                stack[-1] = (u, ptr + 1)
-                w = int(adj[u][ptr])
-                if disc[w] == -1:
-                    parent[w] = u
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if u == root:
-                        root_children += 1
-                    stack.append((w, 0))
-                elif w != parent[u]:
-                    low[u] = min(low[u], disc[w])
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if p != root and low[u] >= disc[p]:
-                        cut.add(p)
-        if root_children > 1:
-            cut.add(root)
-    return cut
+    frontier = np.roll(np.eye(net.n_locations, dtype=bool), 1, axis=1)
+    member = frontier | np.eye(net.n_locations, dtype=bool)
+    _spread(undirected_projection(net) > 0, frontier, member)
+    return {int(v) for v in np.flatnonzero(~member.all(axis=1))}
 
 
 @dataclass(frozen=True)
@@ -290,10 +265,6 @@ class AdRevenueVector(FrozenArrays):
         if np.any(values[arc_mask] < 0):
             raise ValueError("ad revenues must be non-negative")
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def zeros(cls, net: TrafficNetwork) -> "AdRevenueVector":
-        return cls(net, np.zeros((net.n_locations, net.n_locations)))
 
     @classmethod
     def from_arcs(cls, net: TrafficNetwork,

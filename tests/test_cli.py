@@ -107,6 +107,17 @@ class TestPriceCommand:
         assert Path("elec.resistance.csv").exists()
         assert Path("elec.value.csv").exists()
 
+    def test_price_with_binding_cap(self, workdir, capsys):
+        """Where the closed form does not apply, price runs the active-set
+        solve: a positive active set and mu > 0 rows."""
+        net, _ = synth_instance(15, 0.3, seed=0, profile="commuter")
+        fileio.save_network("net.json", net)
+        assert main(["price", "--network", "net.json", "--out", "p.csv"]) == 0
+        active = int(capsys.readouterr().out.split("active_set=")[1].split()[0])
+        assert active > 0
+        rows = [r.split(",") for r in Path("p.csv").read_text().splitlines()[1:]]
+        assert sum(float(r[4]) > 0 for r in rows) == active
+
     def test_invalid_network_exit_2(self, workdir):
         doc = {"n": 2, "cost": 0.6,
                "arcs": [{"from": 0, "to": 0, "demand": 1, "travel_time": 1}]}
@@ -123,6 +134,12 @@ PRICE = ["price", "--network", "net.json", "--out", "p.csv"]
 SELECT = ["select", "--network", "net.json", "--advertisers", "adv.json",
           "--mode", "location", "--strategy", "resistance", "--seed", "0",
           "--out", "s.csv"]
+PRICE_EXTENDED = ["price-extended", "--network", "net.json", "--psi", "30",
+                  "--eta", "0.8", "--out", "e.csv"]
+SWEEP = ["sweep-psi", "--network", "net.json", "--advertisers", "adv.json",
+         "--seed", "0", "--psi-grid"]
+INGEST = ["ingest", "--rides", "rides.csv", "--seed", "0", "--bbox",
+          "30.65,30.69,104.03,104.08", "--window"]
 
 
 def ring(*arcs):
@@ -158,18 +175,47 @@ MALFORMED = [
           {"location": 1, "d": [{"from": 0, "value": 0.1}]}],
           "budget": 1.7}},
      SELECT),
+    ({"net.json": ring(*RING),
+      "adv.json": {"location_based": [
+          {"location": 1, "d": [{"from": 0, "value": 0.1}]}], "budget": 0}},
+     SELECT),
+    ({"net.json": ring(*RING),
+      "adv.json": {"arc_based": [{"from": 0, "to": 1, "b": -0.1}]}}, SELECT),
+    ({"net.json": ring(*RING),
+      "adv.json": {"arc_based": [{"from": 0, "to": 2, "b": 0.1}]}}, SELECT),
+    ({"net.json": {**ring(*RING), "empty_travel_time": [
+        {"from": 1, "to": 1, "travel_time": 1}]}}, PRICE_EXTENDED),
+    ({"net.json": {**ring(*RING), "empty_travel_time": [
+        {"from": 0, "to": 2, "travel_time": 0}]}}, PRICE_EXTENDED),
+    ({}, SWEEP + ["nan:50:10"]),
+    ({}, SWEEP + ["10:inf:10"]),
+    ({}, SWEEP + ["10:50:0"]),
+    ({}, SWEEP + ["10:50:-10"]),
+    ({}, INGEST[:-2] + ["30.65,30.69,104.03", "--window", "0,4200"]),
+    ({}, INGEST + ["4200"]),
+    ({"t.csv": ""}, ["report", "t.csv"]),
+    ({"t.csv": "a,b\n1,2\n"}, ["report", "t.csv"]),
 ]
 MALFORMED_IDS = ["arc-without-to", "to-out-of-range", "arcs-not-objects",
                  "from-negative", "ad-without-a", "ad-from-negative",
                  "advertiser-d-without-value", "from-fractional",
                  "ad-from-fractional", "advertiser-from-fractional",
-                 "n-fractional", "budget-fractional"]
+                 "n-fractional", "budget-fractional", "budget-zero",
+                 "arc-bid-negative", "arc-bid-off-arc", "empty-self-loop",
+                 "empty-time-zero", "grid-start-nan", "grid-stop-inf",
+                 "grid-step-zero", "grid-step-negative", "bbox-three-fields",
+                 "window-one-field", "report-empty", "report-unknown-header"]
+
+
+def write_files(files):
+    """Write each named input: a string as is, anything else as JSON."""
+    for name, doc in files.items():
+        Path(name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
 
 @pytest.mark.parametrize("files, argv", MALFORMED, ids=MALFORMED_IDS)
 def test_malformed_input_exit_2(workdir, capsys, files, argv):
-    for name, doc in files.items():
-        Path(name).write_text(json.dumps(doc))
+    write_files(files)
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -180,8 +226,7 @@ def test_malformed_input_exit_2(workdir, capsys, files, argv):
 def test_malformed_input_message_has_plain_numbers(workdir, capsys, files,
                                                    argv):
     """Indices in an error message read as plain ints, not numpy reprs."""
-    for name, doc in files.items():
-        Path(name).write_text(json.dumps(doc))
+    write_files(files)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "np." not in err
@@ -256,7 +301,7 @@ def run_main(argv):
         "sweep-thread-overflows"])
 def test_bad_input_one_error_line_no_warning(workdir, argv):
     """An option argparse rejects, zero random trials, and inputs whose
-    arithmetic overflows, in the main thread or a sweep thread: exit 2
+    arithmetic overflows, in a solve or in a sweep's grid point: exit 2
     with one error: line, no warning and no manifest."""
     net, _ = write_instance("net.json", "adv.json", n=5)
     doc = json.loads(Path("net.json").read_text())
@@ -437,8 +482,7 @@ class TestSelectCommand:
 
 
 class TestSweeps:
-    def test_sweep_psi_rows_and_determinism(self, workdir, monkeypatch):
-        monkeypatch.setenv("RESISTIVE_PRICING_THREADS", "2")
+    def test_sweep_psi_rows_and_determinism(self, workdir):
         write_instance("net.json", "ads.json", n=5)
         args = ["sweep-psi", "--network", "net.json", "--advertisers",
                 "ads.json", "--psi-grid", "20:60:20", "--eta", "0.8",

@@ -17,6 +17,7 @@ from resistive_pricing import (
     synth_instance,
     validate_network,
 )
+from resistive_pricing.extended import _mutual_reach, _pair_set
 from resistive_pricing.qp import solve_convex_qp
 
 from gen import random_ads, random_instance
@@ -34,6 +35,48 @@ def uniform_params(net, psi_frac=10.0, eta=1e6):
     total = float((net.arc_demand * net.arc_time).sum())
     return ExtendedParams(eta=eta, psi=psi_frac * total,
                           demand=DemandModel.uniform())
+
+
+def strong_classes_by_dfs(n, pairs):
+    """Mask of the node pairs that reach each other, one depth-first
+    search per start node."""
+    out = [[] for _ in range(n)]
+    for u, v in pairs.tolist():
+        out[u].append(v)
+    reach = np.eye(n, dtype=bool)
+    for start in range(n):
+        stack = [start]
+        while stack:
+            for v in out[stack.pop()]:
+                if not reach[start, v]:
+                    reach[start, v] = True
+                    stack.append(v)
+    return reach & reach.T
+
+
+def test_strong_classes_match_dfs():
+    """Routing graphs of random networks with extra empty pairs, and
+    sparse directed graphs with isolated nodes."""
+    rng = np.random.default_rng(31)
+    singletons = multi = 0
+    for draw in range(400):
+        if draw % 2:
+            net = random_instance(rng, aggressive=draw % 4 == 1,
+                                  n_min=2, n_max=10)[0]
+            n = net.n_locations
+            extra = [(*rng.integers(n, size=2), rng.uniform(0.5, 3))
+                     for _ in range(rng.integers(0, 4))]
+            pairs, _ = _pair_set(net, [e for e in extra if e[0] != e[1]])
+        else:
+            n = int(rng.integers(1, 11))
+            pairs = np.argwhere((rng.random((n, n)) < 0.15) & ~np.eye(
+                n, dtype=bool))
+        classes = _mutual_reach(n, pairs)
+        assert np.array_equal(classes, strong_classes_by_dfs(n, pairs))
+        sizes = classes.sum(axis=1)
+        singletons += int((sizes == 1).sum())
+        multi += int((sizes > 1).sum())
+    assert singletons > 100 and multi > 100
 
 
 class TestDemandModel:
