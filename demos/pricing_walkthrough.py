@@ -15,7 +15,6 @@ from resistive_pricing import (
     build_electrical,
     solve_closed_form,
     solve_general,
-    undirected_projection,
     validate_network,
     value_vector,
 )
@@ -33,7 +32,7 @@ travel = np.array([
 net = validate_network(demand, travel, unit_cost=0.6)
 print("arcs:", net.arcs)
 
-weights = undirected_projection(net)
+weights = net.projection
 print("\nundirected projection weights (theta/xi summed over directions):")
 print(np.round(weights, 4))
 

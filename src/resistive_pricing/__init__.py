@@ -41,7 +41,6 @@ from .network import (
     SelfLoopDemand,
     TrafficNetwork,
     find_cut_vertices,
-    undirected_projection,
     validate_network,
 )
 from .pricing import (

@@ -37,7 +37,13 @@ from .ingest import (
     read_rides_csv,
     synth_instance,
 )
-from .pricing import NoConvergence, NotApplicable, solve_closed_form, solve_general
+from .pricing import (
+    NoConvergence,
+    NotApplicable,
+    payoff_and_surplus,
+    solve_closed_form,
+    solve_general,
+)
 from .selection import strategy_compare
 
 USAGE_ERROR = 2
@@ -108,9 +114,7 @@ def _dump_electrical(net, prefix):
 
 
 def _price_rows(net, a_mat, sol):
-    from .pricing import payoff_and_surplus
-    breakdown = payoff_and_surplus(
-        net, a_mat, np.where(net.demand > 0, sol.prices, 0.0))
+    breakdown = payoff_and_surplus(net, a_mat, sol.prices)
     for i, j in net.arcs:
         yield [str(i), str(j), fmt(sol.prices[i, j]), fmt(sol.flows[i, j]),
                fmt(sol.duals_mu[i, j]), fmt(breakdown.payoff_by_arc[i, j]),
@@ -173,10 +177,14 @@ def cmd_price_extended(args) -> int:
 def cmd_select(args) -> int:
     loaded = fileio.load_network(args.network)
     catalog = fileio.load_advertisers(args.advertisers)
-    params = _extended_params(args) if args.model == "extended" else None
+    params = None
+    if args.model == "extended":
+        params = _extended_params(args)
+    elif args.psi is not None or args.eta is not None:
+        raise ValueError("--psi and --eta apply only with --model extended")
     comparison = strategy_compare(
-        loaded.network, catalog, mode=args.mode, model=args.model,
-        params=params, seed=args.seed, trials=args.trials)
+        loaded.network, catalog, mode=args.mode, params=params,
+        seed=args.seed, trials=args.trials)
     outcome = comparison.outcome(args.strategy)
     rows = []
     for label, dval, pval in zip(comparison.candidates, comparison.deltas,
@@ -204,7 +212,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for index, value in enumerate(grid):
         comparison = strategy_compare(
-            loaded.network, catalog, mode=args.mode, model="extended",
+            loaded.network, catalog, mode=args.mode,
             params=_extended_params(args, **{kind: value}),
             seed=np.random.SeedSequence(args.seed, spawn_key=(index,)),
             trials=args.trials)

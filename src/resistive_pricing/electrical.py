@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (
-    FrozenArrays,
-    TrafficNetwork,
-    ad_matrix,
-    undirected_projection,
-)
+from .network import FrozenArrays, TrafficNetwork, ad_matrix
 
 
 @dataclass(frozen=True)
@@ -46,25 +41,18 @@ class ElectricalModel(FrozenArrays):
     resistances: np.ndarray
     effective_resistance: np.ndarray
 
-    def __post_init__(self):
-        for name in ("laplacian", "pseudoinverse", "resistances",
-                     "effective_resistance"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
 
 def build_electrical(net: TrafficNetwork) -> ElectricalModel:
     """Build the electrical network of a validated (connected) network."""
-    w = undirected_projection(net)
+    w = net.projection
     n = net.n_locations
     lap = np.diag(w.sum(axis=1)) - w
     ones = np.full((n, n), 1.0 / n)
     pinv = potentials(w, np.eye(n), ones) - ones
     pinv = 0.5 * (pinv + pinv.T)
     diag = np.diag(pinv)
+    # symmetric bit for bit: pinv is, and d_i + d_j commutes
     eff = diag[:, None] + diag[None, :] - 2.0 * pinv
-    eff = 0.5 * (eff + eff.T)
     np.fill_diagonal(eff, 0.0)
     with np.errstate(divide="ignore"):
         res = np.where(w > 0, 1.0 / np.where(w > 0, w, 1.0), np.inf)

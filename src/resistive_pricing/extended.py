@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (FrozenArrays, TrafficNetwork, _frozen_array, _spread,
-                      ad_matrix)
+from .network import FrozenArrays, TrafficNetwork, _spread, ad_matrix
 from .pricing import NoConvergence
 from .qp import solve_convex_qp  # noqa: F401  (bench/spans.py wraps this name)
 
@@ -140,10 +139,6 @@ class ExtendedSolution(FrozenArrays):
     kkt_residual: float
     feasibility_slacks: dict
     local_only: bool
-
-    def __post_init__(self):
-        for name in ("prices", "empty_flows"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
 def _pair_set(net: TrafficNetwork, empty_pairs):

@@ -14,8 +14,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .network import (FrozenArrays, TrafficNetwork, _frozen_array,
-                      connected_components, validate_network)
+from .network import (FrozenArrays, TrafficNetwork, connected_components,
+                      validate_network)
 from .selection import AdvertiserCatalog
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -52,7 +52,8 @@ class Rides(FrozenArrays):
     dropoff_time: np.ndarray
 
     def __post_init__(self):
-        columns = [_frozen_array(getattr(self, name)) for name in RIDE_FIELDS]
+        columns = [np.array(getattr(self, name), dtype=float)
+                   for name in RIDE_FIELDS]
         m = min(col.size for col in columns)
         if any(col.shape != (m,) for col in columns):
             raise ValueError(f"ride {m}: columns must be 1-D of equal length")
@@ -64,6 +65,7 @@ class Rides(FrozenArrays):
                              else f"ride {i}: non-finite coordinate")
         for name, col in zip(RIDE_FIELDS, columns):
             object.__setattr__(self, name, col)
+        super().__post_init__()
 
     def __len__(self) -> int:
         return len(self.pickup_time)
@@ -73,12 +75,12 @@ RIDE_FIELDS = tuple(f.name for f in fields(Rides))
 
 
 @dataclass(frozen=True)
-class ClusteringResult:
+class ClusteringResult(FrozenArrays):
     """k-means clustering of pooled ride endpoints.
 
     ``origin_labels`` / ``dest_labels`` give each ride's endpoint
     clusters; ``inertia`` is the within-cluster squared distance in
-    metres squared (equirectangular projection).
+    metres squared (equirectangular projection).  Arrays are read-only.
     """
 
     centroids: np.ndarray       # (k, 2) lat, lon
@@ -346,10 +348,13 @@ def aggregate_network(rides: Rides, clustering: ClusteringResult,
 
     mean_time = np.where(counts > 0, durations / np.maximum(counts, 1), 1.0)
 
-    # largest weakly connected component; a cluster without inter-cluster
-    # rides is a singleton, so it never beats a pair that has some
-    kept = max(connected_components(counts + counts.T), key=len)
-    dropped = tuple(int(i) for i in np.setdiff1d(np.arange(k), kept))
+    # largest weakly connected component, the first of equal ones; a
+    # cluster without inter-cluster rides is a singleton, so it never beats
+    # a pair that has some
+    labels = connected_components(counts + counts.T)
+    largest = labels == np.bincount(labels).argmax()
+    kept = np.flatnonzero(largest)
+    dropped = tuple(int(i) for i in np.flatnonzero(~largest))
 
     net = validate_network(counts[np.ix_(kept, kept)],
                            mean_time[np.ix_(kept, kept)], cost)

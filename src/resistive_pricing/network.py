@@ -3,7 +3,7 @@
 A network is a directed graph over ``N`` locations.  An arc (i, j) exists
 exactly where the demand matrix is positive.  Travel times are read only on
 arcs; entries elsewhere are ignored.  All objects here are immutable after
-construction and safe to share across workers.
+construction.
 """
 
 from dataclasses import dataclass, field
@@ -36,25 +36,25 @@ class CostOutOfRange(NetworkValidationError):
     pass
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 class FrozenArrays:
-    """Base of the frozen records whose array fields are read-only.
+    """Base of the frozen records.  The one rule: every ndarray attribute
+    is read-only.
 
-    Unpickling restores the instance dict directly, and numpy arrays come
-    back writable; ``__setstate__`` makes them read-only again, so a record
-    sent to another process stays as immutable as the original.
+    ``__post_init__`` marks the arrays read-only in place, without a copy;
+    a subclass that defines its own ``__post_init__`` calls it last.
+    Unpickling restores the instance dict directly, with writable arrays,
+    so ``__setstate__`` applies the same rule again.
     """
 
-    def __setstate__(self, state):
-        for value in state.values():
+    def __post_init__(self):
+        for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+
+    def __setstate__(self, state):
         self.__dict__.update(state)
+        # the rule alone: a subclass's __post_init__ would validate again
+        FrozenArrays.__post_init__(self)
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ class TrafficNetwork(FrozenArrays):
 
     def __post_init__(self):
         n = self.n_locations
-        demand = _frozen_array(self.demand)
-        travel_time = _frozen_array(self.travel_time)
+        demand = np.array(self.demand, dtype=float)
+        travel_time = np.array(self.travel_time, dtype=float)
         if demand.ndim != 2 or demand.shape != (n, n):
             raise NetworkValidationError(
                 f"demand must be ({n}, {n}), got {demand.shape}")
@@ -123,23 +123,21 @@ class TrafficNetwork(FrozenArrays):
                 f"({i}, {j})")
 
         weights = projection_weights(demand, travel_time)
-        if len(connected_components(weights)) != 1:
+        if connected_components(weights).any():
             raise Disconnected(
                 "induced graph is not weakly connected; "
                 "split into components and solve each separately")
 
-        object.__setattr__(self, "demand", demand)
-        object.__setattr__(self, "travel_time", travel_time)
-        object.__setattr__(self, "unit_cost", cost)
         arc_array = np.argwhere(arc_mask)
         ai, aj = arc_array.T
-        for name, arr in (("projection", weights), ("arc_array", arc_array),
-                          ("arc_demand", demand[ai, aj]),
-                          ("arc_time", travel_time[ai, aj])):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(
-            self, "arcs", tuple(map(tuple, arc_array.tolist())))
+        for name, value in (
+                ("demand", demand), ("travel_time", travel_time),
+                ("unit_cost", cost), ("projection", weights),
+                ("arc_array", arc_array), ("arc_demand", demand[ai, aj]),
+                ("arc_time", travel_time[ai, aj]),
+                ("arcs", tuple(map(tuple, arc_array.tolist())))):
+            object.__setattr__(self, name, value)
+        super().__post_init__()
 
     def has_arc(self, i: int, j: int) -> bool:
         n = self.n_locations
@@ -183,16 +181,6 @@ def projection_weights(demand: np.ndarray,
     return ratio + ratio.T
 
 
-def undirected_projection(net: TrafficNetwork) -> np.ndarray:
-    """Edge weights of the undirected projection of a validated network.
-
-    Entry (i, j) is positive iff at least one of the arcs (i, j), (j, i)
-    carries demand; the matrix is symmetric with zero diagonal.  Returns
-    the network's shared, read-only ``projection`` array.
-    """
-    return net.projection
-
-
 def _spread(adj: np.ndarray, frontier: np.ndarray,
             member: np.ndarray) -> np.ndarray:
     """Grow the boolean (k, N) ``member`` in place, row by row, by every
@@ -210,22 +198,22 @@ def _spread(adj: np.ndarray, frontier: np.ndarray,
     return member
 
 
-def connected_components(weights: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a symmetric weight matrix.
+def connected_components(weights: np.ndarray) -> np.ndarray:
+    """Per-node component labels of a symmetric weight matrix.
 
-    Nodes i and j are adjacent when weights[i, j] > 0.  Returns one sorted
-    node array per component, in order of each component's smallest node.
+    Nodes i and j are adjacent when weights[i, j] > 0.  Components are
+    numbered 0, 1, ... in order of each one's smallest node, so a graph is
+    connected exactly when every label is 0.
     """
     adj = np.asarray(weights) > 0
-    unseen = np.ones(adj.shape[0], dtype=bool)
-    comps = []
-    while unseen.any():
-        member = np.zeros((1, adj.shape[0]), dtype=bool)
-        member[0, np.argmax(unseen)] = True
-        _spread(adj, member.copy(), member)
-        unseen &= ~member[0]
-        comps.append(np.flatnonzero(member[0]))
-    return comps
+    labels = np.full(len(adj), -1)
+    count = 0
+    while (unseen := labels < 0).any():
+        member = np.zeros((1, len(adj)), dtype=bool)
+        member[0, unseen.argmax()] = True
+        labels[_spread(adj, member.copy(), member)[0]] = count
+        count += 1
+    return labels
 
 
 def find_cut_vertices(net: TrafficNetwork) -> set[int]:
@@ -237,7 +225,7 @@ def find_cut_vertices(net: TrafficNetwork) -> set[int]:
     """
     frontier = np.roll(np.eye(net.n_locations, dtype=bool), 1, axis=1)
     member = frontier | np.eye(net.n_locations, dtype=bool)
-    _spread(undirected_projection(net) > 0, frontier, member)
+    _spread(net.projection > 0, frontier, member)
     return {int(v) for v in np.flatnonzero(~member.all(axis=1))}
 
 
@@ -253,7 +241,7 @@ class AdRevenueVector(FrozenArrays):
     values: np.ndarray
 
     def __post_init__(self):
-        values = _frozen_array(self.values)
+        values = np.array(self.values, dtype=float)
         n = self.network.n_locations
         if values.shape != (n, n):
             raise ValueError(f"ad revenue matrix must be ({n}, {n})")
@@ -265,6 +253,7 @@ class AdRevenueVector(FrozenArrays):
         if np.any(values[arc_mask] < 0):
             raise ValueError("ad revenues must be non-negative")
         object.__setattr__(self, "values", values)
+        super().__post_init__()
 
     @classmethod
     def from_arcs(cls, net: TrafficNetwork,

@@ -69,15 +69,9 @@ class PricingSolution(FrozenArrays):
     consumer_surplus: float
     kkt_residual: float
 
-    def __post_init__(self):
-        for name in ("prices", "flows", "duals_lambda", "duals_mu"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
 
 @dataclass(frozen=True)
-class PayoffBreakdown:
+class PayoffBreakdown(FrozenArrays):
     """Payoff and consumer surplus of a feasible price vector."""
 
     payoff: float
@@ -104,7 +98,7 @@ def payoff_and_surplus(net: TrafficNetwork, a, prices: np.ndarray) -> PayoffBrea
     p = np.asarray(prices, dtype=float)
     arc_mask = net.demand > 0
     p_on = p[arc_mask]
-    if np.any(np.isnan(p_on)) or np.any(p_on > 1.0 + 1e-9):
+    if np.any(np.isnan(p_on)) or np.any(p_on > 1.0 + FEAS_TOL):
         raise ValueError("prices must be defined and <= 1 on every arc")
     payoff_by_arc = np.zeros((n, n))
     surplus_by_arc = np.zeros((n, n))
@@ -127,14 +121,12 @@ def check_mu_zero_sufficient(net: TrafficNetwork, a) -> bool:
     form fails.
     """
     a_mat = ad_matrix(net, a)
-    v = value_vector(net, a_mat)
-    lhs = float(np.abs(v).sum())
-    ratio = np.zeros_like(net.demand)
-    live = net.demand > 0
-    ratio[live] = net.demand[live] / net.travel_time[live]
-    ai, aj = net.arc_array.T
-    bounds = 2.0 * (net.arc_demand + ratio[aj, ai] * net.arc_time) \
-        * (1.0 + a_mat[ai, aj] - net.unit_cost)
+    lhs = float(np.abs(value_vector(net, a_mat)).sum())
+    state = _LoopState(net, a_mat)
+    # theta_yx / xi_yx of the reverse arc, 0 where there is none
+    reverse = np.where(state.reverse >= 0, state.ratio[state.reverse], 0.0)
+    bounds = 2.0 * (state.demand + reverse * net.arc_time) \
+        * (1.0 + a_mat[state.ai, state.aj] - net.unit_cost)
     return bool(lhs <= bounds.min() + 1e-12)
 
 
@@ -168,16 +160,7 @@ class _LoopState:
         self.capped = np.zeros(len(ai), dtype=bool)
         self.weights = net.projection.copy()
         self.labels = np.zeros(n, dtype=int)
-        self.n_comp = 1
         self.border = np.full((n, n), 1.0 / n)
-
-    def _find_components(self):
-        self.labels = np.empty(self.n, dtype=int)
-        comps = connected_components(self.weights)
-        for ci, nodes in enumerate(comps):
-            self.labels[nodes] = ci
-        self.n_comp = len(comps)
-        self.border = component_border(self.labels)
 
     def move(self, enter, leave):
         """Pin the arcs ``enter`` at the cap and release the arcs ``leave``
@@ -194,7 +177,8 @@ class _LoopState:
         was_live = self.weights[x, y] > 0
         self.weights[x, y] = self.weights[y, x] = weight
         if np.any((weight > 0) != was_live):
-            self._find_components()
+            self.labels = connected_components(self.weights)
+            self.border = component_border(self.labels)
 
 
 def _kkt_candidate(state):
@@ -218,15 +202,15 @@ def _kkt_candidate(state):
     prices = np.where(capped, 1.0,
                       state.base + (lam[ai] - lam[aj]) / state.two_xi)
 
-    if state.n_comp > 1:
-        comp = state.labels
+    comp = state.labels
+    if comp.any():
         crossing = np.flatnonzero(capped & (comp[ai] != comp[aj]))
         if crossing.size:
             ci, cj = ai[crossing], aj[crossing]
             # need lam_i - lam_j >= xi (1 + a - c) for mu >= 0
             ub = lam[ci] - lam[cj] - state.margin[crossing]
             constraints = list(zip(comp[ci], comp[cj], ub))
-            shifts, feasible = _resolve_shifts(state.n_comp, constraints)
+            shifts, feasible = _resolve_shifts(comp.max() + 1, constraints)
             if feasible:
                 lam = lam + shifts[comp]
 

@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import FrozenArrays
+
 
 class QPNoConvergence(RuntimeError):
     pass
 
 
 @dataclass(frozen=True)
-class QPResult:
+class QPResult(FrozenArrays):
     x: np.ndarray
     eq_duals: np.ndarray
     ineq_duals: np.ndarray

@@ -130,7 +130,11 @@ def _demand_symmetric(net: TrafficNetwork) -> bool:
 
 def _candidates(net, catalog, mode):
     """Labels of the catalog's ``mode``-based advertisers in sorted order,
-    and the ad vector each induces."""
+    and the ad vector each induces.  Each candidate is one collaboration,
+    so a catalog whose budget is not 1 is rejected."""
+    if catalog.budget != 1:
+        raise ValueError("single-advertiser selection supports budget == 1; "
+                         "rank caller-built candidates with delta() instead")
     if mode == "arc":
         bids, induced = catalog.arc_based, arc_candidate
     elif mode == "location":
@@ -151,9 +155,6 @@ def _select_single(net, catalog, mode, closed_form):
     sorted order and the first maximum wins.
     """
     catalog.validate_for(net)
-    if catalog.budget != 1:
-        raise ValueError("closed-form selector supports budget == 1; "
-                         "rank caller-built candidates with delta() instead")
     labels, vectors = _candidates(net, catalog, mode)
     if _demand_symmetric(net):
         eff = build_electrical(net).effective_resistance
@@ -279,16 +280,16 @@ class StrategyComparison:
 
 
 def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
-                     mode: str = "location", model: str = "basic",
-                     params=None, seed: int | None = None,
+                     mode: str = "location", params=None,
+                     seed: int | None = None,
                      trials: int = 100) -> StrategyComparison:
     """Compare resistance-based, optimal, and randomized selection.
 
     Resistance-based picks the Delta argmax; optimal exhaustively
-    maximizes the model payoff (basic pricing or the extended solver when
-    ``model == 'extended'``, which requires ``params``); randomized
-    averages the payoff of ``trials`` (at least 1) uniform candidate
-    draws.  All randomness derives from ``seed``.
+    maximizes the model payoff (basic pricing when ``params`` is None,
+    else the extended solver with those parameters); randomized averages
+    the payoff of ``trials`` (at least 1) uniform candidate draws.  All
+    randomness derives from ``seed``.
     """
     catalog.validate_for(net)
     labels, vectors = _candidates(net, catalog, mode)
@@ -302,15 +303,11 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
     # as it always has, so that its draws keep their bits
     rng = np.random.default_rng(root.spawn(len(labels) + 1)[-1])
 
-    if model == "basic":
+    if params is None:
         payoffs = [solve_general(net, vec).payoff for vec in vectors]
-    elif model == "extended":
-        if params is None:
-            raise ValueError("extended model requires params")
+    else:
         from .extended import solve_extended
         payoffs = [solve_extended(net, vec, params).payoff for vec in vectors]
-    else:
-        raise ValueError("model must be 'basic' or 'extended'")
 
     deltas = [delta(net, vec) for vec in vectors]
     # argmax takes the first maximum: ties go to the smallest label

@@ -23,7 +23,6 @@ from resistive_pricing import (
     solve_general,
     strategy_compare,
     synth_instance,
-    undirected_projection,
     validate_network,
 )
 from resistive_pricing.cli import main
@@ -65,7 +64,7 @@ def test_criterion_02_local_sum_rule():
     rng = np.random.default_rng(12)
     for _ in range(200):
         net = random_connected_network(rng, n_min=3, n_max=12)
-        w = undirected_projection(net)
+        w = net.projection
         eff = build_electrical(net).effective_resistance
         n = net.n_locations
         deg = w.sum(axis=1)
@@ -236,8 +235,8 @@ def test_criterion_09_strategy_property_on_synthetic_instances():
                 else DemandModel.exponential(2.0)
             params = ExtendedParams(eta=0.8, psi=0.5 * total, demand=demand)
             comparison = strategy_compare(net, catalog, mode="location",
-                                          model="extended", params=params,
-                                          seed=seed, trials=100)
+                                          params=params, seed=seed,
+                                          trials=100)
             res = comparison.outcome("resistance")
             ran = comparison.outcome("random")
             assert res.payoff >= ran.payoff - 1e-9, \

@@ -297,16 +297,28 @@ def run_main(argv):
     ["price", "--network", "huge.json"],
     ["sweep-psi", "--network", "net.json", "--advertisers", "adv.json",
      "--psi-grid", "1e308", "--seed", "0"],
+    SELECT + ["--psi", "5"],
+    SELECT + ["--eta", "0.8"],
+    SELECT + ["--model", "basic", "--psi", "5", "--eta", "0.8"],
+    ["select", "--network", "net.json", "--advertisers", "budget2.json",
+     "--mode", "location", "--strategy", "resistance", "--seed", "0"],
+    ["sweep-psi", "--network", "net.json", "--advertisers", "budget2.json",
+     "--psi-grid", "40", "--seed", "0"],
 ], ids=["argparse-type", "zero-trials", "demand-overflows",
-        "sweep-thread-overflows"])
+        "sweep-thread-overflows", "select-psi-basic", "select-eta-basic",
+        "select-model-basic-psi-eta", "select-budget-2", "sweep-budget-2"])
 def test_bad_input_one_error_line_no_warning(workdir, argv):
-    """An option argparse rejects, zero random trials, and inputs whose
-    arithmetic overflows, in a solve or in a sweep's grid point: exit 2
-    with one error: line, no warning and no manifest."""
+    """An option argparse rejects, zero random trials, inputs whose
+    arithmetic overflows, in a solve or in a sweep's grid point, --psi or
+    --eta without --model extended, and an advertiser budget other than 1
+    (each compared candidate is one collaboration): exit 2 with one
+    error: line, no warning and no manifest."""
     net, _ = write_instance("net.json", "adv.json", n=5)
     doc = json.loads(Path("net.json").read_text())
     doc["arcs"][0].update(demand=1e308, travel_time=0.5)
     Path("huge.json").write_text(json.dumps(doc))
+    doc = json.loads(Path("adv.json").read_text())
+    Path("budget2.json").write_text(json.dumps({**doc, "budget": 2}))
     code, err, caught = run_main(argv)
     assert code == 2 and caught == []
     assert err.startswith("error:") and err.count("\n") == 1

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from resistive_pricing import (
     build_electrical,
     synth_instance,
-    undirected_projection,
     validate_network,
     value_vector,
 )
@@ -34,6 +33,15 @@ def ring_with_chord():
 
 
 class TestEffectiveResistance:
+    def test_symmetric_bit_for_bit(self):
+        """R equals its transpose bit for bit, with no symmetrizing step:
+        the pseudoinverse is symmetric and d_i + d_j commutes."""
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            net = random_connected_network(rng, n_min=2, n_max=30)
+            eff = build_electrical(net).effective_resistance
+            assert eff.tobytes() == eff.T.tobytes()
+
     def test_series_path(self):
         # r_ab = 1 (theta 1, xi 1, one direction), r_bc = 2 (theta 0.5)
         demand = np.zeros((3, 3))
@@ -77,7 +85,7 @@ class TestEffectiveResistance:
         net = random_connected_network(np.random.default_rng(seed),
                                        n_min=3, n_max=8)
         model = build_electrical(net)
-        w = undirected_projection(net)
+        w = net.projection
         rng = np.random.default_rng(seed + 1)
         n = net.n_locations
         for _ in range(4):
@@ -137,7 +145,7 @@ class TestLaplacian:
                  for profile in ("symmetric", "commuter")]
         for net in nets:
             n = net.n_locations
-            w = undirected_projection(net)
+            w = net.projection
             ones = np.full((n, n), 1.0 / n)
             pinv = np.linalg.solve(np.diag(w.sum(axis=1)) - w + ones,
                                    np.eye(n)) - ones
@@ -147,7 +155,7 @@ class TestLaplacian:
     def test_local_sum_rule_small(self):
         net = ring_with_chord()
         model = build_electrical(net)
-        w = undirected_projection(net)
+        w = net.projection
         eff = model.effective_resistance
         n = net.n_locations
         for i in range(n):
@@ -175,7 +183,7 @@ class TestPotentials:
         net = random_connected_network(rng, n_min=2, n_max=8)
         v = value_vector(net, random_ads(rng, net, hi=1.0))
         n = net.n_locations
-        lam = potentials(undirected_projection(net), v,
+        lam = potentials(net.projection, v,
                          component_border(np.zeros(n, dtype=int)))
         pinv = build_electrical(net).pseudoinverse
         assert np.allclose(lam, pinv @ v, rtol=0.0,

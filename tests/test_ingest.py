@@ -149,6 +149,14 @@ class TestClustering:
         for lat, lon in result.centroids:
             assert lat0 <= lat <= lat1 and lon0 <= lon <= lon1
 
+    def test_read_only_arrays_also_after_unpickling(self):
+        rides = grid_rides(np.random.default_rng(7), count=60)
+        result = cluster_endpoints(rides, 4, BBOX, seed=1)
+        for held in (result, pickle.loads(pickle.dumps(result))):
+            for name in ("centroids", "origin_labels", "dest_labels"):
+                with pytest.raises(ValueError):
+                    getattr(held, name)[0] = 0
+
     def test_too_few_points(self):
         rides = rides_of([ride(30.66, 104.04, 30.67, 104.05)] * 5)
         with pytest.raises(TooFewPoints):

@@ -12,7 +12,6 @@ from resistive_pricing import (
     NonPositiveTravelTimeOnArc,
     SelfLoopDemand,
     find_cut_vertices,
-    undirected_projection,
     validate_network,
 )
 from resistive_pricing.network import connected_components, projection_weights
@@ -114,11 +113,11 @@ class TestProjection:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(0, 10 ** 6))
     def test_cached_projection_bit_equal(self, seed):
-        """undirected_projection returns the network's own cached array,
-        bit-equal to a fresh projection_weights."""
+        """The network's cached projection is read-only and bit-equal to
+        a fresh projection_weights."""
         net = random_connected_network(np.random.default_rng(seed), n_max=9)
-        w = undirected_projection(net)
-        assert w is net.projection
+        w = net.projection
+        assert not w.flags.writeable
         assert w.tobytes() == projection_weights(
             net.demand, net.travel_time).tobytes()
 
@@ -135,7 +134,7 @@ class TestProjection:
         travel[0, 2] = 3.0
         travel[2, 1] = 4.0
         net = validate_network(demand, travel, 0.6)
-        w = undirected_projection(net)
+        w = net.projection
         assert w[0, 1] == pytest.approx(2.0 / 2.0 + 3.0 / 1.0)
         assert w[0, 2] == pytest.approx(1.5 / 3.0)
         assert w[1, 2] == pytest.approx(0.5 / 4.0)
@@ -145,18 +144,18 @@ class TestProjection:
         demand = np.array([[0, 2.0], [0, 0]])
         travel = np.array([[1.0, 4.0], [1.0, 1.0]])
         net = validate_network(demand, travel, 0.6)
-        assert undirected_projection(net)[0, 1] == pytest.approx(0.5)
+        assert net.projection[0, 1] == pytest.approx(0.5)
 
     def test_symmetric_pair_weight(self):
         demand = np.array([[0, 1.0], [1.0, 0]])
         net = validate_network(demand, np.ones((2, 2)), 0.6)
-        assert undirected_projection(net)[0, 1] == pytest.approx(2.0)
+        assert net.projection[0, 1] == pytest.approx(2.0)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(0, 10 ** 6))
     def test_projection_symmetric_positive(self, seed):
         net = random_connected_network(np.random.default_rng(seed))
-        w = undirected_projection(net)
+        w = net.projection
         assert np.allclose(w, w.T)
         for i, j in net.arcs:
             assert w[i, j] > 0
@@ -180,8 +179,8 @@ class TestProjection:
             return
         base = validate_network(net.demand, travel, net.unit_cost)
         flipped = validate_network(demand, travel, net.unit_cost)
-        assert np.allclose(undirected_projection(base),
-                           undirected_projection(flipped))
+        assert np.allclose(base.projection,
+                           flipped.projection)
 
 
 def weights_from_edges(n, edges):
@@ -193,22 +192,21 @@ def weights_from_edges(n, edges):
 
 class TestConnectedComponents:
     def test_isolated_vertices(self):
-        comps = connected_components(weights_from_edges(4, [(1, 2)]))
-        assert [c.tolist() for c in comps] == [[0], [1, 2], [3]]
+        labels = connected_components(weights_from_edges(4, [(1, 2)]))
+        assert labels.tolist() == [0, 1, 1, 2]
 
     def test_three_components_sorted_by_smallest_node(self):
         # components {0, 3, 6}, {1, 4, 7}, {2, 5}, reached out of order
         edges = [(6, 0), (3, 6), (7, 4), (4, 1), (5, 2)]
-        comps = connected_components(weights_from_edges(8, edges))
-        assert [c.tolist() for c in comps] == [[0, 3, 6], [1, 4, 7], [2, 5]]
-        for comp in comps:
-            assert comp.dtype.kind == "i"
+        labels = connected_components(weights_from_edges(8, edges))
+        assert labels.tolist() == [0, 1, 2, 0, 1, 2, 0, 1]
+        assert labels.dtype.kind == "i"
 
     def test_path_needs_several_passes(self):
         order = [4, 0, 5, 2, 3, 1]
         w = weights_from_edges(6, list(zip(order, order[1:])))
-        comps = connected_components(w)
-        assert [c.tolist() for c in comps] == [list(range(6))]
+        labels = connected_components(w)
+        assert labels.tolist() == [0] * 6
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(0, 10 ** 6))
@@ -217,17 +215,16 @@ class TestConnectedComponents:
         n = int(rng.integers(1, 9))
         w = np.triu(rng.random((n, n)) < 0.25, 1).astype(float)
         w = w + w.T
-        comps = connected_components(w)
-        assert sorted(np.concatenate(comps).tolist()) == list(range(n))
-        assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+        labels = connected_components(w)
+        # labels 0, 1, ... with no gaps, first met in that order
+        _, first = np.unique(labels, return_index=True)
+        assert np.array_equal(np.unique(labels), np.arange(len(first)))
+        assert np.all(np.diff(first) > 0)
         reach = np.eye(n, dtype=bool) | (w > 0)
         for _ in range(n):
             reach = (reach.astype(int) @ reach.astype(int)) > 0
-        for comp in comps:
-            assert np.all(np.diff(comp) > 0)
-            assert reach[np.ix_(comp, comp)].all()
-            outside = np.setdiff1d(np.arange(n), comp)
-            assert not reach[np.ix_(comp, outside)].any()
+        # same label exactly when reachable
+        assert np.array_equal(reach, labels[:, None] == labels[None, :])
 
 
 class TestCutVertices:
@@ -257,7 +254,7 @@ class TestCutVertices:
         # few extra arcs leave cut vertices at every size
         net = random_connected_network(rng, n_min=2, n_max=12,
                                        extra=float(rng.uniform(0, 0.5)))
-        w = undirected_projection(net)
+        w = net.projection
         n = net.n_locations
         expected = set()
         for v in range(n):

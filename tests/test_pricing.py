@@ -232,6 +232,11 @@ class TestGeneralSolver:
         for name in ("prices", "flows", "duals_lambda", "duals_mu"):
             with pytest.raises(ValueError):
                 getattr(sol, name)[0] = 0.0
+        breakdown = pickle.loads(pickle.dumps(
+            payoff_and_surplus(net, a, sol.prices)))
+        for name in ("payoff_by_arc", "surplus_by_arc"):
+            with pytest.raises(ValueError):
+                getattr(breakdown, name)[0] = 0.0
 
     def test_payoff_monotone_in_ad_revenue(self):
         rng = np.random.default_rng(23)
@@ -272,13 +277,6 @@ def record_loop(monkeypatch):
     return steps
 
 
-def fresh_labels(weights):
-    labels = np.empty(len(weights), dtype=int)
-    for ci, nodes in enumerate(connected_components(weights)):
-        labels[nodes] = ci
-    return labels
-
-
 def check_loop_path(monkeypatch, rounds):
     """Run 60 aggressive n = 5-8 draws through the loop and check every
     candidate against its per-arc form and every move against
@@ -300,7 +298,7 @@ def check_loop_path(monkeypatch, rounds):
             # the incrementally kept state equals a fresh build
             assert np.array_equal(weights, projection_weights(
                 np.where(keep, net.demand, 0.0), net.travel_time))
-            assert np.array_equal(labels, fresh_labels(weights))
+            assert np.array_equal(labels, connected_components(weights))
             assert np.array_equal(border, component_border(labels))
             out = np.zeros(net.n_locations)
             into = np.zeros(net.n_locations)
@@ -478,8 +476,8 @@ class TestLoopReference:
         active = arc_matrix(net, [arc in sol.active_set for arc in net.arcs],
                             False)
         masked = np.where(active, 0.0, net.demand)
-        assert len(connected_components(
-            projection_weights(masked, net.travel_time))) == 2
+        assert connected_components(
+            projection_weights(masked, net.travel_time)).max() == 1
         assert any(feasible and np.any(s != 0) for s, feasible in shifts)
         oracle_prices, oracle_val = enumerate_optimal_prices(net, a)
         for arc in net.arcs:
@@ -561,9 +559,10 @@ class TestLoopStateMove:
         weights = projection_weights(np.where(keep, net.demand, 0.0),
                                      net.travel_time)
         assert state.weights.tobytes() == weights.tobytes()
-        labels = fresh_labels(weights)
+        labels = connected_components(weights)
         assert np.array_equal(state.labels, labels)
-        assert state.n_comp == labels.max() + 1
+        assert np.array_equal(np.unique(state.labels),
+                              np.arange(labels.max() + 1))
         assert state.border.tobytes() == component_border(labels).tobytes()
 
     def test_rounds_match_fresh_build(self):

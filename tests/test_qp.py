@@ -52,6 +52,8 @@ def test_bounds_only_matches_clipping():
     result = solve_convex_qp(np.diag(q), c, A, b, G, h, np.zeros(n))
     assert np.allclose(result.x, np.clip(-c / q, lo, hi), atol=1e-12)
     assert_kkt(np.diag(q), c, A, b, G, h, result)
+    assert not any(arr.flags.writeable for arr in
+                   (result.x, result.eq_duals, result.ineq_duals))
     clipped = np.flatnonzero(np.abs(-c / q) > 0.5)
     assert len(clipped) and len(result.working_set) == len(clipped)
 

@@ -162,11 +162,15 @@ class TestArcSelection:
         assert np.count_nonzero(values) == 1
 
     def test_budget_above_one_rejected(self):
+        """The selector and the strategy comparison both score one
+        collaboration per candidate."""
         net = ring_with_chord()
         catalog = AdvertiserCatalog(arc_based={(0, 1): 0.4},
                                     location_based={}, budget=2)
         with pytest.raises(ValueError):
             select_arc_advertiser(net, catalog)
+        with pytest.raises(ValueError, match="budget == 1"):
+            strategy_compare(net, catalog, mode="arc", seed=0)
 
 
 class TestLocationSelection:
@@ -303,8 +307,7 @@ class TestStrategyCompare:
         catalog = AdvertiserCatalog(
             arc_based={arc: 0.3 for arc in net.arcs},
             location_based={}, budget=1)
-        comparison = strategy_compare(net, catalog, mode="arc",
-                                      model="basic", seed=0)
+        comparison = strategy_compare(net, catalog, mode="arc", seed=0)
         assert comparison.outcome("resistance").gap_to_optimal \
             == pytest.approx(0.0, abs=1e-12)
 
@@ -313,10 +316,8 @@ class TestStrategyCompare:
         catalog = AdvertiserCatalog(
             arc_based={arc: 0.3 for arc in net.arcs},
             location_based={}, budget=1)
-        first = strategy_compare(net, catalog, mode="arc", model="basic",
-                                 seed=42)
-        second = strategy_compare(net, catalog, mode="arc", model="basic",
-                                  seed=42)
+        first = strategy_compare(net, catalog, mode="arc", seed=42)
+        second = strategy_compare(net, catalog, mode="arc", seed=42)
         assert first.outcome("random").payoff == second.outcome("random").payoff
 
     def test_gaps_nonnegative(self):
@@ -325,8 +326,7 @@ class TestStrategyCompare:
         catalog = AdvertiserCatalog(
             arc_based={arc: float(rng.uniform(0.1, 1.0)) for arc in net.arcs},
             location_based={}, budget=1)
-        comparison = strategy_compare(net, catalog, mode="arc",
-                                      model="basic", seed=9)
+        comparison = strategy_compare(net, catalog, mode="arc", seed=9)
         for row in comparison.outcomes:
             assert row.gap_to_optimal >= -1e-12
 
@@ -335,4 +335,4 @@ class TestStrategyCompare:
         catalog = AdvertiserCatalog(arc_based={(0, 1): 0.3},
                                     location_based={}, budget=1)
         with pytest.raises(ValueError):
-            strategy_compare(net, catalog, mode="arc", model="basic")
+            strategy_compare(net, catalog, mode="arc")
