@@ -54,8 +54,8 @@ INPUT_ARGS = ("network", "ads", "advertisers", "rides")
 MAX_GRID_POINTS = 10_000
 
 
-def _parse_demand(text: str) -> DemandModel:
-    if text == "uniform":
+def _parse_demand(text: str | None) -> DemandModel:
+    if text in ("uniform", None):
         return DemandModel.uniform()
     if text.startswith("exp:"):
         return DemandModel.exponential(float(text.split(":", 1)[1]))
@@ -100,7 +100,7 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
-def _dump_electrical(net, prefix):
+def _dump_electrical(net, a, prefix):
     model = build_electrical(net)
     n = net.n_locations
     fileio.write_csv(
@@ -108,7 +108,7 @@ def _dump_electrical(net, prefix):
         ["location"] + [str(j) for j in range(n)],
         ([str(i)] + [fmt(model.effective_resistance[i, j]) for j in range(n)]
          for i in range(n)))
-    v = value_vector(net)
+    v = value_vector(net, a)
     fileio.write_csv(f"{prefix}.value.csv", ["location", "value"],
                      ([str(i), fmt(v[i])] for i in range(n)))
 
@@ -146,7 +146,7 @@ def cmd_price(args) -> int:
         sol = solve_general(net, a)
     fileio.write_csv(args.out, PRICE_HEADER, _price_rows(net, a.values, sol))
     if args.dump_electrical:
-        _dump_electrical(net, args.dump_electrical)
+        _dump_electrical(net, a, args.dump_electrical)
     print(f"payoff={fmt(sol.payoff)} consumer_surplus={fmt(sol.consumer_surplus)} "
           f"active_set={len(sol.active_set)} kkt_residual={sol.kkt_residual:.3e}")
     return 0
@@ -180,8 +180,9 @@ def cmd_select(args) -> int:
     params = None
     if args.model == "extended":
         params = _extended_params(args)
-    elif args.psi is not None or args.eta is not None:
-        raise ValueError("--psi and --eta apply only with --model extended")
+    elif (args.psi, args.eta, args.demand) != (None, None, None):
+        raise ValueError("--psi, --eta and --demand apply only with "
+                         "--model extended")
     comparison = strategy_compare(
         loaded.network, catalog, mode=args.mode, params=params,
         seed=args.seed, trials=args.trials)
@@ -255,7 +256,7 @@ def cmd_synth(args) -> int:
 
 def cmd_dump_electrical(args) -> int:
     loaded = fileio.load_network(args.network)
-    _dump_electrical(loaded.network, args.out)
+    _dump_electrical(loaded.network, loaded.ad_revenue, args.out)
     print(f"wrote {args.out}.resistance.csv and {args.out}.value.csv")
     return 0
 
@@ -392,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["basic", "extended"], default="basic")
     p.add_argument("--psi", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--demand", default="uniform")
+    p.add_argument("--demand", default=None,
+                   help="demand curve of --model extended (default uniform)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="table.csv")

@@ -184,29 +184,27 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
         raise InfeasiblePoint("empty flow outside the empty-routing pair set")
     if np.any(w[pair_mask] < -POINT_TOL):
         raise InfeasiblePoint("negative empty flow")
-    arc_mask = net.demand > 0
-    p_on = p[arc_mask]
+    p_on = net.on_arcs(p)
     if np.any(np.isnan(p_on)):
         raise InfeasiblePoint("price undefined on an arc")
     if params.demand.kind == "uniform" and np.any(p_on > 1.0 + POINT_TOL):
         raise InfeasiblePoint("price above the cap")
 
-    flow = np.zeros((n, n))
-    flow[arc_mask] = net.demand[arc_mask] * params.demand.remaining(p_on)
-    total = flow + np.where(pair_mask, w, 0.0)
+    flow = net.arc_demand * params.demand.remaining(p_on)
+    total = net.arc_matrix(flow) + np.where(pair_mask, w, 0.0)
     outflow, inflow = total.sum(axis=1), total.sum(axis=0)
     scale = max(1.0, float(np.abs(outflow).max()), float(np.abs(inflow).max()))
     if np.abs(outflow - inflow).max() > POINT_TOL * scale:
         raise InfeasiblePoint("vehicle flow balance")
 
     w_on = w[pairs[:, 0], pairs[:, 1]]
-    used = float((net.travel_time[arc_mask] * flow[arc_mask]).sum()
-                 + (pair_time * w_on).sum())
+    carried = net.arc_time * flow  # vehicle mass per arc
+    used = float(carried.sum() + (pair_time * w_on).sum())
     if used > params.psi + CAPACITY_TOL + POINT_TOL * max(1.0, params.psi):
         raise InfeasiblePoint("fleet capacity")
 
-    value = float((net.travel_time[arc_mask] * flow[arc_mask]
-                   * (p_on + a_mat[arc_mask] - net.unit_cost)).sum())
+    value = float((carried * (p_on + net.on_arcs(a_mat)
+                              - net.unit_cost)).sum())
     return value - float((pair_time * w_on).sum()) * params.eta * net.unit_cost
 
 
@@ -214,21 +212,17 @@ def _solution(net, a_mat, params, pairs, pair_time, p_vec, w_vec, residual,
               local_only):
     """The solution record of per-arc prices and per-pair empty flows >= 0."""
     n = net.n_locations
-    arc = net.arc_array
-    prices = np.full((n, n), np.nan)
-    prices[arc[:, 0], arc[:, 1]] = p_vec
     flows = np.zeros((n, n))
     flows[pairs[:, 0], pairs[:, 1]] = w_vec
     rem = params.demand.remaining(p_vec)
-    total = flows.copy()
-    total[arc[:, 0], arc[:, 1]] += net.arc_demand * rem
+    total = flows + net.arc_matrix(net.arc_demand * rem)
     carried = net.arc_time * net.arc_demand * rem  # vehicle mass per arc
     used = float(carried.sum() + (pair_time * w_vec).sum())
     payoff = float((carried * (p_vec + net.on_arcs(a_mat)
                                - net.unit_cost)).sum())
     payoff -= float((pair_time * w_vec).sum()) * params.eta * net.unit_cost
     return ExtendedSolution(
-        prices=prices,
+        prices=net.arc_matrix(p_vec, fill=np.nan),
         empty_flows=flows,
         payoff=payoff,
         kkt_residual=residual,

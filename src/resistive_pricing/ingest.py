@@ -162,7 +162,8 @@ def _kmeans(points, k, rng):
     A centroid is its members' coordinate sums (``np.bincount``, in index
     order) over their count.  At most ``KMEANS_MAX_ITER`` iterations,
     stopping when no label changes; one last full pass gives the labels
-    and the inertia.  Returns (centers, labels, inertia).
+    and the inertia.  Returns (centers, labels, inertia).  Raises
+    TooFewPoints when the seeding finds fewer than k distinct points.
 
     Most points stop moving after a few iterations, so the loop keeps,
     per point, an upper bound ``u`` on the distance to its own centroid
@@ -201,7 +202,11 @@ def _kmeans(points, k, rng):
     centers[0] = points[rng.integers(n)]
     d2 = (x - centers[0, 0]) ** 2 + (y - centers[0, 1]) ** 2
     for ci in range(1, k):
-        centers[ci] = points[rng.choice(n, p=d2 / d2.sum())]
+        # d2 sums to 0 exactly when the ci centres hold every distinct point
+        total = d2.sum()
+        if total == 0:
+            raise TooFewPoints(f"need at least {k} distinct endpoints")
+        centers[ci] = points[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, (x - centers[ci, 0]) ** 2 + (y - centers[ci, 1]) ** 2)
 
     dists = np.empty((k, n))
@@ -275,13 +280,6 @@ def _kmeans(points, k, rng):
     return centers, labels, inertia
 
 
-def _distinct_points(points) -> int:
-    """Number of distinct rows of an (n, 2) array."""
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    rows = points[order]
-    return 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
-
-
 def cluster_endpoints(rides: Rides, k: int, bbox, seed) -> ClusteringResult:
     """Cluster pooled origin and destination points into k locations.
 
@@ -298,8 +296,6 @@ def cluster_endpoints(rides: Rides, k: int, bbox, seed) -> ClusteringResult:
     lat = np.concatenate([rides.pickup_lat, rides.dropoff_lat])
     lon = np.concatenate([rides.pickup_lon, rides.dropoff_lon])
     points = _project_metres(lat, lon, bbox)
-    if _distinct_points(points) < k:
-        raise TooFewPoints(f"need at least {k} distinct endpoints")
     rng = np.random.default_rng(seed)
     centers_m, labels, inertia = _kmeans(points, k, rng)
 

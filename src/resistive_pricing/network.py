@@ -61,13 +61,17 @@ class FrozenArrays:
 class TrafficNetwork(FrozenArrays):
     """Directed traffic network over ``n_locations`` locations.
 
+    It owns the arc layout: per-arc vectors list the arcs in
+    lexicographic order, :meth:`on_arcs` gathers them from an (N, N)
+    matrix and :meth:`arc_matrix` scatters them into one.
+
     Attributes:
-        n_locations: number of locations N (>= 2).
         demand: (N, N) non-negative user mass per time slot; zero diagonal.
             Positive entries define the arc set.
         travel_time: (N, N) travel time in slots; must be positive and finite
             on arcs, ignored elsewhere.
         unit_cost: per-user per-slot service cost, in [0, 1).
+        n_locations: number of locations N (>= 2), read off ``demand``.
         arcs, arc_array: the M arcs (i, j) in lexicographic order, as
             tuples and as an (M, 2) int array.
         arc_demand, arc_time: (M,) demand and travel time per arc.
@@ -77,23 +81,25 @@ class TrafficNetwork(FrozenArrays):
     Array attributes are computed once, at construction, and read-only.
     """
 
-    n_locations: int
     demand: np.ndarray
     travel_time: np.ndarray
     unit_cost: float
+    n_locations: int = field(init=False)
     arcs: tuple[tuple[int, int], ...] = field(init=False)
     arc_array: np.ndarray = field(init=False, repr=False, compare=False)
     arc_demand: np.ndarray = field(init=False, repr=False, compare=False)
     arc_time: np.ndarray = field(init=False, repr=False, compare=False)
     projection: np.ndarray = field(init=False, repr=False, compare=False)
+    # flat (row-major) index of each arc in an N x N matrix
+    _flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n_locations
         demand = np.array(self.demand, dtype=float)
         travel_time = np.array(self.travel_time, dtype=float)
-        if demand.ndim != 2 or demand.shape != (n, n):
+        if demand.ndim != 2 or demand.shape[0] != demand.shape[1]:
             raise NetworkValidationError(
-                f"demand must be ({n}, {n}), got {demand.shape}")
+                f"demand must be a square matrix, got {demand.shape}")
+        n = len(demand)
         if travel_time.shape != (n, n):
             raise NetworkValidationError(
                 f"travel_time must be ({n}, {n}), got {travel_time.shape}")
@@ -132,10 +138,12 @@ class TrafficNetwork(FrozenArrays):
         ai, aj = arc_array.T
         for name, value in (
                 ("demand", demand), ("travel_time", travel_time),
-                ("unit_cost", cost), ("projection", weights),
+                ("unit_cost", cost), ("n_locations", n),
+                ("projection", weights),
                 ("arc_array", arc_array), ("arc_demand", demand[ai, aj]),
                 ("arc_time", travel_time[ai, aj]),
-                ("arcs", tuple(map(tuple, arc_array.tolist())))):
+                ("arcs", tuple(map(tuple, arc_array.tolist()))),
+                ("_flat", ai * n + aj)):
             object.__setattr__(self, name, value)
         super().__post_init__()
 
@@ -143,10 +151,22 @@ class TrafficNetwork(FrozenArrays):
         n = self.n_locations
         return 0 <= i < n and 0 <= j < n and bool(self.demand[i, j] > 0)
 
-    def on_arcs(self, matrix: np.ndarray) -> np.ndarray:
-        """Extract per-arc values from an (N, N) matrix, arc order."""
-        idx = self.arc_array
-        return np.asarray(matrix)[idx[:, 0], idx[:, 1]]
+    def on_arcs(self, matrix) -> np.ndarray:
+        """Per-arc values of an (N, N) matrix, in arc order."""
+        matrix = np.asarray(matrix)
+        n = self.n_locations
+        if matrix.shape != (n, n):
+            raise ValueError(f"matrix must be ({n}, {n}), got {matrix.shape}")
+        return matrix.take(self._flat)
+
+    def arc_matrix(self, values, fill=0.0) -> np.ndarray:
+        """(N, N) matrix of per-arc ``values`` (arc order), ``fill``
+        off the arc set."""
+        values = np.asarray(values)
+        n = self.n_locations
+        out = np.full((n, n), fill, dtype=np.result_type(values, fill))
+        out.reshape(-1)[self._flat] = values
+        return out
 
 
 def validate_network(demand, travel_time, unit_cost: float) -> TrafficNetwork:
@@ -156,15 +176,7 @@ def validate_network(demand, travel_time, unit_cost: float) -> TrafficNetwork:
     invariant (NegativeDemand, NonPositiveTravelTimeOnArc, SelfLoopDemand,
     Disconnected, CostOutOfRange).
     """
-    demand = np.asarray(demand, dtype=float)
-    if demand.ndim != 2 or demand.shape[0] != demand.shape[1]:
-        raise NetworkValidationError("demand must be a square matrix")
-    return TrafficNetwork(
-        n_locations=demand.shape[0],
-        demand=demand,
-        travel_time=np.asarray(travel_time, dtype=float),
-        unit_cost=unit_cost,
-    )
+    return TrafficNetwork(demand, travel_time, unit_cost)
 
 
 def projection_weights(demand: np.ndarray,

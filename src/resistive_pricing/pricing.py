@@ -93,17 +93,12 @@ def payoff_and_surplus(net: TrafficNetwork, a, prices: np.ndarray) -> PayoffBrea
     Per arc: payoff theta*xi*(1-p)*(p+a-c), surplus 0.5*theta*xi*(1-p)^2.
     Prices above the cap (beyond tolerance) are rejected.
     """
-    a_mat = ad_matrix(net, a)
-    n = net.n_locations
-    p = np.asarray(prices, dtype=float)
-    arc_mask = net.demand > 0
-    p_on = p[arc_mask]
+    a_arc = net.on_arcs(ad_matrix(net, a))
+    p_on = net.on_arcs(np.asarray(prices, dtype=float))
     if np.any(np.isnan(p_on)) or np.any(p_on > 1.0 + FEAS_TOL):
         raise ValueError("prices must be defined and <= 1 on every arc")
-    payoff_by_arc = np.zeros((n, n))
-    surplus_by_arc = np.zeros((n, n))
-    payoff_by_arc[arc_mask], surplus_by_arc[arc_mask] = _arc_payoff_surplus(
-        net.arc_demand, net.arc_time, a_mat[arc_mask], net.unit_cost, p_on)
+    payoff_by_arc, surplus_by_arc = map(net.arc_matrix, _arc_payoff_surplus(
+        net.arc_demand, net.arc_time, a_arc, net.unit_cost, p_on))
     return PayoffBreakdown(
         payoff=float(payoff_by_arc.sum()),
         consumer_surplus=float(surplus_by_arc.sum()),
@@ -126,7 +121,7 @@ def check_mu_zero_sufficient(net: TrafficNetwork, a) -> bool:
     # theta_yx / xi_yx of the reverse arc, 0 where there is none
     reverse = np.where(state.reverse >= 0, state.ratio[state.reverse], 0.0)
     bounds = 2.0 * (state.demand + reverse * net.arc_time) \
-        * (1.0 + a_mat[state.ai, state.aj] - net.unit_cost)
+        * (1.0 + net.on_arcs(a_mat) - net.unit_cost)
     return bool(lhs <= bounds.min() + 1e-12)
 
 
@@ -144,20 +139,20 @@ class _LoopState:
 
     def __init__(self, net, a_mat):
         self.n = n = net.n_locations
-        self.ai, self.aj = ai, aj = net.arc_array.T
+        self.ai, self.aj = net.arc_array.T
         th, xi = net.arc_demand, net.arc_time
         c = net.unit_cost
-        a_arc = a_mat[ai, aj]
+        a_arc = net.on_arcs(a_mat)
         self.demand = th
         self.ratio = th / xi
         self.two_xi = 2.0 * xi
         self.base = (1.0 - a_arc + c) / 2.0
         self.gain = th * (1.0 + a_arc - c)
         self.margin = xi * (1.0 + a_arc - c)
-        index = np.full((n, n), -1)
-        index[ai, aj] = np.arange(len(ai))
-        self.reverse = index[aj, ai]
-        self.capped = np.zeros(len(ai), dtype=bool)
+        # index of the reverse arc (j, i), -1 where there is none
+        self.reverse = net.on_arcs(
+            net.arc_matrix(np.arange(len(th)), fill=-1).T)
+        self.capped = np.zeros(len(th), dtype=bool)
         self.weights = net.projection.copy()
         self.labels = np.zeros(n, dtype=int)
         self.border = np.full((n, n), 1.0 / n)
@@ -237,16 +232,12 @@ def _assemble(net, a_mat, prices, lam, mu, capped):
     """Solution record from the per-arc candidate of the final capped set,
     computed on the arc vectors and scattered into N x N once."""
     lam = lam - lam[-1]
-    n = net.n_locations
     ai, aj = net.arc_array.T
     th, xi, c = net.arc_demand, net.arc_time, net.unit_cost
-    a_arc = a_mat[ai, aj]
-    mats = [np.full((n, n), np.nan)] + [np.zeros((n, n)) for _ in range(4)]
-    per_arc = (prices, mu, th * np.maximum(1.0 - prices, 0.0),
-               *_arc_payoff_surplus(th, xi, a_arc, c, prices))
-    for mat, values in zip(mats, per_arc):
-        mat[ai, aj] = values
-    price_mat, mu_mat, flows, payoff_mat, surplus_mat = mats
+    a_arc = net.on_arcs(a_mat)
+    flows = net.arc_matrix(th * np.maximum(1.0 - prices, 0.0))
+    payoff_mat, surplus_mat = map(net.arc_matrix, _arc_payoff_surplus(
+        th, xi, a_arc, c, prices))
     # totals and imbalance sum the N x N scatters, in the summation order
     # of payoff_and_surplus; sums over the arc vectors would move low bits
     stat = th * xi * (2.0 * prices - 1.0 - c + a_arc) \
@@ -256,10 +247,10 @@ def _assemble(net, a_mat, prices, lam, mu, capped):
                    (-mu).max(), np.abs(mu * (prices - 1.0)).max(),
                    np.abs(imbalance).max())
     return PricingSolution(
-        prices=price_mat,
+        prices=net.arc_matrix(prices, fill=np.nan),
         flows=flows,
         duals_lambda=lam,
-        duals_mu=mu_mat,
+        duals_mu=net.arc_matrix(mu),
         active_set=frozenset(map(tuple, net.arc_array[capped].tolist())),
         payoff=float(payoff_mat.sum()),
         consumer_surplus=float(surplus_mat.sum()),
@@ -373,20 +364,18 @@ def price_sensitivity(net: TrafficNetwork, a, arc: tuple[int, int],
         raise RegimeBoundary(
             f"active set changes across a_{x}{y} +- {boundary_eps:g}")
 
-    n = net.n_locations
-    ai, aj = net.arc_array.T
-    deriv = np.full((n, n), np.nan)
-    deriv[ai, aj] = 0.0
     if (x, y) in base.active_set:
-        return deriv
+        return net.arc_matrix(0.0, fill=np.nan)
 
     state = _LoopState(net, a_mat)
     capped = np.flatnonzero([ij in base.active_set for ij in net.arcs])
     state.move(capped, capped[:0])
-    v = np.zeros(n)
+    v = np.zeros(state.n)
     v[x], v[y] = 1.0, -1.0
     lam = potentials(state.weights, v, state.border)
-    deriv[ai, aj] = np.where(state.capped, 0.0, net.demand[x, y]
-                             * (lam[ai] - lam[aj]) / state.two_xi)
+    ai, aj = state.ai, state.aj
+    deriv = net.arc_matrix(np.where(state.capped, 0.0, net.demand[x, y]
+                                    * (lam[ai] - lam[aj]) / state.two_xi),
+                           fill=np.nan)
     deriv[x, y] -= 0.5
     return deriv

@@ -119,7 +119,7 @@ def delta(net: TrafficNetwork, a) -> float:
                      np.full((n, n), 1.0 / n))
     ai, aj = net.arc_array.T
     th = net.arc_demand
-    gain = 1.0 + a_mat[ai, aj] - net.unit_cost
+    gain = 1.0 + net.on_arcs(a_mat) - net.unit_cost
     return float(np.sum(th * net.arc_time * (gain / 2.0) ** 2
                         - th * gain * (lam[ai] - lam[aj]) / 4.0))
 

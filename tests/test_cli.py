@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from resistive_pricing import AdvertiserCatalog, synth_instance, validate_network
 from resistive_pricing import cli, fileio
 from resistive_pricing.cli import build_parser, main
+from resistive_pricing.electrical import value_vector
 from resistive_pricing.extended import Infeasible
 
 
@@ -277,6 +278,29 @@ def test_price_extended_seed_optional(workdir):
         Path("free.csv.manifest.json").read_text())["seed"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["price", "--network", "net.json", "--out", "p.csv",
+     "--dump-electrical", "el"],
+    ["price", "--network", "net.json", "--ads", "rev.json", "--out", "p.csv",
+     "--dump-electrical", "el"],
+    ["dump-electrical", "--network", "net.json", "--out", "el"],
+], ids=["price", "price-ads-file", "dump-electrical"])
+def test_value_csv_includes_ad_revenue(workdir, argv):
+    """value.csv holds the location values under the ad revenues the
+    command priced with: the --ads file's, else the network file's."""
+    net, _ = synth_instance(6, 0.5, seed=3, profile="commuter")
+    ads = np.where(net.demand > 0, 0.3, 0.0)
+    fileio.save_network("net.json", net,
+                        ad_revenue=None if "--ads" in argv else ads)
+    Path("rev.json").write_text(json.dumps(
+        {"ads": [{"from": i, "to": j, "a": 0.3} for i, j in net.arcs]}))
+    assert main(argv) == 0
+    rows = Path("el.value.csv").read_text().splitlines()[1:]
+    want = value_vector(net, ads)
+    assert not np.allclose(want, value_vector(net))
+    assert rows == [f"{i},{fileio.fmt(v)}" for i, v in enumerate(want)]
+
+
 def run_main(argv):
     """Exit code, stderr and recorded warnings of one in-process run."""
     err = io.StringIO()
@@ -300,17 +324,19 @@ def run_main(argv):
     SELECT + ["--psi", "5"],
     SELECT + ["--eta", "0.8"],
     SELECT + ["--model", "basic", "--psi", "5", "--eta", "0.8"],
+    SELECT + ["--demand", "exp:2"],
     ["select", "--network", "net.json", "--advertisers", "budget2.json",
      "--mode", "location", "--strategy", "resistance", "--seed", "0"],
     ["sweep-psi", "--network", "net.json", "--advertisers", "budget2.json",
      "--psi-grid", "40", "--seed", "0"],
 ], ids=["argparse-type", "zero-trials", "demand-overflows",
         "sweep-thread-overflows", "select-psi-basic", "select-eta-basic",
-        "select-model-basic-psi-eta", "select-budget-2", "sweep-budget-2"])
+        "select-model-basic-psi-eta", "select-demand-basic", "select-budget-2",
+        "sweep-budget-2"])
 def test_bad_input_one_error_line_no_warning(workdir, argv):
     """An option argparse rejects, zero random trials, inputs whose
-    arithmetic overflows, in a solve or in a sweep's grid point, --psi or
-    --eta without --model extended, and an advertiser budget other than 1
+    arithmetic overflows, in a solve or in a sweep's grid point, --psi,
+    --eta or --demand without --model extended, and an advertiser budget other than 1
     (each compared candidate is one collaboration): exit 2 with one
     error: line, no warning and no manifest."""
     net, _ = write_instance("net.json", "adv.json", n=5)

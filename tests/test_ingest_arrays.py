@@ -1,8 +1,8 @@
 """The array forms of ride ingest against their plain per-ride forms.
 
-k-means, the distinct-endpoint count and the aggregation must agree bit
-for bit with the loop forms in ``oracles``; the CSV reader must accept
-any column order and reject bad rows.
+k-means and the aggregation must agree bit for bit with the loop forms
+in ``oracles``, and k-means++ seeding must find too few distinct points;
+the CSV reader must accept any column order and reject bad rows.
 """
 
 import csv
@@ -15,7 +15,6 @@ from resistive_pricing import Rides, aggregate_network, cluster_endpoints
 from resistive_pricing.cli import main
 from resistive_pricing.ingest import (
     TooFewPoints,
-    _distinct_points,
     _kmeans,
     _project_metres,
     filter_rides,
@@ -205,15 +204,28 @@ class TestKMeans:
 
 
 class TestDistinctPoints:
+    """k-means++ seeding finds when fewer than k distinct points exist:
+    k = the number of distinct points clusters, one more raises
+    TooFewPoints."""
+
+    @staticmethod
+    def assert_threshold(points, distinct):
+        if distinct >= 2:
+            _kmeans(points, distinct, np.random.default_rng(0))
+        with pytest.raises(TooFewPoints,
+                           match=f"need at least {distinct + 1} distinct"):
+            _kmeans(points, distinct + 1, np.random.default_rng(0))
+
     @pytest.mark.parametrize("draw", range(10))
     def test_matches_unique_rows(self, draw):
         rng = np.random.default_rng(draw)
         points = np.round(rng.uniform(0, 3, size=(int(rng.integers(1, 60)), 2)))
-        assert _distinct_points(points) == len(np.unique(points, axis=0))
+        self.assert_threshold(points, len(np.unique(points, axis=0)))
 
     def test_signed_zero_is_one_point(self):
         points = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]])
-        assert _distinct_points(points) == len(np.unique(points, axis=0)) == 2
+        assert len(np.unique(points, axis=0)) == 2
+        self.assert_threshold(points, 2)
 
     def test_too_few_distinct_endpoints(self):
         rides = random_rides(np.random.default_rng(4), 50, grid=1)

@@ -1,3 +1,4 @@
+import inspect
 import pickle
 
 import numpy as np
@@ -9,9 +10,12 @@ from resistive_pricing import (
     CostOutOfRange,
     Disconnected,
     NegativeDemand,
+    NetworkValidationError,
     NonPositiveTravelTimeOnArc,
     SelfLoopDemand,
+    TrafficNetwork,
     find_cut_vertices,
+    payoff_and_surplus,
     validate_network,
 )
 from resistive_pricing.network import connected_components, projection_weights
@@ -107,6 +111,70 @@ class TestValidation:
         net = random_connected_network(np.random.default_rng(4), n_max=9)
         assert np.array_equal(net.arc_demand, net.on_arcs(net.demand))
         assert np.array_equal(net.arc_time, net.on_arcs(net.travel_time))
+
+
+class TestArcLayout:
+    """The network owns the arc layout: N read off the demand, one gather
+    (on_arcs) and one scatter (arc_matrix)."""
+
+    def test_n_locations_is_derived(self):
+        assert "n_locations" not in inspect.signature(TrafficNetwork).parameters
+        demand = np.array([[0, 1.0, 0], [0, 0, 1.0], [1.0, 0, 0]])
+        with pytest.raises(TypeError):
+            TrafficNetwork(n_locations=3, demand=demand,
+                           travel_time=np.ones((3, 3)), unit_cost=0.6)
+        net = TrafficNetwork(demand, np.ones((3, 3)), 0.6)
+        for copy in (net, pickle.loads(pickle.dumps(net))):
+            assert copy.n_locations == 3 and type(copy.n_locations) is int
+            assert np.array_equal(copy.on_arcs(copy.demand), [1.0, 1.0, 1.0])
+            assert np.array_equal(copy.arc_matrix([1.0, 1.0, 1.0]), demand)
+
+    @pytest.mark.parametrize("demand, travel", [
+        (np.ones((2, 3)), np.ones((2, 3))),
+        (np.ones(3), np.ones(3)),
+        (np.ones((2, 2, 2)), np.ones((2, 2, 2))),
+        (np.array([[0, 1.0], [1.0, 0]]), np.ones((3, 3))),
+        (np.array([[0, 1.0], [1.0, 0]]), np.ones((2, 3))),
+        (np.array([[0, 1.0], [1.0, 0]]), np.ones(4)),
+    ], ids=["non-square", "vector", "3-d", "time-larger", "time-non-square",
+            "time-vector"])
+    def test_shape_mismatch_rejected(self, demand, travel):
+        for build in (validate_network, TrafficNetwork):
+            with pytest.raises(NetworkValidationError):
+                build(demand, travel, 0.6)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 4), (3,), (9,),
+                                       ()])
+    def test_on_arcs_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=r"must be \(3, 3\)"):
+            three_cycle().on_arcs(np.ones(shape))
+
+    def test_payoff_rejects_a_larger_price_matrix(self):
+        # a plain fancy-index gather would read its top-left 6 x 6 block
+        net = random_connected_network(np.random.default_rng(0), n_min=6,
+                                       n_max=6)
+        with pytest.raises(ValueError, match=r"must be \(6, 6\)"):
+            payoff_and_surplus(net, None, np.full((7, 7), 0.8))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_scatter_and_gather_round_trip(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_connected_network(rng, n_max=9)
+        values = rng.normal(size=len(net.arcs))
+        off = net.demand == 0
+        for fill in (0.0, np.nan, -1.5):
+            mat = net.arc_matrix(values, fill=fill)
+            assert mat.shape == (net.n_locations,) * 2
+            assert np.array_equal(net.on_arcs(mat), values)
+            assert [mat[i, j] for i, j in net.arcs] == values.tolist()
+            assert np.array_equal(mat[off], np.full(off.sum(), fill),
+                                  equal_nan=True)
+        full = rng.normal(size=off.shape)
+        assert np.array_equal(net.arc_matrix(net.on_arcs(full))[~off],
+                              full[~off])
+        index = net.arc_matrix(np.arange(len(net.arcs)), fill=-1)
+        assert index.dtype.kind == "i"
+        assert np.array_equal(net.on_arcs(index), np.arange(len(net.arcs)))
 
 
 class TestProjection:
