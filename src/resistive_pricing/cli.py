@@ -185,7 +185,7 @@ def cmd_select(args) -> int:
                          "--model extended")
     comparison = strategy_compare(
         loaded.network, catalog, mode=args.mode, params=params,
-        seed=args.seed, trials=args.trials)
+        seed=args.seed, trials=args.trials, empty_pairs=loaded.empty_pairs)
     outcome = comparison.outcome(args.strategy)
     rows = []
     for label, dval, pval in zip(comparison.candidates, comparison.deltas,
@@ -216,7 +216,7 @@ def cmd_sweep(args) -> int:
             loaded.network, catalog, mode=args.mode,
             params=_extended_params(args, **{kind: value}),
             seed=np.random.SeedSequence(args.seed, spawn_key=(index,)),
-            trials=args.trials)
+            trials=args.trials, empty_pairs=loaded.empty_pairs)
         for name in ("resistance", "optimal", "random"):
             outcome = comparison.outcome(name)
             rows.append([fmt(value), name, fmt(outcome.payoff),

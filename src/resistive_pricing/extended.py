@@ -11,6 +11,16 @@ formulas that differ.
 
 Empty flows live on the arc set by default.  Off-arc pairs participate
 only when explicit empty travel times are supplied for them.
+
+A set of candidate ad vectors on one network is solved as one batch: one
+interior-point loop over the stack of their problems.  The rows share the
+network, the parameters, the empty-routing pairs, the strong classes and
+the grounding; they differ only in the ad vector, which sets the linear
+term of f' and the start.  Each row stops on its own test and leaves the
+stack, and every reduction is row-wise, so a row's answer equals its
+single solve bit for bit.  When rows fail, the error raised is that of
+the lowest-index failing row, the one a loop of single solves in row
+order raises first.  :func:`solve_extended` is the one-row batch.
 """
 
 from dataclasses import dataclass
@@ -84,22 +94,28 @@ class DemandModel:
         return th * np.exp(-10.0), th * np.exp(self.gamma)
 
     def start(self, th, xi, a, c, psi):
-        """Per-arc optimum scaled to use at most half the capacity."""
+        """Per-arc optimum scaled to use at most half the capacity; one row
+        per row of the ad revenues ``a``."""
         if self.kind == "uniform":
             z0 = th * np.maximum(0.5 * (1.0 + a - c), 0.05)
-            return z0 * min(1.0, 0.5 * psi / float(xi @ z0))
+            mass = np.add.reduce(xi * z0, axis=-1, keepdims=True)
+            return z0 * np.minimum(1.0, 0.5 * psi / mass)
         gamma = self.gamma
         log_rem = np.minimum(gamma * (a - c) - 1.0, 0.9 * gamma - 1.0)
-        log_rem -= max(0.0, np.log(xi @ (th * np.exp(log_rem)) / (0.5 * psi)))
+        mass = np.add.reduce(xi * (th * np.exp(log_rem)), axis=-1,
+                             keepdims=True)
+        log_rem -= np.maximum(0.0, np.log(mass / (0.5 * psi)))
         return th * np.exp(np.maximum(log_rem, 0.1 * gamma - 9.0))
 
     def derivatives(self, th, xi, a, c):
-        """f' and f'' per arc, each a function of z."""
+        """f' = lin + bend(z)[0] and f'' = bend(z)[1] per arc: lin holds
+        the ad revenues ``a`` (one row per row of ``a``), bend does not."""
         if self.kind == "uniform":
-            lin, hess = -xi * (1.0 + a - c), 2.0 * xi / th
-            return (lambda z: lin + hess * z), (lambda z: hess)
-        lin, curv = xi * (c - a + 1.0 / self.gamma), xi / self.gamma
-        return (lambda z: lin + curv * np.log(z / th)), (lambda z: curv / z)
+            hess = 2.0 * xi / th
+            return -xi * (1.0 + a - c), lambda z: (hess * z, hess)
+        curv = xi / self.gamma
+        return xi * (c - a + 1.0 / self.gamma), \
+            lambda z: (curv * np.log(z / th), curv / z)
 
     def price(self, z, th):
         """The price p at which arc demand theta falls to z."""
@@ -245,137 +261,273 @@ def _mutual_reach(nodes, pairs):
 
 
 def _blocking(slack, kap, ds, dk):
-    """1 / the largest t keeping slack + t ds, kap + t dk >= 0 (<= 0: none)."""
-    return max(float((-ds / slack).max()), float((-dk / kap).max()))
+    """Per row, -1 / the largest t keeping slack + t ds, kap + t dk >= 0
+    (>= 0: none)."""
+    return np.minimum.reduce(np.minimum(ds / slack, dk / kap), axis=1,
+                             keepdims=True)
 
 
-def _interior_point(params, c, edges, th, xi, pair_time, arc_grad, arc_hess,
+def _interior_point(params, c, edges, th, xi, pair_time, lin, bend,
                     z_lo, z_hi, z0, grounded):
-    """Primal-dual path-following solve of a concave extended problem.
+    """Primal-dual path-following solve of K concave extended problems.
 
-    In demand coordinates z (vehicles per slot on each arc) the problem is
+    In demand coordinates z (vehicles per slot on each arc) each row is
 
         min  sum f(z) + sum eta c t w
         s.t. A (z, w) = 0,   xi'z + t'w + s = psi,   lo <= (z, w, s) <= hi,
 
     with A the node-edge incidence of ``edges`` (the arcs, then the empty
-    pairs), f' = ``arc_grad`` and f'' = ``arc_hess`` per arc, z in
+    pairs), f' = ``lin`` + bend(z)[0] and f'' = bend(z)[1] per arc, z in
     [z_lo, z_hi], w in [0, psi/t] and the capacity slack s in [0, psi].
-    Mehrotra's predictor-corrector (Nocedal & Wright, ch. 14 and 19) starts
-    from z0 and solves each Newton step with B D^-1 B': D is the Hessian
-    plus barrier terms plus a floor of 1e-10 times the largest f''(theta),
-    B the balance rows of the nodes not ``grounded`` plus the capacity row,
-    so B D^-1 B' is the graph Laplacian with conductance 1/D per edge, with
-    one node grounded per weakly connected component, bordered by the
-    capacity row.  It stops once balance, capacity and stationarity are
-    within ``IPM_TOL`` and the complementarity gap within ``IPM_GAP_TOL``,
-    each relative to its scale; the largest of these is the returned
-    residual.  Returns (z, w, residual).
+    The rows share all of this but ``lin``, the (K, arcs) linear term of
+    f', and ``z0``, their (K, arcs) starts.  Mehrotra's predictor-corrector
+    (Nocedal & Wright, ch. 14 and 19) carries the lower and upper slacks
+    as iterates and solves each Newton step with B D^-1 B': D is the
+    Hessian plus barrier terms plus a floor of 1e-10 times the largest
+    f''(theta), B the balance rows of the nodes not ``grounded`` plus the
+    capacity row, so B D^-1 B' is the graph Laplacian with conductance 1/D
+    per edge, with one node grounded per weakly connected component,
+    bordered by the capacity row.  A row stops once balance, capacity and
+    stationarity are within ``IPM_TOL`` and the complementarity gap within
+    ``IPM_GAP_TOL``, each relative to its scale; the largest of these is
+    its residual.  A row stalls where an infeasible instance ends: a slack
+    lost in rounding on its bound before the row is primal feasible, or a
+    singular Newton system once its bound multipliers exceed 1/eps times
+    its gradient; it also stalls at a non-finite residual or the iteration
+    cap, and fails with Infeasible unless primal feasible (else
+    NoConvergence, as for any other singular Newton system).  A row that
+    stops leaves the stack.  Every reduction is row-wise, so a row's
+    iterates do not depend on the other rows.  Returns one (z, w,
+    residual) per row, or raises the error of the lowest-index row that
+    fails, with its own iteration count.
     """
     psi = params.psi
-    # grounded nodes share the last slot, so B keeps the leading rows
+    # B's rows: the balance of each node not grounded, then the capacity
     m = int(np.count_nonzero(~grounded))
     slot = np.full(len(grounded), m)
     slot[~grounded] = np.arange(m)
-    tail, head = slot[edges.T]
     nodes = m + 1
-
-    # x = (z, w, s): the first ne entries are edge flows
-    na, ne = len(th), len(tail)
+    # x = (z, w, s): the first ne entries are edge flows.  Column j of B
+    # is e_tail - e_head + g_j e_m, with no term for a grounded end and
+    # none but g e_m for s: three rows and values per column
+    na, ne = len(th), len(edges)
     n = ne + 1
     g = np.concatenate([xi, pair_time, [1.0]])
+    b_slot = np.full((3, n), m)
+    b_slot[:2, :ne] = slot[edges.T]
+    b_val = np.ones((3, n))
+    b_val[1] = -1.0
+    b_val[:2][b_slot[:2] == m] = 0.0
+    b_val[2] = g
     lo = np.concatenate([z_lo, np.zeros(len(pair_time)), [0.0]])
     hi = np.concatenate([z_hi, psi / pair_time, [psi]])
-    w_cost = np.append(pair_time * params.eta * c, 0.0)  # then s, at no cost
-    floor = 1e-10 * float(arc_hess(th).max())
+    # a unit of w costs eta c t, one of s nothing
+    w_cost = np.concatenate((pair_time * params.eta * c, [0.0]))
+    floor = 1e-10 * float(bend(th)[1].max())
     flow_scale, payoff_scale = float(th.max()), float((xi * th).sum())
+    # a slack this small is lost in rounding on its bound
+    tiny = np.finfo(float).eps * np.abs(np.concatenate((lo, hi)))
+    # B x's target and its residual's scale per row
+    capacity = np.zeros(nodes)
+    capacity[m] = psi
+    p_scale = np.full(nodes, flow_scale)
+    p_scale[m] = psi
 
-    def gradient(x):
-        return np.concatenate([arc_grad(x[:na]), w_cost])
+    # B v and M = B D^-1 B' = sum_j b_j b_j' / D_j are bincounts and B'
+    # dual a gather over the rows of each column; row r of a stack of k
+    # reads and writes its own bins
+    k = len(z0)
+    stack = np.arange(k)[:, None, None]
+    b_idx = (stack * nodes + b_slot).ravel()
+    m_idx = (stack[..., None] * nodes * nodes
+             + b_slot[:, None] * nodes + b_slot).ravel()
+    m_val = b_val[:, None] * b_val
 
-    def node_sum(edge_values):
-        return np.bincount(tail, edge_values, nodes) \
-            - np.bincount(head, edge_values, nodes)
+    def times_b(v):  # B v per row
+        return np.bincount(b_idx, (b_val * v[:, None]).ravel(),
+                           len(v) * nodes).reshape(-1, nodes)
 
-    def times_b(x):  # B x; the grounded slot holds the capacity row
-        out = node_sum(x[:ne])
-        out[-1] = g @ x
-        return out
+    def times_bt(dual):  # B' dual per row
+        return np.add.reduce(b_val * dual.ravel()[b_idx].reshape(-1, 3, n),
+                             axis=1)
 
-    def times_bt(dual):  # B' dual
-        y = np.append(dual[:-1], 0.0)
-        out = g * dual[-1]
-        out[:ne] += y[tail] - y[head]
-        return out
+    def stall(r):
+        """The error of row r of the stack stopping at iteration ``it``."""
+        error = Infeasible if primal[r, 0] > IPM_TOL else NoConvergence
+        return error(f"after {it} interior-point iterations the primal "
+                     f"residual is {float(primal[r, 0]):.3e} and the scaled "
+                     f"KKT residual {float(residual[r, 0]):.3e}")
+
+    def solve(M, rhs):
+        """M^-1 rhs per row; a singular row takes a zero step and fails at
+        the next stop test."""
+        try:
+            return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            out = np.zeros_like(rhs)
+            for r in range(len(rhs)):
+                try:
+                    out[r] = np.linalg.solve(M[r:r + 1],
+                                             rhs[r:r + 1, :, None])[0, :, 0]
+                except np.linalg.LinAlgError as exc:
+                    if primal[r, 0] > IPM_TOL and float(kap[r].max()) \
+                            * np.finfo(float).eps > grad_scale[r, 0]:
+                        error = stall(r)
+                    else:
+                        error = NoConvergence("singular interior-point "
+                                              f"Newton system at iteration {it}")
+                    error.__cause__ = exc
+                    pending.setdefault(rows[r], error)
+            return out
+
+    def newton(r_comp, slack, ratio, r_d, short, cond, M):
+        """Step to complementarity products kap * slack + r_comp."""
+        q = r_comp / slack
+        u = (q[:, :n] - q[:, n:] - r_d) * cond
+        d_dual = solve(M, short - times_b(u))
+        dx = u + times_bt(d_dual) * cond
+        ds = np.concatenate((dx, -dx), axis=1)
+        return dx, d_dual, ds, q - ratio * ds
 
     # bound multipliers (lower, upper) zero stationarity at the start
-    w0 = np.minimum(0.1 * z0.mean(), 0.5 * psi / pair_time)
-    s0 = np.clip(psi - xi @ z0 - pair_time @ w0, 0.1 * psi, 0.9 * psi)
-    x = np.concatenate([z0, w0, [s0]])
-    grad = gradient(x)
-    kap = np.concatenate([np.maximum(grad, 0.0), np.maximum(-grad, 0.0)]) \
-        + np.tile(0.1 * (1.0 + np.abs(grad)), 2)
-    dual = np.zeros(nodes)  # balance duals, then the capacity dual
+    w_rows = np.repeat(w_cost[None], k, axis=0)
+    w0 = np.minimum(0.1 * (np.add.reduce(z0, axis=1, keepdims=True) / na),
+                    0.5 * psi / pair_time)
+    s0 = psi - np.add.reduce(xi * z0, axis=1, keepdims=True) \
+        - np.add.reduce(pair_time * w0, axis=1, keepdims=True)
+    x = np.concatenate((z0, w0, np.minimum(np.maximum(s0, 0.1 * psi),
+                                           0.9 * psi)), axis=1)
+    grad = np.concatenate((lin + bend(z0)[0], w_rows), axis=1)
+    margin = 0.1 * (1.0 + np.abs(grad))
+    # one row of state: x, the lower then upper slacks, their multipliers,
+    # then the balance and capacity duals
+    state = np.concatenate((
+        x, x - lo, hi - x, np.maximum(grad, 0.0) + margin,
+        np.maximum(-grad, 0.0) + margin, np.zeros((k, nodes))), axis=1)
+    rows = list(range(k))  # the stack's rows among the K
+    results, pending = [None] * k, {}
 
     for it in range(IPM_MAX_ITER + 1):
-        grad = gradient(x)
-        slack = np.concatenate([x - lo, hi - x])
-        r_d = grad - times_bt(dual) - kap[:n] + kap[n:]
-        r_p = times_b(x)
-        r_p[-1] -= psi
-        gap = float(kap @ slack)
-        primal = max(float(np.abs(r_p[:-1]).max()) / flow_scale,
-                     abs(r_p[-1]) / psi)
-        residual = max(primal, gap / payoff_scale, float(np.abs(r_d).max())
-                       / (1.0 + float(np.abs(grad).max())))
-        if residual <= IPM_TOL and gap <= IPM_GAP_TOL * payoff_scale:
-            break
-        # on an infeasible instance the multipliers diverge until rounding
-        # puts an iterate on its bound; stop there or at the cap, and raise
-        # Infeasible if still not primal feasible
-        stalled = not (slack.min() > 0.0 and np.isfinite(residual))
-        if stalled or it == IPM_MAX_ITER:
-            error = Infeasible if primal > IPM_TOL else NoConvergence
-            raise error(f"after {it} interior-point iterations the "
-                        f"primal residual is {primal:.3e} and the scaled "
-                        f"KKT residual {residual:.3e}")
+        x, slack = state[:, :n], state[:, n:3 * n]
+        kap, dual = state[:, 3 * n:5 * n], state[:, 5 * n:]
+        rest, hess = bend(x[:, :na])
+        grad = np.concatenate((lin + rest, w_rows), axis=1)
+        ks = kap * slack
+        gap = np.add.reduce(ks, axis=1, keepdims=True)
+        r_d = grad - times_bt(dual) - kap[:, :n] + kap[:, n:]
+        short = capacity - times_b(x)  # the primal residual, negated
+        primal = np.maximum.reduce(np.abs(short) / p_scale, axis=1,
+                                   keepdims=True)
+        grad_scale = 1.0 + np.maximum.reduce(np.abs(grad), axis=1,
+                                             keepdims=True)
+        residual = np.maximum(
+            np.maximum(primal, gap / payoff_scale),
+            np.maximum.reduce(np.abs(r_d), axis=1, keepdims=True)
+            / grad_scale)
+        # most iterations retire no row, which the first test shows
+        if (it == IPM_MAX_ITER or pending
+                or not all(IPM_TOL < v < np.inf for v in residual.flat)
+                or np.maximum.reduce(primal, axis=None) > IPM_TOL
+                and np.logical_or.reduce(slack <= tiny, axis=None)):
+            stuck = np.logical_or.reduce(slack <= tiny, axis=1)
+            kept = []
+            for r, row in enumerate(rows):
+                if row in pending:
+                    results[row] = pending[row]
+                elif (residual[r, 0] <= IPM_TOL
+                      and gap[r, 0] <= IPM_GAP_TOL * payoff_scale):
+                    results[row] = (x[r, :na], x[r, na:ne],
+                                    float(residual[r, 0]))
+                elif (it == IPM_MAX_ITER or not residual[r, 0] < np.inf
+                      or primal[r, 0] > IPM_TOL and stuck[r]):
+                    results[row] = stall(r)
+                else:
+                    kept.append(r)
+            failed = [row for row, out in enumerate(results)
+                      if isinstance(out, Exception)]
+            # stop once no row is left below the first failure
+            if not kept or (failed and failed[0] < rows[kept[0]]):
+                break
+            if len(kept) < len(rows):
+                rows = [rows[r] for r in kept]
+                (state, lin, w_rows, hess, r_d, short, ks, gap, primal,
+                 residual, grad_scale) = (
+                    v[kept] if np.ndim(v) == 2 else v
+                    for v in (state, lin, w_rows, hess, r_d, short, ks, gap,
+                              primal, residual, grad_scale))
+                x, slack = state[:, :n], state[:, n:3 * n]
+                kap = state[:, 3 * n:5 * n]
+                k = len(rows)
+                b_idx, m_idx = b_idx[:k * 3 * n], m_idx[:k * 9 * n]
 
         ratio = kap / slack
-        D = ratio[:n] + ratio[n:] + floor
-        D[:na] += arc_hess(x[:na])
+        D = ratio[:, :n] + ratio[:, n:] + floor
+        D[:, :na] += hess
         cond = 1.0 / D
-        M = np.bincount(tail * nodes + head, cond[:ne], nodes * nodes)
-        M = M.reshape(nodes, nodes)
-        M = np.diag(M.sum(axis=1) + M.sum(axis=0)) - M - M.T
-        M[-1] = M[:, -1] = node_sum(g[:ne] * cond[:ne])
-        M[-1, -1] = float(g * g @ cond)
+        M = np.bincount(m_idx, (m_val * cond[:, None, None]).ravel(),
+                        k * nodes * nodes).reshape(k, nodes, nodes)
+        # predictor: the affine-scaling step sets the centring target
+        dx, d_dual, ds, dk = newton(-ks, slack, ratio, r_d, short, cond, M)
+        a_aff = -1.0 / np.minimum(-1.0, _blocking(slack, kap, ds, dk))
+        gap_aff = np.add.reduce((kap + a_aff * dk) * (slack + a_aff * ds),
+                                axis=1, keepdims=True)
+        target = (gap_aff / gap) ** 3 * gap / (2 * n)
+        # corrector, with the predictor's second-order term
+        dx, d_dual, ds, dk = newton(target - ks - dk * ds, slack, ratio, r_d,
+                                    short, cond, M)
+        step = -1.0 / np.minimum(-1.0, _blocking(slack, kap, ds, dk) / 0.995)
+        state = state + step * np.concatenate((dx, ds, dk, d_dual), axis=1)
 
-        def newton(r_comp):
-            """Step to complementarity products kap * slack + r_comp."""
-            q = r_comp / slack
-            u = (q[:n] - q[n:] - r_d) * cond
-            d_dual = np.linalg.solve(M, -(r_p + times_b(u)))
-            dx = u + times_bt(d_dual) * cond
-            ds = np.concatenate([dx, -dx])
-            return dx, d_dual, ds, (r_comp - kap * ds) / slack
+    for out in results:
+        if isinstance(out, Exception):
+            raise out
+    return results
 
-        try:
-            # predictor: the affine-scaling step sets the centring target
-            dx, d_dual, ds, dk = newton(-kap * slack)
-            a_aff = 1.0 / max(1.0, _blocking(slack, kap, ds, dk))
-            gap_aff = float((kap + a_aff * dk) @ (slack + a_aff * ds))
-            target = (gap_aff / gap) ** 3 * gap / (2 * n)
-            # corrector, with the predictor's second-order term
-            dx, d_dual, ds, dk = newton(target - kap * slack - dk * ds)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence("singular interior-point Newton system "
-                                f"at iteration {it}") from exc
-        step = 1.0 / max(1.0, _blocking(slack, kap, ds, dk) / 0.995)
-        x = x + step * dx
-        dual = dual + step * d_dual
-        kap = kap + step * dk
 
-    return x[:na], x[na:ne], residual
+def _solve_rows(net: TrafficNetwork, ads, params: ExtendedParams,
+                empty_pairs=None) -> list:
+    """:func:`solve_extended` for each ad vector of ``ads``, as one
+    interior-point loop over the stack of their problems.  A row equals
+    its single solve bit for bit; the error raised is the one a loop of
+    single solves in row order raises first."""
+    a_mats = [ad_matrix(net, a) for a in ads]
+    pairs, pair_time = _pair_set(net, empty_pairs)
+    demand, psi, c = params.demand, params.psi, net.unit_cost
+    arc = net.arc_array
+    # an edge is on a directed cycle when its ends share a strong class
+    classes = _mutual_reach(net.n_locations, pairs)
+    live = classes[pairs[:, 0], pairs[:, 1]]  # pairs start with the arcs
+    on = live[:len(arc)]
+    exponential = demand.kind == "exponential"
+    if exponential and not on.all():
+        u, v = arc[np.flatnonzero(~on)[0]]
+        raise Infeasible(f"arc ({u}, {v}) lies on no directed cycle of the "
+                         "routing graph (arcs plus empty pairs)")
+    th, xi = net.arc_demand[on], net.arc_time[on]
+    z_lo, z_hi = demand.box(th, xi, psi)
+    if float((xi * z_lo).sum()) > psi:
+        raise Infeasible(f"capacity {psi:.6g} is below the vehicle mass "
+                         "with every price at its upper end")
+    p_vecs = [np.ones(len(arc)) for _ in a_mats]
+    w_vecs = [np.zeros(len(pairs)) for _ in a_mats]
+    residuals = [0.0] * len(a_mats)
+    if on.any():
+        a_vec = np.array([net.on_arcs(a_mat)[on] for a_mat in a_mats])
+        lin, bend = demand.derivatives(th, xi, a_vec, c)
+        # each weak component left is a strong class: ground its last node
+        grounded = ~np.triu(classes, 1).any(axis=1)
+        rows = _interior_point(
+            params, c, np.concatenate([arc[on], pairs[live]]), th, xi,
+            pair_time[live], lin, bend, z_lo, z_hi,
+            demand.start(th, xi, a_vec, c, psi), grounded)
+        for r, (z, w, residual) in enumerate(rows):
+            p_vecs[r][on] = demand.price(z, th)
+            w_vecs[r][live] = w
+            residuals[r] = residual
+    return [_solution(net, a_mat, params, pairs, pair_time, p_vec, w_vec,
+                      residual, local_only=exponential)
+            for a_mat, p_vec, w_vec, residual
+            in zip(a_mats, p_vecs, w_vecs, residuals)]
 
 
 def solve_extended(net: TrafficNetwork, a, params: ExtendedParams,
@@ -390,36 +542,9 @@ def solve_extended(net: TrafficNetwork, a, params: ExtendedParams,
     :class:`Infeasible`.  Raises :class:`NoConvergence` when the iteration
     stops short of the optimum at a primal-feasible point.  ``seed`` does
     not affect the result; ``local_only`` is set for exponential demand.
+    This is the one-row batch of the loop that
+    :func:`~resistive_pricing.selection.strategy_compare` runs over a
+    whole candidate set, which shares ``params`` and ``empty_pairs``; each
+    of its rows equals this solve of its ad vector bit for bit.
     """
-    a_mat = ad_matrix(net, a)
-    pairs, pair_time = _pair_set(net, empty_pairs)
-    demand, psi, c = params.demand, params.psi, net.unit_cost
-    arc = net.arc_array
-    # an edge is on a directed cycle when its ends share a strong class
-    classes = _mutual_reach(net.n_locations, pairs)
-    live = classes[pairs[:, 0], pairs[:, 1]]  # pairs start with the arcs
-    on = live[:len(arc)]
-    exponential = demand.kind == "exponential"
-    if exponential and not on.all():
-        u, v = arc[np.flatnonzero(~on)[0]]
-        raise Infeasible(f"arc ({u}, {v}) lies on no directed cycle of the "
-                         "routing graph (arcs plus empty pairs)")
-    th, xi = net.arc_demand[on], net.arc_time[on]
-    a_vec = net.on_arcs(a_mat)[on]
-    z_lo, z_hi = demand.box(th, xi, psi)
-    if float((xi * z_lo).sum()) > psi:
-        raise Infeasible(f"capacity {psi:.6g} is below the vehicle mass "
-                         "with every price at its upper end")
-    p_vec, w_vec, residual = np.ones(len(arc)), np.zeros(len(pairs)), 0.0
-    if on.any():
-        arc_grad, arc_hess = demand.derivatives(th, xi, a_vec, c)
-        # each weak component left is a strong class: ground its last node
-        grounded = ~np.triu(classes, 1).any(axis=1)
-        z, w, residual = _interior_point(
-            params, c, np.concatenate([arc[on], pairs[live]]), th, xi,
-            pair_time[live], arc_grad, arc_hess, z_lo, z_hi,
-            demand.start(th, xi, a_vec, c, psi), grounded)
-        p_vec[on] = demand.price(z, th)
-        w_vec[live] = w
-    return _solution(net, a_mat, params, pairs, pair_time, p_vec, w_vec,
-                     residual, local_only=exponential)
+    return _solve_rows(net, [a], params, empty_pairs)[0]

@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .electrical import build_electrical, potentials, value_vector
+from .extended import _solve_rows
 from .network import AdRevenueVector, TrafficNetwork, ad_matrix
 from .pricing import solve_general
 
@@ -282,7 +283,8 @@ class StrategyComparison:
 def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
                      mode: str = "location", params=None,
                      seed: int | None = None,
-                     trials: int = 100) -> StrategyComparison:
+                     trials: int = 100,
+                     empty_pairs=None) -> StrategyComparison:
     """Compare resistance-based, optimal, and randomized selection.
 
     Resistance-based picks the Delta argmax; optimal exhaustively
@@ -290,6 +292,16 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
     else the extended solver with those parameters); randomized averages
     the payoff of ``trials`` (at least 1) uniform candidate draws.  All
     randomness derives from ``seed``.
+
+    With ``params`` the candidates are priced as one batch: one
+    interior-point loop over the stack of their extended problems, which
+    share the network, ``params`` and the empty-routing pairs (the arcs
+    plus ``empty_pairs``, as :func:`~resistive_pricing.solve_extended`
+    takes them; the basic model has no empty routing and ignores them)
+    and differ only in the ad vector.  Each payoff equals that candidate's
+    own ``solve_extended`` bit for bit, and a failing batch raises the
+    error of its first failing candidate, as a loop of single solves in
+    candidate order would.
     """
     catalog.validate_for(net)
     labels, vectors = _candidates(net, catalog, mode)
@@ -306,8 +318,8 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
     if params is None:
         payoffs = [solve_general(net, vec).payoff for vec in vectors]
     else:
-        from .extended import solve_extended
-        payoffs = [solve_extended(net, vec, params).payoff for vec in vectors]
+        payoffs = [sol.payoff
+                   for sol in _solve_rows(net, vectors, params, empty_pairs)]
 
     deltas = [delta(net, vec) for vec in vectors]
     # argmax takes the first maximum: ties go to the smallest label

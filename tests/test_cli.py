@@ -301,6 +301,49 @@ def test_value_csv_includes_ad_revenue(workdir, argv):
     assert rows == [f"{i},{fileio.fmt(v)}" for i, v in enumerate(want)]
 
 
+def test_extended_select_and_sweeps_route_empty_pairs(workdir):
+    """select --model extended, sweep-psi and sweep-eta price each
+    candidate with the network file's empty_travel_time, as price-extended
+    does: select's payoff column is price-extended --ads <candidate>'s
+    payoff, and the pairs move it."""
+    net, catalog = synth_instance(8, 0.3, seed=3, profile="commuter")
+    off = [(i, j, 0.5) for i in range(8) for j in range(8)
+           if i != j and net.demand[i, j] == 0][:6]
+    fileio.save_network("net.json", net, empty_pairs=off)
+    fileio.save_network("arcs-only.json", net)
+    fileio.save_advertisers("adv.json", catalog)
+    mass = float((net.arc_demand * net.arc_time).sum())
+    psi = f"{0.3 * mass:.6g}"
+    extended = ["--psi", psi, "--eta", "0.8", "--seed", "0"]
+    payoffs = {}
+    for name in ("net.json", "arcs-only.json"):
+        assert main(["select", "--network", name, "--advertisers", "adv.json",
+                     "--mode", "location", "--strategy", "resistance",
+                     "--model", "extended", "--out", f"{name}.csv"]
+                    + extended) == 0
+        rows = Path(f"{name}.csv").read_text().splitlines()[1:]
+        payoffs[name] = [r.split(",")[2] for r in rows if r[0] != "#"]
+    assert payoffs["net.json"] != payoffs["arcs-only.json"]
+    for k, payoff in zip(sorted(catalog.location_based), payoffs["net.json"]):
+        Path("cand.json").write_text(json.dumps({"ads": [
+            {"from": i, "to": k, "a": d}
+            for i, d in sorted(catalog.location_based[k].items())]}))
+        assert main(["price-extended", "--network", "net.json", "--ads",
+                     "cand.json", "--psi", psi, "--eta", "0.8",
+                     "--out", "one.csv"]) == 0
+        footer = Path("one.csv").read_text().splitlines()
+        assert f"# payoff={payoff}" in footer
+    # each sweep's optimal payoff is select's largest payoff
+    best = max(payoffs["net.json"], key=float)
+    for argv in (["sweep-psi", "--psi-grid", psi, "--eta", "0.8"],
+                 ["sweep-eta", "--eta-grid", "0.8", "--psi", psi]):
+        assert main(argv + ["--network", "net.json", "--advertisers",
+                            "adv.json", "--seed", "0", "--out", "sw.csv"]) == 0
+        rows = [r.split(",") for r in
+                Path("sw.csv").read_text().splitlines()[1:]]
+        assert [r[2] for r in rows if r[1] == "optimal"] == [best]
+
+
 def run_main(argv):
     """Exit code, stderr and recorded warnings of one in-process run."""
     err = io.StringIO()

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import warnings
 
@@ -17,7 +18,12 @@ from resistive_pricing import (
     synth_instance,
     validate_network,
 )
-from resistive_pricing.extended import _mutual_reach, _pair_set
+from resistive_pricing.extended import (
+    IPM_TOL,
+    _mutual_reach,
+    _pair_set,
+    _solve_rows,
+)
 from resistive_pricing.qp import solve_convex_qp
 
 from gen import random_ads, random_instance
@@ -484,6 +490,36 @@ class TestExponentialInteriorPoint:
             assert abs(exponential_duality_gap(net, a, params, sol)) <= 1e-8
         assert 0 < raised < 400
 
+    def test_arc_at_its_upper_end_solves(self):
+        """Draws 673 and 1431 of a random exponential recipe price an arc
+        at -1, the upper end of its box.  Recomputing the slack hi - x
+        rounded it to 0 there, which stopped the loop with NoConvergence at
+        a primal-feasible point; the loop now carries its slacks."""
+        rng = np.random.default_rng(77)
+        for draw in range(1432):
+            net, a = random_instance(rng, aggressive=True, n_min=2, n_max=9)
+            gamma = float(np.exp(rng.uniform(np.log(0.1), np.log(50))))
+            mass = float((net.arc_demand * net.arc_time).sum())
+            psi = mass * float(np.exp(rng.uniform(np.log(0.01), np.log(5))))
+            extra = []
+            for _ in range(int(rng.integers(0, 4))):
+                i, j = (int(v) for v in rng.integers(net.n_locations, size=2))
+                t = float(rng.uniform(0.5, 3))
+                if i != j:
+                    extra.append((i, j, t))
+            eta = float(rng.uniform(0.1, 1))
+            if draw not in (673, 1431):
+                continue
+            params = ExtendedParams(eta=eta, psi=psi,
+                                    demand=DemandModel.exponential(gamma))
+            sol = solve_extended(net, a, params, empty_pairs=extra)
+            assert sol.kkt_residual < IPM_TOL
+            assert float(net.on_arcs(sol.prices).min()) \
+                == pytest.approx(-1.0, abs=1e-9)
+            assert payoff_extended(net, a, params, sol.prices,
+                                   sol.empty_flows, empty_pairs=extra) \
+                == pytest.approx(sol.payoff, rel=1e-9)
+
     def test_tiny_capacity_infeasible(self):
         net, _ = synth_instance(6, 0.5, seed=4, profile="commuter")
         mass = float((net.arc_demand * net.arc_time).sum())
@@ -619,3 +655,148 @@ class TestReadOnlySolution:
             for name in ("prices", "empty_flows"):
                 with pytest.raises(ValueError):
                     getattr(record, name)[0, 1] = 5.0
+
+
+def solution_digest(sol):
+    """SHA-256 over every field of an ExtendedSolution, bit for bit."""
+    h = hashlib.sha256()
+    for name in ("prices", "empty_flows"):
+        h.update(getattr(sol, name).tobytes())
+    for value in (sol.payoff, sol.kkt_residual,
+                  *(sol.feasibility_slacks[k]
+                    for k in sorted(sol.feasibility_slacks))):
+        h.update(np.float64(value).tobytes())
+    h.update(bytes([sol.local_only]))
+    return h.hexdigest()
+
+
+def outcome(solve):
+    """A solve's digest, or the (type, message) of what it raises."""
+    try:
+        return solution_digest(solve())
+    except (Infeasible, NoConvergence) as exc:
+        return type(exc), str(exc)
+
+
+def mixed_scale_draw(index):
+    """Draw ``index`` of the mixed-scale recipe: default_rng(2024), one
+    aggressive random instance per draw, then each N x N entry's demand
+    x 10^U(-6, 6) and travel time x 10^U(-3, 3)."""
+    rng = np.random.default_rng(2024)
+    for _ in range(index + 1):
+        net, _ = random_instance(rng, aggressive=True, n_min=3, n_max=10)
+        n = net.n_locations
+        demand = net.demand * 10 ** rng.uniform(-6, 6, (n, n))
+        time = net.travel_time * 10 ** rng.uniform(-3, 3, (n, n))
+    return validate_network(demand, time, net.unit_cost)
+
+
+class TestCandidateBatch:
+    """A candidate set solved as one stack equals its single solves."""
+
+    @staticmethod
+    def assert_rows_match_single_solves(net, ads, params, empty_pairs=None):
+        batch = _solve_rows(net, ads, params, empty_pairs)
+        singles = [solve_extended(net, a, params, empty_pairs=empty_pairs)
+                   for a in ads]
+        assert [solution_digest(s) for s in batch] \
+            == [solution_digest(s) for s in singles]
+
+    @pytest.mark.parametrize("demand, seeds", [
+        (DemandModel.uniform(), range(4)),
+        (DemandModel.exponential(2.0), range(20)),
+    ], ids=["extended-uniform", "extended-exp"])
+    def test_bench_pools_bit_for_bit(self, demand, seeds):
+        """The 60 uniform and 300 exponential criterion-9 solves of the
+        extended benchmark pools, one batch per instance."""
+        for seed in seeds:
+            net, catalog = synth_instance(15, 0.3, seed=seed,
+                                          profile="commuter")
+            total = float((net.arc_demand * net.arc_time).sum())
+            params = ExtendedParams(eta=0.8, psi=0.5 * total, demand=demand)
+            self.assert_rows_match_single_solves(
+                net, [location_candidate(net, k, catalog.location_based[k])
+                      for k in sorted(catalog.location_based)], params)
+
+    def test_sweep_network_bit_for_bit(self):
+        """The benchmark sweep's N = 10 seed-7 network at its 4 psi."""
+        net, catalog = synth_instance(10, 0.3, seed=7, profile="commuter")
+        mass = float((net.arc_demand * net.arc_time).sum())
+        ads = [location_candidate(net, k, catalog.location_based[k])
+               for k in sorted(catalog.location_based)]
+        for frac in (0.25, 0.5, 0.75, 1.0):
+            params = ExtendedParams(eta=0.8, psi=float(f"{frac * mass:.6g}"),
+                                    demand=DemandModel.uniform())
+            self.assert_rows_match_single_solves(net, ads, params)
+
+    def test_empty_pairs_and_order_bit_for_bit(self):
+        """Off-arc empty pairs shared by every row; reversing the rows
+        reverses the answers and changes no bit."""
+        net, _ = synth_instance(8, 0.3, seed=3, profile="commuter")
+        rng = np.random.default_rng(5)
+        ads = [None] + [random_ads(rng, net, hi=1.0) for _ in range(6)]
+        mass = float((net.arc_demand * net.arc_time).sum())
+        off = [(i, j, 0.5) for i in range(8) for j in range(8)
+               if i != j and net.demand[i, j] == 0][:6]
+        for demand in (DemandModel.uniform(), DemandModel.exponential(2.0)):
+            params = ExtendedParams(eta=0.8, psi=0.3 * mass, demand=demand)
+            self.assert_rows_match_single_solves(net, ads, params, off)
+            forward = _solve_rows(net, ads, params, off)
+            backward = _solve_rows(net, ads[::-1], params, off)
+            assert [solution_digest(s) for s in forward] \
+                == [solution_digest(s) for s in backward[::-1]]
+
+    @pytest.mark.parametrize("draw, demand, failing", [
+        (4, DemandModel.exponential(2.0), [2, 4]),
+        (6, DemandModel.uniform(), [5]),
+    ])
+    def test_first_failing_row_raises_its_own_error(self, draw, demand,
+                                                    failing):
+        """Mixed-scale draws where only some candidates fail: the batch
+        raises exactly the error (type and message, with that row's own
+        iteration count) that a loop of single solves raises first, and
+        the rows before it are unaffected."""
+        net = mixed_scale_draw(draw)
+        mass = float((net.arc_demand * net.arc_time).sum())
+        params = ExtendedParams(eta=0.8, psi=0.5 * mass, demand=demand)
+        ads = [None] + [random_ads(np.random.default_rng(s), net, hi=3.0)
+                        for s in range(5)]
+        singles = [outcome(lambda a=a: solve_extended(net, a, params))
+                   for a in ads]
+        assert [i for i, o in enumerate(singles)
+                if isinstance(o, tuple)] == failing
+        error, message = singles[failing[0]]
+        with pytest.raises(error) as caught:
+            _solve_rows(net, ads, params)
+        assert str(caught.value) == message
+        # without the failing rows the batch solves, bit for bit
+        kept = [a for i, a in enumerate(ads) if i not in failing]
+        self.assert_rows_match_single_solves(net, kept, params)
+
+    def test_singular_row_fails_alone(self, monkeypatch):
+        """A row whose Newton system is singular fails with NoConvergence
+        at its own iteration, and the rows beside it still solve."""
+        net, catalog = synth_instance(6, 0.5, seed=4, profile="commuter")
+        mass = float((net.arc_demand * net.arc_time).sum())
+        params = ExtendedParams(eta=0.8, psi=mass,
+                                demand=DemandModel.exponential(2.0))
+        ads = [location_candidate(net, k, catalog.location_based[k])
+               for k in sorted(catalog.location_based)][:3]
+        solve, singular = np.linalg.solve, []
+
+        def row_1_singular(a, b):
+            """Row 1's first Newton matrix is singular."""
+            if not singular:
+                singular.append(a[1].tobytes())
+            if any(m.tobytes() == singular[0] for m in a):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", row_1_singular)
+        with pytest.raises(NoConvergence, match="singular interior-point "
+                           "Newton system at iteration 0") as caught:
+            _solve_rows(net, ads, params)
+        assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+        singular.clear()
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        self.assert_rows_match_single_solves(net, ads[::2], params)
