@@ -26,7 +26,6 @@ from .extended import (
     DemandModel,
     ExtendedParams,
     Infeasible,
-    _pair_set,
     solve_extended,
 )
 from .fileio import MalformedInput, fmt
@@ -129,17 +128,16 @@ SWEEP_COLUMNS = ["strategy", "payoff", "gap_to_optimal"]
 
 
 def _network_and_ads(args):
-    """The loaded network file and the ad revenues to price with: the
-    ``--ads`` file's when given, else the network file's own."""
+    """The ``--network`` file's network and the ad revenues to price
+    with: the ``--ads`` file's when given, else the network file's own."""
     loaded = fileio.load_network(args.network)
     if args.ads:
-        return loaded, fileio.load_ads(args.ads, loaded.network)
-    return loaded, loaded.ad_revenue
+        return loaded.network, fileio.load_ads(args.ads, loaded.network)
+    return loaded.network, loaded.ad_revenue
 
 
 def cmd_price(args) -> int:
-    loaded, a = _network_and_ads(args)
-    net = loaded.network
+    net, a = _network_and_ads(args)
     try:
         sol = solve_closed_form(net, a)
     except NotApplicable:
@@ -153,17 +151,14 @@ def cmd_price(args) -> int:
 
 
 def cmd_price_extended(args) -> int:
-    loaded, a = _network_and_ads(args)
-    net = loaded.network
+    net, a = _network_and_ads(args)
     params = _extended_params(args)
-    sol = solve_extended(net, a, params, seed=args.seed,
-                         empty_pairs=loaded.empty_pairs)
+    sol = solve_extended(net, a, params, seed=args.seed)
     rows = []
     for i, j in net.arcs:
         q = net.demand[i, j] * params.demand.remaining(sol.prices[i, j])
         rows.append(["arc", str(i), str(j), fmt(sol.prices[i, j]), fmt(q)])
-    pairs, _ = _pair_set(net, loaded.empty_pairs)
-    for i, j in sorted(pairs.tolist()):
+    for i, j in sorted(net.pair_array.tolist()):
         rows.append(["empty", str(i), str(j), "", fmt(sol.empty_flows[i, j])])
     footer = [f"# payoff={fmt(sol.payoff)}",
               f"# kkt_residual={sol.kkt_residual:.3e}",
@@ -185,7 +180,7 @@ def cmd_select(args) -> int:
                          "--model extended")
     comparison = strategy_compare(
         loaded.network, catalog, mode=args.mode, params=params,
-        seed=args.seed, trials=args.trials, empty_pairs=loaded.empty_pairs)
+        seed=args.seed, trials=args.trials)
     outcome = comparison.outcome(args.strategy)
     rows = []
     for label, dval, pval in zip(comparison.candidates, comparison.deltas,
@@ -216,7 +211,7 @@ def cmd_sweep(args) -> int:
             loaded.network, catalog, mode=args.mode,
             params=_extended_params(args, **{kind: value}),
             seed=np.random.SeedSequence(args.seed, spawn_key=(index,)),
-            trials=args.trials, empty_pairs=loaded.empty_pairs)
+            trials=args.trials)
         for name in ("resistance", "optimal", "random"):
             outcome = comparison.outcome(name)
             rows.append([fmt(value), name, fmt(outcome.payoff),

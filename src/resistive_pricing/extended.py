@@ -9,12 +9,12 @@ each Newton step is a weighted graph Laplacian solve on the locations.
 Both curves share one set-up; :class:`DemandModel` holds the per-arc
 formulas that differ.
 
-Empty flows live on the arc set by default.  Off-arc pairs participate
-only when explicit empty travel times are supplied for them.
+Empty vehicles route over the network's pairs, ``net.pair_array``: the
+arcs, then the off-arc pairs given empty travel times.
 
 A set of candidate ad vectors on one network is solved as one batch: one
 interior-point loop over the stack of their problems.  The rows share the
-network, the parameters, the empty-routing pairs, the strong classes and
+network (so its routing pairs), the parameters, the strong classes and
 the grounding; they differ only in the ad vector, which sets the linear
 term of f' and the start.  Each row stops on its own test and leaves the
 stack, and every reduction is row-wise, so a row's answer equals its
@@ -142,7 +142,7 @@ class ExtendedSolution(FrozenArrays):
     """Feasible stationary point of the extended problem.
 
     prices is (N, N) with NaN off the arc set; empty_flows is (N, N),
-    zero off the empty-routing pair set; both are read-only.
+    zero off the network's routing pairs; both are read-only.
     ``kkt_residual`` is the solve's largest balance, capacity, stationarity
     or complementarity residual, each relative to its scale.  ``local_only``
     is False for uniform demand and True for exponential demand; both
@@ -157,28 +157,8 @@ class ExtendedSolution(FrozenArrays):
     local_only: bool
 
 
-def _pair_set(net: TrafficNetwork, empty_pairs):
-    pairs = list(net.arcs)
-    times = list(net.arc_time)
-    if empty_pairs:
-        known = set(net.arcs)
-        for i, j, t in empty_pairs:
-            i, j, t = int(i), int(j), float(t)
-            if i == j:
-                raise ValueError("empty travel time on a self loop")
-            if t <= 0:
-                raise ValueError(f"empty travel time on ({i}, {j}) must be positive")
-            if (i, j) in known:
-                continue
-            pairs.append((i, j))
-            times.append(t)
-            known.add((i, j))
-    return np.array(pairs, dtype=int), np.asarray(times, dtype=float)
-
-
 def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
-                    prices: np.ndarray, empty_flows: np.ndarray,
-                    empty_pairs=None) -> float:
+                    prices: np.ndarray, empty_flows: np.ndarray) -> float:
     """Objective value at a feasible (prices, empty_flows) point.
 
     Raises InfeasiblePoint naming the violated constraint when the point
@@ -187,7 +167,7 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
     and to max(1, psi) for fleet capacity.
     """
     a_mat = ad_matrix(net, a)
-    pairs, pair_time = _pair_set(net, empty_pairs)
+    pairs, pair_time = net.pair_array, net.pair_time
     n = net.n_locations
     p = np.asarray(prices, dtype=float)
     w = np.asarray(empty_flows, dtype=float)
@@ -224,12 +204,11 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
     return value - float((pair_time * w_on).sum()) * params.eta * net.unit_cost
 
 
-def _solution(net, a_mat, params, pairs, pair_time, p_vec, w_vec, residual,
-              local_only):
+def _solution(net, a_mat, params, p_vec, w_vec, residual):
     """The solution record of per-arc prices and per-pair empty flows >= 0."""
-    n = net.n_locations
+    n, pair_time = net.n_locations, net.pair_time
     flows = np.zeros((n, n))
-    flows[pairs[:, 0], pairs[:, 1]] = w_vec
+    flows[net.pair_array[:, 0], net.pair_array[:, 1]] = w_vec
     rem = params.demand.remaining(p_vec)
     total = flows + net.arc_matrix(net.arc_demand * rem)
     carried = net.arc_time * net.arc_demand * rem  # vehicle mass per arc
@@ -248,7 +227,7 @@ def _solution(net, a_mat, params, pairs, pair_time, p_vec, w_vec, residual,
                                          - total.sum(axis=0)).max()),
             "empty_flow_min": float(w_vec.min()),
         },
-        local_only=local_only,
+        local_only=params.demand.kind == "exponential",
     )
 
 
@@ -377,7 +356,7 @@ def _interior_point(params, c, edges, th, xi, pair_time, lin, bend,
                         error = NoConvergence("singular interior-point "
                                               f"Newton system at iteration {it}")
                     error.__cause__ = exc
-                    pending.setdefault(rows[r], error)
+                    results[rows[r]] = error
             return out
 
     def newton(r_comp, slack, ratio, r_d, short, cond, M):
@@ -405,7 +384,7 @@ def _interior_point(params, c, edges, th, xi, pair_time, lin, bend,
         x, x - lo, hi - x, np.maximum(grad, 0.0) + margin,
         np.maximum(-grad, 0.0) + margin, np.zeros((k, nodes))), axis=1)
     rows = list(range(k))  # the stack's rows among the K
-    results, pending = [None] * k, {}
+    results = [None] * k  # a singular Newton system writes its error here
 
     for it in range(IPM_MAX_ITER + 1):
         x, slack = state[:, :n], state[:, n:3 * n]
@@ -424,41 +403,33 @@ def _interior_point(params, c, edges, th, xi, pair_time, lin, bend,
             np.maximum(primal, gap / payoff_scale),
             np.maximum.reduce(np.abs(r_d), axis=1, keepdims=True)
             / grad_scale)
-        # most iterations retire no row, which the first test shows
-        if (it == IPM_MAX_ITER or pending
+        # most iterations stop no row, which this first test shows
+        if (it == IPM_MAX_ITER
+                or any(results[row] is not None for row in rows)
                 or not all(IPM_TOL < v < np.inf for v in residual.flat)
                 or np.maximum.reduce(primal, axis=None) > IPM_TOL
                 and np.logical_or.reduce(slack <= tiny, axis=None)):
-            stuck = np.logical_or.reduce(slack <= tiny, axis=1)
-            kept = []
-            for r, row in enumerate(rows):
-                if row in pending:
-                    results[row] = pending[row]
-                elif (residual[r, 0] <= IPM_TOL
-                      and gap[r, 0] <= IPM_GAP_TOL * payoff_scale):
-                    results[row] = (x[r, :na], x[r, na:ne],
-                                    float(residual[r, 0]))
-                elif (it == IPM_MAX_ITER or not residual[r, 0] < np.inf
-                      or primal[r, 0] > IPM_TOL and stuck[r]):
-                    results[row] = stall(r)
-                else:
-                    kept.append(r)
-            failed = [row for row, out in enumerate(results)
-                      if isinstance(out, Exception)]
-            # stop once no row is left below the first failure
-            if not kept or (failed and failed[0] < rows[kept[0]]):
+            failed = np.array([results[row] is not None for row in rows])
+            done = (residual <= IPM_TOL) & (gap <= IPM_GAP_TOL * payoff_scale)
+            stalled = ~(residual < np.inf) | (primal > IPM_TOL) \
+                & np.logical_or.reduce(slack <= tiny, axis=1, keepdims=True)
+            stop = (done | stalled)[:, 0] | failed | (it == IPM_MAX_ITER)
+            for r in np.flatnonzero(stop & ~failed):
+                results[rows[r]] = stall(r) if not done[r, 0] else (
+                    x[r, :na], x[r, na:ne], float(residual[r, 0]))
+            if stop.all():
                 break
-            if len(kept) < len(rows):
-                rows = [rows[r] for r in kept]
-                (state, lin, w_rows, hess, r_d, short, ks, gap, primal,
-                 residual, grad_scale) = (
-                    v[kept] if np.ndim(v) == 2 else v
-                    for v in (state, lin, w_rows, hess, r_d, short, ks, gap,
-                              primal, residual, grad_scale))
-                x, slack = state[:, :n], state[:, n:3 * n]
-                kap = state[:, 3 * n:5 * n]
-                k = len(rows)
-                b_idx, m_idx = b_idx[:k * 3 * n], m_idx[:k * 9 * n]
+            kept = np.flatnonzero(~stop)
+            rows = [rows[r] for r in kept]
+            (state, lin, w_rows, hess, r_d, short, ks, gap, primal,
+             residual, grad_scale) = (
+                v[kept] if np.ndim(v) == 2 else v
+                for v in (state, lin, w_rows, hess, r_d, short, ks, gap,
+                          primal, residual, grad_scale))
+            x, slack = state[:, :n], state[:, n:3 * n]
+            kap = state[:, 3 * n:5 * n]
+            k = len(rows)
+            b_idx, m_idx = b_idx[:k * 3 * n], m_idx[:k * 9 * n]
 
         ratio = kap / slack
         D = ratio[:, :n] + ratio[:, n:] + floor
@@ -484,22 +455,20 @@ def _interior_point(params, c, edges, th, xi, pair_time, lin, bend,
     return results
 
 
-def _solve_rows(net: TrafficNetwork, ads, params: ExtendedParams,
-                empty_pairs=None) -> list:
+def _solve_rows(net: TrafficNetwork, ads, params: ExtendedParams) -> list:
     """:func:`solve_extended` for each ad vector of ``ads``, as one
     interior-point loop over the stack of their problems.  A row equals
     its single solve bit for bit; the error raised is the one a loop of
     single solves in row order raises first."""
     a_mats = [ad_matrix(net, a) for a in ads]
-    pairs, pair_time = _pair_set(net, empty_pairs)
+    pairs, pair_time = net.pair_array, net.pair_time
     demand, psi, c = params.demand, params.psi, net.unit_cost
     arc = net.arc_array
     # an edge is on a directed cycle when its ends share a strong class
     classes = _mutual_reach(net.n_locations, pairs)
     live = classes[pairs[:, 0], pairs[:, 1]]  # pairs start with the arcs
     on = live[:len(arc)]
-    exponential = demand.kind == "exponential"
-    if exponential and not on.all():
+    if demand.kind == "exponential" and not on.all():
         u, v = arc[np.flatnonzero(~on)[0]]
         raise Infeasible(f"arc ({u}, {v}) lies on no directed cycle of the "
                          "routing graph (arcs plus empty pairs)")
@@ -524,27 +493,26 @@ def _solve_rows(net: TrafficNetwork, ads, params: ExtendedParams,
             p_vecs[r][on] = demand.price(z, th)
             w_vecs[r][live] = w
             residuals[r] = residual
-    return [_solution(net, a_mat, params, pairs, pair_time, p_vec, w_vec,
-                      residual, local_only=exponential)
+    return [_solution(net, a_mat, params, p_vec, w_vec, residual)
             for a_mat, p_vec, w_vec, residual
             in zip(a_mats, p_vecs, w_vecs, residuals)]
 
 
 def solve_extended(net: TrafficNetwork, a, params: ExtendedParams,
-                   seed=None, empty_pairs=None) -> ExtendedSolution:
+                   seed=None) -> ExtendedSolution:
     """Solve the extended pricing problem.
 
     One deterministic primal-dual interior-point solve in demand
     coordinates, where the problem is concave, so its stationary point is
-    the global optimum.  An arc on no directed cycle of arcs plus empty
-    pairs gets price exactly 1 and no flow under uniform demand; under
-    exponential demand it, or a capacity no balanced flow fits, raises
-    :class:`Infeasible`.  Raises :class:`NoConvergence` when the iteration
-    stops short of the optimum at a primal-feasible point.  ``seed`` does
-    not affect the result; ``local_only`` is set for exponential demand.
-    This is the one-row batch of the loop that
+    the global optimum.  An arc on no directed cycle of the routing graph
+    (``net.pair_array``) gets price exactly 1 and no flow under uniform
+    demand; under exponential demand it, or a capacity no balanced flow
+    fits, raises :class:`Infeasible`.  Raises :class:`NoConvergence` when
+    the iteration stops short of the optimum at a primal-feasible point.
+    ``seed`` does not affect the result; ``local_only`` is set for
+    exponential demand.  This is the one-row batch of the loop that
     :func:`~resistive_pricing.selection.strategy_compare` runs over a
-    whole candidate set, which shares ``params`` and ``empty_pairs``; each
-    of its rows equals this solve of its ad vector bit for bit.
+    whole candidate set, which shares ``net`` and ``params``; each of its
+    rows equals this solve of its ad vector bit for bit.
     """
-    return _solve_rows(net, [a], params, empty_pairs)[0]
+    return _solve_rows(net, [a], params)[0]

@@ -71,7 +71,6 @@ def fmt(x) -> str:
 class LoadedNetwork:
     network: TrafficNetwork
     ad_revenue: AdRevenueVector
-    empty_pairs: tuple | None
 
 
 def load_network(path) -> LoadedNetwork:
@@ -79,7 +78,7 @@ def load_network(path) -> LoadedNetwork:
 
     JSON with fields ``n``, ``cost``, ``arcs`` (objects with from, to,
     demand, travel_time, optional ad_revenue) and optional
-    ``empty_travel_time`` entries for off-arc empty-vehicle pairs.
+    ``empty_travel_time`` entries, the network's ``empty_pairs``.
     Location indices are zero-based integers in ``[0, n)``; a missing
     key, a value of the wrong type, a fractional ``n`` or index, or an
     index out of range raises MalformedInput naming the file.
@@ -100,18 +99,16 @@ def load_network(path) -> LoadedNetwork:
             demand[i, j] = float(entry["demand"])
             travel[i, j] = float(entry["travel_time"])
             ads[i, j] = float(entry.get("ad_revenue", 0.0))
-        empty = None
-        if doc.get("empty_travel_time"):
-            empty = tuple((_location(e["from"], n), _location(e["to"], n),
-                           float(e["travel_time"]))
-                          for e in doc["empty_travel_time"])
+        empty = [(_location(e["from"], n), _location(e["to"], n),
+                  float(e["travel_time"]))
+                 for e in doc.get("empty_travel_time") or ()]
     except _ENTRY_ERRORS as exc:
         raise _malformed("network", path, exc) from exc
-    net = validate_network(demand, travel, cost)
-    return LoadedNetwork(net, AdRevenueVector(net, ads), empty)
+    net = validate_network(demand, travel, cost, empty)
+    return LoadedNetwork(net, AdRevenueVector(net, ads))
 
 
-def save_network(path, net: TrafficNetwork, ad_revenue=None, empty_pairs=None):
+def save_network(path, net: TrafficNetwork, ad_revenue=None):
     ads = ad_revenue.values if isinstance(ad_revenue, AdRevenueVector) \
         else ad_revenue
     arcs = []
@@ -123,10 +120,10 @@ def save_network(path, net: TrafficNetwork, ad_revenue=None, empty_pairs=None):
             entry["ad_revenue"] = float(ads[i, j])
         arcs.append(entry)
     doc = {"n": net.n_locations, "cost": float(net.unit_cost), "arcs": arcs}
-    if empty_pairs:
+    if net.empty_pairs:
         doc["empty_travel_time"] = [
-            {"from": int(i), "to": int(j), "travel_time": float(t)}
-            for i, j, t in empty_pairs]
+            {"from": i, "to": j, "travel_time": t}
+            for i, j, t in net.empty_pairs]
     _write_json(path, doc)
 
 

@@ -2,8 +2,9 @@
 
 A network is a directed graph over ``N`` locations.  An arc (i, j) exists
 exactly where the demand matrix is positive.  Travel times are read only on
-arcs; entries elsewhere are ignored.  All objects here are immutable after
-construction.
+arcs; entries elsewhere are ignored.  Empty vehicles route over the arcs
+plus any off-arc pairs given empty travel times.  All objects here are
+immutable after construction.
 """
 
 from dataclasses import dataclass, field
@@ -71,10 +72,14 @@ class TrafficNetwork(FrozenArrays):
         travel_time: (N, N) travel time in slots; must be positive and finite
             on arcs, ignored elsewhere.
         unit_cost: per-user per-slot service cost, in [0, 1).
+        empty_pairs: the given (i, j, t) empty travel times, i != j.
         n_locations: number of locations N (>= 2), read off ``demand``.
         arcs, arc_array: the M arcs (i, j) in lexicographic order, as
             tuples and as an (M, 2) int array.
         arc_demand, arc_time: (M,) demand and travel time per arc.
+        pair_array, pair_time: the P empty-routing pairs, (P, 2), and
+            their (P,) times: the arcs in arc order, then each off-arc
+            pair of ``empty_pairs`` in the order given, first time kept.
         projection: (N, N) weights of the undirected projection, see
             :func:`projection_weights`.
 
@@ -84,11 +89,14 @@ class TrafficNetwork(FrozenArrays):
     demand: np.ndarray
     travel_time: np.ndarray
     unit_cost: float
+    empty_pairs: tuple[tuple[int, int, float], ...] = ()
     n_locations: int = field(init=False)
     arcs: tuple[tuple[int, int], ...] = field(init=False)
     arc_array: np.ndarray = field(init=False, repr=False, compare=False)
     arc_demand: np.ndarray = field(init=False, repr=False, compare=False)
     arc_time: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_array: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_time: np.ndarray = field(init=False, repr=False, compare=False)
     projection: np.ndarray = field(init=False, repr=False, compare=False)
     # flat (row-major) index of each arc in an N x N matrix
     _flat: np.ndarray = field(init=False, repr=False, compare=False)
@@ -134,15 +142,25 @@ class TrafficNetwork(FrozenArrays):
                 "induced graph is not weakly connected; "
                 "split into components and solve each separately")
 
+        empty_pairs = tuple(_empty_pair(e, n) for e in self.empty_pairs)
+        off_arc = {}
+        for i, j, t in empty_pairs:
+            if not arc_mask[i, j]:
+                off_arc.setdefault((i, j), t)
+        off_pairs = np.array(list(off_arc), dtype=int).reshape(-1, 2)
+
         arc_array = np.argwhere(arc_mask)
         ai, aj = arc_array.T
+        arc_time = travel_time[ai, aj]
         for name, value in (
                 ("demand", demand), ("travel_time", travel_time),
-                ("unit_cost", cost), ("n_locations", n),
-                ("projection", weights),
+                ("unit_cost", cost), ("empty_pairs", empty_pairs),
+                ("n_locations", n), ("projection", weights),
                 ("arc_array", arc_array), ("arc_demand", demand[ai, aj]),
-                ("arc_time", travel_time[ai, aj]),
+                ("arc_time", arc_time),
                 ("arcs", tuple(map(tuple, arc_array.tolist()))),
+                ("pair_array", np.concatenate([arc_array, off_pairs])),
+                ("pair_time", np.concatenate([arc_time, [*off_arc.values()]])),
                 ("_flat", ai * n + aj)):
             object.__setattr__(self, name, value)
         super().__post_init__()
@@ -169,14 +187,30 @@ class TrafficNetwork(FrozenArrays):
         return out
 
 
-def validate_network(demand, travel_time, unit_cost: float) -> TrafficNetwork:
-    """Validate raw matrices and build a TrafficNetwork.
+def _empty_pair(entry, n: int) -> tuple[int, int, float]:
+    """An empty travel time (i, j, t) as (int, int, float)."""
+    try:
+        i, j, t = entry
+        pair = int(i), int(j), float(t)
+        if pair[:2] == (i, j) and i != j and 0 <= min(i, j) \
+                and max(i, j) < n and 0 < pair[2] < np.inf:
+            return pair
+    except (TypeError, ValueError, OverflowError):
+        pass  # not three numbers: rejected below
+    raise NetworkValidationError(
+        f"empty pair {entry!r} is not (i, j, t) with locations i != j in "
+        f"0..{n - 1} and a positive, finite time t")
+
+
+def validate_network(demand, travel_time, unit_cost: float,
+                     empty_pairs=()) -> TrafficNetwork:
+    """Validate raw input and build a TrafficNetwork.
 
     Raises a :class:`NetworkValidationError` subclass naming the violated
     invariant (NegativeDemand, NonPositiveTravelTimeOnArc, SelfLoopDemand,
-    Disconnected, CostOutOfRange).
+    Disconnected, CostOutOfRange), or the base class for a bad empty pair.
     """
-    return TrafficNetwork(demand, travel_time, unit_cost)
+    return TrafficNetwork(demand, travel_time, unit_cost, empty_pairs)
 
 
 def projection_weights(demand: np.ndarray,

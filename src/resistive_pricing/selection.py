@@ -283,8 +283,7 @@ class StrategyComparison:
 def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
                      mode: str = "location", params=None,
                      seed: int | None = None,
-                     trials: int = 100,
-                     empty_pairs=None) -> StrategyComparison:
+                     trials: int = 100) -> StrategyComparison:
     """Compare resistance-based, optimal, and randomized selection.
 
     Resistance-based picks the Delta argmax; optimal exhaustively
@@ -295,10 +294,8 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
 
     With ``params`` the candidates are priced as one batch: one
     interior-point loop over the stack of their extended problems, which
-    share the network, ``params`` and the empty-routing pairs (the arcs
-    plus ``empty_pairs``, as :func:`~resistive_pricing.solve_extended`
-    takes them; the basic model has no empty routing and ignores them)
-    and differ only in the ad vector.  Each payoff equals that candidate's
+    share the network, with its empty-routing pairs, and ``params`` and
+    differ only in the ad vector.  Each payoff equals that candidate's
     own ``solve_extended`` bit for bit, and a failing batch raises the
     error of its first failing candidate, as a loop of single solves in
     candidate order would.
@@ -318,8 +315,7 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
     if params is None:
         payoffs = [solve_general(net, vec).payoff for vec in vectors]
     else:
-        payoffs = [sol.payoff
-                   for sol in _solve_rows(net, vectors, params, empty_pairs)]
+        payoffs = [sol.payoff for sol in _solve_rows(net, vectors, params)]
 
     deltas = [delta(net, vec) for vec in vectors]
     # argmax takes the first maximum: ties go to the smallest label

@@ -412,8 +412,7 @@ def arcs_off_cycles(net, pairs):
     return [(u, v) for u, v in net.arcs if u not in reach[v]]
 
 
-def exponential_duality_gap(net, a, params, sol, empty_pairs=None,
-                            margin=1e-6):
+def exponential_duality_gap(net, a, params, sol, margin=1e-6):
     """Lagrangian-dual bound minus the payoff of an exponential solution,
     relative to |payoff| plus the total vehicle mass.
 
@@ -430,7 +429,9 @@ def exponential_duality_gap(net, a, params, sol, empty_pairs=None,
     result is an upper bound on the optimum, so a small non-negative gap
     certifies the payoff.  The bound is tight only when the interior arcs
     determine the duals; with most prices at the box ends, or nodes joined
-    only by empty flows, the fit is loose and the gap overstates.
+    only by empty flows, the fit is loose and the gap overstates.  The
+    empty pairs are merged with the arcs here, from ``net.empty_pairs``,
+    not read off ``net.pair_array``.
     """
     from resistive_pricing.network import ad_matrix
 
@@ -440,7 +441,7 @@ def exponential_duality_gap(net, a, params, sol, empty_pairs=None,
                           net.unit_cost)
     pairs = [(i, j, net.travel_time[i, j]) for i, j in net.arcs]
     known = set(net.arcs)
-    for i, j, t in empty_pairs or ():
+    for i, j, t in net.empty_pairs:
         if (i, j) not in known:
             pairs.append((i, j, float(t)))
             known.add((i, j))

@@ -37,16 +37,39 @@ class TestFileFormats:
     def test_network_round_trip(self, workdir):
         demand = np.array([[0, 2.0, 0], [0.5, 0, 1.0], [1.5, 0, 0]])
         travel = np.where(demand > 0, 1.5, 1.0)
-        net = validate_network(demand, travel, 0.42)
+        net = validate_network(demand, travel, 0.42, [(0, 2, 2.5)])
         ads = np.where(demand > 0, 0.2, 0.0)
-        fileio.save_network("net.json", net, ad_revenue=ads,
-                            empty_pairs=[(0, 2, 2.5)])
+        fileio.save_network("net.json", net, ad_revenue=ads)
         loaded = fileio.load_network("net.json")
         assert loaded.network.n_locations == 3
         assert np.array_equal(loaded.network.demand, net.demand)
         assert loaded.network.unit_cost == 0.42
         assert loaded.ad_revenue.values[0, 1] == 0.2
-        assert loaded.empty_pairs == ((0, 2, 2.5),)
+        assert loaded.network.empty_pairs == ((0, 2, 2.5),)
+
+    def test_empty_pairs_round_trip_bit_equal(self, workdir):
+        """save_network writes the network's own empty pairs, arc repeats
+        and duplicates included, and load_network rebuilds the same pair
+        set, bit for bit."""
+        base, _ = synth_instance(8, 0.3, seed=3, profile="commuter")
+        rng = np.random.default_rng(11)
+        off = [(i, j, float(rng.uniform(0.1, 3.0)))
+               for i in range(8) for j in range(8)
+               if i != j and base.demand[i, j] == 0][:5]
+        given = off + [(*base.arcs[0], 0.7), off[1][:2] + (9.0,)]
+        net = validate_network(base.demand, base.travel_time,
+                               base.unit_cost, given)
+        fileio.save_network("net.json", net)
+        back = fileio.load_network("net.json").network
+        assert back.empty_pairs == net.empty_pairs == tuple(given)
+        assert len(net.pair_array) == len(net.arcs) + 5
+        for name in ("pair_array", "pair_time"):
+            got, want = getattr(back, name), getattr(net, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        fileio.save_network("arcs.json", base)
+        assert "empty_travel_time" not in json.loads(
+            Path("arcs.json").read_text())
 
     def test_missing_ad_revenue_means_zero(self, workdir):
         doc = {"n": 2, "cost": 0.6,
@@ -188,6 +211,10 @@ MALFORMED = [
         {"from": 1, "to": 1, "travel_time": 1}]}}, PRICE_EXTENDED),
     ({"net.json": {**ring(*RING), "empty_travel_time": [
         {"from": 0, "to": 2, "travel_time": 0}]}}, PRICE_EXTENDED),
+    ({"net.json": {**ring(*RING), "empty_travel_time": [
+        {"from": 0, "to": 2, "travel_time": float("nan")}]}}, PRICE_EXTENDED),
+    ({"net.json": {**ring(*RING), "empty_travel_time": [
+        {"from": 0, "to": 2, "travel_time": float("nan")}]}}, PRICE),
     ({}, SWEEP + ["nan:50:10"]),
     ({}, SWEEP + ["10:inf:10"]),
     ({}, SWEEP + ["10:50:0"]),
@@ -203,7 +230,8 @@ MALFORMED_IDS = ["arc-without-to", "to-out-of-range", "arcs-not-objects",
                  "ad-from-fractional", "advertiser-from-fractional",
                  "n-fractional", "budget-fractional", "budget-zero",
                  "arc-bid-negative", "arc-bid-off-arc", "empty-self-loop",
-                 "empty-time-zero", "grid-start-nan", "grid-stop-inf",
+                 "empty-time-zero", "empty-time-nan", "empty-time-nan-price",
+                 "grid-start-nan", "grid-stop-inf",
                  "grid-step-zero", "grid-step-negative", "bbox-three-fields",
                  "window-one-field", "report-empty", "report-unknown-header"]
 
@@ -309,7 +337,8 @@ def test_extended_select_and_sweeps_route_empty_pairs(workdir):
     net, catalog = synth_instance(8, 0.3, seed=3, profile="commuter")
     off = [(i, j, 0.5) for i in range(8) for j in range(8)
            if i != j and net.demand[i, j] == 0][:6]
-    fileio.save_network("net.json", net, empty_pairs=off)
+    fileio.save_network("net.json", validate_network(
+        net.demand, net.travel_time, net.unit_cost, off))
     fileio.save_network("arcs-only.json", net)
     fileio.save_advertisers("adv.json", catalog)
     mass = float((net.arc_demand * net.arc_time).sum())

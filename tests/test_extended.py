@@ -21,7 +21,6 @@ from resistive_pricing import (
 from resistive_pricing.extended import (
     IPM_TOL,
     _mutual_reach,
-    _pair_set,
     _solve_rows,
 )
 from resistive_pricing.qp import solve_convex_qp
@@ -72,7 +71,9 @@ def test_strong_classes_match_dfs():
             n = net.n_locations
             extra = [(*rng.integers(n, size=2), rng.uniform(0.5, 3))
                      for _ in range(rng.integers(0, 4))]
-            pairs, _ = _pair_set(net, [e for e in extra if e[0] != e[1]])
+            pairs = validate_network(
+                net.demand, net.travel_time, net.unit_cost,
+                [e for e in extra if e[0] != e[1]]).pair_array
         else:
             n = int(rng.integers(1, 11))
             pairs = np.argwhere((rng.random((n, n)) < 0.15) & ~np.eye(
@@ -277,8 +278,9 @@ class TestUniformSolver:
                                 demand=DemandModel.uniform())
         closed = solve_extended(net, a, params)
         assert closed.payoff == pytest.approx(0.0, abs=1e-9)
-        with_pair = solve_extended(net, a, params,
-                                   empty_pairs=[(1, 0, 1.0)])
+        with_pair = solve_extended(
+            validate_network(demand, np.ones((2, 2)), 0.6, [(1, 0, 1.0)]),
+            a, params)
         # optimum p = 0.54: (1-p)(p + 1 - c) - 0.48 (1-p)
         assert with_pair.payoff == pytest.approx(0.46 * 0.46, abs=1e-8)
         assert with_pair.empty_flows[1, 0] == pytest.approx(0.46, abs=1e-8)
@@ -512,12 +514,14 @@ class TestExponentialInteriorPoint:
                 continue
             params = ExtendedParams(eta=eta, psi=psi,
                                     demand=DemandModel.exponential(gamma))
-            sol = solve_extended(net, a, params, empty_pairs=extra)
+            net = validate_network(net.demand, net.travel_time,
+                                   net.unit_cost, extra)
+            sol = solve_extended(net, a, params)
             assert sol.kkt_residual < IPM_TOL
             assert float(net.on_arcs(sol.prices).min()) \
                 == pytest.approx(-1.0, abs=1e-9)
             assert payoff_extended(net, a, params, sol.prices,
-                                   sol.empty_flows, empty_pairs=extra) \
+                                   sol.empty_flows) \
                 == pytest.approx(sol.payoff, rel=1e-9)
 
     def test_tiny_capacity_infeasible(self):
@@ -533,25 +537,23 @@ class TestExponentialInteriorPoint:
         return pair needs 100 z >= 4.5e-3 > psi: no balanced flow fits."""
         demand = np.zeros((2, 2))
         demand[0, 1] = 1.0
-        net = validate_network(demand, np.ones((2, 2)), 0.5)
+        net = validate_network(demand, np.ones((2, 2)), 0.5, [(1, 0, 100.0)])
         params = ExtendedParams(eta=0.8, psi=1e-3,
                                 demand=DemandModel.exponential(1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(Infeasible, match="interior-point iterations"):
-                solve_extended(net, None, params, seed=0,
-                               empty_pairs=[(1, 0, 100.0)])
+                solve_extended(net, None, params, seed=0)
 
     def test_iteration_cap_classified_by_primal_residual(self, monkeypatch):
         demand = np.zeros((2, 2))
         demand[0, 1] = 1.0
-        net = validate_network(demand, np.ones((2, 2)), 0.5)
+        net = validate_network(demand, np.ones((2, 2)), 0.5, [(1, 0, 100.0)])
         params = ExtendedParams(eta=0.8, psi=1e-3,
                                 demand=DemandModel.exponential(1.0))
         monkeypatch.setattr("resistive_pricing.extended.IPM_MAX_ITER", 5)
         with pytest.raises(Infeasible, match="after 5 interior-point"):
-            solve_extended(net, None, params, seed=0,
-                           empty_pairs=[(1, 0, 100.0)])
+            solve_extended(net, None, params, seed=0)
         # a feasible instance primal feasible after 6 iterations, done at 7
         net, _ = synth_instance(6, 0.5, seed=4, profile="commuter")
         mass = float((net.arc_demand * net.arc_time).sum())
@@ -571,25 +573,24 @@ class TestExponentialInteriorPoint:
                                 demand=DemandModel.exponential(2.0))
         with pytest.raises(Infeasible, match=r"arc \(0, 1\)"):
             solve_extended(net, None, params, seed=0)
-        sol = solve_extended(net, None, params, seed=0,
-                             empty_pairs=[(1, 0, 1.0)])
+        net = validate_network(demand, np.ones((3, 3)), 0.6, [(1, 0, 1.0)])
+        sol = solve_extended(net, None, params, seed=0)
         assert sol.empty_flows[1, 0] == pytest.approx(
             np.exp(-2.0 * sol.prices[0, 1]), rel=1e-9)
-        assert abs(exponential_duality_gap(
-            net, None, params, sol, empty_pairs=[(1, 0, 1.0)])) <= 1e-8
+        assert abs(exponential_duality_gap(net, None, params, sol)) <= 1e-8
 
     def test_capacity_binds_under_large_ads_and_gamma(self):
         """The per-arc optimum lies far beyond the capacity (z ~ e^60
         theta); the answer is the closed form z = psi / (xi + t)."""
         demand = np.zeros((2, 2))
         demand[1, 0] = 3.0
-        net = validate_network(demand, np.full((2, 2), 2.4), 0.5)
+        net = validate_network(demand, np.full((2, 2), 2.4), 0.5,
+                               [(0, 1, 2.0)])
         a = np.zeros((2, 2))
         a[1, 0] = 2.5
         params = ExtendedParams(eta=0.7, psi=1.8,
                                 demand=DemandModel.exponential(33.0))
-        sol = solve_extended(net, a, params, seed=0,
-                             empty_pairs=[(0, 1, 2.0)])
+        sol = solve_extended(net, a, params, seed=0)
         z = 1.8 / (2.4 + 2.0)
         expected = 2.4 * z * 2.0 - 2.4 / 33.0 * z * np.log(z / 3.0) \
             - 0.7 * 0.5 * 2.0 * z
@@ -695,10 +696,9 @@ class TestCandidateBatch:
     """A candidate set solved as one stack equals its single solves."""
 
     @staticmethod
-    def assert_rows_match_single_solves(net, ads, params, empty_pairs=None):
-        batch = _solve_rows(net, ads, params, empty_pairs)
-        singles = [solve_extended(net, a, params, empty_pairs=empty_pairs)
-                   for a in ads]
+    def assert_rows_match_single_solves(net, ads, params):
+        batch = _solve_rows(net, ads, params)
+        singles = [solve_extended(net, a, params) for a in ads]
         assert [solution_digest(s) for s in batch] \
             == [solution_digest(s) for s in singles]
 
@@ -738,11 +738,13 @@ class TestCandidateBatch:
         mass = float((net.arc_demand * net.arc_time).sum())
         off = [(i, j, 0.5) for i in range(8) for j in range(8)
                if i != j and net.demand[i, j] == 0][:6]
+        net = validate_network(net.demand, net.travel_time, net.unit_cost,
+                               off)
         for demand in (DemandModel.uniform(), DemandModel.exponential(2.0)):
             params = ExtendedParams(eta=0.8, psi=0.3 * mass, demand=demand)
-            self.assert_rows_match_single_solves(net, ads, params, off)
-            forward = _solve_rows(net, ads, params, off)
-            backward = _solve_rows(net, ads[::-1], params, off)
+            self.assert_rows_match_single_solves(net, ads, params)
+            forward = _solve_rows(net, ads, params)
+            backward = _solve_rows(net, ads[::-1], params)
             assert [solution_digest(s) for s in forward] \
                 == [solution_digest(s) for s in backward[::-1]]
 

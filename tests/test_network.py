@@ -1,5 +1,6 @@
 import inspect
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from resistive_pricing.network import connected_components, projection_weights
 from gen import random_connected_network
 
 
-def three_cycle(cost=0.6):
+def three_cycle(cost=0.6, empty_pairs=()):
     demand = np.array([[0, 1.0, 0], [0, 0, 1.0], [1.0, 0, 0]])
-    return validate_network(demand, np.ones((3, 3)), cost)
+    return validate_network(demand, np.ones((3, 3)), cost, empty_pairs)
 
 
 class TestValidation:
@@ -96,11 +97,12 @@ class TestValidation:
             getattr(net, name)[0, 1] = 2
 
 
-    @pytest.mark.parametrize("name", ["projection", "arc_demand", "arc_time"])
+    @pytest.mark.parametrize("name", ["projection", "arc_demand", "arc_time",
+                                      "pair_array", "pair_time"])
     def test_cached_arrays_read_only(self, name):
-        """The cached per-arc vectors and the projection are read-only, and
-        stay so after a pickle round trip."""
-        net = three_cycle()
+        """The cached per-arc and per-pair vectors and the projection are
+        read-only, and stay so after a pickle round trip."""
+        net = three_cycle(empty_pairs=[(1, 0, 2.5)])
         for copy in (net, pickle.loads(pickle.dumps(net))):
             arr = getattr(copy, name)
             assert np.array_equal(arr, getattr(net, name))
@@ -111,6 +113,53 @@ class TestValidation:
         net = random_connected_network(np.random.default_rng(4), n_max=9)
         assert np.array_equal(net.arc_demand, net.on_arcs(net.demand))
         assert np.array_equal(net.arc_time, net.on_arcs(net.travel_time))
+
+
+class TestEmptyPairs:
+    """The network owns its empty-routing pairs: the arcs, then the
+    off-arc pairs it was given, each checked once, at construction."""
+
+    def test_arcs_first_then_off_arc_pairs_in_order_given(self):
+        """A pair that is an arc is ignored; a repeated pair keeps its
+        first time."""
+        given = ((1, 0, 2.5), (0, 1, 9.0), (2, 1, 0.5), (1, 0, 7.0))
+        net = three_cycle(empty_pairs=given)
+        assert net.empty_pairs == given
+        assert net.pair_array.tolist() == [[0, 1], [1, 2], [2, 0], [1, 0],
+                                           [2, 1]]
+        assert net.pair_time.tolist() == [1.0, 1.0, 1.0, 2.5, 0.5]
+
+    def test_no_pairs_means_the_arcs(self):
+        net = three_cycle()
+        assert net.empty_pairs == ()
+        for pairs, arcs in ((net.pair_array, net.arc_array),
+                            (net.pair_time, net.arc_time)):
+            assert pairs.dtype == arcs.dtype and np.array_equal(pairs, arcs)
+
+    def test_pairs_normalised_to_int_int_float(self):
+        net = three_cycle(empty_pairs=np.array([[1.0, 0.0, 2.5]]))
+        demand = three_cycle().demand
+        keyword = TrafficNetwork(
+            demand, np.ones((3, 3)), 0.6,
+            empty_pairs=[(np.int64(1), 0, np.float32(2.5))])
+        for copy in (net, keyword):
+            assert copy.empty_pairs == ((1, 0, 2.5),)
+            assert [type(v) for v in copy.empty_pairs[0]] == [int, int, float]
+
+    @pytest.mark.parametrize("pair", [
+        (-1, 2, 1.0), (0, 99, 1.0), (0, 3, 1.0), (0.5, 2, 1.0),
+        (np.nan, 2, 1.0), (1, 1, 1.0), (0, 2, 0.0), (0, 2, -1.0),
+        (0, 2, np.nan), (0, 2, np.inf), (0, 1, np.nan), ("0", 2, 1.0),
+        (0, 2, "x"), (0, 2), (0, 2, 1.0, 1.0), None],
+        ids=["from-negative", "to-out-of-range", "to-is-n", "from-fractional",
+             "from-nan", "self-loop", "time-zero", "time-negative",
+             "time-nan", "time-inf", "arc-time-nan", "from-string",
+             "time-string", "two-fields", "four-fields", "not-a-triple"])
+    def test_bad_pair_rejected_naming_it(self, pair):
+        """Each is rejected by name at construction, not truncated, wrapped
+        around or left to fail inside a solve."""
+        with pytest.raises(NetworkValidationError, match=re.escape(repr(pair))):
+            three_cycle(empty_pairs=[(1, 0, 2.5), pair])
 
 
 class TestArcLayout:
