@@ -20,6 +20,8 @@ from .selection import AdvertiserCatalog
 
 EARTH_RADIUS_M = 6_371_000.0
 KMEANS_MAX_ITER = 300
+# most squared distances _kmeans holds at once: its column blocks
+KMEANS_BLOCK = 1 << 16
 # relative skip margin of the bound-accelerated k-means (see _kmeans)
 KMEANS_MARGIN = 1e-9
 
@@ -157,13 +159,22 @@ def _project_metres(lat, lon, bbox):
 def _kmeans(points, k, rng):
     """k-means++ seeding, then Lloyd iterations on an (n, 2) point array.
 
-    Squared distances are ``dx*dx + dy*dy`` from 1-D coordinate arrays,
-    kept as a (k, m) array; each point takes the first nearest centroid.
-    A centroid is its members' coordinate sums (``np.bincount``, in index
-    order) over their count.  At most ``KMEANS_MAX_ITER`` iterations,
-    stopping when no label changes; one last full pass gives the labels
-    and the inertia.  Returns (centers, labels, inertia).  Raises
-    TooFewPoints when the seeding finds fewer than k distinct points.
+    Squared distances are ``dx*dx + dy*dy`` from 1-D coordinate arrays;
+    each point takes the first nearest centroid.  A centroid is its
+    members' coordinate sums (``np.bincount``, in index order) over their
+    count.  Returns (centers, labels, inertia), where the inertia sums
+    each point's squared distance to its own centroid.  Raises
+    TooFewPoints when k exceeds n, before any draw, or when the seeding
+    finds fewer than k distinct points.
+
+    The seeding computes every point's distance to every centre, so it
+    also gives the first assignment: each point's first nearest centre
+    (a strictly smaller distance moves it, so ties keep the lower index)
+    with its smallest and second-smallest squared distances.  Then each
+    of at most ``KMEANS_MAX_ITER`` iterations updates the centroids and
+    assigns every point again, and the loop ends on an assignment: when
+    no label changed, or at the cap.  The labels are therefore those of
+    the final centroids, with no further pass.
 
     Most points stop moving after a few iterations, so the loop keeps,
     per point, an upper bound ``u`` on the distance to its own centroid
@@ -175,7 +186,10 @@ def _kmeans(points, k, rng):
     get a full column of distances, and ``u`` and ``l`` are reset to its
     smallest and second-smallest entries.  After each centroid update,
     ``u`` grows by the distance its own centroid moved and ``l`` shrinks
-    by the largest move among the other centroids.
+    by the largest move among the other centroids.  Columns come in
+    blocks of at most ``KMEANS_BLOCK`` distances (and at least one
+    column), and only per-point results are kept, so memory grows with n,
+    not with k times n.
 
     The margin covers rounding, so that a skipped point's computed
     distances would also have given it its label, ties included: a
@@ -185,99 +199,133 @@ def _kmeans(points, k, rng):
     magnitude covers the cancellation in ``l``, which loses at most one
     rounding of the point cloud's diameter per iteration.  Labels,
     centroids and inertia are therefore bit-identical to full Lloyd
-    passes.
+    passes that start from all-zero labels and stop after the first
+    iteration that leaves the labels as they were.
 
     In an iteration that leaves some cluster empty, clusters are visited
     in order instead, after one full pass: an empty one is reseeded at
     the point farthest from every centroid, which then joins it, and the
-    next iteration gives every point a full column.  One debug record
-    per call gives the iterations and the distance columns computed.
+    next assignment gives every point a full column.  One debug record
+    per call gives the assignments and the distance columns computed.
     """
     n = len(points)
+    if k > n:
+        raise TooFewPoints(f"need at least {k} distinct endpoints")
     x = np.ascontiguousarray(points[:, 0])
     y = np.ascontiguousarray(points[:, 1])
 
-    # k-means++ seeding
+    # k-means++ seeding, which also makes the first assignment
     centers = np.empty((k, 2))
     centers[0] = points[rng.integers(n)]
+    labels = np.zeros(n, dtype=int)
     d2 = (x - centers[0, 0]) ** 2 + (y - centers[0, 1]) ** 2
+    second = np.full(n, np.inf)
     for ci in range(1, k):
         # d2 sums to 0 exactly when the ci centres hold every distinct point
         total = d2.sum()
         if total == 0:
             raise TooFewPoints(f"need at least {k} distinct endpoints")
         centers[ci] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, (x - centers[ci, 0]) ** 2 + (y - centers[ci, 1]) ** 2)
+        dc = (x - centers[ci, 0]) ** 2 + (y - centers[ci, 1]) ** 2
+        labels[dc < d2] = ci
+        np.minimum(second, np.maximum(d2, dc), out=second)
+        np.minimum(d2, dc, out=d2)
+    upper = np.sqrt(d2, out=d2)
+    lower = np.sqrt(second, out=second)
 
-    dists = np.empty((k, n))
-    dy = np.empty((k, n))
+    cols = max(1, KMEANS_BLOCK // k)
+    buffers = np.empty((2, k * min(cols, n)))
 
-    def squared_distances(px, py):
-        """(k, m) squared distances to m points, in the buffers' heads."""
-        m = len(px)
-        out = dists.reshape(-1)[:k * m].reshape(k, m)
-        tmp = dy.reshape(-1)[:k * m].reshape(k, m)
-        np.subtract.outer(centers[:, 0], px, out=out)
-        np.subtract.outer(centers[:, 1], py, out=tmp)
-        np.multiply(out, out, out=out)
-        np.multiply(tmp, tmp, out=tmp)
-        return np.add(out, tmp, out=out)
+    def blocks(idx=None):
+        """Yield (index, (k, m) squared distances) for the points idx, all
+        points when None, at most ``cols`` points at a time."""
+        size = n if idx is None else len(idx)
+        for lo in range(0, size, cols):
+            at = slice(lo, lo + cols) if idx is None else idx[lo:lo + cols]
+            px, py = x[at], y[at]
+            out = buffers[0, :k * len(px)].reshape(k, -1)
+            tmp = buffers[1, :k * len(px)].reshape(k, -1)
+            np.subtract.outer(centers[:, 0], px, out=out)
+            np.subtract.outer(centers[:, 1], py, out=tmp)
+            np.multiply(out, out, out=out)
+            np.multiply(tmp, tmp, out=tmp)
+            yield at, np.add(out, tmp, out=out)
 
     floor = (KMEANS_MAX_ITER + 8) * np.spacing(4.0 * np.abs(points).max())
-    upper = np.full(n, np.inf)
-    lower = np.zeros(n)
-    labels = np.zeros(n, dtype=int)
-    columns = 0
+    # whether the last assignment changed a label, and the points it moved
+    # with their labels before (None: the plain loop's all-zero start)
+    changed = bool(labels.any())
+    moved = was = None
+    assignments, columns = 1, n
     for it in range(KMEANS_MAX_ITER):
-        gaps = np.sqrt(((centers[:, None] - centers[None]) ** 2).sum(axis=2))
-        np.fill_diagonal(gaps, np.inf)
-        half = 0.5 * gaps.min(axis=1)
-        stale = np.flatnonzero(upper * (1.0 + KMEANS_MARGIN) + floor
-                               >= np.maximum(lower, half[labels]))
-        columns += len(stale)
-        block = squared_distances(x[stale], y[stale])
-        near = block.argmin(axis=0)
-        cols = np.arange(len(stale))
-        upper[stale] = np.sqrt(block[near, cols])
-        block[near, cols] = np.inf
-        lower[stale] = np.sqrt(block.min(axis=0))
-        new_labels = labels.copy()
-        new_labels[stale] = near
-
         old = centers.copy()
-        counts = np.bincount(new_labels, minlength=k)
-        if counts.all():
+        counts = np.bincount(labels, minlength=k)
+        reseeded = not counts.all()
+        if not reseeded:
             centers = np.column_stack([
-                np.bincount(new_labels, weights=x, minlength=k) / counts,
-                np.bincount(new_labels, weights=y, minlength=k) / counts])
+                np.bincount(labels, weights=x, minlength=k) / counts,
+                np.bincount(labels, weights=y, minlength=k) / counts])
         else:
             log.debug("k-means iteration %d left %d cluster(s) empty: full "
                       "pass and reseed", it + 1, k - np.count_nonzero(counts))
-            nearest = squared_distances(x, y).min(axis=0)
+            if moved is None:
+                before = np.zeros_like(labels)
+            else:
+                before = labels.copy()
+                before[moved] = was
+            nearest = np.empty(n)
+            for at, block in blocks():
+                block.min(axis=0, out=nearest[at])
             columns += n
             for ci in range(k):
-                sel = new_labels == ci
+                sel = labels == ci
                 if sel.any():
                     centers[ci] = points[sel].mean(axis=0)
                 else:
                     far = int(nearest.argmax())
                     centers[ci] = points[far]
-                    new_labels[far] = ci
+                    labels[far] = ci
             upper[:] = np.inf
-        moved = np.sqrt(((centers - old) ** 2).sum(axis=1))
-        top = int(moved.argmax())
-        others = np.full(k, moved[top])
-        others[top] = np.partition(moved, k - 2)[k - 2]
-        upper += moved[new_labels]
-        lower -= others[new_labels]
-        if np.array_equal(new_labels, labels):
+            changed = not np.array_equal(labels, before)
+        drift = np.sqrt(((centers - old) ** 2).sum(axis=1))
+        top = int(drift.argmax())
+        others = np.full(k, drift[top])
+        others[top] = np.partition(drift, k - 2)[k - 2]
+        upper += drift[labels]
+        lower -= others[labels]
+
+        gaps = np.sqrt(((centers[:, None] - centers[None]) ** 2).sum(axis=2))
+        np.fill_diagonal(gaps, np.inf)
+        half = 0.5 * gaps.min(axis=1)
+        stale = np.flatnonzero(upper * (1.0 + KMEANS_MARGIN) + floor
+                               >= np.maximum(lower, half[labels]))
+        assignments += 1
+        columns += len(stale)
+        moved, was = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+        for at, block in blocks(stale):
+            near = block.argmin(axis=0)
+            j = np.arange(len(near))
+            upper[at] = np.sqrt(block[near, j])
+            block[near, j] = np.inf
+            lower[at] = np.sqrt(block.min(axis=0))
+            prev = labels[at]
+            move = near != prev
+            moved.append(at[move])
+            was.append(prev[move])
+            labels[at] = near
+        moved, was = np.concatenate(moved), np.concatenate(was)
+        # the plain loop stops after an update that leaves the labels as
+        # they were, and this assignment is its final pass; after a bincount
+        # update, an assignment that moves no point means the next update
+        # would give the same centroids and stop it
+        if not changed or not (reseeded or len(moved)):
             break
-        labels = new_labels
-    log.debug("k-means: %d iterations, %d distance columns, n x iterations "
-              "= %d", it + 1, columns, n * (it + 1))
-    labels = squared_distances(x, y).argmin(axis=0)
-    inertia = float(dists[labels, np.arange(n)].sum())
-    return centers, labels, inertia
+        changed = len(moved) > 0
+    log.debug("k-means: %d assignments, %d distance columns, n x assignments "
+              "= %d", assignments, columns, n * assignments)
+    dist = (centers[labels, 0] - x) ** 2
+    dist += (centers[labels, 1] - y) ** 2
+    return centers, labels, float(dist.sum())
 
 
 def cluster_endpoints(rides: Rides, k: int, bbox, seed) -> ClusteringResult:
@@ -286,8 +334,10 @@ def cluster_endpoints(rides: Rides, k: int, bbox, seed) -> ClusteringResult:
     Rides must already be filtered to bbox and the time window.  The
     origins, then the destinations, are projected to metres; fewer than k
     distinct points raise TooFewPoints.  k-means++ initialization from
-    ``seed``; Lloyd iterations capped at ``KMEANS_MAX_ITER``;
-    deterministic given the seed.
+    ``seed`` also gives the first assignment; Lloyd iterations, capped at
+    ``KMEANS_MAX_ITER``, end on an assignment, and distances come in
+    blocks of at most ``KMEANS_BLOCK`` entries (see ``_kmeans``).
+    Deterministic given the seed.
     """
     if k < 2:
         raise ValueError("k must be at least 2")

@@ -164,6 +164,9 @@ SWEEP = ["sweep-psi", "--network", "net.json", "--advertisers", "adv.json",
          "--seed", "0", "--psi-grid"]
 INGEST = ["ingest", "--rides", "rides.csv", "--seed", "0", "--bbox",
           "30.65,30.69,104.03,104.08", "--window"]
+TWO_RIDES = ("pickup_time,dropoff_time,pickup_lon,pickup_lat,dropoff_lon,"
+             "dropoff_lat\n0,600,104.04,30.66,104.05,30.67\n"
+             "100,700,104.06,30.68,104.04,30.66\n")
 
 
 def ring(*arcs):
@@ -221,6 +224,7 @@ MALFORMED = [
     ({}, SWEEP + ["10:50:-10"]),
     ({}, INGEST[:-2] + ["30.65,30.69,104.03", "--window", "0,4200"]),
     ({}, INGEST + ["4200"]),
+    ({"rides.csv": TWO_RIDES}, INGEST + ["0,4200", "--k", "1000000000"]),
     ({"t.csv": ""}, ["report", "t.csv"]),
     ({"t.csv": "a,b\n1,2\n"}, ["report", "t.csv"]),
 ]
@@ -233,7 +237,8 @@ MALFORMED_IDS = ["arc-without-to", "to-out-of-range", "arcs-not-objects",
                  "empty-time-zero", "empty-time-nan", "empty-time-nan-price",
                  "grid-start-nan", "grid-stop-inf",
                  "grid-step-zero", "grid-step-negative", "bbox-three-fields",
-                 "window-one-field", "report-empty", "report-unknown-header"]
+                 "window-one-field", "k-above-endpoints", "report-empty",
+                 "report-unknown-header"]
 
 
 def write_files(files):

@@ -6,12 +6,15 @@ the CSV reader must accept any column order and reject bad rows.
 """
 
 import csv
+import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from resistive_pricing import Rides, aggregate_network, cluster_endpoints
+from resistive_pricing import (Rides, aggregate_network, cluster_endpoints,
+                               ingest)
 from resistive_pricing.cli import main
 from resistive_pricing.ingest import (
     TooFewPoints,
@@ -27,14 +30,6 @@ from oracles import aggregate_reference, kmeans_reference
 BBOX = (30.65, 30.69, 104.03, 104.08)
 HEADER = ["pickup_time", "dropoff_time", "pickup_lon", "pickup_lat",
           "dropoff_lon", "dropoff_lat"]
-
-
-def assert_same_kmeans(points, k, new_rng):
-    got = _kmeans(points, k, new_rng())
-    want = kmeans_reference(points, k, new_rng())
-    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
-    assert np.array_equal(got[1], want[1])
-    assert got[2] == want[2]
 
 
 class ScriptedSeeds:
@@ -86,91 +81,227 @@ def collinear_lattice(draw, diagonal=False):
     return points, k
 
 
+def assert_same_kmeans(points, k, new_rng, want=None):
+    """_kmeans against kmeans_reference at the same iteration cap, bit for
+    bit; ``want`` is the reference's result when already computed."""
+    if want is None:
+        want = kmeans_reference(points, k, new_rng(),
+                                max_iter=ingest.KMEANS_MAX_ITER)
+    got = _kmeans(points, k, new_rng())
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+# k-means draws: each builder returns (points, k, new_rng)
+
+def normal_draw(draw):
+    rng = np.random.default_rng(draw)
+    n = int(rng.integers(20, 400))
+    k = int(rng.integers(2, 16))
+    spread = 10.0 ** rng.uniform(0, 4)
+    points = rng.normal(0.0, spread, size=(n, 2))
+    if draw % 4 == 0:
+        # blobs: well-separated clusters
+        points += rng.uniform(-1e4, 1e4, size=(k, 2))[rng.integers(k, size=n)]
+    return points, k, lambda: np.random.default_rng(draw)
+
+
+def duplicates_draw(draw):
+    rng = np.random.default_rng(100 + draw)
+    points = np.round(rng.uniform(0, 4, size=(300, 2))) * 250.0
+    return (points, int(rng.integers(3, 12)),
+            lambda: np.random.default_rng(draw))
+
+
+def scripted_draw(seeds):
+    points = np.random.default_rng(7).normal(0.0, 100.0, size=(40, 2))
+    return points, len(seeds), lambda: ScriptedSeeds(seeds)
+
+
+def reseed_draw(case):
+    points, seeds = case
+    return (np.array(points, dtype=float), len(seeds),
+            lambda: ScriptedSeeds(seeds))
+
+
+def hotspots_draw(draw):
+    rng = np.random.default_rng(draw)
+    lat0, lat1, lon0, lon1 = BBOX
+    grid = np.stack(np.meshgrid(np.linspace(lat0 + 0.007, lat1 - 0.007, 3),
+                                np.linspace(lon0 + 0.006, lon1 - 0.006, 5),
+                                indexing="ij"), axis=-1).reshape(-1, 2)
+    centre = grid + rng.uniform(-0.001, 0.001, size=grid.shape)
+    rate = rng.uniform(0.3, 1.0, len(centre))
+    hotspot = rng.choice(len(centre), size=40_000, p=rate / rate.sum())
+    ends = centre[hotspot] + rng.normal(0.0, 0.0009, size=(40_000, 2))
+    ends = np.clip(ends, [lat0, lon0], [lat1, lon1])
+    points = _project_metres(ends[:, 0], ends[:, 1], BBOX)
+    return points, 15, lambda: np.random.default_rng(draw)
+
+
+def collinear_draw(draw, diagonal=False):
+    return (*collinear_lattice(draw, diagonal),
+            lambda: np.random.default_rng(draw))
+
+
+def diagonal_draw(draw):
+    return collinear_draw(draw, diagonal=True)
+
+
+def integer_lattice_draw(draw):
+    rng = np.random.default_rng(draw)
+    side = int(rng.integers(3, 12))
+    k = int(rng.integers(2, 10))
+    grid = np.stack(np.meshgrid(np.arange(side),
+                                np.arange(int(rng.integers(2, 12)))),
+                    axis=-1).reshape(-1, 2).astype(float)
+    points = np.repeat(grid, rng.integers(1, 4, size=len(grid)), axis=0)
+    return points, k, lambda: np.random.default_rng(draw)
+
+
+def far_draw(draw):
+    rng = np.random.default_rng(draw)
+    n = int(rng.integers(50, 600))
+    k = int(rng.integers(2, 12))
+    offset = 10 ** rng.uniform(5, 9) * rng.choice([-1, 1], size=2)
+    points = offset + rng.normal(0, 10 ** rng.uniform(-7, 1), size=(n, 2))
+    return points, k, lambda: np.random.default_rng(draw)
+
+
+SCRIPTED_SEEDS = [[0, 5, 5, 9], [3, 3, 3, 7, 1], [8, 2, 8, 2, 8, 2],
+                  [18, 35, 31, 28, 35, 30, 2]]
+# a few integer points with seeds that repeat one, so clusters empty and
+# are reseeded.  In the first three the second reseed gives back the
+# labels of the first, so the plain loop stops there although the
+# centroids moved; in the last an assignment after a reseed moves no
+# point, but the reseeded centroids are no means of their clusters, so
+# the plain loop goes on
+RESEEDS = [([[0, 0], [3, 0], [2, 0]], [1, 2, 2]),
+           ([[2, 0], [0, 2], [2, 1]], [0, 2, 2]),
+           ([[1, 2], [1, 0], [3, 0], [2, 2]], [3, 0, 3, 2]),
+           ([[2, 0], [1, 0], [1, 0], [0, 0], [3, 0], [1, 0]], [5, 1, 5])]
+COLLINEAR_DRAWS = [5, 12, 22, 204, 436, 655]
+DIAGONAL_DRAWS = [841, 2941, 4385, 4830]
+INTEGER_LATTICE_DRAWS = [125, 259, 268]
+FAR_DRAWS = [0, 1, 2, 3, 18, 52]
+KMEANS_DRAWS = [
+    (normal_draw, range(40)),
+    (duplicates_draw, range(10)),
+    (scripted_draw, SCRIPTED_SEEDS),
+    (reseed_draw, RESEEDS),
+    (hotspots_draw, [11]),
+    (collinear_draw, COLLINEAR_DRAWS),
+    (diagonal_draw, DIAGONAL_DRAWS),
+    (integer_lattice_draw, INTEGER_LATTICE_DRAWS),
+    (far_draw, FAR_DRAWS),
+]
+
+
+def every_kmeans_draw():
+    for build, draws in KMEANS_DRAWS:
+        for draw in draws:
+            yield build(draw)
+
+
 class TestKMeans:
     @pytest.mark.parametrize("draw", range(40))
     def test_matches_reference(self, draw):
-        rng = np.random.default_rng(draw)
-        n = int(rng.integers(20, 400))
-        k = int(rng.integers(2, 16))
-        spread = 10.0 ** rng.uniform(0, 4)
-        points = rng.normal(0.0, spread, size=(n, 2))
-        if draw % 4 == 0:
-            # blobs: well-separated clusters
-            points += rng.uniform(-1e4, 1e4, size=(k, 2))[rng.integers(k, size=n)]
-        assert_same_kmeans(points, k, lambda: np.random.default_rng(draw))
+        assert_same_kmeans(*normal_draw(draw))
 
     @pytest.mark.parametrize("draw", range(10))
     def test_matches_reference_with_duplicates(self, draw):
-        rng = np.random.default_rng(100 + draw)
-        points = np.round(rng.uniform(0, 4, size=(300, 2))) * 250.0
-        assert_same_kmeans(points, int(rng.integers(3, 12)),
-                           lambda: np.random.default_rng(draw))
+        assert_same_kmeans(*duplicates_draw(draw))
 
-    @pytest.mark.parametrize("seeds", [[0, 5, 5, 9], [3, 3, 3, 7, 1],
-                                       [8, 2, 8, 2, 8, 2],
-                                       [18, 35, 31, 28, 35, 30, 2]])
+    @pytest.mark.parametrize("seeds", SCRIPTED_SEEDS)
     def test_matches_reference_through_empty_cluster_reseed(self, seeds):
         # seeding that repeats a point leaves a cluster empty after the
         # first assignment (ties go to the lower index), so it is reseeded
-        points = np.random.default_rng(7).normal(0.0, 100.0, size=(40, 2))
-        assert_same_kmeans(points, len(seeds), lambda: ScriptedSeeds(seeds))
+        assert_same_kmeans(*scripted_draw(seeds))
+
+    @pytest.mark.parametrize("case", RESEEDS)
+    def test_matches_reference_around_empty_cluster_reseeds(self, case):
+        assert_same_kmeans(*reseed_draw(case))
 
     def test_matches_reference_on_hotspots_at_bench_scale(self):
         # 40 000 endpoints scattered about 100 m around 15 hotspots about
         # 1 km apart, projected to metres (~1e7): after the first passes
         # the bounds skip almost every point
-        rng = np.random.default_rng(11)
-        lat0, lat1, lon0, lon1 = BBOX
-        grid = np.stack(np.meshgrid(np.linspace(lat0 + 0.007, lat1 - 0.007, 3),
-                                    np.linspace(lon0 + 0.006, lon1 - 0.006, 5),
-                                    indexing="ij"), axis=-1).reshape(-1, 2)
-        centre = grid + rng.uniform(-0.001, 0.001, size=grid.shape)
-        rate = rng.uniform(0.3, 1.0, len(centre))
-        hotspot = rng.choice(len(centre), size=40_000, p=rate / rate.sum())
-        ends = centre[hotspot] + rng.normal(0.0, 0.0009, size=(40_000, 2))
-        ends = np.clip(ends, [lat0, lon0], [lat1, lon1])
-        points = _project_metres(ends[:, 0], ends[:, 1], BBOX)
-        assert_same_kmeans(points, 15, lambda: np.random.default_rng(11))
+        assert_same_kmeans(*hotspots_draw(11))
 
-    @pytest.mark.parametrize("draw", [5, 12, 22, 204, 436, 655])
+    @pytest.mark.parametrize("draw", COLLINEAR_DRAWS)
     def test_matches_reference_on_collinear_lattices(self, draw):
         # centroids move along the line, so a shifted bound can equal the
         # distance it bounds exactly, and a point ties between two
         # centroids; these draws all hit such ties
-        points, k = collinear_lattice(draw)
-        assert_same_kmeans(points, k, lambda: np.random.default_rng(draw))
+        assert_same_kmeans(*collinear_draw(draw))
 
-    @pytest.mark.parametrize("draw", [841, 2941, 4385, 4830])
+    @pytest.mark.parametrize("draw", DIAGONAL_DRAWS)
     def test_matches_reference_on_diagonal_lattices(self, draw):
         # the same along (1, 1): distances are irrational, so bounds that
         # tie exactly can come out an ulp apart either way; these draws
         # need the margin even with a strict skip test
-        points, k = collinear_lattice(draw, diagonal=True)
-        assert_same_kmeans(points, k, lambda: np.random.default_rng(draw))
+        assert_same_kmeans(*diagonal_draw(draw))
 
-    @pytest.mark.parametrize("draw", [125, 259, 268])
+    @pytest.mark.parametrize("draw", INTEGER_LATTICE_DRAWS)
     def test_matches_reference_on_integer_lattices(self, draw):
         # a rectangle of integer points, each repeated 1-3 times; these
         # draws hit upper bound == lower bound exactly
-        rng = np.random.default_rng(draw)
-        side = int(rng.integers(3, 12))
-        k = int(rng.integers(2, 10))
-        grid = np.stack(np.meshgrid(np.arange(side),
-                                    np.arange(int(rng.integers(2, 12)))),
-                        axis=-1).reshape(-1, 2).astype(float)
-        points = np.repeat(grid, rng.integers(1, 4, size=len(grid)), axis=0)
-        assert_same_kmeans(points, k, lambda: np.random.default_rng(draw))
+        assert_same_kmeans(*integer_lattice_draw(draw))
 
-    @pytest.mark.parametrize("draw", [0, 1, 2, 3, 18, 52])
+    @pytest.mark.parametrize("draw", FAR_DRAWS)
     def test_matches_reference_far_from_origin(self, draw):
         # offsets 1e5-1e9 with spreads 1e-7-1e1: the spread is down to the
         # coordinates' ulp, so the bounds' margin is all that separates them
-        rng = np.random.default_rng(draw)
-        n = int(rng.integers(50, 600))
-        k = int(rng.integers(2, 12))
-        offset = 10 ** rng.uniform(5, 9) * rng.choice([-1, 1], size=2)
-        points = offset + rng.normal(0, 10 ** rng.uniform(-7, 1), size=(n, 2))
-        assert_same_kmeans(points, k, lambda: np.random.default_rng(draw))
+        assert_same_kmeans(*far_draw(draw))
+
+    @pytest.mark.parametrize("build, draws", KMEANS_DRAWS,
+                             ids=[build.__name__ for build, _ in KMEANS_DRAWS])
+    def test_matches_reference_in_any_block_size(self, monkeypatch, build,
+                                                 draws):
+        # the draws above with distance blocks of one column (from a block
+        # of one entry), of 7 columns, and of a column count that does not
+        # divide n, so the last block is short.  Far from the origin every
+        # point is stale in every iteration, so one-column blocks would
+        # take n x iterations steps there (seconds); that family skips them
+        for draw in draws:
+            points, k, new_rng = build(draw)
+            want = kmeans_reference(points, k, new_rng())
+            n = len(points)
+            ragged = next(c for c in itertools.count(n // 4 + 1) if n % c)
+            blocks = [7 * k, ragged * k] + ([1] if build is not far_draw else [])
+            for block in blocks:
+                monkeypatch.setattr(ingest, "KMEANS_BLOCK", block)
+                assert_same_kmeans(points, k, new_rng, want)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_matches_reference_at_the_iteration_cap(self, monkeypatch, cap):
+        # the loop stops after the cap-th centroid update and one more
+        # assignment; the plain loop's labels there are those of its final
+        # pass
+        monkeypatch.setattr(ingest, "KMEANS_MAX_ITER", cap)
+        for points, k, new_rng in every_kmeans_draw():
+            assert_same_kmeans(points, k, new_rng)
+
+    def test_peak_memory_below_one_k_by_n_array(self):
+        # distances come in fixed-size blocks: the peak of a clustering
+        # grows with n alone, well below one (k, n) float64 array
+        rng = np.random.default_rng(0)
+        n, k = 200_000, 30
+        points = (rng.normal(0.0, 1000.0, size=(n, 2))
+                  + rng.uniform(-1e4, 1e4, size=(k, 2))[rng.integers(k, size=n)])
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _kmeans(points, k, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < k * n * 8
 
     def test_logs_one_debug_record(self, caplog):
         points = np.random.default_rng(0).normal(0.0, 100.0, size=(500, 2))
@@ -181,6 +312,16 @@ class TestKMeans:
         iterations, columns, full = record.args
         assert full == 500 * iterations
         assert 500 <= columns < full
+
+    def test_logs_the_columns_on_hotspots(self, caplog):
+        # the seeding's first assignment comes with its bounds, so after
+        # it only 7 856 columns are computed where 27 full passes would
+        # take 1 080 000
+        points, k, new_rng = hotspots_draw(11)
+        with caplog.at_level(logging.DEBUG, logger="resistive_pricing.ingest"):
+            _kmeans(points, k, new_rng())
+        [record] = caplog.records
+        assert record.args == (28, 47_856, 1_120_000)
 
     def test_logs_the_empty_cluster_fallback(self, caplog):
         points = np.random.default_rng(7).normal(0.0, 100.0, size=(40, 2))
@@ -207,6 +348,11 @@ class TestDistinctPoints:
     """k-means++ seeding finds when fewer than k distinct points exist:
     k = the number of distinct points clusters, one more raises
     TooFewPoints."""
+
+    def test_more_clusters_than_points_raise_before_any_draw(self):
+        points = np.random.default_rng(0).normal(size=(5, 2))
+        with pytest.raises(TooFewPoints, match="need at least 6 distinct"):
+            _kmeans(points, 6, ScriptedSeeds([]))
 
     @staticmethod
     def assert_threshold(points, distinct):
