@@ -3,8 +3,10 @@
 On a six-location ring with a chord, the chord has the smallest effective
 resistance, so with homogeneous demand and willingness to pay it is the
 best arc to sell ads on.  A star network then shows why hub locations win
-the location-based comparison, and a reduced search reproduces the
-exhaustive payoff argmax with fewer full solves.
+the location-based comparison: each location's Delta, and the paper's
+closed-form score 4 (Delta(a) - Delta(0)) it gives under symmetric
+demand.  A reduced search reproduces the exhaustive payoff argmax with
+fewer full solves.
 
 Run:  python demos/advertiser_selection.py
 """
@@ -54,8 +56,11 @@ catalog = AdvertiserCatalog(
 result = select_location_advertiser(star, catalog)
 print("\nstar network: chosen location advertiser:", result.chosen,
       "(the hub)")
+# demand is symmetric, so 4 (Delta(a) - Delta(0)) is the closed-form score
+base = delta(star, None)
 for loc, score in result.scores:
-    print(f"  location {loc}: score {score:.6f}")
+    print(f"  location {loc}: Delta {score:.6f}, "
+          f"closed form {4.0 * (score - base):.6f}")
 
 print("\nreduced search over arc candidates on a random network:")
 rng = np.random.default_rng(5)

@@ -3,10 +3,11 @@
 The payoff functional Delta(a) equals the optimal payoff whenever no price
 cap binds and upper-bounds it otherwise, which makes it both a fast exact
 score in the benign regime and the sorting key of the reduced search for
-the general regime.  Closed-form single-collaboration scores exist for
-arc-based and location-based advertisers when demand is symmetric; with a
-budget above one collaboration, callers supply their own candidate ad
-vectors and rank them with :func:`delta` or :func:`reduced_search`.
+the general regime.  Each selector scores its whole candidate set by
+Delta with one bordered solve.  Under symmetric demand 4 (Delta(a) -
+Delta(0)) is the paper's closed-form score of an arc-based or
+location-based advertiser.  With a budget above one collaboration,
+callers rank their own candidate ad vectors with :func:`reduced_search`.
 
 Without any limit on simultaneous collaborations, no optimization is
 needed: each arc simply takes its highest bidder.  Two advertisers, one
@@ -27,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .electrical import build_electrical, potentials, value_vector
+from .electrical import potentials
 from .extended import _solve_rows
 from .network import AdRevenueVector, TrafficNetwork, ad_matrix
 from .pricing import solve_general
@@ -40,7 +41,8 @@ class AdvertiserCatalog:
     arc_based maps a target arc to its advertiser's willingness b;
     location_based maps a target location k to {origin i: d_ik} over the
     incoming arcs of k.  ``budget`` is the number of simultaneous
-    collaborations; the closed-form selectors support budget == 1.
+    collaborations; the selectors score one collaboration per candidate
+    and support budget == 1.  Willingness to pay is finite and >= 0.
     """
 
     arc_based: Mapping[tuple[int, int], float]
@@ -51,14 +53,10 @@ class AdvertiserCatalog:
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         for (i, j), b in self.arc_based.items():
-            if b < 0:
-                raise ValueError(
-                    f"negative willingness to pay on arc ({i}, {j})")
+            _check_willingness(b, f"on arc ({i}, {j})")
         for k, incoming in self.location_based.items():
             for i, d in incoming.items():
-                if d < 0:
-                    raise ValueError(
-                        f"negative willingness to pay for ({i}, {k})")
+                _check_willingness(d, f"for ({i}, {k})")
 
     def validate_for(self, net: TrafficNetwork):
         for (i, j) in self.arc_based:
@@ -69,6 +67,13 @@ class AdvertiserCatalog:
                 if not net.has_arc(i, k):
                     raise ValueError(
                         f"location-based entry ({i}, {k}) is not an incoming arc")
+
+
+def _check_willingness(value, where: str):
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite willingness to pay {where}: {value}")
+    if value < 0:
+        raise ValueError(f"negative willingness to pay {where}")
 
 
 @dataclass(frozen=True)
@@ -106,27 +111,35 @@ def location_candidate(net: TrafficNetwork, location: int,
 def delta(net: TrafficNetwork, a) -> float:
     """Payoff functional: exact optimal payoff when no cap binds.
 
-    Delta(a) = sum theta xi ((1+a-c)/2)^2
-             - sum (1/8) theta (1+a-c) sum_k (R_jk - R_ik) v_k,
-    evaluated on the unmasked electrical network.  The inner sum equals
-    2 (lambda_i - lambda_j) for the node potentials lambda = L+ v, which
-    one bordered solve gives.  Always an upper bound on the optimal
-    payoff, with equality when every cap multiplier is 0.
+    Delta(a) = sum theta xi ((1+a-c)/2)^2 - lambda' v / 4, summed over
+    the arcs, for the value vector v and its node potentials lambda = L+ v
+    on the unmasked electrical network; lambda' v is the paper's
+    sum (1/2) theta (1+a-c) sum_k (R_jk - R_ik) v_k.  Always an upper
+    bound on the optimal payoff, with equality when every cap multiplier
+    is 0.
     """
-    a_mat = ad_matrix(net, a)
-    n = net.n_locations
-    # a validated network is connected: its border is J/N
-    lam = potentials(net.projection, value_vector(net, a_mat),
-                     np.full((n, n), 1.0 / n))
-    ai, aj = net.arc_array.T
+    return float(_deltas(net, [a])[0])
+
+
+def _deltas(net: TrafficNetwork, candidates) -> np.ndarray:
+    """Delta of each candidate ad vector.  The K value vectors are the
+    columns of one (N, K) array, so one factorization gives every lambda;
+    only (K, arcs) gains are held, never (K, N, N) ad matrices."""
+    gains = 1.0 + np.array([net.on_arcs(ad_matrix(net, a))
+                            for a in candidates]) - net.unit_cost
     th = net.arc_demand
-    gain = 1.0 + net.on_arcs(a_mat) - net.unit_cost
-    return float(np.sum(th * net.arc_time * (gain / 2.0) ** 2
-                        - th * gain * (lam[ai] - lam[aj]) / 4.0))
-
-
-def _demand_symmetric(net: TrafficNetwork) -> bool:
-    return bool(np.array_equal(net.demand, net.demand.T))
+    flows = (th * gains).ravel()
+    n, k = net.n_locations, len(gains)
+    # v_i = flow out of i - flow into i; candidate q counts its nodes
+    # from q n, so that one bincount serves every candidate
+    shift = n * np.arange(k)[:, None]
+    out, into = (np.bincount((end + shift).ravel(), flows, n * k)
+                 for end in net.arc_array.T)
+    values = (out - into).reshape(k, n).T
+    # a validated network is connected: its border is J/N
+    lam = potentials(net.projection, values, np.full((n, n), 1.0 / n))
+    return (np.sum(th * net.arc_time * (gains / 2.0) ** 2, axis=1)
+            - np.sum(lam * values, axis=0) / 4.0)
 
 
 def _candidates(net, catalog, mode):
@@ -135,7 +148,8 @@ def _candidates(net, catalog, mode):
     so a catalog whose budget is not 1 is rejected."""
     if catalog.budget != 1:
         raise ValueError("single-advertiser selection supports budget == 1; "
-                         "rank caller-built candidates with delta() instead")
+                         "rank caller-built candidates with reduced_search() "
+                         "instead")
     if mode == "arc":
         bids, induced = catalog.arc_based, arc_candidate
     elif mode == "location":
@@ -148,26 +162,18 @@ def _candidates(net, catalog, mode):
     return labels, [induced(net, label, bids[label]) for label in labels]
 
 
-def _select_single(net, catalog, mode, closed_form):
-    """Budget-one selection shared by the arc and location selectors.
-
-    ``closed_form(label, eff)`` is the exact score under symmetric demand;
-    otherwise each candidate is scored by Delta.  Labels are scanned in
-    sorted order and the first maximum wins.
-    """
+def _select_single(net, catalog, mode):
+    """Budget-one selection shared by the arc and location selectors:
+    the first Delta maximum in sorted label order wins."""
     catalog.validate_for(net)
     labels, vectors = _candidates(net, catalog, mode)
-    if _demand_symmetric(net):
-        eff = build_electrical(net).effective_resistance
-        scores = [closed_form(label, eff) for label in labels]
-    else:
-        scores = [delta(net, vec) for vec in vectors]
-    best = max(range(len(labels)), key=scores.__getitem__)
+    scores = _deltas(net, vectors)
+    best = int(np.argmax(scores))
     return SelectionResult(
         chosen=labels[best],
         ad_revenue=vectors[best],
         payoff=solve_general(net, vectors[best]).payoff,
-        scores=tuple(zip(labels, (float(s) for s in scores))),
+        scores=tuple(zip(labels, scores.tolist())),
     )
 
 
@@ -175,47 +181,25 @@ def select_arc_advertiser(net: TrafficNetwork,
                           catalog: AdvertiserCatalog) -> SelectionResult:
     """Pick the single arc-based advertiser maximizing provider payoff.
 
-    With symmetric demand the closed-form score
-    theta xi (b^2 + 2(1-c) b) - theta^2 b^2 R_ij is exact; otherwise each
-    candidate is scored by Delta of its induced ad vector.  Ties break to
-    the lexicographically smallest arc.
+    Each candidate is scored by Delta of its induced ad vector; under
+    symmetric demand 4 (Delta(a) - Delta(0)) is the paper's closed form
+    theta xi (b^2 + 2(1-c) b) - theta^2 b^2 R_ij.  Ties break to the
+    lexicographically smallest arc.
     """
-    bids, c = catalog.arc_based, net.unit_cost
-
-    def score(arc, eff):
-        b = bids[arc]
-        th, xi = net.demand[arc], net.travel_time[arc]
-        return th * xi * (b * b + 2.0 * (1.0 - c) * b) \
-            - th * th * b * b * eff[arc]
-
-    return _select_single(net, catalog, "arc", score)
+    return _select_single(net, catalog, "arc")
 
 
 def select_location_advertiser(net: TrafficNetwork,
                                catalog: AdvertiserCatalog) -> SelectionResult:
     """Pick the single location-based advertiser maximizing payoff.
 
-    With symmetric demand the closed-form score over incoming arcs of k,
-    sum_s theta_sk xi_sk (d^2 + 2(1-c) d)
-    + sum_s sum_t 0.5 theta_sk theta_tk d_sk d_tk (R_st - R_sk - R_tk),
-    is exact; otherwise candidates are scored by Delta.  Ties break to the
-    smallest location index.
+    Each candidate is scored by Delta of its induced ad vector; under
+    symmetric demand 4 (Delta(a) - Delta(0)) is the paper's closed form
+    over the incoming arcs of k, sum_s theta_sk xi_sk (d^2 + 2(1-c) d)
+    + sum_s sum_t 0.5 theta_sk theta_tk d_sk d_tk (R_st - R_sk - R_tk).
+    Ties break to the smallest location index.
     """
-    bids, c = catalog.location_based, net.unit_cost
-
-    def score(k, eff):
-        incoming = sorted(bids[k].items())
-        total = 0.0
-        for s, d_sk in incoming:
-            th_s, xi_s = net.demand[s, k], net.travel_time[s, k]
-            total += th_s * xi_s * (d_sk * d_sk + 2.0 * (1.0 - c) * d_sk)
-            for t, d_tk in incoming:
-                th_t = net.demand[t, k]
-                total += 0.5 * th_s * th_t * d_sk * d_tk * (
-                    eff[s, t] - eff[s, k] - eff[t, k])
-        return total
-
-    return _select_single(net, catalog, "location", score)
+    return _select_single(net, catalog, "location")
 
 
 def reduced_search(net: TrafficNetwork, candidates: Sequence) -> SelectionResult:
@@ -231,7 +215,7 @@ def reduced_search(net: TrafficNetwork, candidates: Sequence) -> SelectionResult
     if not candidates:
         raise ValueError("no candidates supplied")
     mats = [ad_matrix(net, cand) for cand in candidates]
-    deltas = [delta(net, m) for m in mats]
+    deltas = _deltas(net, mats).tolist()
     order = sorted(range(len(mats)), key=lambda k: (-deltas[k], k))
     solutions = {}
     h = len(order)
@@ -240,11 +224,7 @@ def reduced_search(net: TrafficNetwork, candidates: Sequence) -> SelectionResult
         if not solutions[idx].active_set:
             h = pos + 1
             break
-    best = None
-    for idx in order[:h]:
-        if best is None or solutions[idx].payoff > solutions[best].payoff \
-                or (solutions[idx].payoff == solutions[best].payoff and idx < best):
-            best = idx
+    best = max(order[:h], key=lambda idx: (solutions[idx].payoff, -idx))
     cand = candidates[best]
     if not isinstance(cand, AdRevenueVector):
         cand = AdRevenueVector(net, mats[best])
@@ -317,7 +297,7 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
     else:
         payoffs = [sol.payoff for sol in _solve_rows(net, vectors, params)]
 
-    deltas = [delta(net, vec) for vec in vectors]
+    deltas = _deltas(net, vectors)
     # argmax takes the first maximum: ties go to the smallest label
     res_idx = int(np.argmax(deltas))
     opt_idx = int(np.argmax(payoffs))
@@ -338,6 +318,6 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
     return StrategyComparison(
         outcomes=outcomes,
         candidates=tuple(labels),
-        deltas=tuple(float(d) for d in deltas),
+        deltas=tuple(deltas.tolist()),
         payoffs=tuple(float(p) for p in payoffs),
     )

@@ -5,7 +5,8 @@ code paths: pricing optima come from enumerating cap-pinned subsets and
 solving dense equality-KKT systems with lstsq; the active-set loop's
 candidates come from the paper's resistance form with an SVD
 pseudoinverse; resistances come from current injection into the raw
-Laplacian; sensitivities from central finite differences; extended-model
+Laplacian; sensitivities from central finite differences; selection
+scores under symmetric demand from the paper's closed forms; extended-model
 optima from face enumeration and feasible random sampling.  Ride ingest
 is checked against the plain forms of k-means and of the per-record
 aggregation loop.
@@ -230,6 +231,35 @@ def injection_resistance(weights, i, j):
     phi = np.zeros(n)
     phi[:-1] = np.linalg.solve(lap[:-1, :-1], rhs[:-1])
     return phi[i] - phi[j]
+
+
+def symmetric_arc_score(net, arc, b, eff):
+    """The paper's closed-form score of the arc-based advertiser paying b
+    on ``arc`` under symmetric demand, from the effective resistances
+    ``eff``: theta xi (b^2 + 2(1-c) b) - theta^2 b^2 R_ij.  It equals
+    4 (Delta(a) - Delta(0)) for the advertiser's ad vector a."""
+    th, xi = net.demand[arc], net.travel_time[arc]
+    return th * xi * (b * b + 2.0 * (1.0 - net.unit_cost) * b) \
+        - th * th * b * b * eff[arc]
+
+
+def symmetric_location_score(net, k, incoming, eff):
+    """The paper's closed-form score of the location-based advertiser of
+    k, paying d_sk on each incoming arc (s, k), under symmetric demand:
+    sum_s theta_sk xi_sk (d^2 + 2(1-c) d)
+    + sum_s sum_t 0.5 theta_sk theta_tk d_sk d_tk (R_st - R_sk - R_tk).
+    It equals 4 (Delta(a) - Delta(0)) for the advertiser's ad vector a."""
+    c = net.unit_cost
+    incoming = sorted(incoming.items())
+    total = 0.0
+    for s, d_sk in incoming:
+        th_s, xi_s = net.demand[s, k], net.travel_time[s, k]
+        total += th_s * xi_s * (d_sk * d_sk + 2.0 * (1.0 - c) * d_sk)
+        for t, d_tk in incoming:
+            th_t = net.demand[t, k]
+            total += 0.5 * th_s * th_t * d_sk * d_tk * (
+                eff[s, t] - eff[s, k] - eff[t, k])
+    return total
 
 
 def central_difference_sensitivity(solver, net, a_mat, arc, eps=1e-5):

@@ -389,6 +389,36 @@ def run_main(argv):
     return code, err.getvalue(), [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize("mode, value", [
+    ("arc", float("nan")), ("arc", float("inf")),
+    ("location", float("nan")), ("location", float("-inf"))],
+    ids=["arc-nan", "arc-inf", "location-nan", "location-minus-inf"])
+def test_non_finite_willingness_exit_2(workdir, mode, value):
+    """A NaN or infinite willingness to pay in the advertiser file (JSON
+    reads NaN and Infinity) ends in exit 2 and one error: line naming the
+    entry, whichever mode is selected."""
+    write_instance("net.json", "adv.json", n=5)
+    doc = json.loads(Path("adv.json").read_text())
+    if mode == "arc":
+        entry = doc["arc_based"][0]
+        entry["b"] = value
+        named = f"on arc ({entry['from']}, {entry['to']})"
+    else:
+        entry = doc["location_based"][0]
+        entry["d"][0]["value"] = value
+        named = f"for ({entry['d'][0]['from']}, {entry['location']})"
+    Path("bad.json").write_text(json.dumps(doc))
+    other = "location" if mode == "arc" else "arc"
+    code, err, caught = run_main([
+        "select", "--network", "net.json", "--advertisers", "bad.json",
+        "--mode", other, "--strategy", "resistance", "--seed", "0",
+        "--out", "s.csv"])
+    assert code == 2 and caught == []
+    assert err.startswith(f"error: non-finite willingness to pay {named}")
+    assert err.count("\n") == 1
+    assert list(Path().glob("*.manifest.json")) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["price-extended", "--network", "net.json", "--psi", "abc",
      "--eta", "0.8"],

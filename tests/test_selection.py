@@ -4,6 +4,8 @@ import pytest
 import resistive_pricing.selection as selection_mod
 from resistive_pricing import (
     AdvertiserCatalog,
+    DemandModel,
+    ExtendedParams,
     arc_candidate,
     delta,
     location_candidate,
@@ -12,12 +14,14 @@ from resistive_pricing import (
     select_location_advertiser,
     solve_general,
     strategy_compare,
+    synth_instance,
     validate_network,
 )
 
 from resistive_pricing.electrical import build_electrical, value_vector
 
 from gen import quiet_instance, random_connected_network, random_instance
+from oracles import symmetric_arc_score, symmetric_location_score
 
 
 def bidirectional(edges, n, theta=1.0, xi=1.0, cost=0.6):
@@ -95,6 +99,18 @@ class TestArcSelection:
         with pytest.raises(ValueError) as err:
             AdvertiserCatalog(arc_based={arc: -0.1}, location_based={})
         assert str(err.value) == "negative willingness to pay on arc (0, 1)"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_willingness_names_entry(self, value):
+        """NaN passes a `< 0` test; the catalog names the entry rather than
+        leaving the ad vector to fail later without one."""
+        with pytest.raises(ValueError,
+                           match=r"^non-finite willingness to pay on arc \(0, 1\)"):
+            AdvertiserCatalog(arc_based={(0, 1): value}, location_based={})
+        with pytest.raises(ValueError,
+                           match=r"^non-finite willingness to pay for \(2, 3\)"):
+            AdvertiserCatalog(arc_based={},
+                              location_based={3: {1: 0.2, 2: value}})
 
     def test_ring_chord_golden(self):
         net = ring_with_chord()
@@ -209,15 +225,13 @@ class TestLocationSelection:
             if not origins:
                 continue
             dmap = {i: float(rng.uniform(0.1, 0.8)) for i in origins}
-            catalog = AdvertiserCatalog(arc_based={},
-                                        location_based={k: dmap}, budget=1)
-            score = dict(select_location_advertiser(net, catalog).scores)[k]
             c = net.unit_cost
             linear = sum(net.demand[s, k] * net.travel_time[s, k]
                          * (d * d + 2 * (1 - c) * d)
                          for s, d in dmap.items())
-            from resistive_pricing import build_electrical
             model = build_electrical(net)
+            score = symmetric_location_score(
+                net, k, dmap, model.effective_resistance)
             y = np.zeros(net.n_locations)
             for s, d in dmap.items():
                 y[k] += net.demand[s, k] * d
@@ -336,3 +350,90 @@ class TestStrategyCompare:
                                     location_based={}, budget=1)
         with pytest.raises(ValueError):
             strategy_compare(net, catalog, mode="arc")
+
+
+def symmetric_draws():
+    """150 symmetric-demand instances, N from 5 to 20."""
+    for seed in range(150):
+        yield synth_instance(5 + seed % 16, 0.4, seed=seed)
+
+
+def ranking(scores):
+    """Candidate positions by score, best first, ties in label order."""
+    return sorted(range(len(scores)), key=lambda q: (-scores[q], q))
+
+
+@pytest.mark.parametrize("mode", ["arc", "location"])
+def test_symmetric_delta_is_closed_form(mode):
+    """The paper's theorem: under symmetric demand the closed-form score
+    is 4 (Delta(a) - Delta(0)), to 1e-12 of 4 |Delta(0)|, and it ranks the
+    candidates, winner and ties included, exactly as Delta does."""
+    select, oracle = {
+        "arc": (select_arc_advertiser, symmetric_arc_score),
+        "location": (select_location_advertiser, symmetric_location_score),
+    }[mode]
+    for net, catalog in symmetric_draws():
+        assert np.array_equal(net.demand, net.demand.T)
+        bids = getattr(catalog, f"{mode}_based")
+        eff = build_electrical(net).effective_resistance
+        base = delta(net, None)
+        result = select(net, catalog)
+        labels = [label for label, _ in result.scores]
+        closed = [oracle(net, label, bids[label], eff) for label in labels]
+        scores = [4.0 * (s - base) for _, s in result.scores]
+        assert np.max(np.abs(np.subtract(scores, closed))) \
+            <= 1e-12 * 4.0 * abs(base)
+        assert ranking(scores) == ranking(closed)
+        assert result.chosen == labels[ranking(closed)[0]]
+
+
+def location_candidates(net, catalog):
+    return [location_candidate(net, k, catalog.location_based[k])
+            for k in sorted(catalog.location_based)]
+
+
+class TestBatchedScores:
+    @pytest.mark.parametrize("profile", ["symmetric", "commuter"])
+    def test_one_factorization_per_candidate_set(self, monkeypatch, profile):
+        """Each selector, reduced search and strategy comparison scores its
+        whole candidate set with one bordered solve."""
+        net, catalog = synth_instance(8, 0.5, seed=3, profile=profile)
+        calls = {"n": 0}
+        true_potentials = selection_mod.potentials
+
+        def counting(weights, v, border):
+            calls["n"] += 1
+            return true_potentials(weights, v, border)
+
+        monkeypatch.setattr(selection_mod, "potentials", counting)
+        arcs = [arc_candidate(net, arc, b)
+                for arc, b in sorted(catalog.arc_based.items())]
+        params = ExtendedParams(eta=0.8, psi=50.0,
+                                demand=DemandModel.uniform())
+        scorings = [
+            lambda: select_arc_advertiser(net, catalog),
+            lambda: select_location_advertiser(net, catalog),
+            lambda: reduced_search(net, arcs),
+            lambda: reduced_search(net, location_candidates(net, catalog)),
+            lambda: strategy_compare(net, catalog, mode="arc", seed=0),
+            lambda: strategy_compare(net, catalog, mode="location",
+                                     params=params, seed=0),
+        ]
+        for scoring in scorings:
+            calls["n"] = 0
+            scoring()
+            assert calls["n"] == 1
+
+    @pytest.mark.parametrize("n, seed", [(60, 0), (60, 1), (10, 7)])
+    def test_rows_match_single_delta(self, n, seed):
+        """A batched row agrees with its own K = 1 delta to 1e-12
+        relative, on commuter location pools (N = 60) and on the arc and
+        location candidates of a commuter network of N = 10."""
+        net, catalog = synth_instance(n, 0.3, seed=seed, profile="commuter")
+        candidates = location_candidates(net, catalog)
+        if n == 10:
+            candidates += [arc_candidate(net, arc, b)
+                           for arc, b in sorted(catalog.arc_based.items())]
+        batched = selection_mod._deltas(net, candidates)
+        single = [delta(net, cand) for cand in candidates]
+        np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
