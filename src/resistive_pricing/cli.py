@@ -12,6 +12,7 @@ written, 3 solver non-convergence.
 """
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -43,7 +44,7 @@ from .pricing import (
     solve_closed_form,
     solve_general,
 )
-from .selection import strategy_compare
+from .selection import _compare_grid, strategy_compare
 
 USAGE_ERROR = 2
 SOLVER_ERROR = 3
@@ -204,14 +205,15 @@ def cmd_sweep(args) -> int:
     loaded = fileio.load_network(args.network)
     catalog = fileio.load_advertisers(args.advertisers)
     grid = getattr(args, f"{kind}_grid")
+    comparisons = _compare_grid(
+        loaded.network, catalog, args.mode,
+        [_extended_params(args, **{kind: value}) for value in grid],
+        [np.random.SeedSequence(args.seed, spawn_key=(index,))
+         for index in range(len(grid))],
+        args.trials)
 
     rows = []
-    for index, value in enumerate(grid):
-        comparison = strategy_compare(
-            loaded.network, catalog, mode=args.mode,
-            params=_extended_params(args, **{kind: value}),
-            seed=np.random.SeedSequence(args.seed, spawn_key=(index,)),
-            trials=args.trials)
+    for value, comparison in zip(grid, comparisons):
         for name in ("resistance", "optimal", "random"):
             outcome = comparison.outcome(name)
             rows.append([fmt(value), name, fmt(outcome.payoff),
@@ -448,10 +450,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser that :func:`main` reuses within a process; parsing
+    changes no parser state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.time()

@@ -12,15 +12,17 @@ formulas that differ.
 Empty vehicles route over the network's pairs, ``net.pair_array``: the
 arcs, then the off-arc pairs given empty travel times.
 
-A set of candidate ad vectors on one network is solved as one batch: one
+A set of problems on one network is solved as one batch: one
 interior-point loop over the stack of their problems.  The rows share the
-network (so its routing pairs), the parameters, the strong classes and
-the grounding; they differ only in the ad vector, which sets the linear
-term of f' and the start.  Each row stops on its own test and leaves the
-stack, and every reduction is row-wise, so a row's answer equals its
-single solve bit for bit.  When rows fail, the error raised is that of
-the lowest-index failing row, the one a loop of single solves in row
-order raises first.  :func:`solve_extended` is the one-row batch.
+network (so its routing pairs), the demand curve, the strong classes and
+the grounding; they differ in the ad vector, which sets the linear term
+of f' and the start, and in psi and eta, which set the bounds, the
+capacity row and the cost of empty routing.  Each row stops on its own
+test and leaves the stack, and every reduction is row-wise, so a row's
+answer equals its single solve bit for bit.  When rows fail, the error
+raised is that of the lowest-index failing row, the one a loop of single
+solves in row order raises first.  :func:`solve_extended` is the one-row
+batch.
 """
 
 from dataclasses import dataclass
@@ -88,14 +90,15 @@ class DemandModel:
         return np.exp(-self.gamma * p)
 
     def box(self, th, xi, psi):
-        """Per-arc bounds (z_lo, z_hi) on z."""
+        """Per-arc bounds (z_lo, z_hi) on z; a (K, 1) ``psi`` gives a
+        (K, arcs) z_hi where it depends on psi."""
         if self.kind == "uniform":
             return np.zeros(len(th)), psi / xi
         return th * np.exp(-10.0), th * np.exp(self.gamma)
 
     def start(self, th, xi, a, c, psi):
         """Per-arc optimum scaled to use at most half the capacity; one row
-        per row of the ad revenues ``a``."""
+        per row of the ad revenues ``a``, with a scalar or (K, 1) ``psi``."""
         if self.kind == "uniform":
             z0 = th * np.maximum(0.5 * (1.0 + a - c), 0.05)
             mass = np.add.reduce(xi * z0, axis=-1, keepdims=True)
@@ -246,7 +249,7 @@ def _blocking(slack, kap, ds, dk):
                              keepdims=True)
 
 
-def _interior_point(params, c, edges, th, xi, pair_time, lin, bend,
+def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
                     z_lo, z_hi, z0, grounded):
     """Primal-dual path-following solve of K concave extended problems.
 
@@ -258,9 +261,13 @@ def _interior_point(params, c, edges, th, xi, pair_time, lin, bend,
     with A the node-edge incidence of ``edges`` (the arcs, then the empty
     pairs), f' = ``lin`` + bend(z)[0] and f'' = bend(z)[1] per arc, z in
     [z_lo, z_hi], w in [0, psi/t] and the capacity slack s in [0, psi].
-    The rows share all of this but ``lin``, the (K, arcs) linear term of
-    f', and ``z0``, their (K, arcs) starts.  Mehrotra's predictor-corrector
-    (Nocedal & Wright, ch. 14 and 19) carries the lower and upper slacks
+    The rows share the network, the demand curve (``bend``, ``z_lo``),
+    the strong classes and the grounding.  They differ in ``lin``, the
+    (K, arcs) linear term of f', in ``z0``, their (K, arcs) starts, in
+    ``psi`` and ``eta``, (K, 1) each, and in ``z_hi`` where it depends
+    on psi: (arcs,) or (K, arcs).
+    Mehrotra's predictor-corrector (Nocedal & Wright, ch. 14 and 19)
+    carries the lower and upper slacks
     as iterates and solves each Newton step with B D^-1 B': D is the
     Hessian plus barrier terms plus a floor of 1e-10 times the largest
     f''(theta), B the balance rows of the nodes not ``grounded`` plus the
@@ -276,11 +283,9 @@ def _interior_point(params, c, edges, th, xi, pair_time, lin, bend,
     cap, and fails with Infeasible unless primal feasible (else
     NoConvergence, as for any other singular Newton system).  A row that
     stops leaves the stack.  Every reduction is row-wise, so a row's
-    iterates do not depend on the other rows.  Returns one (z, w,
-    residual) per row, or raises the error of the lowest-index row that
-    fails, with its own iteration count.
+    iterates do not depend on the other rows.  Returns per row its (z, w,
+    residual), or the error it fails with, with its own iteration count.
     """
-    psi = params.psi
     # B's rows: the balance of each node not grounded, then the capacity
     m = int(np.count_nonzero(~grounded))
     slot = np.full(len(grounded), m)
@@ -298,24 +303,29 @@ def _interior_point(params, c, edges, th, xi, pair_time, lin, bend,
     b_val[1] = -1.0
     b_val[:2][b_slot[:2] == m] = 0.0
     b_val[2] = g
-    lo = np.concatenate([z_lo, np.zeros(len(pair_time)), [0.0]])
-    hi = np.concatenate([z_hi, psi / pair_time, [psi]])
+    k = len(z0)
+    # per row the lower, then the upper bounds of x
+    bounds = np.zeros((k, 2 * n))
+    bounds[:, :na] = z_lo
+    bounds[:, n:n + na] = z_hi
+    bounds[:, n + na:-1] = psi / pair_time
+    bounds[:, -1:] = psi
+    lo, hi = bounds[:, :n], bounds[:, n:]
     # a unit of w costs eta c t, one of s nothing
-    w_cost = np.concatenate((pair_time * params.eta * c, [0.0]))
+    w_rows = np.concatenate((pair_time * eta * c, np.zeros((k, 1))), axis=1)
     floor = 1e-10 * float(bend(th)[1].max())
     flow_scale, payoff_scale = float(th.max()), float((xi * th).sum())
     # a slack this small is lost in rounding on its bound
-    tiny = np.finfo(float).eps * np.abs(np.concatenate((lo, hi)))
+    tiny = np.finfo(float).eps * np.abs(bounds)
     # B x's target and its residual's scale per row
-    capacity = np.zeros(nodes)
-    capacity[m] = psi
-    p_scale = np.full(nodes, flow_scale)
-    p_scale[m] = psi
+    capacity = np.zeros((k, nodes))
+    capacity[:, m:] = psi
+    p_scale = np.full((k, nodes), flow_scale)
+    p_scale[:, m:] = psi
 
     # B v and M = B D^-1 B' = sum_j b_j b_j' / D_j are bincounts and B'
     # dual a gather over the rows of each column; row r of a stack of k
     # reads and writes its own bins
-    k = len(z0)
     stack = np.arange(k)[:, None, None]
     b_idx = (stack * nodes + b_slot).ravel()
     m_idx = (stack[..., None] * nodes * nodes
@@ -369,7 +379,6 @@ def _interior_point(params, c, edges, th, xi, pair_time, lin, bend,
         return dx, d_dual, ds, q - ratio * ds
 
     # bound multipliers (lower, upper) zero stationarity at the start
-    w_rows = np.repeat(w_cost[None], k, axis=0)
     w0 = np.minimum(0.1 * (np.add.reduce(z0, axis=1, keepdims=True) / na),
                     0.5 * psi / pair_time)
     s0 = psi - np.add.reduce(xi * z0, axis=1, keepdims=True) \
@@ -421,11 +430,12 @@ def _interior_point(params, c, edges, th, xi, pair_time, lin, bend,
                 break
             kept = np.flatnonzero(~stop)
             rows = [rows[r] for r in kept]
-            (state, lin, w_rows, hess, r_d, short, ks, gap, primal,
-             residual, grad_scale) = (
+            (state, lin, w_rows, tiny, capacity, p_scale, hess, r_d,
+             short, ks, gap, primal, residual, grad_scale) = (
                 v[kept] if np.ndim(v) == 2 else v
-                for v in (state, lin, w_rows, hess, r_d, short, ks, gap,
-                          primal, residual, grad_scale))
+                for v in (state, lin, w_rows, tiny, capacity, p_scale, hess,
+                          r_d, short, ks, gap, primal, residual,
+                          grad_scale))
             x, slack = state[:, :n], state[:, n:3 * n]
             kap = state[:, 3 * n:5 * n]
             k = len(rows)
@@ -448,21 +458,22 @@ def _interior_point(params, c, edges, th, xi, pair_time, lin, bend,
                                     short, cond, M)
         step = -1.0 / np.minimum(-1.0, _blocking(slack, kap, ds, dk) / 0.995)
         state = state + step * np.concatenate((dx, ds, dk, d_dual), axis=1)
-
-    for out in results:
-        if isinstance(out, Exception):
-            raise out
     return results
 
 
-def _solve_rows(net: TrafficNetwork, ads, params: ExtendedParams) -> list:
-    """:func:`solve_extended` for each ad vector of ``ads``, as one
-    interior-point loop over the stack of their problems.  A row equals
-    its single solve bit for bit; the error raised is the one a loop of
-    single solves in row order raises first."""
+def _solve_rows(net: TrafficNetwork, ads, params) -> list:
+    """:func:`solve_extended` of each ad vector of ``ads`` with its own
+    ``ExtendedParams`` of ``params``, as one interior-point loop over the
+    stack of their problems; the rows share one demand curve.  A row
+    equals its single solve bit for bit; the error raised is the one a
+    loop of single solves in row order raises first."""
     a_mats = [ad_matrix(net, a) for a in ads]
     pairs, pair_time = net.pair_array, net.pair_time
-    demand, psi, c = params.demand, params.psi, net.unit_cost
+    demand, c = params[0].demand, net.unit_cost
+    if any(p.demand != demand for p in params):
+        raise ValueError("the rows of a batch must share one demand curve")
+    psi = np.array([[p.psi] for p in params])
+    eta = np.array([[p.eta] for p in params])
     arc = net.arc_array
     # an edge is on a directed cycle when its ends share a strong class
     classes = _mutual_reach(net.n_locations, pairs)
@@ -473,29 +484,36 @@ def _solve_rows(net: TrafficNetwork, ads, params: ExtendedParams) -> list:
         raise Infeasible(f"arc ({u}, {v}) lies on no directed cycle of the "
                          "routing graph (arcs plus empty pairs)")
     th, xi = net.arc_demand[on], net.arc_time[on]
-    z_lo, z_hi = demand.box(th, xi, psi)
-    if float((xi * z_lo).sum()) > psi:
-        raise Infeasible(f"capacity {psi:.6g} is below the vehicle mass "
-                         "with every price at its upper end")
-    p_vecs = [np.ones(len(arc)) for _ in a_mats]
-    w_vecs = [np.zeros(len(pairs)) for _ in a_mats]
-    residuals = [0.0] * len(a_mats)
-    if on.any():
-        a_vec = np.array([net.on_arcs(a_mat)[on] for a_mat in a_mats])
+    # a row whose capacity is below the least vehicle mass fails at once
+    least = float((xi * demand.box(th, xi, psi)[0]).sum())
+    results = [Infeasible(f"capacity {p.psi:.6g} is below the vehicle mass "
+                          "with every price at its upper end")
+               if least > p.psi else None for p in params]
+    kept = [r for r, out in enumerate(results) if out is None]
+    if on.any() and kept:
+        a_vec = np.array([net.on_arcs(a_mats[r])[on] for r in kept])
         lin, bend = demand.derivatives(th, xi, a_vec, c)
         # each weak component left is a strong class: ground its last node
         grounded = ~np.triu(classes, 1).any(axis=1)
-        rows = _interior_point(
-            params, c, np.concatenate([arc[on], pairs[live]]), th, xi,
-            pair_time[live], lin, bend, z_lo, z_hi,
-            demand.start(th, xi, a_vec, c, psi), grounded)
-        for r, (z, w, residual) in enumerate(rows):
-            p_vecs[r][on] = demand.price(z, th)
-            w_vecs[r][live] = w
-            residuals[r] = residual
-    return [_solution(net, a_mat, params, p_vec, w_vec, residual)
-            for a_mat, p_vec, w_vec, residual
-            in zip(a_mats, p_vecs, w_vecs, residuals)]
+        solved = _interior_point(
+            psi[kept], eta[kept], c, np.concatenate([arc[on], pairs[live]]),
+            th, xi, pair_time[live], lin, bend,
+            *demand.box(th, xi, psi[kept]),
+            demand.start(th, xi, a_vec, c, psi[kept]), grounded)
+        for r, out in zip(kept, solved):
+            results[r] = out
+    solutions = []
+    for a_mat, p, out in zip(a_mats, params, results):
+        if isinstance(out, Exception):
+            raise out
+        # an arc on no directed cycle keeps price 1 and no flow
+        p_vec, w_vec, residual = np.ones(len(arc)), np.zeros(len(pairs)), 0.0
+        if out is not None:
+            z, w, residual = out
+            p_vec[on] = demand.price(z, th)
+            w_vec[live] = w
+        solutions.append(_solution(net, a_mat, p, p_vec, w_vec, residual))
+    return solutions
 
 
 def solve_extended(net: TrafficNetwork, a, params: ExtendedParams,
@@ -511,8 +529,9 @@ def solve_extended(net: TrafficNetwork, a, params: ExtendedParams,
     the iteration stops short of the optimum at a primal-feasible point.
     ``seed`` does not affect the result; ``local_only`` is set for
     exponential demand.  This is the one-row batch of the loop that
-    :func:`~resistive_pricing.selection.strategy_compare` runs over a
-    whole candidate set, which shares ``net`` and ``params``; each of its
-    rows equals this solve of its ad vector bit for bit.
+    :func:`~resistive_pricing.selection.strategy_compare` and the sweeps
+    run over candidate sets and grid points, which share ``net`` and the
+    demand curve; each of its rows equals this solve of its ad vector and
+    parameters bit for bit.
     """
-    return _solve_rows(net, [a], params)[0]
+    return _solve_rows(net, [a], [params])[0]

@@ -291,9 +291,13 @@ class AdRevenueVector(FrozenArrays):
         n = self.network.n_locations
         if values.shape != (n, n):
             raise ValueError(f"ad revenue matrix must be ({n}, {n})")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("ad revenues must be finite")
         arc_mask = self.network.demand > 0
+        finite = np.isfinite(values)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0].tolist()
+            where = "on arc" if arc_mask[i, j] else "off the arc set at"
+            raise ValueError(f"ad revenue {where} ({i}, {j}) must be "
+                             f"finite, not {values[i, j]}")
         if np.any(values[~arc_mask] != 0):
             raise ValueError("ad revenue defined off the arc set")
         if np.any(values[arc_mask] < 0):

@@ -33,6 +33,10 @@ from .extended import _solve_rows
 from .network import AdRevenueVector, TrafficNetwork, ad_matrix
 from .pricing import solve_general
 
+# the most rows one extended batch of a grid comparison stacks; a chunk
+# holds whole grid points, at least one
+GRID_CHUNK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class AdvertiserCatalog:
@@ -118,15 +122,15 @@ def delta(net: TrafficNetwork, a) -> float:
     bound on the optimal payoff, with equality when every cap multiplier
     is 0.
     """
-    return float(_deltas(net, [a])[0])
+    return float(_deltas(net, net.on_arcs(ad_matrix(net, a))[None])[0])
 
 
-def _deltas(net: TrafficNetwork, candidates) -> np.ndarray:
-    """Delta of each candidate ad vector.  The K value vectors are the
-    columns of one (N, K) array, so one factorization gives every lambda;
-    only (K, arcs) gains are held, never (K, N, N) ad matrices."""
-    gains = 1.0 + np.array([net.on_arcs(ad_matrix(net, a))
-                            for a in candidates]) - net.unit_cost
+def _deltas(net: TrafficNetwork, ad_rows) -> np.ndarray:
+    """Delta of each candidate, given as the (K, arcs) per-arc ad revenues
+    of the K candidates.  The K value vectors are the columns of one
+    (N, K) array, so one factorization gives every lambda; only (K, arcs)
+    gains are held, never (K, N, N) ad matrices."""
+    gains = 1.0 + ad_rows - net.unit_cost
     th = net.arc_demand
     flows = (th * gains).ravel()
     n, k = net.n_locations, len(gains)
@@ -144,35 +148,45 @@ def _deltas(net: TrafficNetwork, candidates) -> np.ndarray:
 
 def _candidates(net, catalog, mode):
     """Labels of the catalog's ``mode``-based advertisers in sorted order,
-    and the ad vector each induces.  Each candidate is one collaboration,
-    so a catalog whose budget is not 1 is rejected."""
+    and the (K, arcs) per-arc ad revenues each induces, the ad vector of
+    :func:`arc_candidate` or :func:`location_candidate` in arc order.
+    Each candidate is one collaboration, so a catalog whose budget is not
+    1 is rejected."""
     if catalog.budget != 1:
         raise ValueError("single-advertiser selection supports budget == 1; "
                          "rank caller-built candidates with reduced_search() "
                          "instead")
     if mode == "arc":
-        bids, induced = catalog.arc_based, arc_candidate
+        bids = catalog.arc_based
+        entries = [{label: bids[label]} for label in sorted(bids)]
     elif mode == "location":
-        bids, induced = catalog.location_based, location_candidate
+        bids = catalog.location_based
+        entries = [{(i, k): d for i, d in bids[k].items()}
+                   for k in sorted(bids)]
     else:
         raise ValueError("mode must be 'arc' or 'location'")
-    labels = sorted(bids)
-    if not labels:
+    if not bids:
         raise ValueError(f"catalog has no {mode}-based advertisers")
-    return labels, [induced(net, label, bids[label]) for label in labels]
+    column = net.arc_matrix(np.arange(len(net.arcs)), fill=-1)
+    rows = np.zeros((len(entries), len(net.arcs)))
+    for row, entry in zip(rows, entries):
+        for (i, j), value in entry.items():
+            row[column[i, j]] = value
+    return sorted(bids), rows
 
 
 def _select_single(net, catalog, mode):
     """Budget-one selection shared by the arc and location selectors:
     the first Delta maximum in sorted label order wins."""
     catalog.validate_for(net)
-    labels, vectors = _candidates(net, catalog, mode)
-    scores = _deltas(net, vectors)
+    labels, rows = _candidates(net, catalog, mode)
+    scores = _deltas(net, rows)
     best = int(np.argmax(scores))
+    chosen = AdRevenueVector(net, net.arc_matrix(rows[best]))
     return SelectionResult(
         chosen=labels[best],
-        ad_revenue=vectors[best],
-        payoff=solve_general(net, vectors[best]).payoff,
+        ad_revenue=chosen,
+        payoff=solve_general(net, chosen).payoff,
         scores=tuple(zip(labels, scores.tolist())),
     )
 
@@ -215,7 +229,7 @@ def reduced_search(net: TrafficNetwork, candidates: Sequence) -> SelectionResult
     if not candidates:
         raise ValueError("no candidates supplied")
     mats = [ad_matrix(net, cand) for cand in candidates]
-    deltas = _deltas(net, mats).tolist()
+    deltas = _deltas(net, np.array([net.on_arcs(m) for m in mats])).tolist()
     order = sorted(range(len(mats)), key=lambda k: (-deltas[k], k))
     solutions = {}
     h = len(order)
@@ -278,32 +292,61 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
     differ only in the ad vector.  Each payoff equals that candidate's
     own ``solve_extended`` bit for bit, and a failing batch raises the
     error of its first failing candidate, as a loop of single solves in
-    candidate order would.
+    candidate order would.  This is the one-point call of the comparison
+    that the ``sweep-psi`` and ``sweep-eta`` commands run over a whole
+    grid: there the scores are computed once and the candidates of every
+    grid point join one batch per chunk of whole grid points, of at most
+    ``GRID_CHUNK_ROWS`` rows unless one point has more candidates.
     """
+    return _compare_grid(net, catalog, mode, [params], [seed], trials)[0]
+
+
+def _compare_grid(net, catalog, mode, params_per_point, seeds, trials):
+    """:func:`strategy_compare` at each grid point, with that point's
+    parameters (all None, or all ``ExtendedParams`` of one demand curve)
+    and seed, as one list.  The candidates and their Delta scores are
+    computed once; the extended solves of every point join one batch per
+    chunk of whole grid points, so the error raised is the one a loop of
+    single solves over the points, then the candidates, raises first."""
     catalog.validate_for(net)
-    labels, vectors = _candidates(net, catalog, mode)
-    if seed is None:
+    labels, rows = _candidates(net, catalog, mode)
+    if any(seed is None for seed in seeds):
         raise ValueError("a seed is required (randomized strategy)")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+
+    mats = [net.arc_matrix(row) for row in rows]
+    if params_per_point[0] is None:
+        table = [[solve_general(net, mat).payoff for mat in mats]] \
+            * len(params_per_point)
+    else:
+        table = []
+        per_chunk = max(1, GRID_CHUNK_ROWS // len(mats))
+        for first in range(0, len(params_per_point), per_chunk):
+            chunk = params_per_point[first:first + per_chunk]
+            sols = _solve_rows(net, mats * len(chunk),
+                               [p for p in chunk for _ in mats])
+            table += [[sol.payoff for sol in sols[q:q + len(mats)]]
+                      for q in range(0, len(sols), len(mats))]
+
+    deltas = _deltas(net, rows)
+    # argmax takes the first maximum: ties go to the smallest label
+    res_idx = int(np.argmax(deltas))
+    return [_comparison(labels, deltas, payoffs, res_idx, seed, trials)
+            for payoffs, seed in zip(table, seeds)]
+
+
+def _comparison(labels, deltas, payoffs, res_idx, seed, trials):
+    """One grid point's comparison from its candidates' payoffs and the
+    seed of its random strategy."""
     root = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     # the random strategy draws from the last of len(labels) + 1 children,
     # as it always has, so that its draws keep their bits
     rng = np.random.default_rng(root.spawn(len(labels) + 1)[-1])
-
-    if params is None:
-        payoffs = [solve_general(net, vec).payoff for vec in vectors]
-    else:
-        payoffs = [sol.payoff for sol in _solve_rows(net, vectors, params)]
-
-    deltas = _deltas(net, vectors)
-    # argmax takes the first maximum: ties go to the smallest label
-    res_idx = int(np.argmax(deltas))
-    opt_idx = int(np.argmax(payoffs))
     draws = rng.integers(0, len(labels), size=trials)
+    opt_idx = int(np.argmax(payoffs))
     random_payoff = float(np.mean([payoffs[d] for d in draws]))
-
     opt = payoffs[opt_idx]
 
     def gap(value):

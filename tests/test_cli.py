@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -389,6 +391,31 @@ def run_main(argv):
     return code, err.getvalue(), [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize("source", ["network", "ads"])
+def test_non_finite_ad_revenue_exit_2(workdir, source):
+    """A NaN ad revenue in a network file or an infinite one in an --ads
+    file (JSON reads NaN and Infinity) ends in exit 2 and one error: line
+    naming the arc."""
+    net, _ = write_instance("net.json", "adv.json", n=5)
+    i, j = net.arcs[1]
+    argv = ["price", "--network", "net.json", "--out", "p.csv"]
+    if source == "network":
+        doc = json.loads(Path("net.json").read_text())
+        doc["arcs"][1]["ad_revenue"] = float("nan")
+        Path("net.json").write_text(json.dumps(doc))
+        value = "nan"
+    else:
+        Path("ads.json").write_text(json.dumps(
+            {"ads": [{"from": i, "to": j, "a": float("inf")}]}))
+        argv += ["--ads", "ads.json"]
+        value = "inf"
+    code, err, caught = run_main(argv)
+    assert code == 2 and caught == []
+    assert err == (f"error: ad revenue on arc ({i}, {j}) must be finite, "
+                   f"not {value}\n")
+    assert list(Path().glob("*.manifest.json")) == []
+
+
 @pytest.mark.parametrize("mode, value", [
     ("arc", float("nan")), ("arc", float("inf")),
     ("location", float("nan")), ("location", float("-inf"))],
@@ -658,6 +685,39 @@ class TestSweeps:
         assert code == 2
 
 
+class TestSweepBatch:
+    """A sweep solves its grid in chunks of whole grid points."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-psi", "--psi-grid", "30:90:20", "--eta", "0.8"],
+        ["sweep-eta", "--eta-grid", "0.2,0.9", "--psi", "60", "--demand",
+         "exp:2", "--mode", "arc"]], ids=["psi-uniform", "eta-exp-arc"])
+    def test_one_point_per_chunk_same_bytes(self, workdir, monkeypatch,
+                                            argv):
+        from resistive_pricing import extended, selection
+
+        write_instance("net.json", "adv.json", n=10, seed=7,
+                       profile="commuter")
+        argv = argv + ["--network", "net.json", "--advertisers", "adv.json",
+                       "--trials", "20", "--seed", "4"]
+        assert main(argv + ["--out", "whole.csv"]) == 0
+        loops = []
+        true_loop = extended._interior_point
+
+        def counted(*args):
+            loops.append(len(args[-2]))  # the rows of z0
+            return true_loop(*args)
+
+        monkeypatch.setattr(extended, "_interior_point", counted)
+        monkeypatch.setattr(selection, "GRID_CHUNK_ROWS", 1)
+        assert main(argv + ["--out", "points.csv"]) == 0
+        grid = json.loads(Path("points.csv.manifest.json").read_text())[
+            "parameters"][f"{argv[0].removeprefix('sweep-')}_grid"]
+        assert len(loops) == len(grid) and len(set(loops)) == 1
+        assert Path("whole.csv").read_bytes() \
+            == Path("points.csv").read_bytes()
+
+
 class TestGridParsing:
     def test_default_psi_grid_shape(self):
         from resistive_pricing.cli import _parse_grid
@@ -840,6 +900,63 @@ def write_rides(path):
 
 def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def run_fresh(argv, cwd):
+    """Exit code of ``argv`` run in a new interpreter."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "resistive_pricing",
+                           *argv], cwd=cwd, env=env, capture_output=True,
+                          timeout=120).returncode
+
+
+class TestCachedParser:
+    def test_main_calls_share_no_state(self, workdir):
+        """main reuses one parser: a run of commands in one process, with
+        and without optional arguments and with usage errors between
+        them, writes what each command writes in a new process."""
+        net, _ = write_instance("adv-net.json", "adv.json", n=5)
+        own = np.zeros((5, 5))
+        for i, j in net.arcs[::2]:
+            own[i, j] = 0.2
+        fileio.save_network("net.json", net, own)
+        Path("ads.json").write_text(json.dumps(
+            {"ads": [{"from": i, "to": j, "a": 0.4} for i, j in net.arcs]}))
+        sweep = ["sweep-psi", "--network", "net.json", "--advertisers",
+                 "adv.json", "--trials", "5", "--seed", "3"]
+        jobs = [
+            ["price", "--network", "net.json", "--ads", "ads.json",
+             "--out", "p1.csv"],
+            ["price", "--network"],
+            ["price", "--network", "net.json", "--out", "p2.csv"],
+            sweep + ["--psi-grid", "40,80", "--out", "s1.csv"],
+            sweep + ["--psi-grid", ",", "--out", "bad.csv"],
+            sweep + ["--out", "s2.csv"],
+        ]
+        outputs = ["p1.csv", "p2.csv", "s1.csv", "s2.csv"]
+        Path("fresh").mkdir()
+        for name in ("net.json", "adv.json", "ads.json"):
+            Path("fresh", name).write_bytes(Path(name).read_bytes())
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            codes = [main(argv) for argv in jobs]
+        assert codes == [run_fresh(argv, "fresh") for argv in jobs] \
+            == [0, 2, 0, 0, 2, 0]
+        assert Path("p1.csv").read_bytes() != Path("p2.csv").read_bytes()
+        for out in outputs:
+            assert Path(out).read_bytes() == Path("fresh", out).read_bytes()
+            kept, fresh = (
+                {k: v for k, v in json.loads(
+                    Path(*where, f"{out}.manifest.json").read_text()).items()
+                 if k != "duration_seconds"}
+                for where in ((), ("fresh",)))
+            assert kept == fresh
+        assert json.loads(Path("s2.csv.manifest.json").read_text())[
+            "parameters"]["psi_grid"] == [40.0, 80.0, 120.0, 160.0, 200.0,
+                                          240.0, 280.0]
 
 
 class TestManifest:

@@ -697,7 +697,7 @@ class TestCandidateBatch:
 
     @staticmethod
     def assert_rows_match_single_solves(net, ads, params):
-        batch = _solve_rows(net, ads, params)
+        batch = _solve_rows(net, ads, [params] * len(ads))
         singles = [solve_extended(net, a, params) for a in ads]
         assert [solution_digest(s) for s in batch] \
             == [solution_digest(s) for s in singles]
@@ -729,6 +729,31 @@ class TestCandidateBatch:
                                     demand=DemandModel.uniform())
             self.assert_rows_match_single_solves(net, ads, params)
 
+    @pytest.mark.parametrize("demand", [DemandModel.uniform(),
+                                        DemandModel.exponential(2.0)],
+                             ids=["uniform", "exp"])
+    def test_per_row_parameters_bit_for_bit(self, demand):
+        """Rows with their own psi and eta, a grid of points times the
+        benchmark sweep's candidates, each equal to its single solve."""
+        net, catalog = synth_instance(10, 0.3, seed=7, profile="commuter")
+        mass = float((net.arc_demand * net.arc_time).sum())
+        ads = [location_candidate(net, k, catalog.location_based[k])
+               for k in sorted(catalog.location_based)]
+        grid = [ExtendedParams(eta=eta, psi=frac * mass, demand=demand)
+                for frac, eta in ((0.25, 0.8), (1.0, 0.1), (0.5, 1.0))]
+        rows = [(a, params) for params in grid for a in ads]
+        batch = _solve_rows(net, [a for a, _ in rows], [p for _, p in rows])
+        assert [solution_digest(s) for s in batch] \
+            == [solution_digest(solve_extended(net, a, p)) for a, p in rows]
+
+    def test_rows_share_one_demand_curve(self):
+        net, _ = synth_instance(6, 0.5, seed=4)
+        rows = [ExtendedParams(eta=0.8, psi=10.0, demand=demand)
+                for demand in (DemandModel.uniform(),
+                               DemandModel.exponential(2.0))]
+        with pytest.raises(ValueError, match="one demand curve"):
+            _solve_rows(net, [None, None], rows)
+
     def test_empty_pairs_and_order_bit_for_bit(self):
         """Off-arc empty pairs shared by every row; reversing the rows
         reverses the answers and changes no bit."""
@@ -743,8 +768,8 @@ class TestCandidateBatch:
         for demand in (DemandModel.uniform(), DemandModel.exponential(2.0)):
             params = ExtendedParams(eta=0.8, psi=0.3 * mass, demand=demand)
             self.assert_rows_match_single_solves(net, ads, params)
-            forward = _solve_rows(net, ads, params)
-            backward = _solve_rows(net, ads[::-1], params)
+            forward = _solve_rows(net, ads, [params] * len(ads))
+            backward = _solve_rows(net, ads[::-1], [params] * len(ads))
             assert [solution_digest(s) for s in forward] \
                 == [solution_digest(s) for s in backward[::-1]]
 
@@ -769,7 +794,7 @@ class TestCandidateBatch:
                 if isinstance(o, tuple)] == failing
         error, message = singles[failing[0]]
         with pytest.raises(error) as caught:
-            _solve_rows(net, ads, params)
+            _solve_rows(net, ads, [params] * len(ads))
         assert str(caught.value) == message
         # without the failing rows the batch solves, bit for bit
         kept = [a for i, a in enumerate(ads) if i not in failing]
@@ -797,7 +822,7 @@ class TestCandidateBatch:
         monkeypatch.setattr(np.linalg, "solve", row_1_singular)
         with pytest.raises(NoConvergence, match="singular interior-point "
                            "Newton system at iteration 0") as caught:
-            _solve_rows(net, ads, params)
+            _solve_rows(net, ads, [params] * len(ads))
         assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
         singular.clear()
         monkeypatch.setattr(np.linalg, "solve", solve)

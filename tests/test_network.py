@@ -406,6 +406,22 @@ class TestAdRevenueVector:
         with pytest.raises(ValueError):
             AdRevenueVector(net, values)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_names_first_entry(self, value):
+        """The error names the first non-finite entry in row-major order,
+        on an arc or off the arc set, and its value."""
+        net = three_cycle()
+        values = np.zeros((3, 3))
+        values[2, 0] = values[1, 2] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"ad revenue on arc (1, 2) must be finite, not {value}")):
+            AdRevenueVector(net, values)
+        values[1, 0] = value  # not an arc
+        with pytest.raises(ValueError, match=re.escape(
+                f"ad revenue off the arc set at (1, 0) must be finite, "
+                f"not {value}")):
+            AdRevenueVector(net, values)
+
     def test_read_only_after_unpickling(self):
         a = AdRevenueVector.from_arcs(three_cycle(), {(0, 1): 0.2})
         copy = pickle.loads(pickle.dumps(a))

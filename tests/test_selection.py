@@ -6,6 +6,8 @@ from resistive_pricing import (
     AdvertiserCatalog,
     DemandModel,
     ExtendedParams,
+    Infeasible,
+    NoConvergence,
     arc_candidate,
     delta,
     location_candidate,
@@ -434,6 +436,114 @@ class TestBatchedScores:
         if n == 10:
             candidates += [arc_candidate(net, arc, b)
                            for arc, b in sorted(catalog.arc_based.items())]
-        batched = selection_mod._deltas(net, candidates)
+        batched = selection_mod._deltas(
+            net, np.array([net.on_arcs(cand.values) for cand in candidates]))
         single = [delta(net, cand) for cand in candidates]
         np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+
+
+def bench_sweep_instance():
+    """The benchmark sweep's N = 10 seed-7 commuter network, its catalog
+    and its vehicle mass."""
+    net, catalog = synth_instance(10, 0.3, seed=7, profile="commuter")
+    return net, catalog, float((net.arc_demand * net.arc_time).sum())
+
+
+class TestCompareGrid:
+    """A whole grid compared as one batch equals one strategy_compare per
+    grid point."""
+
+    @pytest.mark.parametrize("demand", [DemandModel.uniform(),
+                                        DemandModel.exponential(2.0)],
+                             ids=["uniform", "exp"])
+    @pytest.mark.parametrize("kind, mode", [("psi", "location"),
+                                            ("eta", "location"),
+                                            ("psi", "arc")])
+    def test_points_equal_strategy_compare(self, demand, kind, mode):
+        net, catalog, mass = bench_sweep_instance()
+        if kind == "psi":
+            grid = [ExtendedParams(eta=0.8, psi=float(f"{f * mass:.6g}"),
+                                   demand=demand)
+                    for f in (0.25, 0.5, 0.75, 1.0)]
+        else:
+            grid = [ExtendedParams(eta=eta, psi=0.5 * mass, demand=demand)
+                    for eta in (0.1, 0.4, 0.7, 1.0)]
+        seeds = [np.random.SeedSequence(7, spawn_key=(q,))
+                 for q in range(len(grid))]
+        batch = selection_mod._compare_grid(net, catalog, mode, grid, seeds,
+                                            100)
+        assert len(batch) == len(grid)
+        for q, (params, point) in enumerate(zip(grid, batch)):
+            single = strategy_compare(
+                net, catalog, mode=mode, params=params,
+                seed=np.random.SeedSequence(7, spawn_key=(q,)))
+            assert point == single
+            assert np.array(point.payoffs).tobytes() \
+                == np.array(single.payoffs).tobytes()
+            assert [o.payoff for o in point.outcomes] \
+                == [o.payoff for o in single.outcomes]
+
+    @pytest.mark.parametrize("order", ["loop-first", "capacity-first"])
+    def test_first_failing_point_raises_its_own_error(self, order):
+        """On mixed-scale draw 4 (tests/test_extended.py), location
+        candidate 4 fails in the loop at psi = mass / 2 and every
+        candidate fails the capacity pre-check at psi = 1e-300: the grid
+        raises the error of its earlier failing point, as one
+        strategy_compare per point does."""
+        from gen import random_ads
+        from test_extended import mixed_scale_draw
+
+        net = mixed_scale_draw(4)
+        mass = float((net.arc_demand * net.arc_time).sum())
+        ads = random_ads(np.random.default_rng(2), net, hi=3.0)
+        incoming = {}
+        for i, k in net.arcs:
+            incoming.setdefault(k, {})[i] = float(ads[i, k])
+        catalog = AdvertiserCatalog(arc_based={}, location_based=incoming)
+        demand = DemandModel.exponential(2.0)
+        grid = [ExtendedParams(eta=0.8, psi=psi, demand=demand)
+                for psi in (0.5 * mass, 1e-300)]
+        if order == "capacity-first":
+            grid.reverse()
+        seeds = [np.random.SeedSequence(0, spawn_key=(q,)) for q in (0, 1)]
+        with pytest.raises((Infeasible, NoConvergence)) as first:
+            strategy_compare(net, catalog, params=grid[0], seed=seeds[0])
+        with pytest.raises(type(first.value)) as caught:
+            selection_mod._compare_grid(net, catalog, "location", grid,
+                                        seeds, 100)
+        assert str(caught.value) == str(first.value)
+        assert ("capacity" in str(caught.value)) \
+            == (order == "capacity-first")
+
+    def test_one_score_and_one_batch_per_chunk(self, monkeypatch):
+        """One Delta scoring (one potentials solve) per grid, and one
+        interior-point loop per chunk of whole grid points."""
+        import resistive_pricing.extended as extended_mod
+
+        net, catalog, mass = bench_sweep_instance()
+        calls = {"_deltas": 0, "potentials": 0, "_interior_point": 0}
+
+        def counting(module, name):
+            true = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return true(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        counting(selection_mod, "_deltas")
+        counting(selection_mod, "potentials")
+        counting(extended_mod, "_interior_point")
+        grid = [ExtendedParams(eta=0.8, psi=f * mass,
+                               demand=DemandModel.uniform())
+                for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
+        seeds = [np.random.SeedSequence(3, spawn_key=(q,)) for q in range(5)]
+        k = len(catalog.location_based)
+        for rows, chunks in [(selection_mod.GRID_CHUNK_ROWS, 1),
+                             (2 * k + 1, 3), (1, 5)]:
+            monkeypatch.setattr(selection_mod, "GRID_CHUNK_ROWS", rows)
+            calls.update(dict.fromkeys(calls, 0))
+            selection_mod._compare_grid(net, catalog, "location", grid,
+                                        seeds, 10)
+            assert calls == {"_deltas": 1, "potentials": 1,
+                             "_interior_point": chunks}
