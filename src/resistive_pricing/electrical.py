@@ -85,12 +85,10 @@ def potentials(weights: np.ndarray, v: np.ndarray,
 
 
 def value_vector(net: TrafficNetwork, a=None) -> np.ndarray:
-    """Per-location value of having available vehicles.
-
+    """Per-location value of having available vehicles, the net outflow
     v_i = sum over arcs leaving i of theta_im (1 + a_im - c)
         - sum over arcs entering i of theta_mi (1 + a_mi - c).
-    Entries sum to zero.
+    Entries sum to zero; symmetric demand and ad revenues give exactly 0.
     """
-    a_mat = ad_matrix(net, a)
-    gain = net.demand * (1.0 + a_mat - net.unit_cost)
-    return gain.sum(axis=1) - gain.sum(axis=0)
+    gain = 1.0 + net.on_arcs(ad_matrix(net, a)) - net.unit_cost
+    return net.net_outflow(net.arc_demand * gain)

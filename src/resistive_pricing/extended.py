@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FrozenArrays, TrafficNetwork, _spread, ad_matrix
+from .network import FrozenArrays, TrafficNetwork, ad_matrix, strong_classes
 from .pricing import NoConvergence
 from .qp import solve_convex_qp  # noqa: F401  (bench/spans.py wraps this name)
 
@@ -170,10 +170,8 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
     and to max(1, psi) for fleet capacity.
     """
     a_mat = ad_matrix(net, a)
-    pairs, pair_time = net.pair_array, net.pair_time
-    n = net.n_locations
-    p = np.asarray(prices, dtype=float)
-    w = np.asarray(empty_flows, dtype=float)
+    pairs, n = net.pair_array, net.n_locations
+    p, w = (np.asarray(x, dtype=float) for x in (prices, empty_flows))
     if w.shape != (n, n) or p.shape != (n, n):
         raise ValueError("prices and empty_flows must be (N, N)")
 
@@ -189,36 +187,34 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
     if params.demand.kind == "uniform" and np.any(p_on > 1.0 + POINT_TOL):
         raise InfeasiblePoint("price above the cap")
 
-    flow = net.arc_demand * params.demand.remaining(p_on)
-    total = net.arc_matrix(flow) + np.where(pair_mask, w, 0.0)
-    outflow, inflow = total.sum(axis=1), total.sum(axis=0)
-    scale = max(1.0, float(np.abs(outflow).max()), float(np.abs(inflow).max()))
-    if np.abs(outflow - inflow).max() > POINT_TOL * scale:
+    flow, used, value = _evaluate(net, a_mat, params, p_on, w[tuple(pairs.T)])
+    scale = max(1.0, float(np.abs(net._node_sums(flow)).max()))
+    if np.abs(net.net_outflow(flow)).max() > POINT_TOL * scale:
         raise InfeasiblePoint("vehicle flow balance")
-
-    w_on = w[pairs[:, 0], pairs[:, 1]]
-    carried = net.arc_time * flow  # vehicle mass per arc
-    used = float(carried.sum() + (pair_time * w_on).sum())
     if used > params.psi + CAPACITY_TOL + POINT_TOL * max(1.0, params.psi):
         raise InfeasiblePoint("fleet capacity")
+    return value
 
-    value = float((carried * (p_on + net.on_arcs(a_mat)
-                              - net.unit_cost)).sum())
-    return value - float((pair_time * w_on).sum()) * params.eta * net.unit_cost
+
+def _evaluate(net, a_mat, params, p_vec, w_vec):
+    """Per-pair vehicle flows (arc flow plus empty flow), the vehicle mass
+    and the payoff at per-arc prices and per-pair empty flows."""
+    rem = params.demand.remaining(p_vec)
+    carried = net.arc_time * net.arc_demand * rem  # vehicle mass per arc
+    empty = float((net.pair_time * w_vec).sum())
+    used = float(carried.sum() + empty)
+    payoff = float((carried * (p_vec + net.on_arcs(a_mat)
+                               - net.unit_cost)).sum())
+    flow = w_vec.copy()
+    flow[:len(rem)] += net.arc_demand * rem
+    return flow, used, payoff - empty * params.eta * net.unit_cost
 
 
 def _solution(net, a_mat, params, p_vec, w_vec, residual):
     """The solution record of per-arc prices and per-pair empty flows >= 0."""
-    n, pair_time = net.n_locations, net.pair_time
-    flows = np.zeros((n, n))
+    flow, used, payoff = _evaluate(net, a_mat, params, p_vec, w_vec)
+    flows = np.zeros((net.n_locations, net.n_locations))
     flows[net.pair_array[:, 0], net.pair_array[:, 1]] = w_vec
-    rem = params.demand.remaining(p_vec)
-    total = flows + net.arc_matrix(net.arc_demand * rem)
-    carried = net.arc_time * net.arc_demand * rem  # vehicle mass per arc
-    used = float(carried.sum() + (pair_time * w_vec).sum())
-    payoff = float((carried * (p_vec + net.on_arcs(a_mat)
-                               - net.unit_cost)).sum())
-    payoff -= float((pair_time * w_vec).sum()) * params.eta * net.unit_cost
     return ExtendedSolution(
         prices=net.arc_matrix(p_vec, fill=np.nan),
         empty_flows=flows,
@@ -226,20 +222,11 @@ def _solution(net, a_mat, params, p_vec, w_vec, residual):
         kkt_residual=residual,
         feasibility_slacks={
             "capacity": params.psi - used,
-            "flow_balance": float(np.abs(total.sum(axis=1)
-                                         - total.sum(axis=0)).max()),
+            "flow_balance": float(np.abs(net.net_outflow(flow)).max()),
             "empty_flow_min": float(w_vec.min()),
         },
         local_only=params.demand.kind == "exponential",
     )
-
-
-def _mutual_reach(nodes, pairs):
-    """Mask of the node pairs in one strong class of the graph of ``pairs``."""
-    adj = np.zeros((nodes, nodes), dtype=bool)
-    adj[pairs[:, 0], pairs[:, 1]] = True
-    reach = _spread(adj, np.eye(nodes, dtype=bool), np.eye(nodes, dtype=bool))
-    return reach & reach.T
 
 
 def _blocking(slack, kap, ds, dk):
@@ -476,7 +463,7 @@ def _solve_rows(net: TrafficNetwork, ads, params) -> list:
     eta = np.array([[p.eta] for p in params])
     arc = net.arc_array
     # an edge is on a directed cycle when its ends share a strong class
-    classes = _mutual_reach(net.n_locations, pairs)
+    classes = strong_classes(net.n_locations, pairs)
     live = classes[pairs[:, 0], pairs[:, 1]]  # pairs start with the arcs
     on = live[:len(arc)]
     if demand.kind == "exponential" and not on.all():

@@ -150,6 +150,8 @@ class TrafficNetwork(FrozenArrays):
         off_pairs = np.array(list(off_arc), dtype=int).reshape(-1, 2)
 
         arc_array = np.argwhere(arc_mask)
+        # column-major: net_outflow bincounts contiguous tails and heads
+        pairs = np.asfortranarray(np.concatenate([arc_array, off_pairs]))
         ai, aj = arc_array.T
         arc_time = travel_time[ai, aj]
         for name, value in (
@@ -159,7 +161,7 @@ class TrafficNetwork(FrozenArrays):
                 ("arc_array", arc_array), ("arc_demand", demand[ai, aj]),
                 ("arc_time", arc_time),
                 ("arcs", tuple(map(tuple, arc_array.tolist()))),
-                ("pair_array", np.concatenate([arc_array, off_pairs])),
+                ("pair_array", pairs),
                 ("pair_time", np.concatenate([arc_time, [*off_arc.values()]])),
                 ("_flat", ai * n + aj)):
             object.__setattr__(self, name, value)
@@ -185,6 +187,30 @@ class TrafficNetwork(FrozenArrays):
         out = np.full((n, n), fill, dtype=np.result_type(values, fill))
         out.reshape(-1)[self._flat] = values
         return out
+
+    def net_outflow(self, values) -> np.ndarray:
+        """Per-node outflow minus inflow of (..., m) ``values`` on the first
+        m rows of ``pair_array`` (arcs first: per-arc values use the arcs
+        alone); a (K, m) stack gives (K, N).  Outflow and inflow are each
+        summed in pair order, so equal flows in and out net to exactly 0.
+
+        >>> net = TrafficNetwork(np.roll(np.eye(3), 1, 1), np.ones((3, 3)), 0)
+        >>> net.net_outflow([3.0, 1.0, 2.0])
+        array([ 1., -2.,  1.])
+        """
+        return np.subtract(*self._node_sums(values))
+
+    def _node_sums(self, values):
+        """(..., N) outflow and inflow of :meth:`net_outflow`'s ``values``,
+        one bincount per pair end; row r of a stack sums in bins r N + i."""
+        values = np.asarray(values, dtype=float)
+        n, m = self.n_locations, values.shape[-1]
+        rows = values.reshape(-1, m)
+        ends = self.pair_array[:m].T
+        if len(rows) > 1:  # row 0 needs no shift
+            ends = ends[:, None] + n * np.arange(len(rows))[:, None]
+        return [np.bincount(end.ravel(), rows.ravel(), len(rows) * n)
+                .reshape(values.shape[:-1] + (n,)) for end in ends]
 
 
 def _empty_pair(entry, n: int) -> tuple[int, int, float]:
@@ -242,6 +268,15 @@ def _spread(adj: np.ndarray, frontier: np.ndarray,
         frontier = ((frontier.astype(np.float32) @ step) > 0) & ~member
         member |= frontier
     return member
+
+
+def strong_classes(nodes: int, pairs: np.ndarray) -> np.ndarray:
+    """(nodes, nodes) mask of the node pairs in one strong class of the
+    directed graph of the (P, 2) ``pairs``: each reaches the other."""
+    adj = np.zeros((nodes, nodes), dtype=bool)
+    adj[pairs[:, 0], pairs[:, 1]] = True
+    reach = _spread(adj, np.eye(nodes, dtype=bool), np.eye(nodes, dtype=bool))
+    return reach & reach.T
 
 
 def connected_components(weights: np.ndarray) -> np.ndarray:

@@ -80,13 +80,6 @@ class PayoffBreakdown(FrozenArrays):
     surplus_by_arc: np.ndarray
 
 
-def _arc_payoff_surplus(th, xi, a_arc, c, p):
-    """Per-arc payoff theta*xi*(1-p)*(p+a-c) and surplus
-    0.5*theta*xi*(1-p)^2."""
-    rest = 1.0 - p
-    return th * xi * rest * (p + a_arc - c), 0.5 * th * xi * rest ** 2
-
-
 def payoff_and_surplus(net: TrafficNetwork, a, prices: np.ndarray) -> PayoffBreakdown:
     """Evaluate payoff and consumer surplus for arbitrary feasible prices.
 
@@ -97,8 +90,10 @@ def payoff_and_surplus(net: TrafficNetwork, a, prices: np.ndarray) -> PayoffBrea
     p_on = net.on_arcs(np.asarray(prices, dtype=float))
     if np.any(np.isnan(p_on)) or np.any(p_on > 1.0 + FEAS_TOL):
         raise ValueError("prices must be defined and <= 1 on every arc")
-    payoff_by_arc, surplus_by_arc = map(net.arc_matrix, _arc_payoff_surplus(
-        net.arc_demand, net.arc_time, a_arc, net.unit_cost, p_on))
+    th, xi, rest = net.arc_demand, net.arc_time, 1.0 - p_on
+    payoff_by_arc = net.arc_matrix(
+        th * xi * rest * (p_on + a_arc - net.unit_cost))
+    surplus_by_arc = net.arc_matrix(0.5 * th * xi * rest ** 2)
     return PayoffBreakdown(
         payoff=float(payoff_by_arc.sum()),
         consumer_surplus=float(surplus_by_arc.sum()),
@@ -120,7 +115,7 @@ def check_mu_zero_sufficient(net: TrafficNetwork, a) -> bool:
     state = _LoopState(net, a_mat)
     # theta_yx / xi_yx of the reverse arc, 0 where there is none
     reverse = np.where(state.reverse >= 0, state.ratio[state.reverse], 0.0)
-    bounds = 2.0 * (state.demand + reverse * net.arc_time) \
+    bounds = 2.0 * (net.arc_demand + reverse * net.arc_time) \
         * (1.0 + net.on_arcs(a_mat) - net.unit_cost)
     return bool(lhs <= bounds.min() + 1e-12)
 
@@ -138,12 +133,10 @@ class _LoopState:
     """
 
     def __init__(self, net, a_mat):
-        self.n = n = net.n_locations
+        self.net, self.n = net, net.n_locations
         self.ai, self.aj = net.arc_array.T
-        th, xi = net.arc_demand, net.arc_time
-        c = net.unit_cost
+        th, xi, c = net.arc_demand, net.arc_time, net.unit_cost
         a_arc = net.on_arcs(a_mat)
-        self.demand = th
         self.ratio = th / xi
         self.two_xi = 2.0 * xi
         self.base = (1.0 - a_arc + c) / 2.0
@@ -154,8 +147,8 @@ class _LoopState:
             net.arc_matrix(np.arange(len(th)), fill=-1).T)
         self.capped = np.zeros(len(th), dtype=bool)
         self.weights = net.projection.copy()
-        self.labels = np.zeros(n, dtype=int)
-        self.border = np.full((n, n), 1.0 / n)
+        self.labels = np.zeros(self.n, dtype=int)
+        self.border = np.full(net.projection.shape, 1.0 / self.n)
 
     def move(self, enter, leave):
         """Pin the arcs ``enter`` at the cap and release the arcs ``leave``
@@ -190,10 +183,8 @@ def _kkt_candidate(state):
     out non-negative whenever that is possible.
     """
     ai, aj, capped = state.ai, state.aj, state.capped
-    live = ~capped
-    v = np.bincount(ai[live], state.gain[live], state.n) \
-        - np.bincount(aj[live], state.gain[live], state.n)
-    lam = potentials(state.weights, v, state.border)
+    lam = potentials(state.weights, state.net.net_outflow(
+        np.where(capped, 0.0, state.gain)), state.border)
     prices = np.where(capped, 1.0,
                       state.base + (lam[ai] - lam[aj]) / state.two_xi)
 
@@ -209,8 +200,8 @@ def _kkt_candidate(state):
             if feasible:
                 lam = lam + shifts[comp]
 
-    mu = np.where(capped,
-                  state.demand * ((lam[ai] - lam[aj]) - state.margin), 0.0)
+    mu = np.where(capped, state.net.arc_demand
+                  * ((lam[ai] - lam[aj]) - state.margin), 0.0)
     return prices, lam, mu
 
 
@@ -229,31 +220,28 @@ def _resolve_shifts(n_comp, constraints):
 
 
 def _assemble(net, a_mat, prices, lam, mu, capped):
-    """Solution record from the per-arc candidate of the final capped set,
-    computed on the arc vectors and scattered into N x N once."""
+    """Solution record of the per-arc candidate of the final capped set
+    (prices at most 1 + ``FEAS_TOL``), totals by :func:`payoff_and_surplus`."""
     lam = lam - lam[-1]
     ai, aj = net.arc_array.T
     th, xi, c = net.arc_demand, net.arc_time, net.unit_cost
     a_arc = net.on_arcs(a_mat)
-    flows = net.arc_matrix(th * np.maximum(1.0 - prices, 0.0))
-    payoff_mat, surplus_mat = map(net.arc_matrix, _arc_payoff_surplus(
-        th, xi, a_arc, c, prices))
-    # totals and imbalance sum the N x N scatters, in the summation order
-    # of payoff_and_surplus; sums over the arc vectors would move low bits
+    arc_flow = th * np.maximum(1.0 - prices, 0.0)
+    price_mat = net.arc_matrix(prices, fill=np.nan)
+    totals = payoff_and_surplus(net, a_mat, price_mat)
     stat = th * xi * (2.0 * prices - 1.0 - c + a_arc) \
         - th * (lam[ai] - lam[aj]) + mu
-    imbalance = flows.sum(axis=1) - flows.sum(axis=0)
     residual = max(0.0, np.abs(stat).max(), (prices - 1.0).max(),
                    (-mu).max(), np.abs(mu * (prices - 1.0)).max(),
-                   np.abs(imbalance).max())
+                   np.abs(net.net_outflow(arc_flow)).max())
     return PricingSolution(
-        prices=net.arc_matrix(prices, fill=np.nan),
-        flows=flows,
+        prices=price_mat,
+        flows=net.arc_matrix(arc_flow),
         duals_lambda=lam,
         duals_mu=net.arc_matrix(mu),
         active_set=frozenset(map(tuple, net.arc_array[capped].tolist())),
-        payoff=float(payoff_mat.sum()),
-        consumer_surplus=float(surplus_mat.sum()),
+        payoff=totals.payoff,
+        consumer_surplus=totals.consumer_surplus,
         kkt_residual=float(residual),
     )
 

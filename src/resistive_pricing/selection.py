@@ -127,22 +127,14 @@ def delta(net: TrafficNetwork, a) -> float:
 
 def _deltas(net: TrafficNetwork, ad_rows) -> np.ndarray:
     """Delta of each candidate, given as the (K, arcs) per-arc ad revenues
-    of the K candidates.  The K value vectors are the columns of one
-    (N, K) array, so one factorization gives every lambda; only (K, arcs)
-    gains are held, never (K, N, N) ad matrices."""
+    of the K candidates.  Their value vectors, the net outflows of their
+    gains, are the columns of one (N, K) array for one factorization."""
     gains = 1.0 + ad_rows - net.unit_cost
-    th = net.arc_demand
-    flows = (th * gains).ravel()
-    n, k = net.n_locations, len(gains)
-    # v_i = flow out of i - flow into i; candidate q counts its nodes
-    # from q n, so that one bincount serves every candidate
-    shift = n * np.arange(k)[:, None]
-    out, into = (np.bincount((end + shift).ravel(), flows, n * k)
-                 for end in net.arc_array.T)
-    values = (out - into).reshape(k, n).T
+    values = net.net_outflow(net.arc_demand * gains).T
     # a validated network is connected: its border is J/N
-    lam = potentials(net.projection, values, np.full((n, n), 1.0 / n))
-    return (np.sum(th * net.arc_time * (gains / 2.0) ** 2, axis=1)
+    lam = potentials(net.projection, values,
+                     np.full(net.projection.shape, 1.0 / net.n_locations))
+    return (np.sum(net.arc_demand * net.arc_time * (gains / 2.0) ** 2, axis=1)
             - np.sum(lam * values, axis=0) / 4.0)
 
 

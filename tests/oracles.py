@@ -349,36 +349,25 @@ def enumerate_extended_uniform(net, a_mat, params, tol=1e-7):
             x_fix = np.zeros(n)
             for k, val in fixed.items():
                 x_fix[k] = val
+            nf = len(free)
             for cap_active in (False, True):
-                rows = []
-                rhs = []
-                # stationarity on free coordinates
-                for k in free:
-                    row = np.zeros(len(free) + nodes + 1)
-                    col = np.flatnonzero(free == k)[0]
-                    row[col] = quad[k, k]
-                    row[len(free):len(free) + nodes] = A[:, k]
-                    row[-1] = gcap[k] if cap_active else 0.0
-                    rows.append(row)
-                    rhs.append(-lin[k])
-                # flow balance
-                for i in range(nodes):
-                    row = np.zeros(len(free) + nodes + 1)
-                    row[:len(free)] = A[i, free]
-                    rows.append(row)
-                    rhs.append(b[i] - A[i] @ x_fix)
+                # unknowns: the free coordinates, the node duals, the
+                # capacity dual; rows: stationarity on the free
+                # coordinates, flow balance, then the capacity if active
+                M = np.zeros((nf + nodes + cap_active, nf + nodes + 1))
+                M[np.arange(nf), np.arange(nf)] = quad[free, free]
+                M[:nf, nf:nf + nodes] = A[:, free].T
+                M[nf:nf + nodes, :nf] = A[:, free]
+                r = np.concatenate([-lin[free], b - A @ x_fix])
                 if cap_active:
-                    row = np.zeros(len(free) + nodes + 1)
-                    row[:len(free)] = gcap[free]
-                    rows.append(row)
-                    rhs.append(hcap - gcap @ x_fix)
-                M = np.array(rows)
-                r = np.array(rhs)
+                    M[:nf, -1] = gcap[free]
+                    M[-1, :nf] = gcap[free]
+                    r = np.append(r, hcap - gcap @ x_fix)
                 sol, *_ = np.linalg.lstsq(M, r, rcond=None)
                 if np.linalg.norm(M @ sol - r) > 1e-6 * (1.0 + np.linalg.norm(r)):
                     continue
                 x = x_fix.copy()
-                x[free] = sol[:len(free)]
+                x[free] = sol[:nf]
                 p_vec, w_vec = x[:na], x[na:]
                 if p_vec.max() > 1.0 + tol or w_vec.min() < -tol:
                     continue

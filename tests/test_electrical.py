@@ -218,6 +218,16 @@ class TestValueVector:
         net = bidirectional([(0, 1), (1, 2), (2, 0)], 3, theta=1.3)
         assert np.allclose(value_vector(net), 0.0)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_symmetric_demand_exactly_zero(self, seed):
+        """Symmetric demand, without ads or with symmetric ones: every
+        value is exactly 0, the paper's v = 0, with no rounding noise."""
+        net, _ = synth_instance(15, 0.3, seed=seed, profile="symmetric")
+        assert np.array_equal(net.demand, net.demand.T)
+        a = random_ads(np.random.default_rng(seed), net)
+        for ads in (None, (a + a.T) / 2.0):
+            assert not np.any(value_vector(net, ads))
+
     def test_uniform_ring_zero(self):
         demand = np.zeros((4, 4))
         for i in range(4):

@@ -226,6 +226,49 @@ class TestArcLayout:
         assert np.array_equal(net.on_arcs(index), np.arange(len(net.arcs)))
 
 
+class TestNetOutflow:
+    """One netting of per-pair values into per-node outflow minus inflow."""
+
+    @staticmethod
+    def by_loop(net, values):
+        """Outflow minus inflow, each summed in pair order by a loop."""
+        out, into = np.zeros(net.n_locations), np.zeros(net.n_locations)
+        for (i, j), value in zip(net.pair_array.tolist(), values):
+            out[i] += value
+            into[j] += value
+        return out - into
+
+    def test_matches_a_loop_over_pairs(self):
+        """Random networks with extra empty pairs; per-arc and per-pair
+        values; one row and a stack of three, each row bit-equal to its
+        one-row call."""
+        rng = np.random.default_rng(33)
+        with_off_arc = 0
+        for _ in range(40):
+            base = random_connected_network(rng, n_max=9)
+            n = base.n_locations
+            extra = [(i, j, 1.5) for i, j in rng.integers(n, size=(4, 2))
+                     if i != j]
+            net = validate_network(base.demand, base.travel_time,
+                                   base.unit_cost, extra)
+            with_off_arc += len(net.pair_array) > len(net.arcs)
+            for m in (len(net.arcs), len(net.pair_array)):
+                for k in (1, 3):
+                    values = rng.normal(size=(k, m))
+                    got = net.net_outflow(values)
+                    assert got.shape == (k, n)
+                    for row, value in zip(got, values):
+                        assert np.array_equal(row, self.by_loop(net, value))
+                        assert np.array_equal(net.net_outflow(value), row)
+        assert with_off_arc > 10
+
+    def test_read_only_input_and_integer_values(self):
+        net = three_cycle()
+        values = np.array([3, 1, 2])
+        values.setflags(write=False)
+        assert net.net_outflow(values).tolist() == [1.0, -2.0, 1.0]
+
+
 class TestProjection:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(0, 10 ** 6))
