@@ -223,14 +223,35 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _parse_ranges(option, text, form):
+    """The bounds of ``--bbox`` or ``--window``: finite numbers in the
+    order of ``form``, each lower bound at most the upper one after it."""
+    try:
+        values = tuple(float(t) for t in text.split(","))
+    except ValueError:
+        values = ()
+    if (len(values) != len(form.split(","))
+            or not all(map(math.isfinite, values))
+            or any(lo > hi for lo, hi in zip(values[::2], values[1::2]))):
+        raise ValueError(f"{option} must be {form}: finite numbers, each "
+                         f"lower bound at most its upper bound, not {text!r}")
+    return values
+
+
 def cmd_ingest(args) -> int:
-    bbox = tuple(float(t) for t in args.bbox.split(","))
-    if len(bbox) != 4:
-        raise ValueError("bbox must be lat0,lat1,lon0,lon1")
-    window = tuple(float(t) for t in args.window.split(","))
-    if len(window) != 2:
-        raise ValueError("window must be t0,t1")
-    rides = filter_rides(read_rides_csv(args.rides), bbox, window)
+    # every option is checked before the ride file is read
+    bbox = _parse_ranges("--bbox", args.bbox, "lat0,lat1,lon0,lon1")
+    window = _parse_ranges("--window", args.window, "t0,t1")
+    if not (math.isfinite(args.slot_seconds) and args.slot_seconds > 0):
+        raise ValueError("--slot-seconds must be finite and positive")
+    if args.k < 2:
+        raise ValueError("--k must be at least 2")
+    rides = read_rides_csv(args.rides)
+    count = len(rides)
+    rides = filter_rides(rides, bbox, window)
+    if count and not len(rides):
+        raise ValueError(f"--bbox and --window leave none of the {count} "
+                         "rides read")
     clustering = cluster_endpoints(rides, args.k, bbox, args.seed)
     result = aggregate_network(rides, clustering, args.slot_seconds, args.cost)
     fileio.save_network(args.out, result.network)

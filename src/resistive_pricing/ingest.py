@@ -41,6 +41,9 @@ class Rides(FrozenArrays):
     """Rides as six equal-length, read-only float64 columns.  A ride with
     a non-finite coordinate or ``dropoff_time <= pickup_time`` is named.
 
+    The columns are the rows of one (6, n) copy of the input, ``_table``,
+    in ``RIDE_FIELDS`` order.
+
     >>> Rides([1, 2], [1, 2], [1, 2], [1, 2], [0, 60], [600, 30])
     Traceback (most recent call last):
     ValueError: ride 1: dropoff_time <= pickup_time
@@ -54,18 +57,23 @@ class Rides(FrozenArrays):
     dropoff_time: np.ndarray
 
     def __post_init__(self):
-        columns = [np.array(getattr(self, name), dtype=float)
+        columns = [np.asarray(getattr(self, name), dtype=float)
                    for name in RIDE_FIELDS]
         m = min(col.size for col in columns)
         if any(col.shape != (m,) for col in columns):
             raise ValueError(f"ride {m}: columns must be 1-D of equal length")
-        late = ~(columns[5] > columns[4])
-        bad = late | ~np.isfinite(np.stack(columns[:4])).all(axis=0)
+        table = np.stack(columns)
+        late = ~(table[5] > table[4])
+        finite = np.isfinite(table[0])
+        for col in table[1:4]:
+            finite &= np.isfinite(col)
+        bad = late | ~finite
         if bad.any():
             i = int(bad.argmax())
             raise ValueError(f"ride {i}: dropoff_time <= pickup_time" if late[i]
                              else f"ride {i}: non-finite coordinate")
-        for name, col in zip(RIDE_FIELDS, columns):
+        object.__setattr__(self, "_table", table)
+        for name, col in zip(RIDE_FIELDS, table):
             object.__setattr__(self, name, col)
         super().__post_init__()
 
@@ -98,8 +106,9 @@ def read_rides_csv(path) -> Rides:
     that does not parse, or a ride that Rides rejects, raises ValueError
     naming the ride by its zero-based index among the non-blank data rows.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+    # np.loadtxt parses a binary handle faster than a text one
+    with open(path, "rb") as fh:
+        header = next(csv.reader([fh.readline().decode()]), None)
         if header is None or any(col not in header for col in RIDE_FIELDS):
             raise ValueError(f"rides CSV must carry columns {list(RIDE_FIELDS)}")
         usecols = [header.index(col) for col in RIDE_FIELDS]
@@ -111,8 +120,8 @@ def read_rides_csv(path) -> Rides:
                 table = np.loadtxt(fh, delimiter=",", quotechar='"',
                                    comments=None, ndmin=2, usecols=usecols)
         except ValueError:
-            fh.seek(0)
-            _name_bad_row(fh, usecols)
+            with open(path, newline="") as text:
+                _name_bad_row(text, usecols)
             raise
     return Rides(*table.T)
 
@@ -141,12 +150,11 @@ def filter_rides(rides: Rides, bbox, window) -> Rides:
     """
     lat0, lat1, lon0, lon1 = bbox
     t0, t1 = window
-    columns = [getattr(rides, name) for name in RIDE_FIELDS]
-    olat, olon, dlat, dlon, start, end = columns
+    olat, olon, dlat, dlon, start, end = rides._table
     keep = ((lat0 <= olat) & (olat <= lat1) & (lat0 <= dlat) & (dlat <= lat1)
             & (lon0 <= olon) & (olon <= lon1) & (lon0 <= dlon) & (dlon <= lon1)
             & (t0 <= start) & (end <= t1))
-    return Rides(*(col[keep] for col in columns))
+    return Rides(*np.compress(keep, rides._table, axis=1))
 
 
 def _project_metres(lat, lon, bbox):
@@ -191,6 +199,32 @@ def _kmeans(points, k, rng):
     column), and only per-point results are kept, so memory grows with n,
     not with k times n.
 
+    Most clusters also stop changing after a few iterations, so the
+    per-point work (bound shifts, skip test, centroid sums) covers only
+    the members of clusters that are not *frozen*, kept in index order: a
+    skip at the cluster level, the "global filter" of Yinyang k-means
+    (Ding et al., ICML 2015).  A cluster that no point joined or left in
+    an assignment after a bincount update keeps its centroid, bit for bit,
+    at the next update; one left so by the last two such assignments is
+    *quiet*.  A quiet cluster may freeze, and a frozen one stays frozen,
+    while its reach (its members' largest upper bound, times
+    ``1 + KMEANS_MARGIN`` plus the floor below) is under half its distance
+    to every centroid that moved.  That is the half test above, applied to
+    the whole cluster and to each moved centroid; a centroid that did not
+    move gives every member the same distances as at its last assignment.
+    So no member of a frozen cluster can change label and its centroid
+    stays exact, while bincount sums over the other clusters' members, in
+    index order, give their centroids the bits of sums over all points.
+    Taking members out of the per-point arrays, and putting them back,
+    costs about one pass over all points, so a cluster left as it was once
+    does not freeze yet, and quiet clusters freeze only when they hold a
+    quarter of the points still tested, or when a frozen cluster wakes
+    anyway.  A frozen cluster wakes when a moved centroid comes within
+    reach or a point joins it; its members missed the lower-bound shifts,
+    so they come back with ``l = -inf`` and the half test or a distance
+    column decides each of them.  Cluster counts follow the moves, and an
+    empty-cluster reseed wakes every cluster.
+
     The margin covers rounding, so that a skipped point's computed
     distances would also have given it its label, ties included: a
     relative ``KMEANS_MARGIN`` on ``u`` covers the few roundings in each
@@ -206,7 +240,10 @@ def _kmeans(points, k, rng):
     in order instead, after one full pass: an empty one is reseeded at
     the point farthest from every centroid, which then joins it, and the
     next assignment gives every point a full column.  One debug record
-    per call gives the assignments and the distance columns computed.
+    per call gives the assignments, the distance columns computed and the
+    points tested (the seeding's assignment tests and computes all n), and
+    counts the clusters frozen and those woken by a moved centroid, by a
+    joining point and by a reseed.
     """
     n = len(points)
     if k > n:
@@ -236,17 +273,16 @@ def _kmeans(points, k, rng):
     cols = max(1, KMEANS_BLOCK // k)
     buffers = np.empty((2, k * min(cols, n)))
 
-    def blocks(idx=None):
-        """Yield (index, (k, m) squared distances) for the points idx, all
-        points when None, at most ``cols`` points at a time."""
-        size = n if idx is None else len(idx)
-        for lo in range(0, size, cols):
-            at = slice(lo, lo + cols) if idx is None else idx[lo:lo + cols]
-            px, py = x[at], y[at]
-            out = buffers[0, :k * len(px)].reshape(k, -1)
-            tmp = buffers[1, :k * len(px)].reshape(k, -1)
-            np.subtract.outer(centers[:, 0], px, out=out)
-            np.subtract.outer(centers[:, 1], py, out=tmp)
+    def blocks(px, py):
+        """Yield (slice, (k, m) squared distances) for the points (px, py),
+        at most ``cols`` points at a time."""
+        for lo in range(0, len(px), cols):
+            at = slice(lo, lo + cols)
+            m = len(px[at])
+            out = buffers[0, :k * m].reshape(k, m)
+            tmp = buffers[1, :k * m].reshape(k, m)
+            np.subtract.outer(centers[:, 0], px[at], out=out)
+            np.subtract.outer(centers[:, 1], py[at], out=tmp)
             np.multiply(out, out, out=out)
             np.multiply(tmp, tmp, out=tmp)
             yield at, np.add(out, tmp, out=out)
@@ -256,64 +292,123 @@ def _kmeans(points, k, rng):
     # with their labels before (None: the plain loop's all-zero start)
     changed = bool(labels.any())
     moved = was = None
-    assignments, columns = 1, n
+    counts = np.bincount(labels, minlength=k)
+    # clusters that the last assignment, after a bincount update, left as
+    # they were (calm), and that the last two left so (quiet); frozen
+    # clusters; and the reach of each frozen cluster and of each quiet one
+    # where ``known``: its members' largest upper bound with the skip
+    # margin, which holds while it stays quiet or frozen
+    frozen = np.zeros(k, dtype=bool)
+    calm = np.zeros(k, dtype=bool)
+    quiet = np.zeros(k, dtype=bool)
+    known = np.zeros(k, dtype=bool)
+    reach = np.zeros(k)
+    # the per-point state of the members of clusters not frozen: their
+    # ids in index order, coordinates, labels and bounds
+    act, ax, ay, al, au, ab = np.arange(n), x, y, labels, upper, lower
+
+    def regather(woken):
+        """Store the per-point state, then gather that of the members of
+        the clusters not frozen; the members of ``woken`` clusters get
+        lower bounds of -inf."""
+        nonlocal act, ax, ay, al, au, ab
+        labels[act], upper[act], lower[act] = al, au, ab
+        # the old state goes before the new one is gathered
+        act = ax = ay = al = au = ab = None
+        act = np.flatnonzero(~frozen[labels])
+        ax, ay = x[act], y[act]
+        al, au, ab = labels[act], upper[act], lower[act]
+        ab[woken[al]] = -np.inf
+
+    # assignments, distance columns and points whose bounds were tested
+    assignments, columns, tests = 1, n, n
+    # clusters frozen, and woken by a moved centroid, a point or a reseed
+    freezes = reached = joins = thawed = 0
     for it in range(KMEANS_MAX_ITER):
         old = centers.copy()
-        counts = np.bincount(labels, minlength=k)
         reseeded = not counts.all()
         if not reseeded:
-            centers = np.column_stack([
-                np.bincount(labels, weights=x, minlength=k) / counts,
-                np.bincount(labels, weights=y, minlength=k) / counts])
+            live = ~frozen
+            centers[live] = np.column_stack([
+                np.bincount(al, weights=ax, minlength=k),
+                np.bincount(al, weights=ay, minlength=k)])[live] \
+                / counts[live, None]
         else:
             log.debug("k-means iteration %d left %d cluster(s) empty: full "
                       "pass and reseed", it + 1, k - np.count_nonzero(counts))
+            thawed += np.count_nonzero(frozen)
+            frozen[:] = calm[:] = quiet[:] = False
+            # every point gets a column next, so no lower bound is read
+            regather(frozen)
             if moved is None:
                 before = np.zeros_like(labels)
             else:
-                before = labels.copy()
+                before = al.copy()
                 before[moved] = was
             nearest = np.empty(n)
-            for at, block in blocks():
+            for at, block in blocks(x, y):
                 block.min(axis=0, out=nearest[at])
             columns += n
             for ci in range(k):
-                sel = labels == ci
+                sel = al == ci
                 if sel.any():
                     centers[ci] = points[sel].mean(axis=0)
                 else:
                     far = int(nearest.argmax())
                     centers[ci] = points[far]
-                    labels[far] = ci
-            upper[:] = np.inf
-            changed = not np.array_equal(labels, before)
+                    al[far] = ci
+            counts = np.bincount(al, minlength=k)
+            au[:] = np.inf
+            changed = not np.array_equal(al, before)
         drift = np.sqrt(((centers - old) ** 2).sum(axis=1))
         top = int(drift.argmax())
         others = np.full(k, drift[top])
         others[top] = np.partition(drift, k - 2)[k - 2]
-        upper += drift[labels]
-        lower -= others[labels]
 
         gaps = np.sqrt(((centers[:, None] - centers[None]) ** 2).sum(axis=2))
         np.fill_diagonal(gaps, np.inf)
         half = 0.5 * gaps.min(axis=1)
-        stale = np.flatnonzero(upper * (1.0 + KMEANS_MARGIN) + floor
-                               >= np.maximum(lower, half[labels]))
+        # a quiet or frozen cluster may be frozen unless a centroid that
+        # moved is within twice its reach.  Moving the members of quiet ones
+        # out costs about a pass over all points, so they freeze when they
+        # hold a quarter of the active points, or when clusters wake anyway
+        limit = 0.5 * np.where(drift > 0, gaps, np.inf).min(axis=1)
+        woken = frozen & ~(reach < limit)
+        fresh = quiet & ~known
+        if fresh.any() and (woken.any()
+                            or 4 * counts[quiet].sum() >= len(act)):
+            most = np.zeros(k)
+            np.maximum.at(most, al, au)
+            reach[fresh] = most[fresh] * (1.0 + KMEANS_MARGIN) + floor
+            known |= fresh
+        keep = (frozen | quiet & known) & (reach < limit)
+        if woken.any() or 4 * counts[keep & ~frozen].sum() >= len(act):
+            freezes += np.count_nonzero(keep & ~frozen)
+            reached += np.count_nonzero(woken)
+            frozen = keep
+            regather(woken)
+        au += drift[al]
+        ab -= others[al]
+        stale = np.flatnonzero(au * (1.0 + KMEANS_MARGIN) + floor
+                               >= np.maximum(ab, half[al]))
         assignments += 1
         columns += len(stale)
-        moved, was = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-        for at, block in blocks(stale):
+        tests += len(act)
+        moved, was, now = ([np.empty(0, dtype=int)] for _ in range(3))
+        for at, block in blocks(ax[stale], ay[stale]):
             near = block.argmin(axis=0)
             j = np.arange(len(near))
-            upper[at] = np.sqrt(block[near, j])
+            at = stale[at]
+            au[at] = np.sqrt(block[near, j])
             block[near, j] = np.inf
-            lower[at] = np.sqrt(block.min(axis=0))
-            prev = labels[at]
+            ab[at] = np.sqrt(block.min(axis=0))
+            prev = al[at]
             move = near != prev
-            moved.append(at[move])
+            moved.append(act[at[move]])
             was.append(prev[move])
-            labels[at] = near
-        moved, was = np.concatenate(moved), np.concatenate(was)
+            now.append(near[move])
+            al[at] = near
+        moved, was, now = (np.concatenate(v) for v in (moved, was, now))
         # the plain loop stops after an update that leaves the labels as
         # they were, and this assignment is its final pass; after a bincount
         # update, an assignment that moves no point means the next update
@@ -321,8 +416,28 @@ def _kmeans(points, k, rng):
         if not changed or not (reseeded or len(moved)):
             break
         changed = len(moved) > 0
+        counts += (np.bincount(now, minlength=k)
+                   - np.bincount(was, minlength=k))
+        # a frozen cluster that a point joined wakes; after bincount
+        # updates, an active cluster that no point joined or left in two
+        # assignments may freeze
+        touched = np.zeros(k, dtype=bool)
+        touched[was] = touched[now] = True
+        was_calm = calm
+        calm = ~(frozen | touched | reseeded)
+        quiet = calm & was_calm
+        known &= quiet
+        joined = frozen & touched
+        if joined.any():
+            joins += np.count_nonzero(joined)
+            frozen &= ~joined
+            regather(joined)
+    labels[act] = al
     log.debug("k-means: %d assignments, %d distance columns, n x assignments "
-              "= %d", assignments, columns, n * assignments)
+              "= %d, %d point tests; %d clusters frozen, woken by a moved "
+              "centroid %d, by a point %d, by a reseed %d", assignments,
+              columns, n * assignments, tests, freezes, reached, joins,
+              thawed)
     dist = (centers[labels, 0] - x) ** 2
     dist += (centers[labels, 1] - y) ** 2
     return centers, labels, float(dist.sum())
@@ -336,16 +451,20 @@ def cluster_endpoints(rides: Rides, k: int, bbox, seed) -> ClusteringResult:
     distinct points raise TooFewPoints.  k-means++ initialization from
     ``seed`` also gives the first assignment; Lloyd iterations, capped at
     ``KMEANS_MAX_ITER``, end on an assignment, and distances come in
-    blocks of at most ``KMEANS_BLOCK`` entries (see ``_kmeans``).
-    Deterministic given the seed.
+    blocks of at most ``KMEANS_BLOCK`` entries.  A cluster that stopped
+    changing is frozen, left out of the per-point work, while no moved
+    centroid is near enough to take one of its points; its centroid and
+    labels are then those a full pass would give, bit for bit (see
+    ``_kmeans``).  Deterministic given the seed.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if len(rides) == 0:
         raise TooFewPoints("no rides supplied")
-    lat = np.concatenate([rides.pickup_lat, rides.dropoff_lat])
-    lon = np.concatenate([rides.pickup_lon, rides.dropoff_lon])
-    points = _project_metres(lat, lon, bbox)
+    # the pooled latitudes and longitudes are freed before the clustering
+    points = _project_metres(
+        np.concatenate([rides.pickup_lat, rides.dropoff_lat]),
+        np.concatenate([rides.pickup_lon, rides.dropoff_lon]), bbox)
     rng = np.random.default_rng(seed)
     centers_m, labels, inertia = _kmeans(points, k, rng)
 

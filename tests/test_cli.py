@@ -227,6 +227,13 @@ MALFORMED = [
     ({}, INGEST[:-2] + ["30.65,30.69,104.03", "--window", "0,4200"]),
     ({}, INGEST + ["4200"]),
     ({"rides.csv": TWO_RIDES}, INGEST + ["0,4200", "--k", "1000000000"]),
+    ({"rides.csv": TWO_RIDES}, INGEST[:-2] + ["30.69,30.65,104.03,104.08",
+                                              "--window", "0,4200"]),
+    ({"rides.csv": TWO_RIDES}, INGEST[:-2] + ["nan,30.69,104.03,104.08",
+                                              "--window", "0,4200"]),
+    ({"rides.csv": TWO_RIDES}, INGEST + ["4200,0"]),
+    ({"rides.csv": TWO_RIDES}, INGEST + ["0,4200", "--slot-seconds", "0"]),
+    ({"rides.csv": TWO_RIDES}, INGEST + ["5000,9000"]),
     ({"t.csv": ""}, ["report", "t.csv"]),
     ({"t.csv": "a,b\n1,2\n"}, ["report", "t.csv"]),
 ]
@@ -239,7 +246,9 @@ MALFORMED_IDS = ["arc-without-to", "to-out-of-range", "arcs-not-objects",
                  "empty-time-zero", "empty-time-nan", "empty-time-nan-price",
                  "grid-start-nan", "grid-stop-inf",
                  "grid-step-zero", "grid-step-negative", "bbox-three-fields",
-                 "window-one-field", "k-above-endpoints", "report-empty",
+                 "window-one-field", "k-above-endpoints", "bbox-reversed",
+                 "bbox-nan", "window-reversed", "slot-seconds-zero",
+                 "window-leaves-no-ride", "report-empty",
                  "report-unknown-header"]
 
 
@@ -282,6 +291,41 @@ def test_unwritable_output_exit_2(workdir, capsys, blocked):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--bbox", "30.69,30.65,104.03,104.08"),
+    ("--bbox", "nan,30.69,104.03,104.08"),
+    ("--bbox", "30.65,30.69,104.08,104.03"), ("--bbox", "30.65,30.69,104.03"),
+    ("--bbox", "30.65,30.69,x,104.08"), ("--window", "32400,25200"),
+    ("--window", "0,nan"), ("--slot-seconds", "0"), ("--slot-seconds", "-600"),
+    ("--slot-seconds", "nan"), ("--k", "1")],
+    ids=["bbox-lat-reversed", "bbox-nan", "bbox-lon-reversed",
+         "bbox-three-fields", "bbox-not-a-number", "window-reversed",
+         "window-nan", "slot-seconds-zero", "slot-seconds-negative",
+         "slot-seconds-nan", "k-one"])
+def test_ingest_options_checked_before_reading(workdir, capsys, option,
+                                               value):
+    """A bad ingest option ends in exit 2 and one error line naming it,
+    before the ride file is read: here there is none to read."""
+    argv = ["ingest", "--rides", "missing.csv", "--bbox",
+            "30.65,30.69,104.03,104.08", "--window", "25200,32400",
+            "--seed", "0"]
+    assert main(argv + [option, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
+
+def test_ingest_names_rides_left_by_filter(workdir, capsys):
+    """A window or box that keeps no ride of a non-empty file says so
+    and gives the count read, not 'no rides supplied'."""
+    Path("rides.csv").write_text(TWO_RIDES)
+    assert main(INGEST + ["5000,9000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --bbox and --window leave none of the 2 rides read\n")
+    Path("rides.csv").write_text(TWO_RIDES.splitlines()[0] + "\n")
+    assert main(INGEST + ["5000,9000"]) == 2
+    assert capsys.readouterr().err == "error: no rides supplied\n"
 
 
 @pytest.mark.parametrize("option, value", [

@@ -125,6 +125,12 @@ def reseed_draw(case):
             lambda: ScriptedSeeds(seeds))
 
 
+def woken_draw(case):
+    """A (points, seeds) case like ``reseed_draw``'s, named apart from
+    the reseed cases."""
+    return reseed_draw(case)
+
+
 def hotspots_draw(draw):
     rng = np.random.default_rng(draw)
     lat0, lat1, lon0, lon1 = BBOX
@@ -136,6 +142,40 @@ def hotspots_draw(draw):
     hotspot = rng.choice(len(centre), size=40_000, p=rate / rate.sum())
     ends = centre[hotspot] + rng.normal(0.0, 0.0009, size=(40_000, 2))
     ends = np.clip(ends, [lat0, lon0], [lat1, lon1])
+    points = _project_metres(ends[:, 0], ends[:, 1], BBOX)
+    return points, 15, lambda: np.random.default_rng(draw)
+
+
+def bench_rides_draw(draw):
+    """The ride model of the pipeline benchmark: 15 hotspots on a jittered
+    grid, joined by a random spanning tree plus random pairs up to 30% of
+    all pairs, each direction with its own rate; 20 000 rides drawn with
+    seed ``draw``, endpoints scattered about 100 m around their hotspot
+    and written with 6 decimals.  Draw 0 is the benchmark's ride file,
+    clustered with its k = 15 and seed 0."""
+    model = np.random.default_rng(7)
+    lat0, lat1, lon0, lon1 = BBOX
+    grid = np.stack(np.meshgrid(np.linspace(lat0 + 0.007, lat1 - 0.007, 3),
+                                np.linspace(lon0 + 0.006, lon1 - 0.006, 5),
+                                indexing="ij"), axis=-1).reshape(-1, 2)
+    centre = grid + model.uniform(-0.001, 0.001, size=grid.shape)
+    order = model.permutation(15)
+    pairs = {tuple(sorted((int(order[i]), int(order[model.integers(i)]))))
+             for i in range(1, 15)}
+    every = list(itertools.combinations(range(15), 2))
+    for at in model.permutation(len(every)):
+        if len(pairs) >= round(0.3 * len(every)):
+            break
+        pairs.add(every[at])
+    routes = np.array([p for i, j in sorted(pairs) for p in ((i, j), (j, i))])
+    rate = model.uniform(0.3, 1.0, len(routes))
+    rng = np.random.default_rng(draw)
+    chosen = routes[rng.choice(len(routes), size=20_000, p=rate / rate.sum())]
+    ends = [np.clip(centre[chosen[:, side]]
+                    + rng.normal(0.0, 0.0009, size=(20_000, 2)),
+                    [lat0, lon0], [lat1, lon1]) for side in (0, 1)]
+    ends = np.array([[float(f"{v:.6f}") for v in row]
+                     for row in np.concatenate(ends)])
     points = _project_metres(ends[:, 0], ends[:, 1], BBOX)
     return points, 15, lambda: np.random.default_rng(draw)
 
@@ -174,13 +214,25 @@ SCRIPTED_SEEDS = [[0, 5, 5, 9], [3, 3, 3, 7, 1], [8, 2, 8, 2, 8, 2],
 # a few integer points with seeds that repeat one, so clusters empty and
 # are reseeded.  In the first three the second reseed gives back the
 # labels of the first, so the plain loop stops there although the
-# centroids moved; in the last an assignment after a reseed moves no
+# centroids moved; in the fourth an assignment after a reseed moves no
 # point, but the reseeded centroids are no means of their clusters, so
-# the plain loop goes on
+# the plain loop goes on.  In the last, two pairs far off settle and
+# freeze, and a cluster among the other points empties in the fourth
+# update, which wakes them
 RESEEDS = [([[0, 0], [3, 0], [2, 0]], [1, 2, 2]),
            ([[2, 0], [0, 2], [2, 1]], [0, 2, 2]),
            ([[1, 2], [1, 0], [3, 0], [2, 2]], [3, 0, 3, 2]),
-           ([[2, 0], [1, 0], [1, 0], [0, 0], [3, 0], [1, 0]], [5, 1, 5])]
+           ([[2, 0], [1, 0], [1, 0], [0, 0], [3, 0], [1, 0]], [5, 1, 5]),
+           ([[1000, 0], [1001, 0], [1010, 0], [1011, 0], [7, 2], [7, 3],
+             [9, 2], [0, 3], [2, 0], [11, 0], [0, 0], [10, 0], [8, 0]],
+            [0, 2, 4, 6, 5])]
+BENCH_RIDE_DRAWS = [0, 1, 2]
+# points on a line whose cluster at 3-6 settles and freezes while the
+# centroid at 20-31 moves toward it over several updates, then wakes it:
+# its members' lower bounds missed those moves, and one of them would
+# skip a point that must change label
+WOKEN = ([[6, 0], [31, 0], [6, 0], [52, 0], [46, 0], [56, 0], [50, 0],
+          [55, 0], [20, 0], [3, 0]], [6, 5, 9])
 COLLINEAR_DRAWS = [5, 12, 22, 204, 436, 655]
 DIAGONAL_DRAWS = [841, 2941, 4385, 4830]
 INTEGER_LATTICE_DRAWS = [125, 259, 268]
@@ -190,7 +242,9 @@ KMEANS_DRAWS = [
     (duplicates_draw, range(10)),
     (scripted_draw, SCRIPTED_SEEDS),
     (reseed_draw, RESEEDS),
+    (woken_draw, [WOKEN]),
     (hotspots_draw, [11]),
+    (bench_rides_draw, BENCH_RIDE_DRAWS),
     (collinear_draw, COLLINEAR_DRAWS),
     (diagonal_draw, DIAGONAL_DRAWS),
     (integer_lattice_draw, INTEGER_LATTICE_DRAWS),
@@ -228,6 +282,28 @@ class TestKMeans:
         # 1 km apart, projected to metres (~1e7): after the first passes
         # the bounds skip almost every point
         assert_same_kmeans(*hotspots_draw(11))
+
+    @pytest.mark.parametrize("draw", BENCH_RIDE_DRAWS)
+    def test_matches_reference_on_bench_rides(self, draw):
+        # most clusters settle within a few iterations and freeze, while
+        # a few go on moving for up to 43
+        assert_same_kmeans(*bench_rides_draw(draw))
+
+    @pytest.mark.parametrize("build, draw, woken", [
+        (woken_draw, WOKEN, 0), (normal_draw, 28, 0), (collinear_draw, 204, 1),
+        (reseed_draw, RESEEDS[-1], 2)],
+        ids=["by-moved-centroid", "by-moved-centroid-normal",
+             "by-joining-point", "by-reseed"])
+    def test_matches_reference_after_frozen_clusters_wake(self, caplog, build,
+                                                          draw, woken):
+        # each way a frozen cluster wakes, counted in the debug record:
+        # a moved centroid within its reach, a point that joins it, a
+        # reseed of an empty cluster
+        with caplog.at_level(logging.DEBUG, logger="resistive_pricing.ingest"):
+            assert_same_kmeans(*build(draw))
+        *_, frozen, reached, joined, thawed = caplog.records[-1].args
+        assert frozen > 0
+        assert (reached, joined, thawed)[woken] > 0
 
     @pytest.mark.parametrize("draw", COLLINEAR_DRAWS)
     def test_matches_reference_on_collinear_lattices(self, draw):
@@ -309,19 +385,32 @@ class TestKMeans:
         with caplog.at_level(logging.DEBUG, logger="resistive_pricing.ingest"):
             _kmeans(points, 4, np.random.default_rng(0))
         [record] = caplog.records
-        iterations, columns, full = record.args
+        iterations, columns, full, tests, *woken = record.args
         assert full == 500 * iterations
         assert 500 <= columns < full
+        assert 500 <= tests <= full
+        assert woken[1:] == [0, 0, 0]
 
     def test_logs_the_columns_on_hotspots(self, caplog):
         # the seeding's first assignment comes with its bounds, so after
-        # it only 7 856 columns are computed where 27 full passes would
-        # take 1 080 000
+        # it only 7 763 columns are computed where 27 full passes would
+        # take 1 080 000; 11 clusters freeze and none wakes
         points, k, new_rng = hotspots_draw(11)
         with caplog.at_level(logging.DEBUG, logger="resistive_pricing.ingest"):
             _kmeans(points, k, new_rng())
         [record] = caplog.records
-        assert record.args == (28, 47_856, 1_120_000)
+        assert record.args == (28, 47_763, 1_120_000, 404_572, 11, 0, 0, 0)
+
+    def test_active_set_shrinks_on_hotspots(self, caplog):
+        # frozen clusters leave the per-point work: after the seeding's
+        # 40 000, the 27 assignments test fewer than 40% of their
+        # 1 080 000 point bounds
+        points, k, new_rng = hotspots_draw(11)
+        with caplog.at_level(logging.DEBUG, logger="resistive_pricing.ingest"):
+            _kmeans(points, k, new_rng())
+        iterations, _, _, tests, frozen, *_ = caplog.records[-1].args
+        assert frozen > 0
+        assert tests - 40_000 < 0.4 * (iterations - 1) * 40_000
 
     def test_logs_the_empty_cluster_fallback(self, caplog):
         points = np.random.default_rng(7).normal(0.0, 100.0, size=(40, 2))
