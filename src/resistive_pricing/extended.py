@@ -449,11 +449,15 @@ def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
 
 
 def _solve_rows(net: TrafficNetwork, ads, params) -> list:
-    """:func:`solve_extended` of each ad vector of ``ads`` with its own
-    ``ExtendedParams`` of ``params``, as one interior-point loop over the
-    stack of their problems; the rows share one demand curve.  A row
-    equals its single solve bit for bit; the error raised is the one a
-    loop of single solves in row order raises first."""
+    """The solve of :func:`solve_extended` for each ad vector of ``ads``
+    with its own ``ExtendedParams`` of ``params``, as one interior-point
+    loop over the stack of their problems; the rows share one demand
+    curve.  Each row is ``(a_mat, params, p_vec, w_vec, residual)``: the
+    ad matrix, per-arc prices, per-pair empty flows and KKT residual, from
+    which :func:`_solution` builds the record and :func:`_evaluate` the
+    payoff alone.  A row equals its single solve bit for bit; the error
+    raised is the one a loop of single solves in row order raises
+    first."""
     a_mats = [ad_matrix(net, a) for a in ads]
     pairs, pair_time = net.pair_array, net.pair_time
     demand, c = params[0].demand, net.unit_cost
@@ -489,7 +493,7 @@ def _solve_rows(net: TrafficNetwork, ads, params) -> list:
             demand.start(th, xi, a_vec, c, psi[kept]), grounded)
         for r, out in zip(kept, solved):
             results[r] = out
-    solutions = []
+    rows = []
     for a_mat, p, out in zip(a_mats, params, results):
         if isinstance(out, Exception):
             raise out
@@ -499,8 +503,8 @@ def _solve_rows(net: TrafficNetwork, ads, params) -> list:
             z, w, residual = out
             p_vec[on] = demand.price(z, th)
             w_vec[live] = w
-        solutions.append(_solution(net, a_mat, p, p_vec, w_vec, residual))
-    return solutions
+        rows.append((a_mat, p, p_vec, w_vec, residual))
+    return rows
 
 
 def solve_extended(net: TrafficNetwork, a, params: ExtendedParams,
@@ -521,4 +525,4 @@ def solve_extended(net: TrafficNetwork, a, params: ExtendedParams,
     demand curve; each of its rows equals this solve of its ad vector and
     parameters bit for bit.
     """
-    return _solve_rows(net, [a], [params])[0]
+    return _solution(net, *_solve_rows(net, [a], [params])[0])

@@ -41,8 +41,11 @@ class Rides(FrozenArrays):
     """Rides as six equal-length, read-only float64 columns.  A ride with
     a non-finite coordinate or ``dropoff_time <= pickup_time`` is named.
 
-    The columns are the rows of one (6, n) copy of the input, ``_table``,
-    in ``RIDE_FIELDS`` order.
+    The columns are the rows of one read-only (6, n) table, ``_table``,
+    in ``RIDE_FIELDS`` order.  The constructor stacks a copy of its
+    input; the reader and the filter build a fresh (n, 6) array, one row
+    per ride, and hand it to ``_of_rows``, which adopts its transpose
+    without a copy.
 
     >>> Rides([1, 2], [1, 2], [1, 2], [1, 2], [0, 60], [600, 30])
     Traceback (most recent call last):
@@ -62,7 +65,21 @@ class Rides(FrozenArrays):
         m = min(col.size for col in columns)
         if any(col.shape != (m,) for col in columns):
             raise ValueError(f"ride {m}: columns must be 1-D of equal length")
-        table = np.stack(columns)
+        self._adopt(np.stack(columns))
+
+    @classmethod
+    def _of_rows(cls, rows):
+        """Rides over ``rows``, a fresh float64 (n, 6) array that nothing
+        else holds, one ride per row in ``RIDE_FIELDS`` order; it becomes
+        read-only and the columns are views of it."""
+        rides = object.__new__(cls)
+        rows.setflags(write=False)
+        rides._adopt(rows.T)
+        return rides
+
+    def _adopt(self, table):
+        """Check the rides of a (6, n) table, then make its rows the
+        columns."""
         late = ~(table[5] > table[4])
         finite = np.isfinite(table[0])
         for col in table[1:4]:
@@ -75,7 +92,7 @@ class Rides(FrozenArrays):
         object.__setattr__(self, "_table", table)
         for name, col in zip(RIDE_FIELDS, table):
             object.__setattr__(self, name, col)
-        super().__post_init__()
+        FrozenArrays.__post_init__(self)
 
     def __len__(self) -> int:
         return len(self.pickup_time)
@@ -123,7 +140,7 @@ def read_rides_csv(path) -> Rides:
             with open(path, newline="") as text:
                 _name_bad_row(text, usecols)
             raise
-    return Rides(*table.T)
+    return Rides._of_rows(table)
 
 
 def _name_bad_row(fh, usecols):
@@ -147,6 +164,8 @@ def filter_rides(rides: Rides, bbox, window) -> Rides:
     """Keep rides whose both endpoints sit in bbox and both times in window.
 
     bbox is (lat_min, lat_max, lon_min, lon_max); window is (t0, t1).
+    The kept rides are one gather of whole rows of the table's (n, 6)
+    transpose, which the result adopts.
     """
     lat0, lat1, lon0, lon1 = bbox
     t0, t1 = window
@@ -154,28 +173,48 @@ def filter_rides(rides: Rides, bbox, window) -> Rides:
     keep = ((lat0 <= olat) & (olat <= lat1) & (lat0 <= dlat) & (dlat <= lat1)
             & (lon0 <= olon) & (olon <= lon1) & (lon0 <= dlon) & (dlon <= lon1)
             & (t0 <= start) & (end <= t1))
-    return Rides(*np.compress(keep, rides._table, axis=1))
+    return Rides._of_rows(np.compress(keep, rides._table.T, axis=0))
 
 
 def _project_metres(lat, lon, bbox):
+    """Equirectangular x and y in metres, in place: ``lon`` becomes x and
+    ``lat`` becomes y.  Returns (x, y)."""
     lat_mid = np.deg2rad(0.5 * (bbox[0] + bbox[1]))
-    x = EARTH_RADIUS_M * np.cos(lat_mid) * np.deg2rad(lon)
-    y = EARTH_RADIUS_M * np.deg2rad(lat)
-    return np.column_stack([x, y])
+    np.multiply(np.deg2rad(lon, out=lon), EARTH_RADIUS_M * np.cos(lat_mid),
+                out=lon)
+    np.multiply(np.deg2rad(lat, out=lat), EARTH_RADIUS_M, out=lat)
+    return lon, lat
 
 
-def _kmeans(points, k, rng):
-    """k-means++ seeding, then Lloyd iterations on an (n, 2) point array.
+def _draw(weights, total, rng, out):
+    """The index ``rng.choice(len(weights), p=weights / total)`` draws,
+    leaving ``rng`` in the same state, without that call's checks of p:
+    the cumulative sum of ``weights / total``, divided by its last entry,
+    searched for one ``rng.random()`` from the right.  ``out`` is a
+    float64 vector as long as ``weights`` that takes the sum."""
+    np.divide(weights, total, out=out)
+    np.cumsum(out, out=out)
+    out /= out[-1]
+    return int(out.searchsorted(rng.random(), side="right"))
 
-    Squared distances are ``dx*dx + dy*dy`` from 1-D coordinate arrays;
-    each point takes the first nearest centroid.  A centroid is its
-    members' coordinate sums (``np.bincount``, in index order) over their
-    count.  Returns (centers, labels, inertia), where the inertia sums
-    each point's squared distance to its own centroid.  Raises
-    TooFewPoints when k exceeds n, before any draw, or when the seeding
-    finds fewer than k distinct points.
 
-    The seeding computes every point's distance to every centre, so it
+def _kmeans(x, y, k, rng):
+    """k-means++ seeding, then Lloyd iterations on points with coordinates
+    ``x`` and ``y``, two 1-D float64 arrays of one length n.
+
+    Squared distances are ``dx*dx + dy*dy``; each point takes the first
+    nearest centroid.  A centroid is its members' coordinate sums
+    (``np.bincount``, in index order) over their count.  Returns
+    (centers, labels, inertia), where the (k, 2) centers hold x, y and
+    the inertia sums each point's squared distance to its own centroid.
+    Raises TooFewPoints when k exceeds n, before any draw, or when the
+    seeding finds fewer than k distinct points.
+
+    Each k-means++ centre is the draw of ``rng.choice(n, p=d2 / d2.sum())``
+    over the squared distances ``d2`` to the nearest centre so far, bit
+    for bit and with the generator left in the same state, made by
+    ``_draw`` in a reused n-vector.  The seeding computes every point's
+    distance to every centre, in place in that vector and one more, so it
     also gives the first assignment: each point's first nearest centre
     (a strictly smaller distance moves it, so ties keep the lower index)
     with its smallest and second-smallest squared distances.  Then each
@@ -245,28 +284,43 @@ def _kmeans(points, k, rng):
     counts the clusters frozen and those woken by a moved centroid, by a
     joining point and by a reseed.
     """
-    n = len(points)
+    n = len(x)
     if k > n:
         raise TooFewPoints(f"need at least {k} distinct endpoints")
-    x = np.ascontiguousarray(points[:, 0])
-    y = np.ascontiguousarray(points[:, 1])
 
-    # k-means++ seeding, which also makes the first assignment
+    # k-means++ seeding, which also makes the first assignment; each
+    # centre's distances go to ``dc``, and ``buf`` is scratch for the
+    # draw's cumulative sum and the terms of each distance pass
+    dc, buf = np.empty(n), np.empty(n)
+    closer = np.empty(n, dtype=bool)
+
+    def distances(cx, cy, out):
+        np.subtract(x, cx, out=out)
+        np.multiply(out, out, out=out)
+        np.subtract(y, cy, out=buf)
+        np.multiply(buf, buf, out=buf)
+        return np.add(out, buf, out=out)
+
     centers = np.empty((k, 2))
-    centers[0] = points[rng.integers(n)]
+    first = rng.integers(n)
+    centers[0] = x[first], y[first]
     labels = np.zeros(n, dtype=int)
-    d2 = (x - centers[0, 0]) ** 2 + (y - centers[0, 1]) ** 2
+    d2 = distances(*centers[0], np.empty(n))
     second = np.full(n, np.inf)
     for ci in range(1, k):
         # d2 sums to 0 exactly when the ci centres hold every distinct point
         total = d2.sum()
         if total == 0:
             raise TooFewPoints(f"need at least {k} distinct endpoints")
-        centers[ci] = points[rng.choice(n, p=d2 / total)]
-        dc = (x - centers[ci, 0]) ** 2 + (y - centers[ci, 1]) ** 2
-        labels[dc < d2] = ci
-        np.minimum(second, np.maximum(d2, dc), out=second)
+        pick = _draw(d2, total, rng, buf)
+        centers[ci] = x[pick], y[pick]
+        distances(*centers[ci], dc)
+        labels[np.less(dc, d2, out=closer)] = ci
+        np.minimum(second, np.maximum(d2, dc, out=buf), out=second)
         np.minimum(d2, dc, out=d2)
+    floor = (KMEANS_MAX_ITER + 8) * np.spacing(
+        4.0 * max(np.abs(x, out=dc).max(), np.abs(y, out=buf).max()))
+    del dc, buf, closer
     upper = np.sqrt(d2, out=d2)
     lower = np.sqrt(second, out=second)
 
@@ -287,7 +341,6 @@ def _kmeans(points, k, rng):
             np.multiply(tmp, tmp, out=tmp)
             yield at, np.add(out, tmp, out=out)
 
-    floor = (KMEANS_MAX_ITER + 8) * np.spacing(4.0 * np.abs(points).max())
     # whether the last assignment changed a label, and the points it moved
     # with their labels before (None: the plain loop's all-zero start)
     changed = bool(labels.any())
@@ -352,10 +405,13 @@ def _kmeans(points, k, rng):
             for ci in range(k):
                 sel = al == ci
                 if sel.any():
-                    centers[ci] = points[sel].mean(axis=0)
+                    # the axis-0 mean of stacked (m, 2) rows sums each
+                    # coordinate in index order, as the plain form's mean
+                    # does; a 1-D mean would sum pairwise
+                    centers[ci] = np.column_stack([x[sel], y[sel]]).mean(axis=0)
                 else:
                     far = int(nearest.argmax())
-                    centers[ci] = points[far]
+                    centers[ci] = x[far], y[far]
                     al[far] = ci
             counts = np.bincount(al, minlength=k)
             au[:] = np.inf
@@ -389,8 +445,12 @@ def _kmeans(points, k, rng):
             regather(woken)
         au += drift[al]
         ab -= others[al]
-        stale = np.flatnonzero(au * (1.0 + KMEANS_MARGIN) + floor
-                               >= np.maximum(ab, half[al]))
+        # the skip test, with two temporaries of the active size
+        reach_u = au * (1.0 + KMEANS_MARGIN)
+        reach_u += floor
+        bound = half[al]
+        stale = np.flatnonzero(reach_u >= np.maximum(bound, ab, out=bound))
+        del reach_u, bound
         assignments += 1
         columns += len(stale)
         tests += len(act)
@@ -438,8 +498,14 @@ def _kmeans(points, k, rng):
               "centroid %d, by a point %d, by a reseed %d", assignments,
               columns, n * assignments, tests, freezes, reached, joins,
               thawed)
-    dist = (centers[labels, 0] - x) ** 2
-    dist += (centers[labels, 1] - y) ** 2
+    # the bounds are spent: their vectors take the squared distances
+    dist = np.take(centers[:, 0], labels, out=upper)
+    dist -= x
+    dist *= dist
+    dy = np.take(centers[:, 1], labels, out=lower)
+    dy -= y
+    dy *= dy
+    dist += dy
     return centers, labels, float(dist.sum())
 
 
@@ -447,26 +513,28 @@ def cluster_endpoints(rides: Rides, k: int, bbox, seed) -> ClusteringResult:
     """Cluster pooled origin and destination points into k locations.
 
     Rides must already be filtered to bbox and the time window.  The
-    origins, then the destinations, are projected to metres; fewer than k
-    distinct points raise TooFewPoints.  k-means++ initialization from
-    ``seed`` also gives the first assignment; Lloyd iterations, capped at
-    ``KMEANS_MAX_ITER``, end on an assignment, and distances come in
-    blocks of at most ``KMEANS_BLOCK`` entries.  A cluster that stopped
-    changing is frozen, left out of the per-point work, while no moved
-    centroid is near enough to take one of its points; its centroid and
-    labels are then those a full pass would give, bit for bit (see
-    ``_kmeans``).  Deterministic given the seed.
+    origins, then the destinations, are pooled into one x and one y
+    vector, projected to metres in place, and clustered as those two
+    vectors; fewer than k distinct points raise TooFewPoints.  k-means++
+    initialization from ``seed``, each centre the draw of
+    ``Generator.choice`` bit for bit, also gives the first assignment;
+    Lloyd iterations, capped at ``KMEANS_MAX_ITER``, end on an
+    assignment, and distances come in blocks of at most ``KMEANS_BLOCK``
+    entries.  A cluster that stopped changing is frozen, left out of the
+    per-point work, while no moved centroid is near enough to take one of
+    its points; its centroid and labels are then those a full pass would
+    give, bit for bit (see ``_kmeans``).  Deterministic given the seed.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if len(rides) == 0:
         raise TooFewPoints("no rides supplied")
-    # the pooled latitudes and longitudes are freed before the clustering
-    points = _project_metres(
+    # the pooled coordinates are projected in place: x and y, origins first
+    x, y = _project_metres(
         np.concatenate([rides.pickup_lat, rides.dropoff_lat]),
         np.concatenate([rides.pickup_lon, rides.dropoff_lon]), bbox)
     rng = np.random.default_rng(seed)
-    centers_m, labels, inertia = _kmeans(points, k, rng)
+    centers_m, labels, inertia = _kmeans(x, y, k, rng)
 
     lat_mid = np.deg2rad(0.5 * (bbox[0] + bbox[1]))
     cent_lat = np.rad2deg(centers_m[:, 1] / EARTH_RADIUS_M)

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .electrical import potentials
-from .extended import _solve_rows
+from .extended import _evaluate, _solve_rows
 from .network import AdRevenueVector, TrafficNetwork, ad_matrix
 from .pricing import solve_general
 
@@ -299,7 +299,9 @@ def _compare_grid(net, catalog, mode, params_per_point, seeds, trials):
     and seed, as one list.  The candidates and their Delta scores are
     computed once; the extended solves of every point join one batch per
     chunk of whole grid points, so the error raised is the one a loop of
-    single solves over the points, then the candidates, raises first."""
+    single solves over the points, then the candidates, raises first.
+    Each payoff is read from the solved prices and empty flows alone,
+    the payoff of that solve's record, without building the record."""
     catalog.validate_for(net)
     labels, rows = _candidates(net, catalog, mode)
     if any(seed is None for seed in seeds):
@@ -316,10 +318,11 @@ def _compare_grid(net, catalog, mode, params_per_point, seeds, trials):
         per_chunk = max(1, GRID_CHUNK_ROWS // len(mats))
         for first in range(0, len(params_per_point), per_chunk):
             chunk = params_per_point[first:first + per_chunk]
-            sols = _solve_rows(net, mats * len(chunk),
-                               [p for p in chunk for _ in mats])
-            table += [[sol.payoff for sol in sols[q:q + len(mats)]]
-                      for q in range(0, len(sols), len(mats))]
+            solved = _solve_rows(net, mats * len(chunk),
+                                 [p for p in chunk for _ in mats])
+            payoffs = [_evaluate(net, *row[:4])[2] for row in solved]
+            table += [payoffs[q:q + len(mats)]
+                      for q in range(0, len(payoffs), len(mats))]
 
     deltas = _deltas(net, rows)
     # argmax takes the first maximum: ties go to the smallest label

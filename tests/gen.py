@@ -4,7 +4,7 @@ helpers that build and compare ride records."""
 import numpy as np
 
 from resistive_pricing import Rides, validate_network
-from resistive_pricing.ingest import RIDE_FIELDS
+from resistive_pricing.ingest import RIDE_FIELDS, _project_metres
 
 
 def random_connected_network(rng, n_min=2, n_max=6, cost=None,
@@ -93,3 +93,10 @@ def assert_same_rides(got, want):
     for name in RIDE_FIELDS:
         assert np.array_equal(getattr(got, name).view(np.int64),
                               getattr(want, name).view(np.int64)), name
+
+
+def projected(lat, lon, bbox):
+    """(n, 2) x, y points in metres of latitudes and longitudes, as
+    clustering projects them; the inputs are left as they were."""
+    return np.column_stack(_project_metres(np.array(lat, dtype=float),
+                                           np.array(lon, dtype=float), bbox))

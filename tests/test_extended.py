@@ -19,7 +19,7 @@ from resistive_pricing import (
     synth_instance,
     validate_network,
 )
-from resistive_pricing.extended import IPM_TOL, _solve_rows
+from resistive_pricing.extended import IPM_TOL, _solution, _solve_rows
 from resistive_pricing.network import strong_classes
 
 from gen import random_ads, random_instance
@@ -725,12 +725,18 @@ def mixed_scale_draw(index):
     return validate_network(demand, time, net.unit_cost)
 
 
+def solve_rows(net, ads, params):
+    """The solution records of one batch of rows, as solve_extended
+    builds its one row's."""
+    return [_solution(net, *row) for row in _solve_rows(net, ads, params)]
+
+
 class TestCandidateBatch:
     """A candidate set solved as one stack equals its single solves."""
 
     @staticmethod
     def assert_rows_match_single_solves(net, ads, params):
-        batch = _solve_rows(net, ads, [params] * len(ads))
+        batch = solve_rows(net, ads, [params] * len(ads))
         singles = [solve_extended(net, a, params) for a in ads]
         assert [solution_digest(s) for s in batch] \
             == [solution_digest(s) for s in singles]
@@ -775,7 +781,7 @@ class TestCandidateBatch:
         grid = [ExtendedParams(eta=eta, psi=frac * mass, demand=demand)
                 for frac, eta in ((0.25, 0.8), (1.0, 0.1), (0.5, 1.0))]
         rows = [(a, params) for params in grid for a in ads]
-        batch = _solve_rows(net, [a for a, _ in rows], [p for _, p in rows])
+        batch = solve_rows(net, [a for a, _ in rows], [p for _, p in rows])
         assert [solution_digest(s) for s in batch] \
             == [solution_digest(solve_extended(net, a, p)) for a, p in rows]
 
@@ -801,8 +807,8 @@ class TestCandidateBatch:
         for demand in (DemandModel.uniform(), DemandModel.exponential(2.0)):
             params = ExtendedParams(eta=0.8, psi=0.3 * mass, demand=demand)
             self.assert_rows_match_single_solves(net, ads, params)
-            forward = _solve_rows(net, ads, [params] * len(ads))
-            backward = _solve_rows(net, ads[::-1], [params] * len(ads))
+            forward = solve_rows(net, ads, [params] * len(ads))
+            backward = solve_rows(net, ads[::-1], [params] * len(ads))
             assert [solution_digest(s) for s in forward] \
                 == [solution_digest(s) for s in backward[::-1]]
 

@@ -12,12 +12,13 @@ from resistive_pricing import (
     synth_instance,
 )
 from resistive_pricing.ingest import (
+    RIDE_FIELDS,
     ClusteringResult,
     filter_rides,
     read_rides_csv,
 )
 
-from gen import assert_same_rides, rides_of
+from gen import assert_same_rides, projected, rides_of
 
 BBOX = (30.65, 30.69, 104.03, 104.08)
 
@@ -110,6 +111,30 @@ class TestRides:
                 held.pickup_time[0] = 5.0
         assert len(rides_of([])) == 0
 
+    def test_record_keeps_its_own_copy(self):
+        columns = four_rides()
+        rides = Rides(*columns)
+        want = [col.copy() for col in columns]
+        for col in columns:
+            assert not np.shares_memory(col, rides._table)
+            col[:] = -1.0
+        for name, col in zip(RIDE_FIELDS, want):
+            assert np.array_equal(getattr(rides, name), col)
+
+
+def assert_own_read_only_table(rides, *inputs):
+    """The table, its base and every column are read-only, and no input
+    array shares memory with the table."""
+    table = rides._table
+    assert table.shape == (6, len(rides))
+    for arr in (table, table.base if table.base is not None else table,
+                *(getattr(rides, name) for name in RIDE_FIELDS)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[..., :1] = 0.0
+    for arr in inputs:
+        assert not np.shares_memory(arr, table)
+
 
 class TestClustering:
     def test_exact_sites_zero_inertia(self):
@@ -169,12 +194,10 @@ class TestClustering:
     def test_inertia_consistent_with_labels(self):
         rides = grid_rides(np.random.default_rng(5), count=150)
         result = cluster_endpoints(rides, 5, BBOX, seed=2)
-        from resistive_pricing.ingest import _project_metres
         lats = np.concatenate([rides.pickup_lat, rides.dropoff_lat])
         lons = np.concatenate([rides.pickup_lon, rides.dropoff_lon])
-        pts = _project_metres(lats, lons, BBOX)
-        cent = _project_metres(result.centroids[:, 0],
-                               result.centroids[:, 1], BBOX)
+        pts = projected(lats, lons, BBOX)
+        cent = projected(result.centroids[:, 0], result.centroids[:, 1], BBOX)
         labels = np.concatenate([result.origin_labels, result.dest_labels])
         manual = float(((pts - cent[labels]) ** 2).sum())
         assert result.inertia == pytest.approx(manual, rel=1e-9)
@@ -273,6 +296,29 @@ class TestFilterAndCsv:
         assert len(rides) == 1
         assert rides.dropoff_time[0] == 600.0
         assert rides.pickup_lat[0] == 30.66
+
+    def test_read_and_filtered_tables_are_read_only_and_unaliased(
+            self, tmp_path):
+        # the reader and the filter hand a fresh (n, 6) table to Rides,
+        # which adopts it without a copy and makes it read-only
+        path = tmp_path / "rides.csv"
+        path.write_text(
+            "pickup_time,dropoff_time,pickup_lon,pickup_lat,"
+            "dropoff_lon,dropoff_lat\n"
+            "0,600,104.04,30.66,104.05,30.67\n"
+            "100,900,104.04,30.60,104.05,30.67\n"
+            "200,700,104.06,30.68,104.04,30.66\n")
+        read = read_rides_csv(path)
+        assert_own_read_only_table(read)
+        built = Rides(*(getattr(read, name).copy() for name in RIDE_FIELDS))
+        assert_same_rides(built, read)
+        for rides in (read, built):
+            kept = filter_rides(rides, BBOX, (0.0, 2000.0))
+            assert_own_read_only_table(kept, rides._table)
+            assert_same_rides(kept, rides_of([
+                ride(30.66, 104.04, 30.67, 104.05, t0=0.0),
+                ride(30.68, 104.06, 30.66, 104.04, t0=200.0, dur=500.0)]))
+            assert_own_read_only_table(pickle.loads(pickle.dumps(kept)))
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "rides.csv"

@@ -18,13 +18,13 @@ from resistive_pricing import (Rides, aggregate_network, cluster_endpoints,
 from resistive_pricing.cli import main
 from resistive_pricing.ingest import (
     TooFewPoints,
+    _draw,
     _kmeans,
-    _project_metres,
     filter_rides,
     read_rides_csv,
 )
 
-from gen import assert_same_rides, rides_of
+from gen import assert_same_rides, projected, rides_of
 from oracles import aggregate_reference, kmeans_reference
 
 BBOX = (30.65, 30.69, 104.03, 104.08)
@@ -34,7 +34,8 @@ HEADER = ["pickup_time", "dropoff_time", "pickup_lon", "pickup_lat",
 
 class ScriptedSeeds:
     """Stands in for a Generator in k-means++ seeding: each draw returns
-    the next scripted point index."""
+    the next scripted point index.  ``_kmeans`` draws its centres with
+    ``ingest._draw``, which ``scripted_draws`` routes to ``choice``."""
 
     def __init__(self, picks):
         self.picks = list(picks)
@@ -44,6 +45,20 @@ class ScriptedSeeds:
 
     def choice(self, n, p=None):
         return self.picks.pop(0)
+
+
+@pytest.fixture(autouse=True)
+def scripted_draws(monkeypatch):
+    """Let ``_kmeans`` draw a ScriptedSeeds' next index; a Generator
+    still draws through ``ingest._draw`` itself."""
+    draw = ingest._draw
+
+    def hook(weights, total, rng, out):
+        if isinstance(rng, ScriptedSeeds):
+            return rng.choice(len(weights), p=weights / total)
+        return draw(weights, total, rng, out)
+
+    monkeypatch.setattr(ingest, "_draw", hook)
 
 
 def random_rides(rng, count, grid=None):
@@ -87,7 +102,7 @@ def assert_same_kmeans(points, k, new_rng, want=None):
     if want is None:
         want = kmeans_reference(points, k, new_rng(),
                                 max_iter=ingest.KMEANS_MAX_ITER)
-    got = _kmeans(points, k, new_rng())
+    got = _kmeans(*points.T, k, new_rng())
     assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
     assert np.array_equal(got[1], want[1])
     assert got[2] == want[2]
@@ -142,7 +157,7 @@ def hotspots_draw(draw):
     hotspot = rng.choice(len(centre), size=40_000, p=rate / rate.sum())
     ends = centre[hotspot] + rng.normal(0.0, 0.0009, size=(40_000, 2))
     ends = np.clip(ends, [lat0, lon0], [lat1, lon1])
-    points = _project_metres(ends[:, 0], ends[:, 1], BBOX)
+    points = projected(ends[:, 0], ends[:, 1], BBOX)
     return points, 15, lambda: np.random.default_rng(draw)
 
 
@@ -176,7 +191,7 @@ def bench_rides_draw(draw):
                     [lat0, lon0], [lat1, lon1]) for side in (0, 1)]
     ends = np.array([[float(f"{v:.6f}") for v in row]
                      for row in np.concatenate(ends)])
-    points = _project_metres(ends[:, 0], ends[:, 1], BBOX)
+    points = projected(ends[:, 0], ends[:, 1], BBOX)
     return points, 15, lambda: np.random.default_rng(draw)
 
 
@@ -372,7 +387,7 @@ class TestKMeans:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _kmeans(points, k, np.random.default_rng(1))
+            _kmeans(*points.T, k, np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
@@ -383,7 +398,7 @@ class TestKMeans:
         points = np.random.default_rng(0).normal(0.0, 100.0, size=(500, 2))
         points[250:] += 1e4
         with caplog.at_level(logging.DEBUG, logger="resistive_pricing.ingest"):
-            _kmeans(points, 4, np.random.default_rng(0))
+            _kmeans(*points.T, 4, np.random.default_rng(0))
         [record] = caplog.records
         iterations, columns, full, tests, *woken = record.args
         assert full == 500 * iterations
@@ -397,7 +412,7 @@ class TestKMeans:
         # take 1 080 000; 11 clusters freeze and none wakes
         points, k, new_rng = hotspots_draw(11)
         with caplog.at_level(logging.DEBUG, logger="resistive_pricing.ingest"):
-            _kmeans(points, k, new_rng())
+            _kmeans(*points.T, k, new_rng())
         [record] = caplog.records
         assert record.args == (28, 47_763, 1_120_000, 404_572, 11, 0, 0, 0)
 
@@ -407,7 +422,7 @@ class TestKMeans:
         # 1 080 000 point bounds
         points, k, new_rng = hotspots_draw(11)
         with caplog.at_level(logging.DEBUG, logger="resistive_pricing.ingest"):
-            _kmeans(points, k, new_rng())
+            _kmeans(*points.T, k, new_rng())
         iterations, _, _, tests, frozen, *_ = caplog.records[-1].args
         assert frozen > 0
         assert tests - 40_000 < 0.4 * (iterations - 1) * 40_000
@@ -415,7 +430,7 @@ class TestKMeans:
     def test_logs_the_empty_cluster_fallback(self, caplog):
         points = np.random.default_rng(7).normal(0.0, 100.0, size=(40, 2))
         with caplog.at_level(logging.DEBUG, logger="resistive_pricing.ingest"):
-            _kmeans(points, 4, ScriptedSeeds([0, 5, 5, 9]))
+            _kmeans(*points.T, 4, ScriptedSeeds([0, 5, 5, 9]))
         assert len(caplog.records) == 2
         assert "empty" in caplog.records[0].getMessage()
 
@@ -425,12 +440,75 @@ class TestKMeans:
             clustering = cluster_endpoints(rides, k, BBOX, seed)
             lat = np.concatenate([rides.pickup_lat, rides.dropoff_lat])
             lon = np.concatenate([rides.pickup_lon, rides.dropoff_lon])
-            points = _project_metres(lat, lon, BBOX)
+            points = projected(lat, lon, BBOX)
             _, labels, inertia = kmeans_reference(
                 points, k, np.random.default_rng(seed))
             assert np.array_equal(clustering.origin_labels, labels[:2000])
             assert np.array_equal(clustering.dest_labels, labels[2000:])
             assert clustering.inertia == inertia
+
+
+def draw_weights(draw, n):
+    """Seeded non-negative weights of length n, with a positive sum: zeros,
+    one nonzero entry, ties, and magnitudes from 1e-300 to 1e300."""
+    rng = np.random.default_rng(draw)
+    kind = draw % 6
+    if kind == 0:
+        w = rng.uniform(size=n) * (rng.uniform(size=n) < 0.3)
+    elif kind == 1:
+        w = np.zeros(n)
+    elif kind == 2:
+        w = rng.integers(1, 4, size=n).astype(float)
+    elif kind == 3:
+        w = 10.0 ** rng.uniform(-300, 300, size=n)
+    elif kind == 4:
+        w = 1e-300 * rng.uniform(size=n)
+    else:
+        w = 1e300 * rng.uniform(size=n)
+    if not w.any():
+        w[rng.integers(n)] = rng.uniform(1e-300, 1e300)
+    return w
+
+
+class TestDraw:
+    """``_draw`` picks the index of ``Generator.choice(n, p=w / w.sum())``
+    and leaves the generator in the same state; the seeding of
+    ``_kmeans`` rests on it, while ``kmeans_reference`` keeps ``choice``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 40_000, 1 << 17])
+    def test_same_index_and_state_as_choice(self, n):
+        out = np.empty(n)
+        for draw in range(6 if n > 1000 else 60):
+            w = draw_weights(draw, n)
+            total = w.sum()
+            assert 0 < total < np.inf
+            want, got = (np.random.default_rng([n, draw]) for _ in range(2))
+            for _ in range(3):
+                # three draws in a row from one generator
+                assert _draw(w, total, got, out) \
+                    == want.choice(n, p=w / total)
+                assert got.bit_generator.state == want.bit_generator.state
+
+    def test_single_nonzero_entry_is_always_drawn(self):
+        w = np.zeros(9)
+        w[4] = 1e-300
+        rng = np.random.default_rng(0)
+        assert {_draw(w, w.sum(), rng, np.empty(9)) for _ in range(50)} == {4}
+
+    def test_a_draw_on_a_cumulative_sum_goes_right(self):
+        # the uniform draw equals the first cumulative sum exactly, so the
+        # search from the right passes index 0, as choice's does
+        u = np.random.default_rng(3).random()
+        w = np.array([u, 1.0 - u, 0.0])
+        assert w.sum() == 1.0
+        assert np.random.default_rng(3).choice(3, p=w) == 1
+        assert _draw(w, 1.0, np.random.default_rng(3), np.empty(3)) == 1
+
+    def test_weights_are_left_as_they_were(self):
+        w = draw_weights(0, 500)
+        before = w.copy()
+        _draw(w, w.sum(), np.random.default_rng(0), np.empty(500))
+        assert np.array_equal(w, before)
 
 
 class TestDistinctPoints:
@@ -441,15 +519,15 @@ class TestDistinctPoints:
     def test_more_clusters_than_points_raise_before_any_draw(self):
         points = np.random.default_rng(0).normal(size=(5, 2))
         with pytest.raises(TooFewPoints, match="need at least 6 distinct"):
-            _kmeans(points, 6, ScriptedSeeds([]))
+            _kmeans(*points.T, 6, ScriptedSeeds([]))
 
     @staticmethod
     def assert_threshold(points, distinct):
         if distinct >= 2:
-            _kmeans(points, distinct, np.random.default_rng(0))
+            _kmeans(*points.T, distinct, np.random.default_rng(0))
         with pytest.raises(TooFewPoints,
                            match=f"need at least {distinct + 1} distinct"):
-            _kmeans(points, distinct + 1, np.random.default_rng(0))
+            _kmeans(*points.T, distinct + 1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("draw", range(10))
     def test_matches_unique_rows(self, draw):
