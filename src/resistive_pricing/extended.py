@@ -169,7 +169,7 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
     empty flows, relative to max(1, largest node throughput) for flow balance
     and to max(1, psi) for fleet capacity.
     """
-    a_mat = ad_matrix(net, a)
+    a_vec = net.on_arcs(ad_matrix(net, a))
     pairs, n = net.pair_array, net.n_locations
     p, w = (np.asarray(x, dtype=float) for x in (prices, empty_flows))
     if w.shape != (n, n) or p.shape != (n, n):
@@ -187,7 +187,7 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
     if params.demand.kind == "uniform" and np.any(p_on > 1.0 + POINT_TOL):
         raise InfeasiblePoint("price above the cap")
 
-    flow, used, value = _evaluate(net, a_mat, params, p_on, w[tuple(pairs.T)])
+    flow, used, value = _evaluate(net, a_vec, params, p_on, w[tuple(pairs.T)])
     scale = max(1.0, float(np.abs(net._node_sums(flow)).max()))
     if np.abs(net.net_outflow(flow)).max() > POINT_TOL * scale:
         raise InfeasiblePoint("vehicle flow balance")
@@ -196,23 +196,22 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
     return value
 
 
-def _evaluate(net, a_mat, params, p_vec, w_vec):
+def _evaluate(net, a_vec, params, p_vec, w_vec):
     """Per-pair vehicle flows (arc flow plus empty flow), the vehicle mass
-    and the payoff at per-arc prices and per-pair empty flows."""
+    and the payoff at per-arc ads and prices and per-pair empty flows."""
     rem = params.demand.remaining(p_vec)
     carried = net.arc_time * net.arc_demand * rem  # vehicle mass per arc
     empty = float((net.pair_time * w_vec).sum())
     used = float(carried.sum() + empty)
-    payoff = float((carried * (p_vec + net.on_arcs(a_mat)
-                               - net.unit_cost)).sum())
+    payoff = float((carried * (p_vec + a_vec - net.unit_cost)).sum())
     flow = w_vec.copy()
     flow[:len(rem)] += net.arc_demand * rem
     return flow, used, payoff - empty * params.eta * net.unit_cost
 
 
-def _solution(net, a_mat, params, p_vec, w_vec, residual):
-    """The solution record of per-arc prices and per-pair empty flows >= 0."""
-    flow, used, payoff = _evaluate(net, a_mat, params, p_vec, w_vec)
+def _solution(net, a_vec, params, p_vec, w_vec, residual):
+    """The record of per-arc ads and prices and per-pair empty flows >= 0."""
+    flow, used, payoff = _evaluate(net, a_vec, params, p_vec, w_vec)
     flows = np.zeros((net.n_locations, net.n_locations))
     flows[net.pair_array[:, 0], net.pair_array[:, 1]] = w_vec
     return ExtendedSolution(
@@ -448,17 +447,15 @@ def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
     return results
 
 
-def _solve_rows(net: TrafficNetwork, ads, params) -> list:
-    """The solve of :func:`solve_extended` for each ad vector of ``ads``
-    with its own ``ExtendedParams`` of ``params``, as one interior-point
-    loop over the stack of their problems; the rows share one demand
-    curve.  Each row is ``(a_mat, params, p_vec, w_vec, residual)``: the
-    ad matrix, per-arc prices, per-pair empty flows and KKT residual, from
-    which :func:`_solution` builds the record and :func:`_evaluate` the
-    payoff alone.  A row equals its single solve bit for bit; the error
-    raised is the one a loop of single solves in row order raises
-    first."""
-    a_mats = [ad_matrix(net, a) for a in ads]
+def _solve_rows(net: TrafficNetwork, ad_rows, params) -> list:
+    """The solve of :func:`solve_extended` for each of the K per-arc ad
+    rows ``ad_rows`` with its own ``ExtendedParams`` of ``params``, as one
+    interior-point loop over the stack of their problems; the rows share
+    one demand curve, and their state is K (arcs + pairs + 1) wide, which
+    callers bound by a row budget.  Each row is ``(p_vec, w_vec,
+    residual)``, from which :func:`_solution` builds the record.  A row
+    equals its single solve bit for bit; the error raised is the one a
+    loop of single solves in row order raises first."""
     pairs, pair_time = net.pair_array, net.pair_time
     demand, c = params[0].demand, net.unit_cost
     if any(p.demand != demand for p in params):
@@ -482,7 +479,8 @@ def _solve_rows(net: TrafficNetwork, ads, params) -> list:
                if least > p.psi else None for p in params]
     kept = [r for r, out in enumerate(results) if out is None]
     if on.any() and kept:
-        a_vec = np.array([net.on_arcs(a_mats[r])[on] for r in kept])
+        # C order: the row-wise reductions then keep their bits
+        a_vec = np.ascontiguousarray(np.asarray(ad_rows)[kept][:, on])
         lin, bend = demand.derivatives(th, xi, a_vec, c)
         # each weak component left is a strong class: ground its last node
         grounded = ~np.triu(classes, 1).any(axis=1)
@@ -494,7 +492,7 @@ def _solve_rows(net: TrafficNetwork, ads, params) -> list:
         for r, out in zip(kept, solved):
             results[r] = out
     rows = []
-    for a_mat, p, out in zip(a_mats, params, results):
+    for out in results:
         if isinstance(out, Exception):
             raise out
         # an arc on no directed cycle keeps price 1 and no flow
@@ -503,7 +501,7 @@ def _solve_rows(net: TrafficNetwork, ads, params) -> list:
             z, w, residual = out
             p_vec[on] = demand.price(z, th)
             w_vec[live] = w
-        rows.append((a_mat, p, p_vec, w_vec, residual))
+        rows.append((p_vec, w_vec, residual))
     return rows
 
 
@@ -525,4 +523,6 @@ def solve_extended(net: TrafficNetwork, a, params: ExtendedParams,
     demand curve; each of its rows equals this solve of its ad vector and
     parameters bit for bit.
     """
-    return _solution(net, *_solve_rows(net, [a], [params])[0])
+    a_vec = net.on_arcs(ad_matrix(net, a))
+    return _solution(net, a_vec, params,
+                     *_solve_rows(net, a_vec[None], [params])[0])

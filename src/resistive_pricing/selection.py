@@ -33,9 +33,8 @@ from .extended import _evaluate, _solve_rows
 from .network import AdRevenueVector, TrafficNetwork, ad_matrix
 from .pricing import solve_general
 
-# the most rows one extended batch of a grid comparison stacks; a chunk
-# holds whole grid points, at least one
-GRID_CHUNK_ROWS = 256
+# the most entries, rows x (arcs + pairs + 1), one extended batch stacks
+BATCH_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -220,20 +219,20 @@ def reduced_search(net: TrafficNetwork, candidates: Sequence) -> SelectionResult
     """
     if not candidates:
         raise ValueError("no candidates supplied")
-    mats = [ad_matrix(net, cand) for cand in candidates]
-    deltas = _deltas(net, np.array([net.on_arcs(m) for m in mats])).tolist()
-    order = sorted(range(len(mats)), key=lambda k: (-deltas[k], k))
+    deltas = _deltas(net, np.array([net.on_arcs(ad_matrix(net, cand))
+                                    for cand in candidates])).tolist()
+    order = sorted(range(len(candidates)), key=lambda k: (-deltas[k], k))
     solutions = {}
     h = len(order)
     for pos, idx in enumerate(order):
-        solutions[idx] = solve_general(net, mats[idx])
+        solutions[idx] = solve_general(net, candidates[idx])
         if not solutions[idx].active_set:
             h = pos + 1
             break
     best = max(order[:h], key=lambda idx: (solutions[idx].payoff, -idx))
     cand = candidates[best]
     if not isinstance(cand, AdRevenueVector):
-        cand = AdRevenueVector(net, mats[best])
+        cand = AdRevenueVector(net, ad_matrix(net, cand))
     return SelectionResult(
         chosen=best,
         ad_revenue=cand,
@@ -286,9 +285,9 @@ def strategy_compare(net: TrafficNetwork, catalog: AdvertiserCatalog,
     error of its first failing candidate, as a loop of single solves in
     candidate order would.  This is the one-point call of the comparison
     that the ``sweep-psi`` and ``sweep-eta`` commands run over a whole
-    grid: there the scores are computed once and the candidates of every
-    grid point join one batch per chunk of whole grid points, of at most
-    ``GRID_CHUNK_ROWS`` rows unless one point has more candidates.
+    grid: there the scores are computed once, and the rows of every point
+    and candidate are cut in order into batches of ``BATCH_BUDGET``
+    entries, a row being arcs + pairs + 1 wide (at least one row each).
     """
     return _compare_grid(net, catalog, mode, [params], [seed], trials)[0]
 
@@ -297,11 +296,10 @@ def _compare_grid(net, catalog, mode, params_per_point, seeds, trials):
     """:func:`strategy_compare` at each grid point, with that point's
     parameters (all None, or all ``ExtendedParams`` of one demand curve)
     and seed, as one list.  The candidates and their Delta scores are
-    computed once; the extended solves of every point join one batch per
-    chunk of whole grid points, so the error raised is the one a loop of
-    single solves over the points, then the candidates, raises first.
-    Each payoff is read from the solved prices and empty flows alone,
-    the payoff of that solve's record, without building the record."""
+    computed once; the per-arc ad rows of every point, then candidate, are
+    solved in batches of the row budget, so the error raised is the one a
+    loop of single solves in that order raises first.  Each payoff comes
+    from the solved prices and empty flows, with no solution record."""
     catalog.validate_for(net)
     labels, rows = _candidates(net, catalog, mode)
     if any(seed is None for seed in seeds):
@@ -309,20 +307,22 @@ def _compare_grid(net, catalog, mode, params_per_point, seeds, trials):
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
-    mats = [net.arc_matrix(row) for row in rows]
+    k = len(rows)
     if params_per_point[0] is None:
-        table = [[solve_general(net, mat).payoff for mat in mats]] \
-            * len(params_per_point)
+        table = [[solve_general(net, net.arc_matrix(row)).payoff
+                  for row in rows]] * len(params_per_point)
     else:
-        table = []
-        per_chunk = max(1, GRID_CHUNK_ROWS // len(mats))
-        for first in range(0, len(params_per_point), per_chunk):
-            chunk = params_per_point[first:first + per_chunk]
-            solved = _solve_rows(net, mats * len(chunk),
-                                 [p for p in chunk for _ in mats])
-            payoffs = [_evaluate(net, *row[:4])[2] for row in solved]
-            table += [payoffs[q:q + len(mats)]
-                      for q in range(0, len(payoffs), len(mats))]
+        flat = range(len(params_per_point) * k)  # point, then candidate
+        size = max(1, BATCH_BUDGET
+                   // (len(net.arcs) + len(net.pair_array) + 1))
+        payoffs = []
+        for batch in (flat[first:first + size]
+                      for first in range(0, len(flat), size)):
+            params = [params_per_point[i // k] for i in batch]
+            ads = rows[[i % k for i in batch]]
+            payoffs += [_evaluate(net, a, p, *out[:2])[2] for a, p, out
+                        in zip(ads, params, _solve_rows(net, ads, params))]
+        table = [payoffs[q:q + k] for q in range(0, len(payoffs), k)]
 
     deltas = _deltas(net, rows)
     # argmax takes the first maximum: ties go to the smallest label

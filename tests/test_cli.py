@@ -730,7 +730,7 @@ class TestSweeps:
 
 
 class TestSweepBatch:
-    """A sweep solves its grid in chunks of whole grid points."""
+    """A sweep cuts its grid's rows into batches by a row budget."""
 
     @pytest.mark.parametrize("argv", [
         ["sweep-psi", "--psi-grid", "30:90:20", "--eta", "0.8"],
@@ -738,13 +738,21 @@ class TestSweepBatch:
          "exp:2", "--mode", "arc"]], ids=["psi-uniform", "eta-exp-arc"])
     def test_one_point_per_chunk_same_bytes(self, workdir, monkeypatch,
                                             argv):
+        """Budgets of one and of two rows per batch, fewer than one grid
+        point's candidates, write the bytes of the default budget."""
         from resistive_pricing import extended, selection
 
-        write_instance("net.json", "adv.json", n=10, seed=7,
-                       profile="commuter")
+        _, catalog = write_instance("net.json", "adv.json", n=10, seed=7,
+                                    profile="commuter")
+        net = fileio.load_network("net.json").network
+        width = len(net.arcs) + len(net.pair_array) + 1
         argv = argv + ["--network", "net.json", "--advertisers", "adv.json",
                        "--trials", "20", "--seed", "4"]
         assert main(argv + ["--out", "whole.csv"]) == 0
+        grid = json.loads(Path("whole.csv.manifest.json").read_text())[
+            "parameters"][f"{argv[0].removeprefix('sweep-')}_grid"]
+        mode = "arc" if "arc" in argv else "location"
+        rows = len(grid) * len(getattr(catalog, f"{mode}_based"))
         loops = []
         true_loop = extended._interior_point
 
@@ -753,13 +761,13 @@ class TestSweepBatch:
             return true_loop(*args)
 
         monkeypatch.setattr(extended, "_interior_point", counted)
-        monkeypatch.setattr(selection, "GRID_CHUNK_ROWS", 1)
-        assert main(argv + ["--out", "points.csv"]) == 0
-        grid = json.loads(Path("points.csv.manifest.json").read_text())[
-            "parameters"][f"{argv[0].removeprefix('sweep-')}_grid"]
-        assert len(loops) == len(grid) and len(set(loops)) == 1
-        assert Path("whole.csv").read_bytes() \
-            == Path("points.csv").read_bytes()
+        for size in (1, 2):
+            loops.clear()
+            monkeypatch.setattr(selection, "BATCH_BUDGET", size * width)
+            assert main(argv + ["--out", f"rows{size}.csv"]) == 0
+            assert loops == [size] * (rows // size) + [1] * (rows % size)
+            assert Path("whole.csv").read_bytes() \
+                == Path(f"rows{size}.csv").read_bytes()
 
 
 class TestGridParsing:

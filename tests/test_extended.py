@@ -20,7 +20,7 @@ from resistive_pricing import (
     validate_network,
 )
 from resistive_pricing.extended import IPM_TOL, _solution, _solve_rows
-from resistive_pricing.network import strong_classes
+from resistive_pricing.network import ad_matrix, strong_classes
 
 from gen import random_ads, random_instance
 from oracles import (
@@ -725,10 +725,18 @@ def mixed_scale_draw(index):
     return validate_network(demand, time, net.unit_cost)
 
 
+def ad_rows(net, ads):
+    """The (K, arcs) per-arc ad revenues of K ad vectors, converted as
+    solve_extended converts its one."""
+    return np.array([net.on_arcs(ad_matrix(net, a)) for a in ads])
+
+
 def solve_rows(net, ads, params):
     """The solution records of one batch of rows, as solve_extended
     builds its one row's."""
-    return [_solution(net, *row) for row in _solve_rows(net, ads, params)]
+    rows = ad_rows(net, ads)
+    return [_solution(net, a, p, *out)
+            for a, p, out in zip(rows, params, _solve_rows(net, rows, params))]
 
 
 class TestCandidateBatch:
@@ -791,7 +799,7 @@ class TestCandidateBatch:
                 for demand in (DemandModel.uniform(),
                                DemandModel.exponential(2.0))]
         with pytest.raises(ValueError, match="one demand curve"):
-            _solve_rows(net, [None, None], rows)
+            _solve_rows(net, ad_rows(net, [None, None]), rows)
 
     def test_empty_pairs_and_order_bit_for_bit(self):
         """Off-arc empty pairs shared by every row; reversing the rows
@@ -833,7 +841,7 @@ class TestCandidateBatch:
                 if isinstance(o, tuple)] == failing
         error, message = singles[failing[0]]
         with pytest.raises(error) as caught:
-            _solve_rows(net, ads, [params] * len(ads))
+            _solve_rows(net, ad_rows(net, ads), [params] * len(ads))
         assert str(caught.value) == message
         # without the failing rows the batch solves, bit for bit
         kept = [a for i, a in enumerate(ads) if i not in failing]
@@ -861,7 +869,7 @@ class TestCandidateBatch:
         monkeypatch.setattr(np.linalg, "solve", row_1_singular)
         with pytest.raises(NoConvergence, match="singular interior-point "
                            "Newton system at iteration 0") as caught:
-            _solve_rows(net, ads, [params] * len(ads))
+            _solve_rows(net, ad_rows(net, ads), [params] * len(ads))
         assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
         singular.clear()
         monkeypatch.setattr(np.linalg, "solve", solve)

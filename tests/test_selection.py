@@ -14,6 +14,7 @@ from resistive_pricing import (
     reduced_search,
     select_arc_advertiser,
     select_location_advertiser,
+    solve_extended,
     solve_general,
     strategy_compare,
     synth_instance,
@@ -515,9 +516,57 @@ class TestCompareGrid:
         assert ("capacity" in str(caught.value)) \
             == (order == "capacity-first")
 
+    def test_point_split_across_batches(self, monkeypatch):
+        """Mixed-scale draw 4 (tests/test_extended.py) under exp:2 at psi
+        = mass / 2, one grid point cut two rows per batch: location
+        candidates 2 and 4 fail on their own, and the grid raises
+        candidate 2's own error although candidate 3 shares its batch;
+        without them, every payoff is its single solve's, bit for bit."""
+        from gen import random_ads
+        from test_extended import mixed_scale_draw
+
+        net = mixed_scale_draw(4)
+        mass = float((net.arc_demand * net.arc_time).sum())
+        ads = random_ads(np.random.default_rng(0), net, hi=3.0)
+        incoming = {}
+        for i, k in net.arcs:
+            incoming.setdefault(k, {})[i] = float(ads[i, k])
+        labels = sorted(incoming)[2:]
+        params = ExtendedParams(eta=0.8, psi=0.5 * mass,
+                                demand=DemandModel.exponential(2.0))
+        singles = []
+        for k in labels:
+            try:
+                singles.append(solve_extended(
+                    net, location_candidate(net, k, incoming[k]),
+                    params).payoff)
+            except (Infeasible, NoConvergence) as exc:
+                singles.append(exc)
+        assert [r for r, out in enumerate(singles)
+                if isinstance(out, Exception)] == [2, 4]
+        assert str(singles[2]) != str(singles[4])
+        width = len(net.arcs) + len(net.pair_array) + 1
+        monkeypatch.setattr(selection_mod, "BATCH_BUDGET", 2 * width)
+
+        def compare(rows):
+            catalog = AdvertiserCatalog(arc_based={}, location_based={
+                labels[r]: incoming[labels[r]] for r in rows})
+            return selection_mod._compare_grid(
+                net, catalog, "location", [params],
+                [np.random.SeedSequence(0)], 10)
+
+        with pytest.raises(type(singles[2])) as caught:
+            compare(range(len(labels)))
+        assert str(caught.value) == str(singles[2])
+        kept = [0, 1, 3]
+        assert np.array(compare(kept)[0].payoffs).tobytes() \
+            == np.array([singles[r] for r in kept]).tobytes()
+
     def test_one_score_and_one_batch_per_chunk(self, monkeypatch):
         """One Delta scoring (one potentials solve) per grid, and one
-        interior-point loop per chunk of whole grid points."""
+        interior-point loop per batch of the row budget: ceil(rows /
+        size) loops at size = BATCH_BUDGET // (arcs + pairs + 1), at
+        least 1."""
         import resistive_pricing.extended as extended_mod
 
         net, catalog, mass = bench_sweep_instance()
@@ -539,11 +588,34 @@ class TestCompareGrid:
                 for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
         seeds = [np.random.SeedSequence(3, spawn_key=(q,)) for q in range(5)]
         k = len(catalog.location_based)
-        for rows, chunks in [(selection_mod.GRID_CHUNK_ROWS, 1),
-                             (2 * k + 1, 3), (1, 5)]:
-            monkeypatch.setattr(selection_mod, "GRID_CHUNK_ROWS", rows)
+        rows, width = len(grid) * k, len(net.arcs) + len(net.pair_array) + 1
+        default = selection_mod.BATCH_BUDGET
+        for budget, size in [(default, default // width),
+                             ((2 * k + 1) * width + width - 1, 2 * k + 1),
+                             (3 * width, 3), (width, 1), (1, 1)]:
+            monkeypatch.setattr(selection_mod, "BATCH_BUDGET", budget)
             calls.update(dict.fromkeys(calls, 0))
             selection_mod._compare_grid(net, catalog, "location", grid,
                                         seeds, 10)
             assert calls == {"_deltas": 1, "potentials": 1,
-                             "_interior_point": chunks}
+                             "_interior_point": -(-rows // size)}
+        assert default // width >= rows  # the default: one batch
+
+    def test_arc_comparison_memory_bounded(self):
+        """A one-point arc-mode extended comparison at N = 30 peaks below
+        40 MiB of traced memory: its candidates stay per-arc ad rows and
+        one batch holds at most BATCH_BUDGET entries (dense (N, N) ads in
+        whole-point batches peaked at 63 MiB)."""
+        import tracemalloc
+
+        net, catalog = synth_instance(30, 0.3, seed=1, profile="commuter")
+        mass = float((net.arc_demand * net.arc_time).sum())
+        params = ExtendedParams(eta=0.8, psi=0.5 * mass,
+                                demand=DemandModel.uniform())
+        tracemalloc.start()
+        try:
+            strategy_compare(net, catalog, mode="arc", params=params, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
