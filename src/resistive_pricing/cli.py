@@ -113,8 +113,8 @@ def _dump_electrical(net, a, prefix):
                      ([str(i), fmt(v[i])] for i in range(n)))
 
 
-def _price_rows(net, a_mat, sol):
-    breakdown = payoff_and_surplus(net, a_mat, sol.prices)
+def _price_rows(net, a, sol):
+    breakdown = payoff_and_surplus(net, a, sol.prices)
     for i, j in net.arcs:
         yield [str(i), str(j), fmt(sol.prices[i, j]), fmt(sol.flows[i, j]),
                fmt(sol.duals_mu[i, j]), fmt(breakdown.payoff_by_arc[i, j]),
@@ -143,7 +143,7 @@ def cmd_price(args) -> int:
         sol = solve_closed_form(net, a)
     except NotApplicable:
         sol = solve_general(net, a)
-    fileio.write_csv(args.out, PRICE_HEADER, _price_rows(net, a.values, sol))
+    fileio.write_csv(args.out, PRICE_HEADER, _price_rows(net, a, sol))
     if args.dump_electrical:
         _dump_electrical(net, a, args.dump_electrical)
     print(f"payoff={fmt(sol.payoff)} consumer_surplus={fmt(sol.consumer_surplus)} "

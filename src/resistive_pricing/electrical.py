@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FrozenArrays, TrafficNetwork, ad_matrix
+from .network import FrozenArrays, TrafficNetwork, arc_ads
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,7 @@ def value_vector(net: TrafficNetwork, a=None) -> np.ndarray:
     v_i = sum over arcs leaving i of theta_im (1 + a_im - c)
         - sum over arcs entering i of theta_mi (1 + a_mi - c).
     Entries sum to zero; symmetric demand and ad revenues give exactly 0.
+    ``a`` is an AdRevenueVector, an (N, N) or (M,) array, or None.
     """
-    gain = 1.0 + net.on_arcs(ad_matrix(net, a)) - net.unit_cost
+    gain = 1.0 + arc_ads(net, a) - net.unit_cost
     return net.net_outflow(net.arc_demand * gain)

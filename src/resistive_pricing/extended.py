@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FrozenArrays, TrafficNetwork, ad_matrix, strong_classes
+from .network import FrozenArrays, TrafficNetwork, arc_ads, strong_classes
 from .pricing import NoConvergence
 from .qp import solve_convex_qp  # noqa: F401  (bench/spans.py wraps this name)
 
@@ -167,9 +167,10 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
     Raises InfeasiblePoint naming the violated constraint when the point
     is infeasible beyond tolerance: ``POINT_TOL`` absolute for prices and
     empty flows, relative to max(1, largest node throughput) for flow balance
-    and to max(1, psi) for fleet capacity.
+    and to max(1, psi) for fleet capacity.  ``a`` is an AdRevenueVector, an
+    (N, N) or (M,) array, or None.
     """
-    a_vec = net.on_arcs(ad_matrix(net, a))
+    a_vec = arc_ads(net, a)
     pairs, n = net.pair_array, net.n_locations
     p, w = (np.asarray(x, dtype=float) for x in (prices, empty_flows))
     if w.shape != (n, n) or p.shape != (n, n):
@@ -521,8 +522,9 @@ def solve_extended(net: TrafficNetwork, a, params: ExtendedParams,
     :func:`~resistive_pricing.selection.strategy_compare` and the sweeps
     run over candidate sets and grid points, which share ``net`` and the
     demand curve; each of its rows equals this solve of its ad vector and
-    parameters bit for bit.
+    parameters bit for bit.  ``a`` is an AdRevenueVector, an (N, N) or
+    (M,) array, or None.
     """
-    a_vec = net.on_arcs(ad_matrix(net, a))
+    a_vec = arc_ads(net, a)
     return _solution(net, a_vec, params,
                      *_solve_rows(net, a_vec[None], [params])[0])

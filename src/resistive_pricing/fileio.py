@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__ as VERSION
-from .network import AdRevenueVector, TrafficNetwork, validate_network
+from .network import AdRevenueVector, TrafficNetwork, arc_ads, validate_network
 from .selection import AdvertiserCatalog
 
 
@@ -109,15 +109,13 @@ def load_network(path) -> LoadedNetwork:
 
 
 def save_network(path, net: TrafficNetwork, ad_revenue=None):
-    ads = ad_revenue.values if isinstance(ad_revenue, AdRevenueVector) \
-        else ad_revenue
     arcs = []
-    for i, j in net.arcs:
+    for (i, j), ad in zip(net.arcs, arc_ads(net, ad_revenue).tolist()):
         entry = {"from": i, "to": j,
                  "demand": float(net.demand[i, j]),
                  "travel_time": float(net.travel_time[i, j])}
-        if ads is not None and ads[i, j] != 0:
-            entry["ad_revenue"] = float(ads[i, j])
+        if ad != 0:
+            entry["ad_revenue"] = ad
         arcs.append(entry)
     doc = {"n": net.n_locations, "cost": float(net.unit_cost), "arcs": arcs}
     if net.empty_pairs:

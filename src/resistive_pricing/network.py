@@ -77,6 +77,7 @@ class TrafficNetwork(FrozenArrays):
         arcs, arc_array: the M arcs (i, j) in lexicographic order, as
             tuples and as an (M, 2) int array.
         arc_demand, arc_time: (M,) demand and travel time per arc.
+        reverse_arc: (M,) index of the reverse arc (j, i), -1 where none.
         pair_array, pair_time: the P empty-routing pairs, (P, 2), and
             their (P,) times: the arcs in arc order, then each off-arc
             pair of ``empty_pairs`` in the order given, first time kept.
@@ -95,6 +96,7 @@ class TrafficNetwork(FrozenArrays):
     arc_array: np.ndarray = field(init=False, repr=False, compare=False)
     arc_demand: np.ndarray = field(init=False, repr=False, compare=False)
     arc_time: np.ndarray = field(init=False, repr=False, compare=False)
+    reverse_arc: np.ndarray = field(init=False, repr=False, compare=False)
     pair_array: np.ndarray = field(init=False, repr=False, compare=False)
     pair_time: np.ndarray = field(init=False, repr=False, compare=False)
     projection: np.ndarray = field(init=False, repr=False, compare=False)
@@ -154,12 +156,14 @@ class TrafficNetwork(FrozenArrays):
         pairs = np.asfortranarray(np.concatenate([arc_array, off_pairs]))
         ai, aj = arc_array.T
         arc_time = travel_time[ai, aj]
+        rank = arc_mask.cumsum().reshape(n, n) - 1  # arc order, on the arcs
         for name, value in (
                 ("demand", demand), ("travel_time", travel_time),
                 ("unit_cost", cost), ("empty_pairs", empty_pairs),
                 ("n_locations", n), ("projection", weights),
                 ("arc_array", arc_array), ("arc_demand", demand[ai, aj]),
                 ("arc_time", arc_time),
+                ("reverse_arc", np.where(arc_mask[aj, ai], rank[aj, ai], -1)),
                 ("arcs", tuple(map(tuple, arc_array.tolist()))),
                 ("pair_array", pairs),
                 ("pair_time", np.concatenate([arc_time, [*off_arc.values()]])),
@@ -351,19 +355,25 @@ class AdRevenueVector(FrozenArrays):
         return cls(net, values)
 
 
-def ad_matrix(net: TrafficNetwork, a) -> np.ndarray:
-    """Coerce an ad-revenue argument to a plain (N, N) array.
+def arc_ads(net: TrafficNetwork, a) -> np.ndarray:
+    """The M per-arc ad revenues, in arc order, of an AdRevenueVector, an
+    (N, N) array, an (M,) array or None (zeros).  Only the shape is checked
+    here: AdRevenueVector construction validates signs and the arc set.
 
-    Accepts an AdRevenueVector, an (N, N) array, or None (all zeros).
-    Only shape is checked here; sign/off-arc validation belongs to
-    AdRevenueVector construction.
+    >>> net = TrafficNetwork(np.roll(np.eye(3), 1, 1), np.ones((3, 3)), 0)
+    >>> arc_ads(net, np.arange(9.0).reshape(3, 3))
+    array([1., 5., 6.])
+    >>> arc_ads(net, [0.5, 0.0, 0.25])
+    array([0.5 , 0.  , 0.25])
+    >>> arc_ads(net, None)
+    array([0., 0., 0.])
     """
-    n = net.n_locations
-    if a is None:
-        return np.zeros((n, n))
-    if isinstance(a, AdRevenueVector):
-        return a.values
-    arr = np.asarray(a, dtype=float)
-    if arr.shape != (n, n):
-        raise ValueError(f"ad revenue matrix must be ({n}, {n})")
+    n, m = net.n_locations, len(net.arcs)
+    arr = np.zeros(m) if a is None else np.asarray(
+        a.values if isinstance(a, AdRevenueVector) else a, dtype=float)
+    if arr.shape == (n, n):
+        return net.on_arcs(arr)
+    if arr.shape != (m,):
+        raise ValueError(f"ad revenues must be ({n}, {n}) or ({m},), "
+                         f"got {arr.shape}")
     return arr

@@ -25,7 +25,7 @@ from .electrical import component_border, potentials, value_vector
 from .network import (
     FrozenArrays,
     TrafficNetwork,
-    ad_matrix,
+    arc_ads,
     connected_components,
 )
 
@@ -84,9 +84,10 @@ def payoff_and_surplus(net: TrafficNetwork, a, prices: np.ndarray) -> PayoffBrea
     """Evaluate payoff and consumer surplus for arbitrary feasible prices.
 
     Per arc: payoff theta*xi*(1-p)*(p+a-c), surplus 0.5*theta*xi*(1-p)^2.
-    Prices above the cap (beyond tolerance) are rejected.
+    Prices above the cap (beyond tolerance) are rejected.  ``a`` is an
+    AdRevenueVector, an (N, N) or (M,) array, or None.
     """
-    a_arc = net.on_arcs(ad_matrix(net, a))
+    a_arc = arc_ads(net, a)
     p_on = net.on_arcs(np.asarray(prices, dtype=float))
     if np.any(np.isnan(p_on)) or np.any(p_on > 1.0 + FEAS_TOL):
         raise ValueError("prices must be defined and <= 1 on every arc")
@@ -108,15 +109,15 @@ def check_mu_zero_sufficient(net: TrafficNetwork, a) -> bool:
     True iff sum_k |v_k| <= min over arcs (x, y) of
     2 (theta_xy + theta_yx * xi_xy / xi_yx) (1 + a_xy - c).
     The implication is one-directional: False does not mean the closed
-    form fails.
+    form fails.  ``a`` is an AdRevenueVector, (N, N) or (M,) array, or None.
     """
-    a_mat = ad_matrix(net, a)
-    lhs = float(np.abs(value_vector(net, a_mat)).sum())
-    state = _LoopState(net, a_mat)
+    a_arc = arc_ads(net, a)
+    lhs = float(np.abs(value_vector(net, a_arc)).sum())
     # theta_yx / xi_yx of the reverse arc, 0 where there is none
-    reverse = np.where(state.reverse >= 0, state.ratio[state.reverse], 0.0)
+    back = net.reverse_arc
+    reverse = np.where(back >= 0, (net.arc_demand / net.arc_time)[back], 0.0)
     bounds = 2.0 * (net.arc_demand + reverse * net.arc_time) \
-        * (1.0 + net.on_arcs(a_mat) - net.unit_cost)
+        * (1.0 + a_arc - net.unit_cost)
     return bool(lhs <= bounds.min() + 1e-12)
 
 
@@ -132,19 +133,15 @@ class _LoopState:
     only when a touched pair weight goes to or from zero.
     """
 
-    def __init__(self, net, a_mat):
+    def __init__(self, net, a_arc):
         self.net, self.n = net, net.n_locations
         self.ai, self.aj = net.arc_array.T
         th, xi, c = net.arc_demand, net.arc_time, net.unit_cost
-        a_arc = net.on_arcs(a_mat)
         self.ratio = th / xi
         self.two_xi = 2.0 * xi
         self.base = (1.0 - a_arc + c) / 2.0
         self.gain = th * (1.0 + a_arc - c)
         self.margin = xi * (1.0 + a_arc - c)
-        # index of the reverse arc (j, i), -1 where there is none
-        self.reverse = net.on_arcs(
-            net.arc_matrix(np.arange(len(th)), fill=-1).T)
         self.capped = np.zeros(len(th), dtype=bool)
         self.weights = net.projection.copy()
         self.labels = np.zeros(self.n, dtype=int)
@@ -157,7 +154,7 @@ class _LoopState:
         capped[enter] = True
         capped[leave] = False
         k = np.concatenate((enter, leave))
-        x, y, r = self.ai[k], self.aj[k], self.reverse[k]
+        x, y, r = self.ai[k], self.aj[k], self.net.reverse_arc[k]
         # rebuilt from both final live flags, never by subtraction, so a
         # dead pair reads exactly 0
         weight = np.where(capped[k], 0.0, ratio[k]) \
@@ -219,16 +216,15 @@ def _resolve_shifts(n_comp, constraints):
     return np.zeros(n_comp), False
 
 
-def _assemble(net, a_mat, prices, lam, mu, capped):
+def _assemble(net, a_arc, prices, lam, mu, capped):
     """Solution record of the per-arc candidate of the final capped set
     (prices at most 1 + ``FEAS_TOL``), totals by :func:`payoff_and_surplus`."""
     lam = lam - lam[-1]
     ai, aj = net.arc_array.T
     th, xi, c = net.arc_demand, net.arc_time, net.unit_cost
-    a_arc = net.on_arcs(a_mat)
     arc_flow = th * np.maximum(1.0 - prices, 0.0)
     price_mat = net.arc_matrix(prices, fill=np.nan)
-    totals = payoff_and_surplus(net, a_mat, price_mat)
+    totals = payoff_and_surplus(net, a_arc, price_mat)
     stat = th * xi * (2.0 * prices - 1.0 - c + a_arc) \
         - th * (lam[ai] - lam[aj]) + mu
     residual = max(0.0, np.abs(stat).max(), (prices - 1.0).max(),
@@ -253,17 +249,18 @@ def solve_closed_form(net: TrafficNetwork, a=None) -> PricingSolution:
     evaluated as (1 - a_ij + c)/2 + (lambda_i - lambda_j)/(2 xi_ij) from
     the node potentials lambda = L+ v.  Raises :class:`NotApplicable` when
     any computed price exceeds 1, in which case the cap-multiplier
-    assumption fails and :func:`solve_general` must be used.
+    assumption fails and :func:`solve_general` must be used.  ``a`` is an
+    AdRevenueVector, an (N, N) or (M,) array, or None.
     """
-    a_mat = ad_matrix(net, a)
-    state = _LoopState(net, a_mat)
+    a_arc = arc_ads(net, a)
+    state = _LoopState(net, a_arc)
     prices, lam, mu = _kkt_candidate(state)
     worst = prices.max()
     if worst > 1.0 + FEAS_TOL:
         raise NotApplicable(
             f"unconstrained price {worst:.6g} exceeds the cap; "
             "run solve_general")
-    return _assemble(net, a_mat, prices, lam, mu, state.capped)
+    return _assemble(net, a_arc, prices, lam, mu, state.capped)
 
 
 def solve_general(net: TrafficNetwork, a=None) -> PricingSolution:
@@ -289,10 +286,11 @@ def solve_general(net: TrafficNetwork, a=None) -> PricingSolution:
     The prices are unique, but on an arc priced exactly 1 with zero flow
     the cap multiplier is not: capping that arc or not can both be KKT
     points.  The reported active set is then one valid choice, and which
-    one depends on the path the moves took.
+    one depends on the path the moves took.  ``a`` is an AdRevenueVector,
+    an (N, N) or (M,) array, or None.
     """
-    a_mat = ad_matrix(net, a)
-    state = _LoopState(net, a_mat)
+    a_arc = arc_ads(net, a)
+    state = _LoopState(net, a_arc)
     cap = BLOCK_ROUNDS + max(8, 4 * len(state.ai))
     for iteration in range(cap):
         prices, lam, mu = _kkt_candidate(state)
@@ -308,7 +306,7 @@ def solve_general(net: TrafficNetwork, a=None) -> PricingSolution:
             elif leave.size:
                 leave = leave[[np.argmin(mu[leave])]]
         if not (enter.size or leave.size):
-            sol = _assemble(net, a_mat, prices, lam, mu, capped)
+            sol = _assemble(net, a_arc, prices, lam, mu, capped)
             if sol.kkt_residual >= KKT_TOL:
                 raise NoConvergence(
                     f"KKT residual {sol.kkt_residual:.3e} above tolerance")
@@ -331,23 +329,20 @@ def price_sensitivity(net: TrafficNetwork, a, arc: tuple[int, int],
     solve, since R_jx - R_ix - R_jy + R_iy = 2 (lambda_i - lambda_j)
     within the component of (x, y) and lambda = 0 on the others.  Raises
     :class:`RegimeBoundary` when the active set changes under a +-eps
-    perturbation of a_xy, where the derivative is undefined.
+    perturbation of a_xy, where the derivative is undefined.  ``a`` is an
+    AdRevenueVector, an (N, N) or (M,) array, or None.
     """
     x, y = arc
     if not net.has_arc(x, y):
         raise ValueError(f"({x}, {y}) is not an arc")
-    a_mat = ad_matrix(net, a)
-    base = solve_general(net, a_mat)
+    a_arc = arc_ads(net, a)
+    base = solve_general(net, a_arc)
 
     seen = {base.active_set}
-    bumped = a_mat.copy()
-    bumped[x, y] += boundary_eps
-    seen.add(solve_general(net, bumped).active_set)
-    down = min(boundary_eps, a_mat[x, y])
-    if down > 0:
-        dipped = a_mat.copy()
-        dipped[x, y] -= down
-        seen.add(solve_general(net, dipped).active_set)
+    at = np.arange(len(a_arc)) == net.arcs.index((x, y))
+    down = min(boundary_eps, a_arc[at][0])
+    for step in (boundary_eps, -down) if down > 0 else (boundary_eps,):
+        seen.add(solve_general(net, a_arc + step * at).active_set)
     if len(seen) > 1:
         raise RegimeBoundary(
             f"active set changes across a_{x}{y} +- {boundary_eps:g}")
@@ -355,15 +350,12 @@ def price_sensitivity(net: TrafficNetwork, a, arc: tuple[int, int],
     if (x, y) in base.active_set:
         return net.arc_matrix(0.0, fill=np.nan)
 
-    state = _LoopState(net, a_mat)
+    state = _LoopState(net, a_arc)
     capped = np.flatnonzero([ij in base.active_set for ij in net.arcs])
     state.move(capped, capped[:0])
-    v = np.zeros(state.n)
-    v[x], v[y] = 1.0, -1.0
-    lam = potentials(state.weights, v, state.border)
+    # e_x - e_y: the net outflow of a unit on arc (x, y)
+    lam = potentials(state.weights, net.net_outflow(at), state.border)
     ai, aj = state.ai, state.aj
-    deriv = net.arc_matrix(np.where(state.capped, 0.0, net.demand[x, y]
-                                    * (lam[ai] - lam[aj]) / state.two_xi),
-                           fill=np.nan)
-    deriv[x, y] -= 0.5
-    return deriv
+    deriv = np.where(state.capped, 0.0, net.demand[x, y]
+                     * (lam[ai] - lam[aj]) / state.two_xi) - 0.5 * at
+    return net.arc_matrix(deriv, fill=np.nan)

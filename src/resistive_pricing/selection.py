@@ -30,7 +30,7 @@ import numpy as np
 
 from .electrical import potentials
 from .extended import _evaluate, _solve_rows
-from .network import AdRevenueVector, TrafficNetwork, ad_matrix
+from .network import AdRevenueVector, TrafficNetwork, arc_ads
 from .pricing import solve_general
 
 # the most entries, rows x (arcs + pairs + 1), one extended batch stacks
@@ -119,9 +119,9 @@ def delta(net: TrafficNetwork, a) -> float:
     on the unmasked electrical network; lambda' v is the paper's
     sum (1/2) theta (1+a-c) sum_k (R_jk - R_ik) v_k.  Always an upper
     bound on the optimal payoff, with equality when every cap multiplier
-    is 0.
+    is 0.  ``a`` is an AdRevenueVector, an (N, N) or (M,) array, or None.
     """
-    return float(_deltas(net, net.on_arcs(ad_matrix(net, a))[None])[0])
+    return float(_deltas(net, arc_ads(net, a)[None])[0])
 
 
 def _deltas(net: TrafficNetwork, ad_rows) -> np.ndarray:
@@ -158,11 +158,10 @@ def _candidates(net, catalog, mode):
         raise ValueError("mode must be 'arc' or 'location'")
     if not bids:
         raise ValueError(f"catalog has no {mode}-based advertisers")
-    column = net.arc_matrix(np.arange(len(net.arcs)), fill=-1)
+    index = {arc: k for k, arc in enumerate(net.arcs)}
     rows = np.zeros((len(entries), len(net.arcs)))
     for row, entry in zip(rows, entries):
-        for (i, j), value in entry.items():
-            row[column[i, j]] = value
+        row[[index[arc] for arc in entry]] = list(entry.values())
     return sorted(bids), rows
 
 
@@ -173,11 +172,10 @@ def _select_single(net, catalog, mode):
     labels, rows = _candidates(net, catalog, mode)
     scores = _deltas(net, rows)
     best = int(np.argmax(scores))
-    chosen = AdRevenueVector(net, net.arc_matrix(rows[best]))
     return SelectionResult(
         chosen=labels[best],
-        ad_revenue=chosen,
-        payoff=solve_general(net, chosen).payoff,
+        ad_revenue=AdRevenueVector(net, net.arc_matrix(rows[best])),
+        payoff=solve_general(net, rows[best]).payoff,
         scores=tuple(zip(labels, scores.tolist())),
     )
 
@@ -215,27 +213,25 @@ def reduced_search(net: TrafficNetwork, candidates: Sequence) -> SelectionResult
     h), and only the first h are compared by true payoff.  Because Delta
     bounds the payoff from above and matches it at that h-th candidate, the
     winner equals the exhaustive payoff argmax.  ``chosen`` is the index
-    into ``candidates``; payoff ties break to the smallest index.
+    into ``candidates``; payoff ties break to the smallest index.  Each
+    candidate is an AdRevenueVector, an (N, N) or (M,) array, or None.
     """
     if not candidates:
         raise ValueError("no candidates supplied")
-    deltas = _deltas(net, np.array([net.on_arcs(ad_matrix(net, cand))
-                                    for cand in candidates])).tolist()
+    rows = np.array([arc_ads(net, cand) for cand in candidates])
+    deltas = _deltas(net, rows).tolist()
     order = sorted(range(len(candidates)), key=lambda k: (-deltas[k], k))
     solutions = {}
     h = len(order)
     for pos, idx in enumerate(order):
-        solutions[idx] = solve_general(net, candidates[idx])
+        solutions[idx] = solve_general(net, rows[idx])
         if not solutions[idx].active_set:
             h = pos + 1
             break
     best = max(order[:h], key=lambda idx: (solutions[idx].payoff, -idx))
-    cand = candidates[best]
-    if not isinstance(cand, AdRevenueVector):
-        cand = AdRevenueVector(net, ad_matrix(net, cand))
     return SelectionResult(
         chosen=best,
-        ad_revenue=cand,
+        ad_revenue=AdRevenueVector(net, net.arc_matrix(rows[best])),
         payoff=solutions[best].payoff,
         scores=tuple(enumerate(deltas)),
     )
@@ -309,8 +305,8 @@ def _compare_grid(net, catalog, mode, params_per_point, seeds, trials):
 
     k = len(rows)
     if params_per_point[0] is None:
-        table = [[solve_general(net, net.arc_matrix(row)).payoff
-                  for row in rows]] * len(params_per_point)
+        table = [[solve_general(net, row).payoff for row in rows]] \
+            * len(params_per_point)
     else:
         flat = range(len(params_per_point) * k)  # point, then candidate
         size = max(1, BATCH_BUDGET

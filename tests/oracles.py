@@ -7,7 +7,7 @@ candidates come from the paper's resistance form with an SVD
 pseudoinverse; resistances come from current injection into the raw
 Laplacian; sensitivities from central finite differences; selection
 scores under symmetric demand from the paper's closed forms; extended-model
-optima from face enumeration and feasible random sampling.  Ride ingest
+optima from face enumeration and a Lagrangian-dual certificate.  Ride ingest
 is checked against the plain forms of k-means and of the per-record
 aggregation loop.
 """
@@ -379,36 +379,6 @@ def enumerate_extended_uniform(net, a_mat, params, tol=1e-7):
     return best_point, best_val
 
 
-def sample_feasible_extended(net, params, rng, count=1000, iters=400):
-    """Random feasible (p, w) points for the uniform extended problem.
-
-    Projection onto the balance subspace alternated with box and capacity
-    projections (POCS); points that fail to converge are discarded.
-    Returns a list of (p_vec, w_vec).
-    """
-    arcs, th, xi, na, n, quad, A, b, gcap, hcap = _extended_dimensions(net, params)
-    pinvA = A.T @ np.linalg.pinv(A @ A.T)
-    lo = np.concatenate([np.full(na, -3.0), np.zeros(na)])
-    hi = np.concatenate([np.ones(na), np.full(na, params.psi / xi.min())])
-    g2 = float(gcap @ gcap)
-    points = []
-    for _ in range(count):
-        x = rng.uniform(lo, hi)
-        for _ in range(iters):
-            x = x - pinvA @ (A @ x - b)
-            over = gcap @ x - hcap
-            if over > 0:
-                x = x - gcap * (over / g2)
-            x = np.clip(x, lo, hi)
-            if (np.abs(A @ x - b).max() < 1e-10
-                    and gcap @ x <= hcap + 1e-10):
-                break
-        if np.abs(A @ x - b).max() > 1e-8 or gcap @ x > hcap + 1e-8:
-            continue
-        points.append((x[:na].copy(), x[na:].copy()))
-    return points
-
-
 def arcs_off_cycles(net, pairs):
     """Arcs on no directed cycle of the graph of arcs plus ``pairs``.
 
@@ -431,20 +401,28 @@ def arcs_off_cycles(net, pairs):
     return [(u, v) for u, v in net.arcs if u not in reach[v]]
 
 
-def exponential_duality_gap(net, a, params, sol, margin=1e-6):
-    """Lagrangian-dual bound minus the payoff of an exponential solution,
+def duality_gap(net, a, params, sol, margin=1e-6):
+    """Lagrangian-dual bound minus the payoff of an extended solution,
     relative to |payoff| plus the total vehicle mass.
 
-    In demand coordinates the problem maximizes
-    sum xi z (a - c) - (xi/gamma) z log(z/theta) - sum eta c t w over flow
-    balance, the capacity bound and the boxes z in [theta e^-10,
-    theta e^gamma], w in [0, psi/t].  The balance duals y and the capacity
-    price mu are fitted by least squares to the stationarity rows
-    xi (a - c + p - 1/gamma) = y_u - y_v + mu xi of the arcs priced strictly
-    inside the box (gauge y_{N-1} = 0, plus the row mu = 0 when capacity is
-    slack); mu is clipped at 0.  The dual function is then evaluated in
-    closed form: each z maximizes a concave function of one variable (a
-    clipped exponential), each w sits at 0 or psi/t.  By weak duality the
+    In demand coordinates z = theta (1 - F(p)) the problem maximizes
+    sum f(z) - sum eta c t w over flow balance, the capacity bound and
+    the boxes w in [0, psi/t] and, per arc,
+
+    - uniform: f(z) = xi z (1 + a - c) - xi z^2 / theta, z in [0, psi/xi],
+      so p in [1 - psi/(xi theta), 1];
+    - exponential: f(z) = xi z (a - c) - (xi/gamma) z log(z/theta),
+      z in [theta e^-10, theta e^gamma], so p in [-1, 10/gamma].
+
+    The balance duals y and the capacity price mu are fitted by least
+    squares to the stationarity rows f'(z) = y_u - y_v + mu xi of the arcs
+    priced strictly inside their box: xi (a - c + 2p - 1) uniform,
+    xi (a - c + p - 1/gamma) exponential (gauge y_{N-1} = 0, plus the row
+    mu = 0 when capacity is slack); mu is clipped at 0.  The dual function
+    is then evaluated in closed form: each z maximizes a concave function
+    of one variable, clipped to its box (uniform: theta (xi (1 + a - c) -
+    r) / (2 xi); exponential: theta e^(gamma (a - c - r/xi) - 1), for r =
+    y_u - y_v + mu xi), and each w sits at 0 or psi/t.  By weak duality the
     result is an upper bound on the optimum, so a small non-negative gap
     certifies the payoff.  The bound is tight only when the interior arcs
     determine the duals; with most prices at the box ends, or nodes joined
@@ -452,10 +430,11 @@ def exponential_duality_gap(net, a, params, sol, margin=1e-6):
     empty pairs are merged with the arcs here, from ``net.empty_pairs``,
     not read off ``net.pair_array``.
     """
-    from resistive_pricing.network import ad_matrix
+    from resistive_pricing.network import arc_ads
 
-    a_mat = ad_matrix(net, a)
+    ads = dict(zip(net.arcs, arc_ads(net, a).tolist()))
     n = net.n_locations
+    uniform = params.demand.kind == "uniform"
     gamma, psi, eta, c = (params.demand.gamma, params.psi, params.eta,
                           net.unit_cost)
     pairs = [(i, j, net.travel_time[i, j]) for i, j in net.arcs]
@@ -468,10 +447,15 @@ def exponential_duality_gap(net, a, params, sol, margin=1e-6):
     rows, rhs = [], []
     used = 0.0
     for i, j in net.arcs:
-        th, xi, a = net.demand[i, j], net.travel_time[i, j], a_mat[i, j]
+        th, xi, a = net.demand[i, j], net.travel_time[i, j], ads[i, j]
         p = float(sol.prices[i, j])
-        used += xi * th * np.exp(-gamma * p)
-        if -1.0 + margin < p < 10.0 / gamma - margin:
+        if uniform:
+            used += xi * th * (1.0 - p)
+            lo, hi, slope = 1.0 - psi / (xi * th), 1.0, a - c + 2.0 * p - 1.0
+        else:
+            used += xi * th * np.exp(-gamma * p)
+            lo, hi, slope = -1.0, 10.0 / gamma, a - c + p - 1.0 / gamma
+        if lo + margin < p < hi - margin:
             row = np.zeros(n)  # y_0 .. y_{N-2}, then mu
             if i < n - 1:
                 row[i] += 1.0
@@ -479,7 +463,7 @@ def exponential_duality_gap(net, a, params, sol, margin=1e-6):
                 row[j] -= 1.0
             row[-1] = xi
             rows.append(row)
-            rhs.append(xi * (a - c + p - 1.0 / gamma))
+            rhs.append(xi * slope)
     for i, j, t in pairs:
         used += t * sol.empty_flows[i, j]
     if psi - used > margin * psi:
@@ -493,11 +477,17 @@ def exponential_duality_gap(net, a, params, sol, margin=1e-6):
 
     dual = mu * psi
     for i, j in net.arcs:
-        th, xi, a = net.demand[i, j], net.travel_time[i, j], a_mat[i, j]
+        th, xi, a = net.demand[i, j], net.travel_time[i, j], ads[i, j]
         r = y[i] - y[j] + mu * xi
-        z = th * np.exp(gamma * (a - c - r / xi) - 1.0)
-        z = min(max(z, th * np.exp(-10.0)), th * np.exp(gamma))
-        dual += xi * (a - c) * z - (xi / gamma) * z * np.log(z / th) - r * z
+        if uniform:
+            z = th * (xi * (1.0 + a - c) - r) / (2.0 * xi)
+            z = min(max(z, 0.0), psi / xi)
+            dual += xi * z * (1.0 + a - c) - xi * z * z / th - r * z
+        else:
+            z = th * np.exp(gamma * (a - c - r / xi) - 1.0)
+            z = min(max(z, th * np.exp(-10.0)), th * np.exp(gamma))
+            dual += xi * (a - c) * z - (xi / gamma) * z * np.log(z / th) \
+                - r * z
     for i, j, t in pairs:
         slope = -(eta * c * t + y[i] - y[j] + mu * t)
         dual += max(slope, 0.0) * psi / t

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import pickle
 import re
@@ -9,19 +10,33 @@ from hypothesis import given, settings, strategies as st
 from resistive_pricing import (
     AdRevenueVector,
     CostOutOfRange,
+    DemandModel,
     Disconnected,
+    ExtendedParams,
     NegativeDemand,
     NetworkValidationError,
     NonPositiveTravelTimeOnArc,
     SelfLoopDemand,
     TrafficNetwork,
+    check_mu_zero_sufficient,
+    delta,
     find_cut_vertices,
     payoff_and_surplus,
+    payoff_extended,
+    price_sensitivity,
+    solve_closed_form,
+    solve_extended,
+    solve_general,
     validate_network,
+    value_vector,
 )
-from resistive_pricing.network import connected_components, projection_weights
+from resistive_pricing.network import (
+    arc_ads,
+    connected_components,
+    projection_weights,
+)
 
-from gen import random_connected_network
+from gen import quiet_instance, random_connected_network
 
 
 def three_cycle(cost=0.6, empty_pairs=()):
@@ -98,7 +113,8 @@ class TestValidation:
 
 
     @pytest.mark.parametrize("name", ["projection", "arc_demand", "arc_time",
-                                      "pair_array", "pair_time"])
+                                      "pair_array", "pair_time",
+                                      "reverse_arc"])
     def test_cached_arrays_read_only(self, name):
         """The cached per-arc and per-pair vectors and the projection are
         read-only, and stay so after a pickle round trip."""
@@ -224,6 +240,9 @@ class TestArcLayout:
         index = net.arc_matrix(np.arange(len(net.arcs)), fill=-1)
         assert index.dtype.kind == "i"
         assert np.array_equal(net.on_arcs(index), np.arange(len(net.arcs)))
+        assert net.reverse_arc.tolist() == [
+            net.arcs.index((j, i)) if (j, i) in net.arcs else -1
+            for i, j in net.arcs]
 
 
 class TestNetOutflow:
@@ -480,3 +499,87 @@ class TestAdRevenueVector:
         assert a.values[0, 1] == 0.2
         with pytest.raises(ValueError):
             AdRevenueVector.from_arcs(net, {(1, 0): 0.2})
+
+
+def result_bits(value):
+    """Every field of a solver result, arrays and floats as their bytes,
+    so that equal results are equal bit for bit."""
+    if dataclasses.is_dataclass(value):
+        return tuple(result_bits(getattr(value, f.name))
+                     for f in dataclasses.fields(value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, dict):
+        return tuple((key, result_bits(value[key])) for key in sorted(value))
+    return value
+
+
+def ad_entry_instance():
+    """A cap-free instance (so the closed form applies and the
+    sensitivity is away from a regime boundary), its (N, N) ads, uniform
+    extended parameters and a feasible extended point."""
+    net, a = quiet_instance(np.random.default_rng(21), n_min=4, n_max=6)
+    mass = float((net.arc_demand * net.arc_time).sum())
+    params = ExtendedParams(eta=0.8, psi=0.5 * mass,
+                            demand=DemandModel.uniform())
+    point = solve_extended(net, None, params)
+    return net, a, params, point
+
+
+# every public entry that takes ads, called with the ads ``a``
+AD_ENTRIES = {
+    "solve_general": lambda net, a, params, point: solve_general(net, a),
+    "solve_closed_form":
+        lambda net, a, params, point: solve_closed_form(net, a),
+    "payoff_and_surplus": lambda net, a, params, point: payoff_and_surplus(
+        net, a, np.where(net.demand > 0, 0.5, np.nan)),
+    "check_mu_zero_sufficient":
+        lambda net, a, params, point: check_mu_zero_sufficient(net, a),
+    "price_sensitivity": lambda net, a, params, point: price_sensitivity(
+        net, a, net.arcs[-1]),
+    "value_vector": lambda net, a, params, point: value_vector(net, a),
+    "delta": lambda net, a, params, point: delta(net, a),
+    "solve_extended":
+        lambda net, a, params, point: solve_extended(net, a, params),
+    "payoff_extended": lambda net, a, params, point: payoff_extended(
+        net, a, params, point.prices, point.empty_flows),
+}
+
+
+class TestArcAds:
+    """arc_ads is the one conversion of a public ad argument."""
+
+    @pytest.mark.parametrize("entry", sorted(AD_ENTRIES))
+    def test_three_forms_agree_bit_for_bit(self, entry):
+        """An AdRevenueVector, its (N, N) matrix and its (M,) per-arc
+        values give the same result; None gives that of zeros."""
+        call = AD_ENTRIES[entry]
+        net, a, params, point = ad_entry_instance()
+        forms = [AdRevenueVector(net, a), a, net.on_arcs(a)]
+        results = [result_bits(call(net, form, params, point))
+                   for form in forms]
+        assert results[1:] == results[:1] * 2
+        zeros = [None, np.zeros((net.n_locations,) * 2),
+                 np.zeros(len(net.arcs))]
+        results = [result_bits(call(net, form, params, point))
+                   for form in zeros]
+        assert results[1:] == results[:1] * 2
+
+    @pytest.mark.parametrize("entry", sorted(AD_ENTRIES))
+    def test_wrong_shape_names_both_shapes(self, entry):
+        call = AD_ENTRIES[entry]
+        net, _, params, point = ad_entry_instance()
+        n, m = net.n_locations, len(net.arcs)
+        for shape in ((m + 1,), (n, n + 1), (n * n,), (1, m)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"ad revenues must be ({n}, {n}) or ({m},), got {shape}")):
+                call(net, np.zeros(shape), params, point)
+
+    def test_per_arc_values_taken_as_given(self):
+        net = three_cycle()
+        values = np.array([0.5, 0.0, 0.25])
+        assert arc_ads(net, values) is values
+        assert np.array_equal(arc_ads(net, [1, 2, 3]), [1.0, 2.0, 3.0])
+        assert arc_ads(net, [1, 2, 3]).dtype == float

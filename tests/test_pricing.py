@@ -20,7 +20,11 @@ from resistive_pricing import (
 )
 from resistive_pricing import pricing
 from resistive_pricing.electrical import component_border, potentials
-from resistive_pricing.network import connected_components, projection_weights
+from resistive_pricing.network import (
+    arc_ads,
+    connected_components,
+    projection_weights,
+)
 
 from gen import quiet_instance, random_ads, random_instance
 from oracles import (
@@ -175,7 +179,8 @@ class TestGeneralSolver:
         net, a = mirror_tie_instance()
         with pytest.raises(NotApplicable):
             solve_closed_form(net, a)
-        prices = pricing._kkt_candidate(pricing._LoopState(net, a))[0]
+        state = pricing._LoopState(net, arc_ads(net, a))
+        prices = pricing._kkt_candidate(state)[0]
         top = [net.arcs[k] for k in np.flatnonzero(prices == prices.max())]
         assert top == [(2, 1), (4, 3)]
 
@@ -431,7 +436,7 @@ class TestLoopReference:
         demand[2, 3] = 0.8
         net = validate_network(demand, np.full((6, 6), 1.5), 0.6)
         a = random_ads(np.random.default_rng(3), net, hi=0.3)
-        state = pricing._LoopState(net, a)
+        state = pricing._LoopState(net, arc_ads(net, a))
         bridge = net.arcs.index((2, 3))
         state.move(np.array([bridge]), np.array([], dtype=int))
         assert state.labels.tolist() == [0, 0, 0, 1, 1, 1]
@@ -575,7 +580,7 @@ class TestLoopStateMove:
         kill_and_revive = swaps = 0
         for _ in range(150):
             net, a = random_instance(rng, aggressive=True, n_min=3, n_max=8)
-            state = pricing._LoopState(net, a)
+            state = pricing._LoopState(net, arc_ads(net, a))
             self.assert_fresh(net, state)
             for _ in range(6):
                 m = len(state.capped)
@@ -586,7 +591,7 @@ class TestLoopStateMove:
                 self.assert_fresh(net, state)
                 now = state.weights > 0
                 kill_and_revive += np.any(live & ~now) and np.any(~live & now)
-                swaps += bool(set(state.reverse[enter]) & set(leave))
+                swaps += bool(set(net.reverse_arc[enter]) & set(leave))
         # 428 and 177 of the 900 rounds
         assert kill_and_revive >= 100 and swaps >= 50
 
@@ -596,7 +601,7 @@ class TestLoopStateMove:
         rng = np.random.default_rng(12)
         for _ in range(20):
             net, a = random_instance(rng, n_min=2, n_max=9)
-            state = pricing._LoopState(net, a)
+            state = pricing._LoopState(net, arc_ads(net, a))
             self.assert_fresh(net, state)
             assert state.weights is not net.projection
 

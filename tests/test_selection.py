@@ -619,3 +619,19 @@ class TestCompareGrid:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2 ** 20
+
+
+@pytest.mark.parametrize("mode", ["arc", "location"])
+def test_basic_payoffs_equal_candidate_solves(mode):
+    """Basic strategy_compare hands its per-arc rows to solve_general; each
+    payoff equals the solve of that candidate's AdRevenueVector bit for
+    bit."""
+    net, catalog = synth_instance(15, 0.3, seed=0, profile="commuter")
+    comparison = strategy_compare(net, catalog, mode=mode, seed=0)
+    if mode == "arc":
+        ads = [arc_candidate(net, arc, catalog.arc_based[arc])
+               for arc in sorted(catalog.arc_based)]
+    else:
+        ads = location_candidates(net, catalog)
+    assert comparison.payoffs == tuple(solve_general(net, a).payoff
+                                       for a in ads)
