@@ -40,6 +40,8 @@ POINT_TOL = 1e-6
 IPM_MAX_ITER = 100
 IPM_TOL = 1e-10
 IPM_GAP_TOL = 1e-12
+# the fraction of the mean complementarity product each Newton step aims at
+CENTRING = 0.02
 # the largest exponential-demand gamma whose e^gamma is finite
 GAMMA_MAX = float(np.log(np.finfo(float).max))
 
@@ -229,13 +231,6 @@ def _solution(net, a_vec, params, p_vec, w_vec, residual):
     )
 
 
-def _blocking(slack, kap, ds, dk):
-    """Per row, -1 / the largest t keeping slack + t ds, kap + t dk >= 0
-    (>= 0: none)."""
-    return np.minimum.reduce(np.minimum(ds / slack, dk / kap), axis=1,
-                             keepdims=True)
-
-
 def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
                     z_lo, z_hi, z0, grounded):
     """Primal-dual path-following solve of K concave extended problems.
@@ -253,9 +248,11 @@ def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
     (K, arcs) linear term of f', in ``z0``, their (K, arcs) starts, in
     ``psi`` and ``eta``, (K, 1) each, and in ``z_hi`` where it depends
     on psi: (arcs,) or (K, arcs).
-    Mehrotra's predictor-corrector (Nocedal & Wright, ch. 14 and 19)
-    carries the lower and upper slacks
-    as iterates and solves each Newton step with B D^-1 B': D is the
+    The long-step path-following method (Nocedal & Wright, Algorithm 14.2
+    and ch. 19) carries the lower and upper slacks as iterates and takes
+    one Newton step per iteration toward complementarity products of
+    ``CENTRING`` times their mean, 0.995 of the way to the first slack or
+    multiplier that reaches 0.  The step solves B D^-1 B': D is the
     Hessian plus barrier terms plus a floor of 1e-10 times the largest
     f''(theta), B the balance rows of the nodes not ``grounded`` plus the
     capacity row, so B D^-1 B' is the graph Laplacian with conductance 1/D
@@ -356,15 +353,6 @@ def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
                     results[rows[r]] = error
             return out
 
-    def newton(r_comp, slack, ratio, r_d, short, cond, M):
-        """Step to complementarity products kap * slack + r_comp."""
-        q = r_comp / slack
-        u = (q[:, :n] - q[:, n:] - r_d) * cond
-        d_dual = solve(M, short - times_b(u))
-        dx = u + times_bt(d_dual) * cond
-        ds = np.concatenate((dx, -dx), axis=1)
-        return dx, d_dual, ds, q - ratio * ds
-
     # bound multipliers (lower, upper) zero stationarity at the start
     w0 = np.minimum(0.1 * (np.add.reduce(z0, axis=1, keepdims=True) / na),
                     0.5 * psi / pair_time)
@@ -434,16 +422,17 @@ def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
         cond = 1.0 / D
         M = np.bincount(m_idx, (m_val * cond[:, None, None]).ravel(),
                         k * nodes * nodes).reshape(k, nodes, nodes)
-        # predictor: the affine-scaling step sets the centring target
-        dx, d_dual, ds, dk = newton(-ks, slack, ratio, r_d, short, cond, M)
-        a_aff = -1.0 / np.minimum(-1.0, _blocking(slack, kap, ds, dk))
-        gap_aff = np.add.reduce((kap + a_aff * dk) * (slack + a_aff * ds),
-                                axis=1, keepdims=True)
-        target = (gap_aff / gap) ** 3 * gap / (2 * n)
-        # corrector, with the predictor's second-order term
-        dx, d_dual, ds, dk = newton(target - ks - dk * ds, slack, ratio, r_d,
-                                    short, cond, M)
-        step = -1.0 / np.minimum(-1.0, _blocking(slack, kap, ds, dk) / 0.995)
+        # the Newton step to complementarity products CENTRING * gap / (2n)
+        q = (CENTRING * gap / (2 * n) - ks) / slack
+        u = (q[:, :n] - q[:, n:] - r_d) * cond
+        d_dual = solve(M, short - times_b(u))
+        dx = u + times_bt(d_dual) * cond
+        ds = np.concatenate((dx, -dx), axis=1)
+        dk = q - ratio * ds
+        # 0.995 of the way to the first slack or multiplier to reach 0
+        block = np.minimum.reduce(np.minimum(ds / slack, dk / kap), axis=1,
+                                  keepdims=True)
+        step = -1.0 / np.minimum(-1.0, block / 0.995)
         state = state + step * np.concatenate((dx, ds, dk, d_dual), axis=1)
     return results
 

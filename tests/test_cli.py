@@ -357,6 +357,42 @@ def test_price_extended_seed_optional(workdir):
         Path("free.csv.manifest.json").read_text())["seed"] is None
 
 
+def test_price_extended_with_slack_capacity_solves(workdir, capsys):
+    """The commuter N = 15 seed-4 network without ads: at psi = 369 the
+    capacity is slack, so the payoff is the one at psi = 300 and 420.  A
+    predictor-corrector loop cycled at psi = 369 and exited 3."""
+    assert main(["synth", "--n", "15", "--density", "0.3", "--profile",
+                 "commuter", "--seed", "4", "--out", "net.json"]) == 0
+    for psi in ("300", "369", "420"):
+        assert main(["price-extended", "--network", "net.json", "--psi", psi,
+                     "--eta", "0.8", "--out", f"ext-{psi}.csv"]) == 0
+        assert "# payoff=6.40494131" \
+            in Path(f"ext-{psi}.csv").read_text().splitlines()
+    assert capsys.readouterr().err == ""
+
+
+def test_mixed_scale_solve_is_no_float_range_error(workdir, capsys):
+    """Mixed-scale draw 221 (tests/test_extended.py) with random ads,
+    uniform demand, psi = mass / 2: the interior point's arithmetic stays
+    in float range, so the command never exits 2 "input out of float
+    range"; it solves, or exits 3 with a solver error."""
+    from gen import random_ads
+    from test_extended import mixed_scale_draw
+
+    net = mixed_scale_draw(221)
+    ads = random_ads(np.random.default_rng(1), net, hi=3.0)
+    fileio.save_network("net.json", net)
+    Path("ads.json").write_text(json.dumps({"ads": [
+        {"from": i, "to": j, "a": float(ads[i, j])} for i, j in net.arcs]}))
+    mass = float((net.arc_demand * net.arc_time).sum())
+    code = main(["price-extended", "--network", "net.json", "--ads",
+                 "ads.json", "--psi", repr(0.5 * mass), "--eta", "0.8",
+                 "--out", "ext.csv"])
+    err = capsys.readouterr().err
+    assert code in (0, 3), err
+    assert err.startswith("solver error:") == (code == 3)
+
+
 @pytest.mark.parametrize("argv", [
     ["price", "--network", "net.json", "--out", "p.csv",
      "--dump-electrical", "el"],

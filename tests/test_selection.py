@@ -496,7 +496,7 @@ class TestCompareGrid:
 
         net = mixed_scale_draw(4)
         mass = float((net.arc_demand * net.arc_time).sum())
-        ads = random_ads(np.random.default_rng(2), net, hi=3.0)
+        ads = random_ads(np.random.default_rng(3), net, hi=3.0)
         incoming = {}
         for i, k in net.arcs:
             incoming.setdefault(k, {})[i] = float(ads[i, k])
