@@ -501,6 +501,10 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: input out of float range: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return USAGE_ERROR
     except (NoConvergence, Infeasible) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return SOLVER_ERROR

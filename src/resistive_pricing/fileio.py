@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__ as VERSION
-from .network import AdRevenueVector, TrafficNetwork, arc_ads, validate_network
+from .network import (
+    AdRevenueVector,
+    Disconnected,
+    TrafficNetwork,
+    arc_ads,
+    validate_network,
+)
 from .selection import AdvertiserCatalog
 
 
@@ -81,15 +87,21 @@ def load_network(path) -> LoadedNetwork:
     ``empty_travel_time`` entries, the network's ``empty_pairs``.
     Location indices are zero-based integers in ``[0, n)``; a missing
     key, a value of the wrong type, a fractional ``n`` or index, or an
-    index out of range raises MalformedInput naming the file.
+    index out of range raises MalformedInput naming the file.  More
+    locations than arcs + 1 cannot be weakly connected and raise
+    Disconnected before any (n, n) matrix is allocated.
     """
     doc = _read_json("network", path)
     try:
         n = _integer(doc["n"], "n")
         cost = float(doc["cost"])
         arcs = doc["arcs"]
+        n_arcs = len(arcs)
     except _ENTRY_ERRORS as exc:
         raise _malformed("network", path, exc) from exc
+    if n > n_arcs + 1:
+        raise Disconnected(
+            f"{n} locations cannot be weakly connected by {n_arcs} arcs")
     demand = np.zeros((n, n))
     travel = np.ones((n, n))
     ads = np.zeros((n, n))

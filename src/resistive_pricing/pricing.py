@@ -31,8 +31,6 @@ from .network import (
 
 FEAS_TOL = 1e-9
 KKT_TOL = 1e-8
-# rounds of block moves before solve_general narrows to one move per round
-BLOCK_ROUNDS = 8
 
 
 class NotApplicable(Exception):
@@ -266,22 +264,17 @@ def solve_closed_form(net: TrafficNetwork, a=None) -> PricingSolution:
 def solve_general(net: TrafficNetwork, a=None) -> PricingSolution:
     """Active-set solve of the pricing problem, any regime.
 
-    Starts from an empty active set.  The first ``BLOCK_ROUNDS`` iterations
-    are block moves (the primal-dual active-set rule of Hintermueller, Ito
+    Starts from an empty active set.  Every iteration is one round of
+    block moves (the primal-dual active-set rule of Hintermueller, Ito
     and Kunisch): every violated cap enters (price pinned to 1, demand
     masked) and every negative cap multiplier leaves, in the same round.
-    After them each iteration makes one move: the most violated cap
-    enters or, when no cap is violated, the most negative cap multiplier
-    leaves, ties to the lower arc index, i.e. the lexicographically
-    smaller arc.  Each iteration is one bordered solve for the node
-    potentials of the masked network (see :func:`_kkt_candidate`).  The
-    loop assumes a connected start, as validation guarantees; the pair
-    weights and components carry over between iterations, and each one
-    recomputes the components at most once, only when its moves kill or
-    revive a pair.
+    Each iteration is one bordered solve for the node potentials of the
+    masked network (see :func:`_kkt_candidate`).  The loop assumes a
+    connected start, as validation guarantees; the pair weights and
+    components carry over between iterations, and each one recomputes the
+    components at most once, only when its moves kill or revive a pair.
     Terminates at a KKT point with residual below 1e-8 or raises
-    :class:`NoConvergence` after ``BLOCK_ROUNDS + max(8, 4 |arcs|)``
-    iterations.
+    :class:`NoConvergence` after ``max(8, 4 |arcs|)`` iterations.
 
     The prices are unique, but on an arc priced exactly 1 with zero flow
     the cap multiplier is not: capping that arc or not can both be KKT
@@ -291,20 +284,12 @@ def solve_general(net: TrafficNetwork, a=None) -> PricingSolution:
     """
     a_arc = arc_ads(net, a)
     state = _LoopState(net, a_arc)
-    cap = BLOCK_ROUNDS + max(8, 4 * len(state.ai))
-    for iteration in range(cap):
+    cap = max(8, 4 * len(state.ai))
+    for _ in range(cap):
         prices, lam, mu = _kkt_candidate(state)
         capped = state.capped
         enter = np.flatnonzero(~capped & (prices > 1.0 + FEAS_TOL))
         leave = np.flatnonzero(capped & (mu < -FEAS_TOL))
-        if iteration >= BLOCK_ROUNDS:
-            # one move; argmin keeps the first of equal keys: the lower
-            # arc index
-            if enter.size:
-                enter = enter[[np.argmin(1.0 - prices[enter])]]
-                leave = leave[:0]
-            elif leave.size:
-                leave = leave[[np.argmin(mu[leave])]]
         if not (enter.size or leave.size):
             sol = _assemble(net, a_arc, prices, lam, mu, capped)
             if sol.kkt_residual >= KKT_TOL:

@@ -171,47 +171,37 @@ def resistance_candidate(net, a_mat, active):
     return prices, lam, mu
 
 
-def next_active(net, active, prices, mu, feas_tol=1e-9, block=False):
-    """Per-arc loop form of the active-set rule: the most violated cap
-    enters, else the most negative cap multiplier leaves, ties to the
-    lexicographically smaller arc.  With ``block`` every violated cap
-    enters and every negative cap multiplier leaves at once.  Returns the
-    next (N, N) active set, or None at a KKT point."""
-    violations = sorted(
-        ((prices[i, j] - 1.0, (i, j)) for i, j in net.arcs
-         if not active[i, j] and prices[i, j] > 1.0 + feas_tol),
-        key=lambda t: (-t[0], t[1]))
-    negatives = sorted(
-        ((mu[i, j], (i, j)) for i, j in net.arcs
-         if active[i, j] and mu[i, j] < -feas_tol),
-        key=lambda t: (t[0], t[1]))
+def next_active(net, active, prices, mu, feas_tol=1e-9):
+    """Per-arc loop form of the active-set rule, block moves: every
+    violated cap enters and every negative cap multiplier leaves at once.
+    Returns the next (N, N) active set, or None at a KKT point."""
+    violations = [(i, j) for i, j in net.arcs
+                  if not active[i, j] and prices[i, j] > 1.0 + feas_tol]
+    negatives = [(i, j) for i, j in net.arcs
+                 if active[i, j] and mu[i, j] < -feas_tol]
     if not (violations or negatives):
         return None
-    if not block:
-        violations, negatives = (violations[:1], []) if violations \
-            else ([], negatives[:1])
     nxt = active.copy()
-    for _, arc in violations:
+    for arc in violations:
         nxt[arc] = True
-    for _, arc in negatives:
+    for arc in negatives:
         nxt[arc] = False
     return nxt
 
 
-def resistance_pricing_path(net, a_mat, block_rounds=0):
-    """Run the active-set loop on :func:`resistance_candidate`: block
-    moves for the first ``block_rounds`` iterations, then single moves.
+def resistance_pricing_path(net, a_mat):
+    """Run the active-set loop on :func:`resistance_candidate` for at most
+    max(8, 4 |arcs|) rounds of block moves.
 
     Returns the capped sets visited (as frozensets of arcs) and the final
     candidate (prices, lambda, mu).
     """
     active = np.zeros((net.n_locations,) * 2, dtype=bool)
     path = []
-    for t in range(block_rounds + max(8, 4 * len(net.arcs))):
+    for _ in range(max(8, 4 * len(net.arcs))):
         candidate = resistance_candidate(net, a_mat, active)
         path.append(frozenset(arc for arc in net.arcs if active[arc]))
-        active = next_active(net, active, candidate[0], candidate[2],
-                             block=t < block_rounds)
+        active = next_active(net, active, candidate[0], candidate[2])
         if active is None:
             return path, candidate
     raise RuntimeError("reference loop did not reach a KKT point")

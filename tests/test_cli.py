@@ -150,6 +150,30 @@ class TestPriceCommand:
         Path("bad.json").write_text(json.dumps(doc))
         assert main(["price", "--network", "bad.json"]) == 2
 
+    def test_huge_location_count_exit_2(self, workdir):
+        """A billion locations on one arc cannot be connected: exit 2 and
+        one error: line naming both counts, before the (n, n) matrices
+        (6.94 EiB each) are allocated."""
+        doc = {"n": 10 ** 9, "cost": 0.5,
+               "arcs": [{"from": 0, "to": 1, "demand": 1, "travel_time": 1}]}
+        Path("huge.json").write_text(json.dumps(doc))
+        code, err, _ = run_main(["price", "--network", "huge.json"])
+        assert code == 2
+        assert err == ("error: 1000000000 locations cannot be weakly "
+                       "connected by 1 arcs\n")
+
+    def test_memory_error_exit_2(self, workdir, monkeypatch):
+        """A command that runs out of memory ends in exit 2 and one error:
+        line, not a traceback."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+        monkeypatch.setattr(cli, "synth_instance", exhausted)
+        code, err, _ = run_main(["synth", "--n", "1000000000", "--seed", "1"])
+        assert code == 2
+        assert err == ("error: out of memory: Unable to allocate 7.45 GiB "
+                       "for an array\n")
+        assert list(Path().glob("*.manifest.json")) == []
+
     def test_usage_error_exit_2(self, workdir):
         assert main(["price"]) == 2
 

@@ -753,17 +753,22 @@ def outcome(solve):
         return type(exc), str(exc)
 
 
-def mixed_scale_draw(index):
-    """Draw ``index`` of the mixed-scale recipe: default_rng(2024), one
-    aggressive random instance per draw, then each N x N entry's demand
-    x 10^U(-6, 6) and travel time x 10^U(-3, 3)."""
+def mixed_scale_instance(index):
+    """Draw ``index`` of the mixed-scale recipe and its own ad matrix:
+    default_rng(2024), one aggressive random instance per draw, then each
+    N x N entry's demand x 10^U(-6, 6) and travel time x 10^U(-3, 3)."""
     rng = np.random.default_rng(2024)
     for _ in range(index + 1):
-        net, _ = random_instance(rng, aggressive=True, n_min=3, n_max=10)
+        net, a = random_instance(rng, aggressive=True, n_min=3, n_max=10)
         n = net.n_locations
         demand = net.demand * 10 ** rng.uniform(-6, 6, (n, n))
         time = net.travel_time * 10 ** rng.uniform(-3, 3, (n, n))
-    return validate_network(demand, time, net.unit_cost)
+    return validate_network(demand, time, net.unit_cost), a
+
+
+def mixed_scale_draw(index):
+    """The network of :func:`mixed_scale_instance`, without its ads."""
+    return mixed_scale_instance(index)[0]
 
 
 def ad_rows(net, ads):

@@ -11,6 +11,7 @@ from resistive_pricing import (
     RegimeBoundary,
     check_mu_zero_sufficient,
     find_cut_vertices,
+    location_candidate,
     payoff_and_surplus,
     price_sensitivity,
     solve_closed_form,
@@ -172,31 +173,6 @@ class TestGeneralSolver:
         assert sol.payoff == pytest.approx(2.0 * sol.consumer_surplus,
                                            rel=1e-8, abs=1e-12)
 
-    def test_tie_enters_lower_arc_first(self, monkeypatch):
-        """Two mirror-image arcs share the largest violation exactly; the
-        lower arc index, (2, 1) before (4, 3), enters first."""
-        monkeypatch.setattr(pricing, "BLOCK_ROUNDS", 0)
-        net, a = mirror_tie_instance()
-        with pytest.raises(NotApplicable):
-            solve_closed_form(net, a)
-        state = pricing._LoopState(net, arc_ads(net, a))
-        prices = pricing._kkt_candidate(state)[0]
-        top = [net.arcs[k] for k in np.flatnonzero(prices == prices.max())]
-        assert top == [(2, 1), (4, 3)]
-
-        seen = []
-        candidate = pricing._kkt_candidate
-
-        def recording(state):
-            seen.append(capped_arcs(net, state.capped))
-            return candidate(state)
-
-        monkeypatch.setattr(pricing, "_kkt_candidate", recording)
-        sol = solve_general(net, a)
-        assert seen[:3] == [frozenset(), {(2, 1)}, {(2, 1), (4, 3)}]
-        assert sol.active_set == {(2, 1), (4, 3)}
-        assert sol.kkt_residual < 1e-8
-
     def test_block_round_enters_every_violation(self, monkeypatch):
         """On the mirror-image instance the first block round enters both
         tied arcs, and the second candidate is already the KKT point."""
@@ -210,8 +186,9 @@ class TestGeneralSolver:
 
     def test_iteration_cap_raises_no_convergence(self, monkeypatch):
         """A candidate that always reports a violated cap and a negative
-        multiplier never settles: the loop stops after BLOCK_ROUNDS +
-        max(8, 4 |arcs|) candidates with a typed NoConvergence."""
+        multiplier never settles: every round flips every arc, and the loop
+        stops after max(8, 4 |arcs|) candidates with a typed
+        NoConvergence."""
         net, a = capped_instance()
         calls = []
 
@@ -221,14 +198,11 @@ class TestGeneralSolver:
             return np.full(arcs, 2.0), np.zeros(state.n), np.full(arcs, -1.0)
 
         monkeypatch.setattr(pricing, "_kkt_candidate", restless)
-        cap = pricing.BLOCK_ROUNDS + max(8, 4 * len(net.arcs))
+        cap = max(8, 4 * len(net.arcs))
         with pytest.raises(NoConvergence,
                            match=f"after {cap} active-set iterations"):
             solve_general(net, a)
-        assert len(calls) == cap
-        # block rounds flip every arc; single moves then flip one
-        assert calls[:3] == [0, len(net.arcs), 0]
-        assert calls[pricing.BLOCK_ROUNDS:pricing.BLOCK_ROUNDS + 2] == [0, 1]
+        assert calls == [0, len(net.arcs)] * (cap // 2)
 
     def test_read_only_after_unpickling(self):
         net, a = capped_instance()
@@ -282,10 +256,10 @@ def record_loop(monkeypatch):
     return steps
 
 
-def check_loop_path(monkeypatch, rounds):
+def check_loop_path(monkeypatch):
     """Run 60 aggressive n = 5-8 draws through the loop and check every
     candidate against its per-arc form and every move against
-    :func:`oracles.next_active` (block moves for the first ``rounds``).
+    :func:`oracles.next_active`.
     Returns the counts of moves, net exits, pair deaths, moves of more
     than one arc, and moves that both enter and release arcs."""
     steps = record_loop(monkeypatch)
@@ -327,8 +301,7 @@ def check_loop_path(monkeypatch, rounds):
                     assert mu[k] == 0.0
             expected = next_active(net, active,
                                    arc_matrix(net, prices, np.nan),
-                                   arc_matrix(net, mu, 0.0),
-                                   block=t < rounds)
+                                   arc_matrix(net, mu, 0.0))
             if t + 1 < len(steps):
                 following = arc_matrix(net, steps[t + 1][0], False)
                 assert np.array_equal(following, expected)
@@ -345,17 +318,16 @@ def check_loop_path(monkeypatch, rounds):
     return moves, exits, deaths, blocks, swaps
 
 
-def check_resistance_path(monkeypatch, rounds):
-    """On the same 60 draws, the resistance-form loop with ``rounds`` block
-    rounds visits the same capped sets and reaches the same prices."""
+def check_resistance_path(monkeypatch):
+    """On the same 60 draws, the resistance-form loop visits the same
+    capped sets and reaches the same prices."""
     steps = record_loop(monkeypatch)
     rng = np.random.default_rng(0)
     for _ in range(60):
         net, a = random_instance(rng, aggressive=True, n_min=5, n_max=8)
         steps.clear()
         sol = solve_general(net, a)
-        path, (prices, lam, _) = resistance_pricing_path(
-            net, a, block_rounds=rounds)
+        path, (prices, lam, _) = resistance_pricing_path(net, a)
         assert path == [capped_arcs(net, step[0]) for step in steps]
         on = net.on_arcs(prices)
         assert np.abs(net.on_arcs(sol.prices) - on).max() \
@@ -368,57 +340,18 @@ class TestLoopReference:
     """The pricing loop against its per-arc loop form, with exact equality,
     and against the paper's resistance form of the same loop."""
 
-    def test_candidates_and_active_set_path(self, monkeypatch):
-        monkeypatch.setattr(pricing, "BLOCK_ROUNDS", 0)
-        moves, exits, deaths, _, _ = check_loop_path(monkeypatch, 0)
-        # draw 48 exits the active set; some entries kill a pair
-        assert moves >= 100 and exits >= 1 and deaths >= 1
-
     def test_block_candidates_and_active_set_path(self, monkeypatch):
-        """The same check on the default schedule, against the per-arc
-        block rule for the first BLOCK_ROUNDS candidates."""
-        moves, exits, deaths, blocks, swaps = check_loop_path(
-            monkeypatch, pricing.BLOCK_ROUNDS)
-        # a block round moves several arcs at once: 69 moves, not 119;
-        # draw 48 still exits, and in draw 58 one round enters two arcs
-        # and releases one
+        moves, exits, deaths, blocks, swaps = check_loop_path(monkeypatch)
+        # 69 rounds, many of which move several arcs at once; draw 48
+        # exits the active set, some entries kill a pair, and in draw 58
+        # one round enters two arcs and releases one
         assert moves >= 60 and exits >= 1 and deaths >= 1
         assert blocks >= 30 and swaps >= 1
 
-    def test_resistance_form_oracle(self, monkeypatch):
+    def test_block_resistance_form_oracle(self, monkeypatch):
         """On the same 60 instances the loop driven by the resistance-form
         candidate takes exactly the same path to the same prices."""
-        monkeypatch.setattr(pricing, "BLOCK_ROUNDS", 0)
-        check_resistance_path(monkeypatch, 0)
-
-    def test_block_resistance_form_oracle(self, monkeypatch):
-        """The same on the default schedule: block rounds, then single
-        moves, on both sides."""
-        check_resistance_path(monkeypatch, pricing.BLOCK_ROUNDS)
-
-    def test_exit_takes_most_negative_multiplier(self, monkeypatch):
-        """Draw 579 of the aggressive n = 5-8 stream reaches a candidate
-        with no violated cap and several negative cap multipliers; the most
-        negative one leaves."""
-        monkeypatch.setattr(pricing, "BLOCK_ROUNDS", 0)
-        steps = record_loop(monkeypatch)
-        rng = np.random.default_rng(0)
-        for _ in range(580):
-            net, a = random_instance(rng, aggressive=True, n_min=5, n_max=8)
-        sol = solve_general(net, a)
-        assert sol.kkt_residual < 1e-8
-        exits = 0
-        for now, following in zip(steps, steps[1:]):
-            capped, prices, mu = now[0], now[4], now[6]
-            negatives = np.flatnonzero(capped & (mu < -pricing.FEAS_TOL))
-            if negatives.size < 2 or np.any(
-                    ~capped & (prices > 1.0 + pricing.FEAS_TOL)):
-                continue
-            left = np.flatnonzero(capped & ~following[0])
-            assert left.size == 1 and mu[left[0]] == mu[negatives].min()
-            assert mu[left[0]] < mu[negatives].max()
-            exits += 1
-        assert exits >= 1
+        check_resistance_path(monkeypatch)
 
     def test_bridge_cap_splits_components(self):
         """Capping the one-way bridge (2, 3) between two triangles kills its
@@ -510,49 +443,78 @@ class TestLoopReference:
 
 
 class TestBlockMoves:
-    """The default schedule (block rounds, then single moves) against the
-    single-move loop (BLOCK_ROUNDS = 0)."""
+    """Every round enters every violated cap and releases every negative
+    cap multiplier; traffic-like instances need few rounds."""
 
-    def test_same_answer_as_single_moves(self, monkeypatch):
-        """Prices and payoffs agree within 1e-12 relative.  The active sets
-        differ only on arcs priced 1 with zero flow, where the cap
-        multiplier is not unique; 4 of these 300 draws have such an arc."""
-        rng = np.random.default_rng(0)
-        differ = 0
-        for _ in range(300):
-            net, a = random_instance(rng, aggressive=True, n_min=3, n_max=12)
-            block = solve_general(net, a)
-            with monkeypatch.context() as m:
-                m.setattr(pricing, "BLOCK_ROUNDS", 0)
-                single = solve_general(net, a)
-            on = net.on_arcs(single.prices)
-            assert np.abs(net.on_arcs(block.prices) - on).max() \
-                <= 1e-12 * np.abs(on).max()
-            # the payoff can cancel to rounding noise; its unit is sum θξ
-            unit = (net.arc_demand * net.arc_time).sum()
-            assert abs(block.payoff - single.payoff) \
-                <= 1e-12 * max(abs(single.payoff), unit)
-            for arc in block.active_set ^ single.active_set:
-                for sol in (block, single):
-                    assert abs(sol.prices[arc] - 1.0) <= 1e-12
-                    assert sol.flows[arc] <= 1e-12 * net.demand[arc]
-            differ += block.active_set != single.active_set
-        assert differ >= 1
+    @staticmethod
+    def traffic_like(stream):
+        """Seeded samples of aggressive random draws (seeds 11, 12 and 5 at
+        n = 3-12, 10-25 and 3-9), or of commuter and symmetric synth
+        networks at N = 30 without ads and with every location candidate."""
+        if stream == "random":
+            for seed, n_min, n_max, draws in ((11, 3, 12, 1000),
+                                              (12, 10, 25, 150),
+                                              (5, 3, 9, 500)):
+                rng = np.random.default_rng(seed)
+                for _ in range(draws):
+                    yield random_instance(rng, aggressive=True,
+                                          n_min=n_min, n_max=n_max)
+        else:
+            for profile in ("commuter", "symmetric"):
+                net, catalog = synth_instance(30, 0.3, seed=0,
+                                              profile=profile)
+                yield net, None
+                for k, incoming in sorted(catalog.location_based.items()):
+                    yield net, location_candidate(net, k, incoming)
+
+    @pytest.mark.parametrize("stream", ["random", "synth"])
+    def test_traffic_like_solves_in_few_candidates(self, monkeypatch,
+                                                   stream):
+        """Each traffic-like solve reaches its KKT point within 6
+        candidates."""
+        steps = record_loop(monkeypatch)
+        lengths = []
+        for net, a in self.traffic_like(stream):
+            steps.clear()
+            assert solve_general(net, a).kkt_residual < 1e-8
+            lengths.append(len(steps))
+        assert 2 <= max(lengths) <= 6
 
     @pytest.mark.parametrize("n", [60, 120])
     def test_commuter_in_few_candidates(self, monkeypatch, n):
-        """The commuter instances that cap 38 and 189 arcs: the single-move
-        loop needs one candidate per capped arc, the block rounds at most
-        6, to the same active set and bit-identical prices."""
+        """The commuter instances that cap 38 and 189 arcs reach their KKT
+        point in at most 6 candidates, at the prices of the resistance-form
+        loop within 1e-12 relative."""
         net = synth_instance(n, 0.3, seed=1, profile="commuter")[0]
-        with monkeypatch.context() as m:
-            m.setattr(pricing, "BLOCK_ROUNDS", 0)
-            single = solve_general(net)
         steps = record_loop(monkeypatch)
-        block = solve_general(net)
+        sol = solve_general(net)
         assert len(steps) <= 6
-        assert block.active_set == single.active_set
-        assert np.array_equal(block.prices, single.prices, equal_nan=True)
+        assert len(sol.active_set) == {60: 38, 120: 189}[n]
+        assert sol.kkt_residual < 1e-8
+        _, (prices, _, _) = resistance_pricing_path(net, np.zeros((n, n)))
+        on = net.on_arcs(prices)
+        assert np.abs(net.on_arcs(sol.prices) - on).max() \
+            <= 1e-12 * np.abs(on).max()
+
+    @pytest.mark.xfail(strict=True, raises=NoConvergence,
+                       reason="ROADMAP item 5 (scale-invariant checks in "
+                       "basic pricing): the block rounds cycle on this "
+                       "mixed-scale draw")
+    def test_mixed_scale_draw_314_reaches_oracle_optimum(self):
+        """Mixed-scale draw 314 with its own ads (N = 5, 7 arcs, theta from
+        1.6e-6 to 1.4e5): the capped set repeats with period 2 from round
+        1, so the loop runs to its cap of 28 rounds.  Enumerating the 128
+        capped subsets finds the optimum, payoff 3836.600416424802."""
+        from test_extended import mixed_scale_instance
+
+        net, a = mixed_scale_instance(314)
+        oracle_prices, oracle_val = enumerate_optimal_prices(net, a)
+        assert oracle_val == pytest.approx(3836.600416424802, rel=1e-12)
+        sol = solve_general(net, a)
+        on = net.on_arcs(oracle_prices)
+        assert np.abs(net.on_arcs(sol.prices) - on).max() \
+            <= 1e-9 * np.abs(on).max()
+        assert sol.payoff == pytest.approx(oracle_val, rel=1e-9)
 
 
 class TestLoopStateMove:
