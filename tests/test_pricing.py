@@ -9,6 +9,7 @@ from resistive_pricing import (
     NoConvergence,
     NotApplicable,
     RegimeBoundary,
+    arc_candidate,
     check_mu_zero_sufficient,
     find_cut_vertices,
     location_candidate,
@@ -450,7 +451,8 @@ class TestBlockMoves:
     def traffic_like(stream):
         """Seeded samples of aggressive random draws (seeds 11, 12 and 5 at
         n = 3-12, 10-25 and 3-9), or of commuter and symmetric synth
-        networks at N = 30 without ads and with every location candidate."""
+        networks at N = 30 without ads and with every location candidate,
+        or of the same networks with every 7th arc candidate."""
         if stream == "random":
             for seed, n_min, n_max, draws in ((11, 3, 12, 1000),
                                               (12, 10, 25, 150),
@@ -459,15 +461,21 @@ class TestBlockMoves:
                 for _ in range(draws):
                     yield random_instance(rng, aggressive=True,
                                           n_min=n_min, n_max=n_max)
-        else:
+        elif stream == "synth":
             for profile in ("commuter", "symmetric"):
                 net, catalog = synth_instance(30, 0.3, seed=0,
                                               profile=profile)
                 yield net, None
                 for k, incoming in sorted(catalog.location_based.items()):
                     yield net, location_candidate(net, k, incoming)
+        elif stream == "arc":
+            for profile in ("commuter", "symmetric"):
+                net, catalog = synth_instance(30, 0.3, seed=0,
+                                              profile=profile)
+                for arc, b in sorted(catalog.arc_based.items())[::7]:
+                    yield net, arc_candidate(net, arc, b)
 
-    @pytest.mark.parametrize("stream", ["random", "synth"])
+    @pytest.mark.parametrize("stream", ["random", "synth", "arc"])
     def test_traffic_like_solves_in_few_candidates(self, monkeypatch,
                                                    stream):
         """Each traffic-like solve reaches its KKT point within 6
