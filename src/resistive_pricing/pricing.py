@@ -10,18 +10,25 @@ through their cap multiplier.
 
 Prices need the resistances only through s = R v, and within a component,
 where v sums to zero, s_j - s_i = 2 (lambda_i - lambda_j) for the node
-potentials lambda = L+ v.  Every candidate therefore costs one bordered
-linear solve (:func:`electrical.potentials`), never a pseudoinverse.  The
-loop starts from the connected network's projection as one component and
-recomputes the components at most once per round of moves, only when the
-round kills or revives a pair.
+potentials lambda = L+ v.  While no arc is capped (the closed form, and the
+first round of the loop) they come from the pseudoinverse the network's
+electrical model keeps (:func:`electrical.build_electrical`); every round
+with capped arcs costs one bordered linear solve of the masked projection
+(:func:`electrical.potentials`).  The loop starts from the connected
+network's projection as one component and recomputes the components at
+most once per round of moves, only when the round kills or revives a pair.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .electrical import component_border, potentials, value_vector
+from .electrical import (
+    build_electrical,
+    component_border,
+    potentials,
+    value_vector,
+)
 from .network import (
     FrozenArrays,
     TrafficNetwork,
@@ -85,20 +92,24 @@ def payoff_and_surplus(net: TrafficNetwork, a, prices: np.ndarray) -> PayoffBrea
     Prices above the cap (beyond tolerance) are rejected.  ``a`` is an
     AdRevenueVector, an (N, N) or (M,) array, or None.
     """
-    a_arc = arc_ads(net, a)
     p_on = net.on_arcs(np.asarray(prices, dtype=float))
     if np.any(np.isnan(p_on)) or np.any(p_on > 1.0 + FEAS_TOL):
         raise ValueError("prices must be defined and <= 1 on every arc")
-    th, xi, rest = net.arc_demand, net.arc_time, 1.0 - p_on
-    payoff_by_arc = net.arc_matrix(
-        th * xi * rest * (p_on + a_arc - net.unit_cost))
-    surplus_by_arc = net.arc_matrix(0.5 * th * xi * rest ** 2)
+    payoff, surplus = _arc_payoff_surplus(net, arc_ads(net, a), p_on)
     return PayoffBreakdown(
-        payoff=float(payoff_by_arc.sum()),
-        consumer_surplus=float(surplus_by_arc.sum()),
-        payoff_by_arc=payoff_by_arc,
-        surplus_by_arc=surplus_by_arc,
+        payoff=float(payoff.sum()),
+        consumer_surplus=float(surplus.sum()),
+        payoff_by_arc=net.arc_matrix(payoff),
+        surplus_by_arc=net.arc_matrix(surplus),
     )
+
+
+def _arc_payoff_surplus(net, a_arc, p_on):
+    """Per-arc payoff and consumer surplus at per-arc prices ``p_on``; the
+    totals are their sums, in arc order, wherever they are reported."""
+    th, xi, rest = net.arc_demand, net.arc_time, 1.0 - p_on
+    return (th * xi * rest * (p_on + a_arc - net.unit_cost),
+            0.5 * th * xi * rest ** 2)
 
 
 def check_mu_zero_sufficient(net: TrafficNetwork, a) -> bool:
@@ -172,14 +183,18 @@ def _kkt_candidate(state):
     resistance formula p_ij = (1-a+c)/2 + sum_k (R_jk - R_ik) v_k / (4 xi),
     where within a component sum_k v_k = 0 gives (R v)_i = const - 2
     lambda_i with lambda = L+ v, so s_j - s_i = 2 (lambda_i - lambda_j) and
-    one bordered solve for the potentials suffices.  When capped arcs
-    bridge components, per-component shifts of lambda are chosen
-    (difference constraints, Bellman-Ford) so bridging multipliers come
-    out non-negative whenever that is possible.
+    the potentials suffice: L+ v from the network's electrical model while
+    no arc is capped, else one bordered solve of the masked projection.
+    When capped arcs bridge components, per-component shifts of lambda are
+    chosen (difference constraints, Bellman-Ford) so bridging multipliers
+    come out non-negative whenever that is possible.
     """
     ai, aj, capped = state.ai, state.aj, state.capped
-    lam = potentials(state.weights, state.net.net_outflow(
-        np.where(capped, 0.0, state.gain)), state.border)
+    v = state.net.net_outflow(np.where(capped, 0.0, state.gain))
+    if capped.any():
+        lam = potentials(state.weights, v, state.border)
+    else:
+        lam = build_electrical(state.net).pseudoinverse @ v
     prices = np.where(capped, 1.0,
                       state.base + (lam[ai] - lam[aj]) / state.two_xi)
 
@@ -216,26 +231,26 @@ def _resolve_shifts(n_comp, constraints):
 
 def _assemble(net, a_arc, prices, lam, mu, capped):
     """Solution record of the per-arc candidate of the final capped set
-    (prices at most 1 + ``FEAS_TOL``), totals by :func:`payoff_and_surplus`."""
+    (prices at most 1 + ``FEAS_TOL``), with the totals
+    :func:`payoff_and_surplus` reports for its prices."""
     lam = lam - lam[-1]
     ai, aj = net.arc_array.T
     th, xi, c = net.arc_demand, net.arc_time, net.unit_cost
     arc_flow = th * np.maximum(1.0 - prices, 0.0)
-    price_mat = net.arc_matrix(prices, fill=np.nan)
-    totals = payoff_and_surplus(net, a_arc, price_mat)
+    payoff, surplus = _arc_payoff_surplus(net, a_arc, prices)
     stat = th * xi * (2.0 * prices - 1.0 - c + a_arc) \
         - th * (lam[ai] - lam[aj]) + mu
     residual = max(0.0, np.abs(stat).max(), (prices - 1.0).max(),
                    (-mu).max(), np.abs(mu * (prices - 1.0)).max(),
                    np.abs(net.net_outflow(arc_flow)).max())
     return PricingSolution(
-        prices=price_mat,
+        prices=net.arc_matrix(prices, fill=np.nan),
         flows=net.arc_matrix(arc_flow),
         duals_lambda=lam,
         duals_mu=net.arc_matrix(mu),
         active_set=frozenset(map(tuple, net.arc_array[capped].tolist())),
-        payoff=totals.payoff,
-        consumer_surplus=totals.consumer_surplus,
+        payoff=float(payoff.sum()),
+        consumer_surplus=float(surplus.sum()),
         kkt_residual=float(residual),
     )
 
@@ -245,10 +260,11 @@ def solve_closed_form(net: TrafficNetwork, a=None) -> PricingSolution:
 
     p_ij = (1 - a_ij + c)/2 + (1/(4 xi_ij)) sum_k (R_jk - R_ik) v_k,
     evaluated as (1 - a_ij + c)/2 + (lambda_i - lambda_j)/(2 xi_ij) from
-    the node potentials lambda = L+ v.  Raises :class:`NotApplicable` when
-    any computed price exceeds 1, in which case the cap-multiplier
-    assumption fails and :func:`solve_general` must be used.  ``a`` is an
-    AdRevenueVector, an (N, N) or (M,) array, or None.
+    the node potentials lambda = L+ v, with the L+ of the network's
+    electrical model.  Raises :class:`NotApplicable` when any computed
+    price exceeds 1, in which case the cap-multiplier assumption fails and
+    :func:`solve_general` must be used.  ``a`` is an AdRevenueVector, an
+    (N, N) or (M,) array, or None.
     """
     a_arc = arc_ads(net, a)
     state = _LoopState(net, a_arc)
@@ -268,11 +284,13 @@ def solve_general(net: TrafficNetwork, a=None) -> PricingSolution:
     block moves (the primal-dual active-set rule of Hintermueller, Ito
     and Kunisch): every violated cap enters (price pinned to 1, demand
     masked) and every negative cap multiplier leaves, in the same round.
-    Each iteration is one bordered solve for the node potentials of the
-    masked network (see :func:`_kkt_candidate`).  The loop assumes a
-    connected start, as validation guarantees; the pair weights and
-    components carry over between iterations, and each one recomputes the
-    components at most once, only when its moves kill or revive a pair.
+    An iteration with no arc capped, as the first one is, takes the node
+    potentials from the network's electrical model, and every other one
+    from one bordered solve of the masked network (see
+    :func:`_kkt_candidate`).  The loop assumes a connected start, as
+    validation guarantees; the pair weights and components carry over
+    between iterations, and each one recomputes the components at most
+    once, only when its moves kill or revive a pair.
     Terminates at a KKT point with residual below 1e-8 or raises
     :class:`NoConvergence` after ``max(8, 4 |arcs|)`` iterations.
 

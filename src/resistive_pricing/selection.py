@@ -4,9 +4,10 @@ The payoff functional Delta(a) equals the optimal payoff whenever no price
 cap binds and upper-bounds it otherwise, which makes it both a fast exact
 score in the benign regime and the sorting key of the reduced search for
 the general regime.  Each selector scores its whole candidate set by
-Delta with one bordered solve.  Under symmetric demand 4 (Delta(a) -
-Delta(0)) is the paper's closed-form score of an arc-based or
-location-based advertiser.  With a budget above one collaboration,
+Delta in the paper's resistance form, from the one electrical model of
+the network (:func:`electrical.build_electrical`).  Under symmetric demand
+4 (Delta(a) - Delta(0)) is the paper's closed-form score of an arc-based
+or location-based advertiser.  With a budget above one collaboration,
 callers rank their own candidate ad vectors with :func:`reduced_search`.
 
 Without any limit on simultaneous collaborations, no optimization is
@@ -28,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .electrical import potentials
+from .electrical import build_electrical
 from .extended import _evaluate, _solve_rows
 from .network import AdRevenueVector, TrafficNetwork, arc_ads
 from .pricing import solve_general
@@ -117,7 +118,8 @@ def delta(net: TrafficNetwork, a) -> float:
     Delta(a) = sum theta xi ((1+a-c)/2)^2 - lambda' v / 4, summed over
     the arcs, for the value vector v and its node potentials lambda = L+ v
     on the unmasked electrical network; lambda' v is the paper's
-    sum (1/2) theta (1+a-c) sum_k (R_jk - R_ik) v_k.  Always an upper
+    sum (1/2) theta (1+a-c) sum_k (R_jk - R_ik) v_k.  It is evaluated
+    about the network without ads, see :func:`_deltas`.  Always an upper
     bound on the optimal payoff, with equality when every cap multiplier
     is 0.  ``a`` is an AdRevenueVector, an (N, N) or (M,) array, or None.
     """
@@ -126,15 +128,20 @@ def delta(net: TrafficNetwork, a) -> float:
 
 def _deltas(net: TrafficNetwork, ad_rows) -> np.ndarray:
     """Delta of each candidate, given as the (K, arcs) per-arc ad revenues
-    of the K candidates.  Their value vectors, the net outflows of their
-    gains, are the columns of one (N, K) array for one factorization."""
-    gains = 1.0 + ad_rows - net.unit_cost
-    values = net.net_outflow(net.arc_demand * gains).T
-    # a validated network is connected: its border is J/N
-    lam = potentials(net.projection, values,
-                     np.full(net.projection.shape, 1.0 / net.n_locations))
-    return (np.sum(net.arc_demand * net.arc_time * (gains / 2.0) ** 2, axis=1)
-            - np.sum(lam * values, axis=0) / 4.0)
+    of the K candidates, in the paper's resistance form about the network
+    without ads.  Ads a change the value vector only by u_a, the net
+    outflow of theta a, so with lambda_0 and Delta(0) of the electrical
+    model
+
+        Delta(a) = Delta(0) + sum theta xi a (2 (1-c) + a) / 4
+                   - u_a' lambda_0 / 2 - u_a' L+ u_a / 4.
+    """
+    model = build_electrical(net)
+    own = (ad_rows * (2.0 * (1.0 - net.unit_cost) + ad_rows)) \
+        @ (net.arc_demand * net.arc_time)
+    u = net.net_outflow(net.arc_demand * ad_rows)
+    return (model.zero_delta + own / 4.0 - u @ model.zero_potentials / 2.0
+            - np.sum((u @ model.pseudoinverse) * u, axis=1) / 4.0)
 
 
 def _candidates(net, catalog, mode):

@@ -1,6 +1,8 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 _results = {}
@@ -26,3 +28,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"{mark}  {name}")
     for note in _notes:
         terminalreporter.write_line(note)
+
+
+@pytest.fixture
+def model_builds(monkeypatch):
+    """The networks whose electrical model gets built, one entry per build,
+    in order."""
+    from resistive_pricing import electrical
+
+    built = []
+    build = electrical._build
+
+    def recording(net):
+        built.append(net)
+        return build(net)
+
+    monkeypatch.setattr(electrical, "_build", recording)
+    return built

@@ -7,9 +7,10 @@ candidates come from the paper's resistance form with an SVD
 pseudoinverse; resistances come from current injection into the raw
 Laplacian; sensitivities from central finite differences; selection
 scores under symmetric demand from the paper's closed forms; extended-model
-optima from face enumeration and a Lagrangian-dual certificate.  Ride ingest
-is checked against the plain forms of k-means and of the per-record
-aggregation loop.
+optima from face enumeration and a Lagrangian-dual certificate; the payoff
+functional Delta in its plain form, from a bordered solve of the raw
+Laplacian.  Ride ingest is checked against the plain forms of k-means and
+of the per-record aggregation loop.
 """
 
 import itertools
@@ -221,6 +222,23 @@ def injection_resistance(weights, i, j):
     phi = np.zeros(n)
     phi[:-1] = np.linalg.solve(lap[:-1, :-1], rhs[:-1])
     return phi[i] - phi[j]
+
+
+def plain_deltas(net, ad_rows):
+    """The payoff functional Delta of each of the (K, arcs) per-arc ad
+    rows in its plain form, sum theta xi ((1+a-c)/2)^2 - lambda' v / 4
+    with the potentials lambda of each value vector v from one bordered
+    solve (L + J/N) lambda = v of the connected network.  Returns the K
+    values of Delta and the K term scales sum theta xi ((1+a-c)/2)^2 +
+    |lambda' v| / 4 that bound their rounding."""
+    gains = 1.0 + ad_rows - net.unit_cost
+    values = net.net_outflow(net.arc_demand * gains).T
+    w = net.projection
+    system = np.diag(w.sum(axis=1)) - w + 1.0 / net.n_locations
+    lam = np.linalg.solve(system, values)
+    own = np.sum(net.arc_demand * net.arc_time * (gains / 2.0) ** 2, axis=1)
+    cross = np.sum(lam * values, axis=0) / 4.0
+    return own - cross, own + np.abs(cross)
 
 
 def symmetric_arc_score(net, arc, b, eff):

@@ -728,6 +728,22 @@ def test_mutated_input_exits_with_typed_error(case):
         assert manifests
 
 
+@pytest.mark.parametrize("argv", [
+    ["price", "--network", "net.json", "--out", "p.csv",
+     "--dump-electrical", "el"],
+    ["dump-electrical", "--network", "net.json", "--out", "el"],
+    ["select", "--network", "net.json", "--advertisers", "ads.json",
+     "--mode", "location", "--strategy", "optimal", "--seed", "0",
+     "--out", "s.csv"],
+], ids=["price", "dump-electrical", "select"])
+def test_one_model_build_per_command(workdir, model_builds, argv):
+    """A command builds the electrical model of the network it loads once,
+    however many prices, scores and dumps it takes from it."""
+    write_instance("net.json", "ads.json", profile="commuter")
+    assert main(argv) == 0
+    assert len(model_builds) == 1
+
+
 class TestSelectCommand:
     def test_select_random_seeded_identical(self, workdir):
         write_instance("net.json", "ads.json")

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resistive_pricing import (
+    NotApplicable,
     build_electrical,
+    delta,
+    select_arc_advertiser,
+    select_location_advertiser,
+    solve_closed_form,
+    solve_general,
     synth_instance,
     validate_network,
     value_vector,
@@ -15,7 +21,7 @@ from resistive_pricing.electrical import component_border, potentials
 from resistive_pricing.network import projection_weights
 
 from gen import random_ads, random_connected_network
-from oracles import injection_resistance
+from oracles import injection_resistance, plain_deltas
 
 
 def bidirectional(edges, n, theta=1.0, xi=1.0, cost=0.6):
@@ -167,12 +173,65 @@ class TestLaplacian:
                 assert total == pytest.approx(2.0, abs=1e-10)
 
 
-def test_model_read_only_after_unpickling():
-    model = pickle.loads(pickle.dumps(build_electrical(ring_with_chord())))
-    for name in ("laplacian", "pseudoinverse", "resistances",
-                 "effective_resistance"):
-        with pytest.raises(ValueError):
-            getattr(model, name)[0] = 0
+def test_model_read_only_after_unpickling(model_builds):
+    """Every array of the model stays read-only through a pickle round
+    trip, of the model or of the network that keeps it and takes it
+    along."""
+    net = ring_with_chord()
+    models = [pickle.loads(pickle.dumps(build_electrical(net))),
+              build_electrical(pickle.loads(pickle.dumps(net)))]
+    assert len(model_builds) == 1
+    for model in models:
+        for name in ("laplacian", "pseudoinverse", "resistances",
+                     "effective_resistance", "zero_potentials"):
+            with pytest.raises(ValueError):
+                getattr(model, name)[0] = 0
+
+
+class TestModelPerNetwork:
+    """Each network builds its electrical model once, on first use, and
+    keeps it."""
+
+    def test_same_model_every_call(self):
+        net = ring_with_chord()
+        assert build_electrical(net) is build_electrical(net)
+
+    def test_equal_network_builds_its_own(self, model_builds):
+        net, twin = ring_with_chord(), ring_with_chord()
+        assert np.array_equal(net.projection, twin.projection)
+        assert build_electrical(twin) is not build_electrical(net)
+        assert build_electrical(twin) is build_electrical(twin)
+        assert [id(built) for built in model_builds] == [id(twin), id(net)]
+
+    @pytest.mark.parametrize("profile", ["symmetric", "commuter"])
+    def test_one_build_across_solves_and_scores(self, model_builds,
+                                                profile):
+        net, catalog = synth_instance(10, 0.3, seed=7, profile=profile)
+        a = random_ads(np.random.default_rng(7), net)
+        delta(net, a)
+        try:
+            solve_closed_form(net, a)
+        except NotApplicable:
+            assert profile == "commuter"
+        solve_general(net, a)
+        select_arc_advertiser(net, catalog)
+        select_location_advertiser(net, catalog)
+        assert len(model_builds) == 1 and model_builds[0] is net
+
+    @pytest.mark.parametrize("profile", ["symmetric", "commuter"])
+    def test_zero_ad_record(self, profile):
+        """lambda_0 = L+ v_0 and Delta(0) as the plain bordered solve gives
+        them, and delta without ads reads Delta(0) exactly."""
+        net, _ = synth_instance(15, 0.3, seed=2, profile=profile)
+        model = build_electrical(net)
+        v0 = value_vector(net)
+        lam0 = potentials(net.projection, v0,
+                          component_border(np.zeros(15, dtype=int)))
+        scale = max(1.0, np.abs(lam0).max())
+        assert np.abs(model.zero_potentials - lam0).max() <= 1e-12 * scale
+        plain, terms = plain_deltas(net, np.zeros((1, len(net.arcs))))
+        assert abs(model.zero_delta - plain[0]) <= 1e-12 * terms[0]
+        assert delta(net, None) == model.zero_delta
 
 
 class TestPotentials:

@@ -24,7 +24,11 @@ from resistive_pricing import (
 from resistive_pricing.electrical import build_electrical, value_vector
 
 from gen import quiet_instance, random_connected_network, random_instance
-from oracles import symmetric_arc_score, symmetric_location_score
+from oracles import (
+    plain_deltas,
+    symmetric_arc_score,
+    symmetric_location_score,
+)
 
 
 def bidirectional(edges, n, theta=1.0, xi=1.0, cost=0.6):
@@ -397,35 +401,36 @@ def location_candidates(net, catalog):
 
 class TestBatchedScores:
     @pytest.mark.parametrize("profile", ["symmetric", "commuter"])
-    def test_one_factorization_per_candidate_set(self, monkeypatch, profile):
+    def test_one_factorization_per_candidate_set(self, model_builds,
+                                                 profile):
         """Each selector, reduced search and strategy comparison scores its
-        whole candidate set with one bordered solve."""
-        net, catalog = synth_instance(8, 0.5, seed=3, profile=profile)
-        calls = {"n": 0}
-        true_potentials = selection_mod.potentials
-
-        def counting(weights, v, border):
-            calls["n"] += 1
-            return true_potentials(weights, v, border)
-
-        monkeypatch.setattr(selection_mod, "potentials", counting)
-        arcs = [arc_candidate(net, arc, b)
-                for arc, b in sorted(catalog.arc_based.items())]
+        whole candidate set, and prices its candidates, from the one
+        electrical model of the network: one factorization, built on the
+        first call, and none on a second call."""
         params = ExtendedParams(eta=0.8, psi=50.0,
                                 demand=DemandModel.uniform())
+
+        def arcs(net, catalog):
+            return [arc_candidate(net, arc, b)
+                    for arc, b in sorted(catalog.arc_based.items())]
+
         scorings = [
-            lambda: select_arc_advertiser(net, catalog),
-            lambda: select_location_advertiser(net, catalog),
-            lambda: reduced_search(net, arcs),
-            lambda: reduced_search(net, location_candidates(net, catalog)),
-            lambda: strategy_compare(net, catalog, mode="arc", seed=0),
-            lambda: strategy_compare(net, catalog, mode="location",
-                                     params=params, seed=0),
+            select_arc_advertiser,
+            select_location_advertiser,
+            lambda net, catalog: reduced_search(net, arcs(net, catalog)),
+            lambda net, catalog: reduced_search(
+                net, location_candidates(net, catalog)),
+            lambda net, catalog: strategy_compare(net, catalog, mode="arc",
+                                                  seed=0),
+            lambda net, catalog: strategy_compare(
+                net, catalog, mode="location", params=params, seed=0),
         ]
         for scoring in scorings:
-            calls["n"] = 0
-            scoring()
-            assert calls["n"] == 1
+            net, catalog = synth_instance(8, 0.5, seed=3, profile=profile)
+            model_builds.clear()
+            scoring(net, catalog)
+            scoring(net, catalog)
+            assert len(model_builds) == 1 and model_builds[0] is net
 
     @pytest.mark.parametrize("n, seed", [(60, 0), (60, 1), (10, 7)])
     def test_rows_match_single_delta(self, n, seed):
@@ -441,6 +446,61 @@ class TestBatchedScores:
             net, np.array([net.on_arcs(cand.values) for cand in candidates]))
         single = [delta(net, cand) for cand in candidates]
         np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+
+
+class TestResistanceForm:
+    """Delta in the resistance form about the network without ads, against
+    the plain form of :func:`oracles.plain_deltas`."""
+
+    def test_random_draws_within_term_scale(self):
+        """2000 aggressive draws, with their own ads and without ads: the
+        batched and the K = 1 scores are within 1e-12 of the term scale
+        (where Delta is near 0 a relative bound would mean nothing)."""
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            net, a = random_instance(rng, aggressive=True, n_min=2,
+                                     n_max=12)
+            rows = np.array([net.on_arcs(a), np.zeros(len(net.arcs))])
+            plain, scale = plain_deltas(net, rows)
+            got = np.append(selection_mod._deltas(net, rows), delta(net, a))
+            assert np.all(np.abs(got - plain[[0, 1, 0]])
+                          <= 1e-12 * scale[[0, 1, 0]])
+
+    @pytest.mark.parametrize("n, seeds", [(15, range(20)), (60, (0, 1))],
+                             ids=["criterion-9", "bench-pool"])
+    def test_commuter_pools_relative(self, n, seeds):
+        """Criterion 9's location candidates and the benchmark's N = 60
+        pool: every score within 1e-12 relative, and at least the optimal
+        payoff, less 1e-9."""
+        for seed in seeds:
+            net, catalog = synth_instance(n, 0.3, seed=seed,
+                                          profile="commuter")
+            _, rows = selection_mod._candidates(net, catalog, "location")
+            plain, _ = plain_deltas(net, rows)
+            got = selection_mod._deltas(net, rows)
+            assert np.all(np.abs(got - plain) <= 1e-12 * np.abs(plain))
+            payoffs = [solve_general(net, row).payoff for row in rows]
+            assert np.all(got >= np.subtract(payoffs, 1e-9))
+
+    @pytest.mark.parametrize("profile", ["symmetric", "commuter"])
+    def test_selection_order_unchanged(self, profile):
+        """On 80 synth selections per profile (N = 10, 15, 30, 60, seeds
+        0-9, arc and location) the scores rank the candidates exactly as
+        the plain form does, winner and tie order included: the first
+        maximum in sorted label order wins."""
+        for n in (10, 15, 30, 60):
+            for seed in range(10):
+                net, catalog = synth_instance(n, 0.3, seed=seed,
+                                              profile=profile)
+                for mode, select in (("arc", select_arc_advertiser),
+                                     ("location", select_location_advertiser)):
+                    labels, rows = selection_mod._candidates(net, catalog,
+                                                             mode)
+                    result = select(net, catalog)
+                    plain, _ = plain_deltas(net, rows)
+                    scores = [score for _, score in result.scores]
+                    assert ranking(scores) == ranking(plain)
+                    assert result.chosen == labels[ranking(plain)[0]]
 
 
 def bench_sweep_instance():
@@ -562,15 +622,16 @@ class TestCompareGrid:
         assert np.array(compare(kept)[0].payoffs).tobytes() \
             == np.array([singles[r] for r in kept]).tobytes()
 
-    def test_one_score_and_one_batch_per_chunk(self, monkeypatch):
-        """One Delta scoring (one potentials solve) per grid, and one
-        interior-point loop per batch of the row budget: ceil(rows /
-        size) loops at size = BATCH_BUDGET // (arcs + pairs + 1), at
+    def test_one_score_and_one_batch_per_chunk(self, monkeypatch,
+                                               model_builds):
+        """One Delta scoring per grid, from one model build per network,
+        and one interior-point loop per batch of the row budget: ceil(rows
+        / size) loops at size = BATCH_BUDGET // (arcs + pairs + 1), at
         least 1."""
         import resistive_pricing.extended as extended_mod
 
         net, catalog, mass = bench_sweep_instance()
-        calls = {"_deltas": 0, "potentials": 0, "_interior_point": 0}
+        calls = {"_deltas": 0, "_interior_point": 0}
 
         def counting(module, name):
             true = getattr(module, name)
@@ -581,7 +642,6 @@ class TestCompareGrid:
             monkeypatch.setattr(module, name, counted)
 
         counting(selection_mod, "_deltas")
-        counting(selection_mod, "potentials")
         counting(extended_mod, "_interior_point")
         grid = [ExtendedParams(eta=0.8, psi=f * mass,
                                demand=DemandModel.uniform())
@@ -595,10 +655,13 @@ class TestCompareGrid:
                              (3 * width, 3), (width, 1), (1, 1)]:
             monkeypatch.setattr(selection_mod, "BATCH_BUDGET", budget)
             calls.update(dict.fromkeys(calls, 0))
+            net, catalog, _ = bench_sweep_instance()
+            model_builds.clear()
             selection_mod._compare_grid(net, catalog, "location", grid,
                                         seeds, 10)
-            assert calls == {"_deltas": 1, "potentials": 1,
+            assert calls == {"_deltas": 1,
                              "_interior_point": -(-rows // size)}
+            assert len(model_builds) == 1 and model_builds[0] is net
         assert default // width >= rows  # the default: one batch
 
     def test_arc_comparison_memory_bounded(self):
