@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FrozenArrays, TrafficNetwork, arc_ads
+from .network import FrozenArrays, TrafficNetwork, arc_ads, keep
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,7 @@ def build_electrical(net: TrafficNetwork) -> ElectricalModel:
     immutable network for its lifetime: every later call returns the same
     object.  It holds 4 N^2 floats (7.4 MB at N = 480).
     """
-    model = vars(net).get("_electrical")
-    if model is None:
-        model = _build(net)
-        # the network is frozen: its one model goes beside its fields
-        object.__setattr__(net, "_electrical", model)
-    return model
+    return keep(net, "_electrical", _build)
 
 
 def _build(net):

@@ -12,10 +12,16 @@ formulas that differ.
 Empty vehicles route over the network's pairs, ``net.pair_array``: the
 arcs, then the off-arc pairs given empty travel times.
 
+What the solve reads of the network alone (the strong classes and which
+edges lie on a directed cycle, the grounding, the incidence pattern of
+the Newton systems, the scales) is a :class:`Routing`, built on the first
+extended solve or batch on a network and kept on it, as the electrical
+model is (:func:`routing`).
+
 A set of problems on one network is solved as one batch: one
 interior-point loop over the stack of their problems.  The rows share the
-network (so its routing pairs), the demand curve, the strong classes and
-the grounding; they differ in the ad vector, which sets the linear term
+network (so its routing pairs and its :class:`Routing`) and the demand
+curve; they differ in the ad vector, which sets the linear term
 of f' and the start, and in psi and eta, which set the bounds, the
 capacity row and the cost of empty routing.  Each row stops on its own
 test and leaves the stack, and every reduction is row-wise, so a row's
@@ -29,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FrozenArrays, TrafficNetwork, arc_ads, strong_classes
+from .network import (FrozenArrays, TrafficNetwork, arc_ads, keep,
+                      strong_classes)
 from .pricing import NoConvergence
 from .qp import solve_convex_qp  # noqa: F401  (bench/spans.py wraps this name)
 
@@ -191,8 +198,10 @@ def payoff_extended(net: TrafficNetwork, a, params: ExtendedParams,
         raise InfeasiblePoint("price above the cap")
 
     flow, used, value = _evaluate(net, a_vec, params, p_on, w[tuple(pairs.T)])
-    scale = max(1.0, float(np.abs(net._node_sums(flow)).max()))
-    if np.abs(net.net_outflow(flow)).max() > POINT_TOL * scale:
+    # net_outflow's balance, out - in, from the one pair of node sums
+    out, into = net._node_sums(flow)
+    scale = max(1.0, float(np.abs(out).max()), float(np.abs(into).max()))
+    if np.abs(out - into).max() > POINT_TOL * scale:
         raise InfeasiblePoint("vehicle flow balance")
     if used > params.psi + CAPACITY_TOL + POINT_TOL * max(1.0, params.psi):
         raise InfeasiblePoint("fleet capacity")
@@ -231,8 +240,83 @@ def _solution(net, a_vec, params, p_vec, w_vec, residual):
     )
 
 
-def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
-                    z_lo, z_hi, z0, grounded):
+@dataclass(frozen=True)
+class Routing(FrozenArrays):
+    """What the interior point reads of a network, whatever the ads, the
+    demand curve, psi and eta; :func:`routing` keeps one per network.
+
+    An edge lies on a directed cycle of the routing graph (the arcs plus
+    the empty pairs) when its ends share a strong class.  ``live`` marks
+    those pairs of ``net.pair_array``, ``on`` those arcs, and ``off_cycle``
+    is the first arc on none, as (u, v), or None.  The solve runs over the
+    live edges, the arcs ``on`` and then the ``live`` pairs, with ``th``
+    and ``xi`` per live arc and ``pair_time`` per live pair.  Its iterate
+    x = (z, w, s) is n = live arcs + live pairs + 1 wide; column j of B
+    is e_tail - e_head + g_j e_capacity, with no term for a grounded end
+    (one node per strong class) and none but g e_capacity for s, g = (xi,
+    pair_time, 1).  ``b_slot`` and ``b_val``, (3, n), hold each column's
+    rows among the
+    ``nodes`` rows of B (the capacity row last) and its values; M = B D^-1
+    B' sums ``m_val`` / D_j into the ``m_slot`` entries of a flat
+    (nodes, nodes) matrix, both (3, 3, n).  ``flow_scale`` and
+    ``payoff_scale`` scale the balance residual and the gap.
+    """
+
+    live: np.ndarray
+    on: np.ndarray
+    off_cycle: tuple | None
+    th: np.ndarray
+    xi: np.ndarray
+    pair_time: np.ndarray
+    nodes: int
+    b_slot: np.ndarray
+    b_val: np.ndarray
+    m_slot: np.ndarray
+    m_val: np.ndarray
+    flow_scale: float
+    payoff_scale: float
+
+
+def routing(net: TrafficNetwork) -> Routing:
+    """The interior point's :class:`Routing` of ``net``, built on the first
+    extended solve or batch and kept, read-only, on the network for its
+    lifetime (the rule of :func:`~resistive_pricing.network.keep`)."""
+    return keep(net, "_routing", _build_routing)
+
+
+def _build_routing(net):
+    """Compute :func:`routing`'s structure of ``net``."""
+    pairs, arc = net.pair_array, net.arc_array
+    classes = strong_classes(net.n_locations, pairs)
+    live = classes[pairs[:, 0], pairs[:, 1]]  # pairs start with the arcs
+    on = live[:len(arc)]
+    off = arc[~on]
+    th, xi, pair_time = net.arc_demand[on], net.arc_time[on], \
+        net.pair_time[live]
+    # each weak component left is a strong class: ground its last node
+    grounded = ~np.triu(classes, 1).any(axis=1)
+    m = int(np.count_nonzero(~grounded))
+    slot = np.full(len(grounded), m)
+    slot[~grounded] = np.arange(m)
+    edges = np.concatenate([arc[on], pairs[live]])
+    ne = len(edges)
+    b_slot = np.full((3, ne + 1), m)
+    b_slot[:2, :ne] = slot[edges.T]
+    b_val = np.ones((3, ne + 1))
+    b_val[1] = -1.0
+    b_val[:2][b_slot[:2] == m] = 0.0
+    b_val[2] = np.concatenate([xi, pair_time, [1.0]])
+    nodes = m + 1
+    return Routing(
+        live=live, on=on,
+        off_cycle=tuple(off[0].tolist()) if len(off) else None,
+        th=th, xi=xi, pair_time=pair_time, nodes=nodes,
+        b_slot=b_slot, b_val=b_val, m_slot=b_slot[:, None] * nodes + b_slot,
+        m_val=b_val[:, None] * b_val, flow_scale=float(th.max(initial=0.0)),
+        payoff_scale=float((xi * th).sum()))
+
+
+def _interior_point(route, psi, eta, c, lin, bend, z_lo, z_hi, z0):
     """Primal-dual path-following solve of K concave extended problems.
 
     In demand coordinates z (vehicles per slot on each arc) each row is
@@ -240,21 +324,22 @@ def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
         min  sum f(z) + sum eta c t w
         s.t. A (z, w) = 0,   xi'z + t'w + s = psi,   lo <= (z, w, s) <= hi,
 
-    with A the node-edge incidence of ``edges`` (the arcs, then the empty
-    pairs), f' = ``lin`` + bend(z)[0] and f'' = bend(z)[1] per arc, z in
-    [z_lo, z_hi], w in [0, psi/t] and the capacity slack s in [0, psi].
-    The rows share the network, the demand curve (``bend``, ``z_lo``),
-    the strong classes and the grounding.  They differ in ``lin``, the
-    (K, arcs) linear term of f', in ``z0``, their (K, arcs) starts, in
-    ``psi`` and ``eta``, (K, 1) each, and in ``z_hi`` where it depends
-    on psi: (arcs,) or (K, arcs).
+    with A the node-edge incidence of the live edges of the network's
+    :class:`Routing` ``route`` (the arcs, then the empty pairs), f' =
+    ``lin`` + bend(z)[0] and f'' = bend(z)[1] per arc, z in [z_lo, z_hi],
+    w in [0, psi/t] and the capacity slack s in [0, psi].
+    The rows share the network (``route``: the strong classes, the
+    grounding and B) and the demand curve (``bend``, ``z_lo``).  They differ
+    in ``lin``, the (K, arcs) linear term of f', in ``z0``, their (K, arcs)
+    starts, in ``psi`` and ``eta``, (K, 1) each, and in ``z_hi`` where it
+    depends on psi: (arcs,) or (K, arcs).
     The long-step path-following method (Nocedal & Wright, Algorithm 14.2
     and ch. 19) carries the lower and upper slacks as iterates and takes
     one Newton step per iteration toward complementarity products of
     ``CENTRING`` times their mean, 0.995 of the way to the first slack or
     multiplier that reaches 0.  The step solves B D^-1 B': D is the
     Hessian plus barrier terms plus a floor of 1e-10 times the largest
-    f''(theta), B the balance rows of the nodes not ``grounded`` plus the
+    f''(theta), B the balance rows of the nodes not grounded plus the
     capacity row, so B D^-1 B' is the graph Laplacian with conductance 1/D
     per edge, with one node grounded per weakly connected component,
     bordered by the capacity row.  A row stops once balance, capacity and
@@ -266,27 +351,21 @@ def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
     its gradient; it also stalls at a non-finite residual or the iteration
     cap, and fails with Infeasible unless primal feasible (else
     NoConvergence, as for any other singular Newton system).  A row that
-    stops leaves the stack.  Every reduction is row-wise, so a row's
-    iterates do not depend on the other rows.  Returns per row its (z, w,
-    residual), or the error it fails with, with its own iteration count.
+    stops leaves the stack.  Each pass computes the balance residual, the
+    largest stationarity residual and the gap of every row; the scaled
+    residuals and the stop test are formed only on a pass where a row can
+    stop: a gap within ``IPM_GAP_TOL``, a non-finite value, a slack lost
+    before primal feasibility, a singular row or the cap.  Every reduction
+    is row-wise, so a row's iterates do not depend on the other rows.
+    Returns per row its (z, w, residual), or the error it fails with, with
+    its own iteration count.
     """
-    # B's rows: the balance of each node not grounded, then the capacity
-    m = int(np.count_nonzero(~grounded))
-    slot = np.full(len(grounded), m)
-    slot[~grounded] = np.arange(m)
-    nodes = m + 1
-    # x = (z, w, s): the first ne entries are edge flows.  Column j of B
-    # is e_tail - e_head + g_j e_m, with no term for a grounded end and
-    # none but g e_m for s: three rows and values per column
-    na, ne = len(th), len(edges)
-    n = ne + 1
-    g = np.concatenate([xi, pair_time, [1.0]])
-    b_slot = np.full((3, n), m)
-    b_slot[:2, :ne] = slot[edges.T]
-    b_val = np.ones((3, n))
-    b_val[1] = -1.0
-    b_val[:2][b_slot[:2] == m] = 0.0
-    b_val[2] = g
+    th, xi, pair_time = route.th, route.xi, route.pair_time
+    b_slot, b_val, nodes = route.b_slot, route.b_val, route.nodes
+    payoff_scale = route.payoff_scale
+    # x = (z, w, s): the first ne entries are edge flows
+    na, n = len(th), b_slot.shape[1]
+    ne = n - 1
     k = len(z0)
     # per row the lower, then the upper bounds of x
     bounds = np.zeros((k, 2 * n))
@@ -295,26 +374,25 @@ def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
     bounds[:, n + na:-1] = psi / pair_time
     bounds[:, -1:] = psi
     lo, hi = bounds[:, :n], bounds[:, n:]
-    # a unit of w costs eta c t, one of s nothing
-    w_rows = np.concatenate((pair_time * eta * c, np.zeros((k, 1))), axis=1)
+    # the gradient of each row; a unit of w costs eta c t, one of s nothing
+    grad = np.zeros((k, n))
+    grad[:, na:ne] = pair_time * eta * c
     floor = 1e-10 * float(bend(th)[1].max())
-    flow_scale, payoff_scale = float(th.max()), float((xi * th).sum())
     # a slack this small is lost in rounding on its bound
     tiny = np.finfo(float).eps * np.abs(bounds)
     # B x's target and its residual's scale per row
     capacity = np.zeros((k, nodes))
-    capacity[:, m:] = psi
-    p_scale = np.full((k, nodes), flow_scale)
-    p_scale[:, m:] = psi
+    capacity[:, -1:] = psi
+    p_scale = np.full((k, nodes), route.flow_scale)
+    p_scale[:, -1:] = psi
 
     # B v and M = B D^-1 B' = sum_j b_j b_j' / D_j are bincounts and B'
     # dual a gather over the rows of each column; row r of a stack of k
     # reads and writes its own bins
     stack = np.arange(k)[:, None, None]
     b_idx = (stack * nodes + b_slot).ravel()
-    m_idx = (stack[..., None] * nodes * nodes
-             + b_slot[:, None] * nodes + b_slot).ravel()
-    m_val = b_val[:, None] * b_val
+    m_idx = (stack[..., None] * (nodes * nodes) + route.m_slot).ravel()
+    m_val = route.m_val
 
     def times_b(v):  # B v per row
         return np.bincount(b_idx, (b_val * v[:, None]).ravel(),
@@ -324,12 +402,21 @@ def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
         return np.add.reduce(b_val * dual.ravel()[b_idx].reshape(-1, 3, n),
                              axis=1)
 
-    def stall(r):
+    def scaled(r):
+        """The gradient scale and the scaled KKT residual, (len(r), 1)
+        each, of the rows ``r`` of the stack (a slice or a list)."""
+        grad_scale = 1.0 + np.maximum.reduce(np.abs(grad[r]), axis=1,
+                                             keepdims=True)
+        return grad_scale, np.maximum(
+            np.maximum(primal[r], gap[r] / payoff_scale),
+            r_max[r] / grad_scale)
+
+    def stall(r, residual):
         """The error of row r of the stack stopping at iteration ``it``."""
         error = Infeasible if primal[r, 0] > IPM_TOL else NoConvergence
         return error(f"after {it} interior-point iterations the primal "
                      f"residual is {float(primal[r, 0]):.3e} and the scaled "
-                     f"KKT residual {float(residual[r, 0]):.3e}")
+                     f"KKT residual {float(residual):.3e}")
 
     def solve(M, rhs):
         """M^-1 rhs per row; a singular row takes a zero step and fails at
@@ -343,9 +430,10 @@ def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
                     out[r] = np.linalg.solve(M[r:r + 1],
                                              rhs[r:r + 1, :, None])[0, :, 0]
                 except np.linalg.LinAlgError as exc:
+                    grad_scale, residual = scaled([r])
                     if primal[r, 0] > IPM_TOL and float(kap[r].max()) \
-                            * np.finfo(float).eps > grad_scale[r, 0]:
-                        error = stall(r)
+                            * np.finfo(float).eps > grad_scale[0, 0]:
+                        error = stall(r, residual[0, 0])
                     else:
                         error = NoConvergence("singular interior-point "
                                               f"Newton system at iteration {it}")
@@ -360,7 +448,7 @@ def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
         - np.add.reduce(pair_time * w0, axis=1, keepdims=True)
     x = np.concatenate((z0, w0, np.minimum(np.maximum(s0, 0.1 * psi),
                                            0.9 * psi)), axis=1)
-    grad = np.concatenate((lin + bend(z0)[0], w_rows), axis=1)
+    np.add(lin, bend(z0)[0], out=grad[:, :na])
     margin = 0.1 * (1.0 + np.abs(grad))
     # one row of state: x, the lower then upper slacks, their multipliers,
     # then the balance and capacity duals
@@ -374,43 +462,42 @@ def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
         x, slack = state[:, :n], state[:, n:3 * n]
         kap, dual = state[:, 3 * n:5 * n], state[:, 5 * n:]
         rest, hess = bend(x[:, :na])
-        grad = np.concatenate((lin + rest, w_rows), axis=1)
+        np.add(lin, rest, out=grad[:, :na])
         ks = kap * slack
         gap = np.add.reduce(ks, axis=1, keepdims=True)
         r_d = grad - times_bt(dual) - kap[:, :n] + kap[:, n:]
         short = capacity - times_b(x)  # the primal residual, negated
         primal = np.maximum.reduce(np.abs(short) / p_scale, axis=1,
                                    keepdims=True)
-        grad_scale = 1.0 + np.maximum.reduce(np.abs(grad), axis=1,
-                                             keepdims=True)
-        residual = np.maximum(
-            np.maximum(primal, gap / payoff_scale),
-            np.maximum.reduce(np.abs(r_d), axis=1, keepdims=True)
-            / grad_scale)
-        # most iterations stop no row, which this first test shows
+        r_max = np.maximum.reduce(np.abs(r_d), axis=1, keepdims=True)
+        # most passes can stop no row, which this first test shows
         if (it == IPM_MAX_ITER
                 or any(results[row] is not None for row in rows)
-                or not all(IPM_TOL < v < np.inf for v in residual.flat)
+                or np.minimum.reduce(gap, axis=None)
+                <= IPM_GAP_TOL * payoff_scale
+                or not np.add.reduce(primal + gap + r_max, axis=None)
+                < np.inf
                 or np.maximum.reduce(primal, axis=None) > IPM_TOL
                 and np.logical_or.reduce(slack <= tiny, axis=None)):
+            residual = scaled(slice(None))[1]
             failed = np.array([results[row] is not None for row in rows])
             done = (residual <= IPM_TOL) & (gap <= IPM_GAP_TOL * payoff_scale)
             stalled = ~(residual < np.inf) | (primal > IPM_TOL) \
                 & np.logical_or.reduce(slack <= tiny, axis=1, keepdims=True)
             stop = (done | stalled)[:, 0] | failed | (it == IPM_MAX_ITER)
             for r in np.flatnonzero(stop & ~failed):
-                results[rows[r]] = stall(r) if not done[r, 0] else (
-                    x[r, :na], x[r, na:ne], float(residual[r, 0]))
+                results[rows[r]] = stall(r, residual[r, 0]) \
+                    if not done[r, 0] else (x[r, :na], x[r, na:ne],
+                                            float(residual[r, 0]))
             if stop.all():
                 break
             kept = np.flatnonzero(~stop)
             rows = [rows[r] for r in kept]
-            (state, lin, w_rows, tiny, capacity, p_scale, hess, r_d,
-             short, ks, gap, primal, residual, grad_scale) = (
+            (state, lin, grad, tiny, capacity, p_scale, hess, r_d, short,
+             ks, gap, primal, r_max) = (
                 v[kept] if np.ndim(v) == 2 else v
-                for v in (state, lin, w_rows, tiny, capacity, p_scale, hess,
-                          r_d, short, ks, gap, primal, residual,
-                          grad_scale))
+                for v in (state, lin, grad, tiny, capacity, p_scale, hess,
+                          r_d, short, ks, gap, primal, r_max))
             x, slack = state[:, :n], state[:, n:3 * n]
             kap = state[:, 3 * n:5 * n]
             k = len(rows)
@@ -426,14 +513,20 @@ def _interior_point(psi, eta, c, edges, th, xi, pair_time, lin, bend,
         q = (CENTRING * gap / (2 * n) - ks) / slack
         u = (q[:, :n] - q[:, n:] - r_d) * cond
         d_dual = solve(M, short - times_b(u))
-        dx = u + times_bt(d_dual) * cond
-        ds = np.concatenate((dx, -dx), axis=1)
-        dk = q - ratio * ds
+        # the direction of the whole state: dx, the slacks' (dx, -dx), the
+        # multipliers', then d_dual
+        move = np.empty_like(state)
+        dx = np.add(u, times_bt(d_dual) * cond, out=move[:, :n])
+        ds = move[:, n:3 * n]
+        ds[:, :n] = dx
+        np.negative(dx, out=ds[:, n:])
+        np.subtract(q, ratio * ds, out=move[:, 3 * n:5 * n])
+        move[:, 5 * n:] = d_dual
         # 0.995 of the way to the first slack or multiplier to reach 0
-        block = np.minimum.reduce(np.minimum(ds / slack, dk / kap), axis=1,
-                                  keepdims=True)
+        block = np.minimum.reduce(move[:, n:5 * n] / state[:, n:5 * n],
+                                  axis=1, keepdims=True)
         step = -1.0 / np.minimum(-1.0, block / 0.995)
-        state = state + step * np.concatenate((dx, ds, dk, d_dual), axis=1)
+        state = state + step * move
     return results
 
 
@@ -441,44 +534,37 @@ def _solve_rows(net: TrafficNetwork, ad_rows, params) -> list:
     """The solve of :func:`solve_extended` for each of the K per-arc ad
     rows ``ad_rows`` with its own ``ExtendedParams`` of ``params``, as one
     interior-point loop over the stack of their problems; the rows share
-    one demand curve, and their state is K (arcs + pairs + 1) wide, which
-    callers bound by a row budget.  Each row is ``(p_vec, w_vec,
-    residual)``, from which :func:`_solution` builds the record.  A row
-    equals its single solve bit for bit; the error raised is the one a
-    loop of single solves in row order raises first."""
-    pairs, pair_time = net.pair_array, net.pair_time
+    one demand curve and the network's kept :func:`routing`, and their
+    state is K (arcs + pairs + 1) wide, which callers bound by a row
+    budget.  Each row is ``(p_vec, w_vec, residual)``, from which
+    :func:`_solution` builds the record.  A row equals its single solve
+    bit for bit; the error raised is the one a loop of single solves in
+    row order raises first."""
     demand, c = params[0].demand, net.unit_cost
     if any(p.demand != demand for p in params):
         raise ValueError("the rows of a batch must share one demand curve")
     psi = np.array([[p.psi] for p in params])
     eta = np.array([[p.eta] for p in params])
-    arc = net.arc_array
-    # an edge is on a directed cycle when its ends share a strong class
-    classes = strong_classes(net.n_locations, pairs)
-    live = classes[pairs[:, 0], pairs[:, 1]]  # pairs start with the arcs
-    on = live[:len(arc)]
-    if demand.kind == "exponential" and not on.all():
-        u, v = arc[np.flatnonzero(~on)[0]]
+    route = routing(net)
+    if demand.kind == "exponential" and route.off_cycle is not None:
+        u, v = route.off_cycle
         raise Infeasible(f"arc ({u}, {v}) lies on no directed cycle of the "
                          "routing graph (arcs plus empty pairs)")
-    th, xi = net.arc_demand[on], net.arc_time[on]
+    th, xi, on = route.th, route.xi, route.on
     # a row whose capacity is below the least vehicle mass fails at once
     least = float((xi * demand.box(th, xi, psi)[0]).sum())
     results = [Infeasible(f"capacity {p.psi:.6g} is below the vehicle mass "
                           "with every price at its upper end")
                if least > p.psi else None for p in params]
     kept = [r for r, out in enumerate(results) if out is None]
-    if on.any() and kept:
+    if len(th) and kept:
         # C order: the row-wise reductions then keep their bits
         a_vec = np.ascontiguousarray(np.asarray(ad_rows)[kept][:, on])
         lin, bend = demand.derivatives(th, xi, a_vec, c)
-        # each weak component left is a strong class: ground its last node
-        grounded = ~np.triu(classes, 1).any(axis=1)
         solved = _interior_point(
-            psi[kept], eta[kept], c, np.concatenate([arc[on], pairs[live]]),
-            th, xi, pair_time[live], lin, bend,
+            route, psi[kept], eta[kept], c, lin, bend,
             *demand.box(th, xi, psi[kept]),
-            demand.start(th, xi, a_vec, c, psi[kept]), grounded)
+            demand.start(th, xi, a_vec, c, psi[kept]))
         for r, out in zip(kept, solved):
             results[r] = out
     rows = []
@@ -486,11 +572,12 @@ def _solve_rows(net: TrafficNetwork, ad_rows, params) -> list:
         if isinstance(out, Exception):
             raise out
         # an arc on no directed cycle keeps price 1 and no flow
-        p_vec, w_vec, residual = np.ones(len(arc)), np.zeros(len(pairs)), 0.0
+        p_vec, w_vec, residual = np.ones(len(on)), \
+            np.zeros(len(route.live)), 0.0
         if out is not None:
             z, w, residual = out
             p_vec[on] = demand.price(z, th)
-            w_vec[live] = w
+            w_vec[route.live] = w
         rows.append((p_vec, w_vec, residual))
     return rows
 

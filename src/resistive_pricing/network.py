@@ -4,7 +4,8 @@ A network is a directed graph over ``N`` locations.  An arc (i, j) exists
 exactly where the demand matrix is positive.  Travel times are read only on
 arcs; entries elsewhere are ignored.  Empty vehicles route over the arcs
 plus any off-arc pairs given empty travel times.  All objects here are
-immutable after construction.
+immutable after construction; :func:`keep` sets a derived record, such as
+the electrical model, beside a network's fields once.
 """
 
 from dataclasses import dataclass, field
@@ -210,11 +211,29 @@ class TrafficNetwork(FrozenArrays):
         values = np.asarray(values, dtype=float)
         n, m = self.n_locations, values.shape[-1]
         rows = values.reshape(-1, m)
+        k = len(rows)
         ends = self.pair_array[:m].T
-        if len(rows) > 1:  # row 0 needs no shift
-            ends = ends[:, None] + n * np.arange(len(rows))[:, None]
-        return [np.bincount(end.ravel(), rows.ravel(), len(rows) * n)
+        if k > 1:  # row 0 needs no shift
+            # one end's row-shifted index at a time, in one buffer
+            shift = n * np.arange(k)[:, None]
+            index = np.empty((k, m), dtype=np.intp)
+            ends = (np.add(end, shift, out=index) for end in ends)
+        return [np.bincount(end.ravel(), rows.ravel(), k * n)
                 .reshape(values.shape[:-1] + (n,)) for end in ends]
+
+
+def keep(net: TrafficNetwork, name: str, build):
+    """``build(net)``, computed on the first call and kept on the
+    immutable ``net`` under ``name`` for its lifetime, beside its fields:
+    every later call returns the same object, a second, equal network
+    builds its own, and the value goes with the network through pickling.
+    ``build`` returns a read-only record (a :class:`FrozenArrays`)."""
+    value = vars(net).get(name)
+    if value is None:
+        value = build(net)
+        # the network is frozen: the value goes beside its fields
+        object.__setattr__(net, name, value)
+    return value
 
 
 def _empty_pair(entry, n: int) -> tuple[int, int, float]:

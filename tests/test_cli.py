@@ -832,9 +832,10 @@ class TestSweepBatch:
         loops = []
         true_loop = extended._interior_point
 
-        def counted(*args):
-            loops.append(len(args[-2]))  # the rows of z0
-            return true_loop(*args)
+        def counted(*args, **kwargs):
+            results = true_loop(*args, **kwargs)
+            loops.append(len(results))  # one result per row
+            return results
 
         monkeypatch.setattr(extended, "_interior_point", counted)
         for size in (1, 2):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import pickle
 import warnings
@@ -16,10 +17,19 @@ from resistive_pricing import (
     payoff_extended,
     solve_extended,
     solve_general,
+    strategy_compare,
     synth_instance,
     validate_network,
 )
-from resistive_pricing.extended import IPM_TOL, _solution, _solve_rows
+from resistive_pricing import extended
+from resistive_pricing.extended import (
+    IPM_TOL,
+    _interior_point,
+    _solution,
+    _solve_rows,
+    routing,
+)
+from resistive_pricing.selection import _compare_grid
 from resistive_pricing.network import arc_ads, strong_classes
 
 from gen import random_ads, random_instance
@@ -920,3 +930,170 @@ class TestCandidateBatch:
         singular.clear()
         monkeypatch.setattr(np.linalg, "solve", solve)
         self.assert_rows_match_single_solves(net, ads[::2], params)
+
+    def test_singular_stall_is_infeasible(self, monkeypatch):
+        """A singular Newton system at a primal-infeasible iterate whose
+        bound multipliers exceed 1/eps times its gradient ends the row
+        with Infeasible, as an infeasible instance ends, and the message
+        reads the residual the stop test reads at that iterate; below that
+        bound the row fails with NoConvergence.  Both rows' capacities fit
+        the least vehicle mass but no balanced flow.  The multipliers of an
+        infeasible row grow without bound; here they are that large from
+        the start, where f' reads 1e20 or more higher (at z0 alone)."""
+        net = validate_network(np.array([[0.0, 4.0], [1.0, 0.0]]),
+                               np.ones((2, 2)), 0.6)
+        route, demand, c = routing(net), DemandModel.exponential(2.0), 0.6
+        th, xi = route.th, route.xi
+        psi = np.array([[1.01], [1.2]]) * float((xi * th).sum()) \
+            * np.exp(-10.0)
+        a_vec = np.zeros((2, len(th)))
+        lin, bend = demand.derivatives(th, xi, a_vec, c)
+        z0 = demand.start(th, xi, a_vec, c, psi)
+
+        def run(boost):
+            def bent(z):
+                rest, hess = bend(z)
+                return (rest + boost if z is z0 else rest), hess
+            return _interior_point(route, psi, np.full((2, 1), 0.8), c, lin,
+                                   bent, *demand.box(th, xi, psi), z0)
+
+        boost = np.array([[1e20], [3e20]])  # rows of their own residuals
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(extended, "IPM_MAX_ITER", 0)
+            capped = [str(error) for error in run(boost)]
+        assert capped[0] != capped[1]
+        assert all(text.startswith("after 0 interior-point iterations")
+                   for text in capped)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        stalled = run(boost)
+        assert [type(error) for error in stalled] == [Infeasible] * 2
+        assert [str(error) for error in stalled] == capped
+        assert all(isinstance(error.__cause__, np.linalg.LinAlgError)
+                   for error in stalled)
+        assert [(type(error), str(error)) for error in run(0.0)] == [
+            (NoConvergence, "singular interior-point Newton system at "
+             "iteration 0")] * 2
+
+    def test_non_finite_row_stops_at_once(self):
+        """A row whose gradient turns NaN stops on that pass, with a NaN
+        residual in its error, and the row beside it still equals its own
+        one-row solve."""
+        net, _ = synth_instance(10, 0.3, seed=7, profile="commuter")
+        mass = float((net.arc_demand * net.arc_time).sum())
+        route, demand, c = routing(net), DemandModel.uniform(), net.unit_cost
+        th, xi = route.th, route.xi
+        psi, eta = np.array([[0.5], [0.25]]) * mass, np.full((2, 1), 0.8)
+        a_vec = np.zeros((2, len(th)))
+        lin, bend = demand.derivatives(th, xi, a_vec, c)
+        z0 = demand.start(th, xi, a_vec, c, psi)
+        passes = []
+
+        def bent(z):
+            rest, hess = bend(z)
+            if z is not th and z is not z0:
+                passes.append(len(z))
+                if len(passes) == 4:  # iteration 3
+                    rest = rest.copy()
+                    rest[1] = np.nan
+            return rest, hess
+
+        rows = _interior_point(route, psi, eta, c, lin, bent,
+                               *demand.box(th, xi, psi), z0)
+        assert passes[:4] == [2] * 4 and set(passes[4:]) == {1}
+        assert isinstance(rows[1], (Infeasible, NoConvergence))
+        assert str(rows[1]).startswith("after 3 interior-point iterations")
+        assert str(rows[1]).endswith("scaled KKT residual nan")
+        alone = _interior_point(route, psi[:1], eta[:1], c, lin[:1], bend,
+                                *demand.box(th, xi, psi[:1]), z0[:1])[0]
+        assert [value.tobytes() for value in rows[0][:2]] \
+            == [value.tobytes() for value in alone[:2]]
+        assert rows[0][2] == alone[2]
+
+class TestRoutingPerNetwork:
+    """Each network builds the interior point's routing structure once, on
+    its first extended solve or batch, and keeps it."""
+
+    @pytest.fixture
+    def class_builds(self, monkeypatch):
+        """The pairs of each strong-class computation, in order."""
+        built, true = [], extended.strong_classes
+
+        def recording(nodes, pairs):
+            built.append(pairs)
+            return true(nodes, pairs)
+
+        monkeypatch.setattr(extended, "strong_classes", recording)
+        return built
+
+    @staticmethod
+    def sweep_network():
+        net, catalog = synth_instance(10, 0.3, seed=7, profile="commuter")
+        return net, catalog, float((net.arc_demand * net.arc_time).sum())
+
+    def test_one_build_across_solves_selects_and_sweeps(self, class_builds):
+        net, catalog, mass = self.sweep_network()
+        seeds = [np.random.SeedSequence(3, spawn_key=(q,)) for q in range(2)]
+        for demand in (DemandModel.uniform(), DemandModel.exponential(2.0)):
+            params = ExtendedParams(eta=0.8, psi=0.5 * mass, demand=demand)
+            solve_extended(net, None, params)
+            strategy_compare(net, catalog, "location", params, seed=3,
+                             trials=5)
+            _compare_grid(net, catalog, "location",
+                          [ExtendedParams(0.8, f * mass, demand)
+                           for f in (0.25, 0.5)], seeds, 5)
+            _compare_grid(net, catalog, "arc",
+                          [ExtendedParams(eta, 0.5 * mass, demand)
+                           for eta in (0.4, 0.8)], seeds, 5)
+        assert len(class_builds) == 1
+        assert class_builds[0] is net.pair_array
+        assert routing(net) is routing(net)
+
+    def test_equal_network_builds_its_own(self, class_builds):
+        net, twin = self.sweep_network()[0], self.sweep_network()[0]
+        assert routing(twin) is not routing(net)
+        assert routing(twin) is routing(twin)
+        assert [id(pairs) for pairs in class_builds] \
+            == [id(twin.pair_array), id(net.pair_array)]
+
+    def test_read_only_after_unpickling(self, class_builds):
+        net, _, mass = self.sweep_network()
+        params = ExtendedParams(eta=0.8, psi=0.5 * mass,
+                                demand=DemandModel.uniform())
+        sol = solve_extended(net, None, params)
+        copy = pickle.loads(pickle.dumps(net))
+        route = routing(copy)
+        assert len(class_builds) == 1  # it came with the network
+        arrays = [value for value in vars(route).values()
+                  if isinstance(value, np.ndarray)]
+        assert len(arrays) == 9
+        assert not any(value.flags.writeable for value in arrays)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            route.th = route.th.copy()
+        assert solution_digest(solve_extended(copy, None, params)) \
+            == solution_digest(sol)
+
+    def test_off_cycle_arc_on_a_kept_structure(self, class_builds):
+        """Arc (1, 2) lies on no directed cycle: price 1 and no flow under
+        uniform demand, Infeasible naming it under exponential demand, on
+        the first solve and on those that reuse its structure."""
+        net = validate_network(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+                                         [0.0, 0.0, 0.0]]),
+                               np.ones((3, 3)), 0.6)
+        mass = float((net.arc_demand * net.arc_time).sum())
+        uniform, exp = (ExtendedParams(eta=0.8, psi=mass, demand=demand)
+                        for demand in (DemandModel.uniform(),
+                                       DemandModel.exponential(2.0)))
+        assert routing(net).off_cycle == (1, 2)
+        for _ in range(2):
+            sol = solve_extended(net, None, uniform)
+            assert sol.prices[1, 2] == 1.0
+            assert sol.empty_flows[1, 2] == 0.0
+            with pytest.raises(Infeasible, match=r"arc \(1, 2\) lies on no "
+                               "directed cycle"):
+                solve_extended(net, None, exp)
+        assert len(class_builds) == 1
+
